@@ -10,7 +10,6 @@ from .compiler import (
     build_template,
     compile_graph,
     decompose_gates,
-    exhaustive_best_mapping,
     layout_document,
     optimize_circuit,
     schedule,
@@ -43,21 +42,17 @@ from .hardware import (
     Qubit,
     SubchainLibrary,
     build_subchain_library,
-    enumerate_simple_paths,
     load_calibration,
     loads_calibration,
     refresh,
     select_subchain,
 )
 from .problems import (
-    IsingModel,
     QuboMatrix,
-    ising_from_qubo,
     qubo_from_graph_coloring,
     qubo_from_maxcut,
     qubo_from_number_partition,
     qubo_from_set_packing,
-    weight_graph_from_ising,
     weight_graph_from_qubo,
 )
 from .qasm import emit, parse

@@ -12,7 +12,7 @@ from . import bench as bench_mod
 from .circuits import QaoaParams
 from .compiler import compile_graph, layout_document
 from .engine import optimize
-from .errors import QuchainError, ResultUnavailableError, TaskNotFoundError
+from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph, read_graph
 from .hardware import build_subchain_library, load_calibration, select_subchain
 from .problems import (
@@ -24,6 +24,7 @@ from .problems import (
 )
 from .qasm import emit
 from .tasks import TaskService, process_results
+from .validate import json_object, real, required
 
 PALETTE = [
     "lightblue", "salmon", "palegreen", "khaki", "plum", "lightgray",
@@ -86,8 +87,14 @@ def _add_problem_flags(sub):
 def _load_params(args, p: int) -> QaoaParams:
     if args.params:
         with open(args.params, encoding="utf-8") as f:
-            doc = json.load(f)
-        return QaoaParams(gamma=tuple(doc["gamma"]), beta=tuple(doc["beta"]))
+            doc = json_object(f.read())
+        angles = {}
+        for key in ("gamma", "beta"):
+            values = required(doc, key, "$")
+            if not isinstance(values, list):
+                raise ParseError("expected a list of angles", key)
+            angles[key] = [real(x, f"{key}[{k}]") for k, x in enumerate(values)]
+        return QaoaParams(**angles)
     if args.gamma and args.beta:
         return QaoaParams(
             gamma=tuple(_parse_number_list(args.gamma)),

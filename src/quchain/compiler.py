@@ -19,7 +19,6 @@ template after that cycle.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -107,7 +106,6 @@ def search_initial_mapping(
     g: WeightGraph,
     n: int | None = None,
     b_max: int = 5,
-    mirror_prune: bool = False,
 ) -> tuple[tuple[int, ...], int]:
     """Heuristic level search for a low-cost initial placement.
 
@@ -116,10 +114,6 @@ def search_initial_mapping(
     edges to already-placed neighbors, accumulated as a running maximum along
     the path; per level, at most ``b_max`` nodes are retained per distinct
     cost value (insertion order: parent first, then ascending position).
-
-    ``mirror_prune`` restricts the first vertex to positions
-    0..ceil(n/2)-1.  That halving is lossless only for even n, where the
-    pattern is mirror symmetric; it stays off by default.
 
     Returns the best mapping (logical -> position) and its predicted last
     RZZ cycle, which equals the last RZZ cycle of the schedule it induces.
@@ -154,8 +148,6 @@ def search_initial_mapping(
         else:
             cand = np.zeros((pcount, n), dtype=np.int64)
         np.maximum(cand, costs[:, None], out=cand)
-        if not mapped and mirror_prune:
-            cand[:, (n + 1) // 2 :] = sentinel
         if mapped:
             occupied = maps[:, mapped].astype(np.int64)
             rows = np.repeat(np.arange(pcount), occupied.shape[1])
@@ -179,25 +171,6 @@ def search_initial_mapping(
         mapped_set.add(q)
     best = int(np.argmin(costs))
     return tuple(int(x) for x in maps[best]), int(costs[best])
-
-
-def exhaustive_best_mapping(
-    g: WeightGraph, n: int | None = None
-) -> tuple[tuple[int, ...], int]:
-    """Brute-force optimum over all placements; factorial, test oracle only."""
-    k = g.n
-    n = k if n is None else int(n)
-    if n > 9:
-        raise ValueError("exhaustive mapping search is limited to n <= 9")
-    if n == 1:
-        return (0,), 0
-    exer = build_exer_table(n).table
-    best_map, best_cost = None, None
-    for perm in itertools.permutations(range(n), k):
-        c = max((exer[perm[u], perm[v]] for u, v, _ in g.edges), default=0)
-        if best_cost is None or c < best_cost:
-            best_map, best_cost = perm, int(c)
-    return tuple(best_map), best_cost
 
 
 @dataclass

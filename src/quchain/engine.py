@@ -178,6 +178,12 @@ def random_params(p: int, seed) -> QaoaParams:
 
 
 class _Objective:
+    """Counts evaluations against the budget and keeps the trace.
+
+    ``best`` is the lowest-energy evaluation (the first on ties) at the depth
+    of the latest evaluation; a change of depth starts it afresh.
+    """
+
     def __init__(self, g, evaluator, workers, max_evals):
         self.g = g
         self.evaluator = evaluator
@@ -190,35 +196,35 @@ class _Objective:
         return len(self.trace) >= self.max_evals
 
     def __call__(self, params: QaoaParams) -> float:
-        if self.exhausted():
-            raise _BudgetExhausted
         if self.evaluator == "full":
             e = expectation_full(self.g, params)
         else:
             e = expectation_decomposed(self.g, params, workers=self.workers)
         self.trace.append((params, e))
-        if self.best is None or e < self.best[1]:
+        if self.best is None or params.p != self.best[0].p or e < self.best[1]:
             self.best = (params, e)
         return e
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _grid_search(obj: _Objective, grid_size: int):
+def _grid_search(obj: _Objective, grid_size: int) -> bool:
+    """Evaluate the p=1 grid; False if the budget ran out before its end."""
     gammas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
     betas = np.linspace(0.0, np.pi / 2.0, grid_size, endpoint=False)
     for gm in gammas:
         for bt in betas:
+            if obj.exhausted():
+                return False
             obj(QaoaParams(gamma=(gm,), beta=(bt,)))
+    return True
 
 
 def _simplex(obj: _Objective, start: QaoaParams, ftol: float) -> tuple[bool, QaoaParams]:
+    """Nelder-Mead from ``start``, capped at the evaluations left in the budget."""
+
     def f(x):
         return obj(QaoaParams.from_flat(x))
 
-    budget = max(1, obj.max_evals - len(obj.trace))
+    budget = obj.max_evals - len(obj.trace)
     res = minimize(
         f,
         np.asarray(start.flat()),
@@ -252,8 +258,10 @@ def optimize(
     be explicit :class:`QaoaParams` of depth p, the string "random" (seeded
     draw at depth p), or "interp" / None: at p>1 this chains upward from the
     p=1 optimum, interpolating and simplex-refining at every depth.  The run
-    is deterministic for a fixed seed.  If the evaluation budget runs out the
-    best parameters so far are returned flagged as non-converged.
+    is deterministic for a fixed seed.  All stages share one budget of
+    ``max_evals`` evaluations; if it runs out, the remaining stages are
+    skipped and the best depth-p parameters so far are returned flagged as
+    non-converged.
     """
     if method not in ("grid", "simplex", "grid+simplex"):
         raise ValueError(f"unknown method {method!r}")
@@ -261,46 +269,41 @@ def optimize(
         raise ValueError(f"unknown evaluator {evaluator!r}")
     if isinstance(init, QaoaParams) and init.p != p:
         raise ValueError(f"init has depth {init.p}, requested p={p}")
+    if isinstance(init, QaoaParams) or init == "random":
+        depth = p
+        start = init if isinstance(init, QaoaParams) else random_params(p, seed)
+    else:
+        depth, start = 1, None
+    # start -> grid -> simplex, then [interp -> simplex] for each further depth.
+    stages = [] if start is None else ["start"]
+    if "grid" in method and depth == 1:
+        stages.append("grid")
+    refine = ["simplex"] if "simplex" in method else []
+    stages += refine + (["interp"] + refine) * (p - depth)
+
     obj = _Objective(g, evaluator, workers, max_evals)
-    use_grid = "grid" in method and p == 1
-    use_simplex = "simplex" in method
     converged = True
-    try:
-        if isinstance(init, QaoaParams) or init == "random" or p == 1:
-            if isinstance(init, QaoaParams):
-                obj(init)
-            elif init == "random":
-                obj(random_params(p, seed))
-            if use_grid:
-                _grid_search(obj, grid_size)
-            if use_simplex and obj.best is not None:
-                ok, _ = _simplex(obj, obj.best[0], ftol)
-                converged = converged and ok
-            elif use_simplex:
-                ok, _ = _simplex(obj, random_params(p, seed), ftol)
-                converged = converged and ok
-        else:
-            # Interp chain: optimize depth 1, then stretch and refine upward.
-            inner = optimize(
-                g, 1, method, None, seed, grid_size,
-                max(1, max_evals - len(obj.trace)), ftol, evaluator, workers,
-            )
-            obj.trace.extend(inner.trace)
-            converged = converged and inner.converged
-            depth_params = inner.params
-            for _ in range(p - 1):
-                depth_params = interp_initialize(depth_params)
-                obj(depth_params)
-                if use_simplex:
-                    ok, refined = _simplex(obj, depth_params, ftol)
-                    converged = converged and ok
-                    depth_params = refined
-    except _BudgetExhausted:
-        converged = False
-    at_depth = [(pp, e) for pp, e in obj.trace if pp.p == p]
-    if not at_depth:
+    refined = None  # simplex result at the current depth
+    for stage in stages:
+        if obj.exhausted():
+            converged = False
+            break
+        if stage == "start":
+            obj(start)
+        elif stage == "grid":
+            converged &= _grid_search(obj, grid_size)
+        elif stage == "simplex":
+            origin = obj.best[0] if obj.best is not None else random_params(depth, seed)
+            ok, refined = _simplex(obj, origin, ftol)
+            converged &= ok
+        else:  # "interp"
+            # Depth 1 hands on its best point, deeper depths their simplex result.
+            source = refined if depth > 1 and refined is not None else obj.best[0]
+            depth, refined = depth + 1, None
+            obj(interp_initialize(source))
+    if obj.best is None or obj.best[0].p != p:
         raise ValueError("optimizer made no depth-p evaluations; increase max_evals")
-    best_params, best_energy = min(at_depth, key=lambda t: t[1])
+    best_params, best_energy = obj.best
     return OptimizationResult(
         params=best_params,
         energy=best_energy,

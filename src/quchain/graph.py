@@ -11,10 +11,10 @@ energies can be reported in the units of the original objective function.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .validate import integer, json_object, only_fields, real, required
 
 #: JSON layout, also the on-disk interchange format:
 #: {"offset": r, "nodes": [{"id": i, "w": r}...], "edges": [{"u": a, "v": b, "w": r}...]}
@@ -76,9 +76,6 @@ class WeightGraph:
     def node_weights(self) -> list[float]:
         return [w for _, w in self.nodes]
 
-    def degree(self, i: int) -> int:
-        return sum(1 for u, v, _ in self.edges if i in (u, v))
-
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {i: [] for i, _ in self.nodes}
         for u, v, _ in self.edges:
@@ -123,64 +120,43 @@ def dumps_graph(g: WeightGraph) -> str:
     return "\n".join(line for line in lines if line != "") + "\n"
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
-    for k in obj:
-        if k not in allowed:
-            raise ParseError(f"unknown field {k!r}", where)
-    for k in required:
-        if k not in obj:
-            raise ParseError(f"missing field {k!r}", where)
-
-
-def _real(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"expected a real number, got {value!r}", where)
-    return float(value)
-
-
-def _intval(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"expected an integer, got {value!r}", where)
-    return value
-
-
 def loads_graph(text: str) -> WeightGraph:
     """Parse the JSON interchange format; errors carry a field location."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"line {exc.lineno}, col {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", "$")
-    _require_keys(doc, {"offset", "nodes", "edges"}, {"offset", "nodes", "edges"}, "$")
-    offset = _real(doc["offset"], "offset")
-    if not isinstance(doc["nodes"], list) or not doc["nodes"]:
+    doc = json_object(text)
+    only_fields(doc, ("offset", "nodes", "edges"), "$")
+    offset = real(required(doc, "offset", "$"), "offset")
+    raw_nodes = required(doc, "nodes", "$")
+    raw_edges = required(doc, "edges", "$")
+    if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ParseError("nodes must be a non-empty list", "nodes")
     nodes = []
-    for k, row in enumerate(doc["nodes"]):
+    for k, row in enumerate(raw_nodes):
         where = f"nodes[{k}]"
         if not isinstance(row, dict):
             raise ParseError("node entry must be an object", where)
-        _require_keys(row, {"id", "w"}, {"id", "w"}, where)
-        nodes.append((_intval(row["id"], where + ".id"), _real(row["w"], where + ".w")))
+        only_fields(row, ("id", "w"), where)
+        nodes.append((
+            integer(required(row, "id", where), where + ".id"),
+            real(required(row, "w", where), where + ".w"),
+        ))
     known = {i for i, _ in nodes}
     if len(known) != len(nodes):
         raise ParseError("duplicate node id", "nodes")
     edges = []
-    if not isinstance(doc["edges"], list):
+    if not isinstance(raw_edges, list):
         raise ParseError("edges must be a list", "edges")
-    for k, row in enumerate(doc["edges"]):
+    for k, row in enumerate(raw_edges):
         where = f"edges[{k}]"
         if not isinstance(row, dict):
             raise ParseError("edge entry must be an object", where)
-        _require_keys(row, {"u", "v", "w"}, {"u", "v", "w"}, where)
-        u = _intval(row["u"], where + ".u")
-        v = _intval(row["v"], where + ".v")
+        only_fields(row, ("u", "v", "w"), where)
+        u = integer(required(row, "u", where), where + ".u")
+        v = integer(required(row, "v", where), where + ".v")
         if u not in known:
             raise ParseError(f"endpoint {u} is not a declared node", where + ".u")
         if v not in known:
             raise ParseError(f"endpoint {v} is not a declared node", where + ".v")
-        edges.append((u, v, _real(row["w"], where + ".w")))
+        edges.append((u, v, real(required(row, "w", where), where + ".w")))
     try:
         return WeightGraph(nodes=nodes, edges=edges, offset=offset)
     except ValueError as exc:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, ParseError
+from .validate import integer, json_object, real, required
 
 
 @dataclass(frozen=True)
@@ -67,35 +68,21 @@ class ChipModel:
         return adj
 
 
-def _field(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", where)
-    return obj[key]
-
-
-def _num(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"expected a number, got {value!r}", where)
-    return float(value)
-
-
 def _fidelity(value, where: str) -> float:
-    f = _num(value, where)
+    f = real(value, where)
     if not 0.0 <= f <= 1.0:
         raise ParseError(f"fidelity {f} outside [0, 1]", where)
     return f
 
 
 def loads_calibration(text: str) -> ChipModel:
-    """Parse a calibration document; errors carry the offending field path."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"line {exc.lineno}, col {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", "$")
+    """Parse a calibration document; errors carry the offending field path.
+
+    Fields beyond the ones read here are ignored.
+    """
+    doc = json_object(text)
     qubits = []
-    raw_qubits = _field(doc, "qubits", "$")
+    raw_qubits = required(doc, "qubits", "$")
     if not isinstance(raw_qubits, list) or not raw_qubits:
         raise ParseError("qubits must be a non-empty list", "qubits")
     for k, row in enumerate(raw_qubits):
@@ -104,10 +91,10 @@ def loads_calibration(text: str) -> ChipModel:
             raise ParseError("qubit entry must be an object", where)
         qubits.append(
             Qubit(
-                id=int(_num(_field(row, "id", where), where + ".id")),
-                t1_us=_num(_field(row, "t1_us", where), where + ".t1_us"),
-                t2_us=_num(_field(row, "t2_us", where), where + ".t2_us"),
-                f1q=_fidelity(_field(row, "f1q", where), where + ".f1q"),
+                id=integer(required(row, "id", where), where + ".id"),
+                t1_us=real(required(row, "t1_us", where), where + ".t1_us"),
+                t2_us=real(required(row, "t2_us", where), where + ".t2_us"),
+                f1q=_fidelity(required(row, "f1q", where), where + ".f1q"),
             )
         )
     couplers = []
@@ -117,9 +104,9 @@ def loads_calibration(text: str) -> ChipModel:
             raise ParseError("coupler entry must be an object", where)
         couplers.append(
             Coupler(
-                a=int(_num(_field(row, "a", where), where + ".a")),
-                b=int(_num(_field(row, "b", where), where + ".b")),
-                f2q=_fidelity(_field(row, "f2q", where), where + ".f2q"),
+                a=integer(required(row, "a", where), where + ".a"),
+                b=integer(required(row, "b", where), where + ".b"),
+                f2q=_fidelity(required(row, "f2q", where), where + ".f2q"),
             )
         )
     return ChipModel(qubits=tuple(qubits), couplers=tuple(couplers))
@@ -145,29 +132,6 @@ def path_fidelity(chip: ChipModel, path) -> float:
     return f
 
 
-def enumerate_simple_paths(chip: ChipModel, length: int) -> list[tuple[int, ...]]:
-    """All simple paths of ``length`` qubits, deduplicated up to reversal.
-
-    Exponential; the exhaustive oracle for small chips only.
-    """
-    if chip.n > 12:
-        raise CapacityError("exhaustive path enumeration is limited to 12 qubits")
-    adj = chip.adjacency()
-    out: set[tuple[int, ...]] = set()
-
-    def grow(path: tuple[int, ...]):
-        if len(path) == length:
-            out.add(_canonical(path))
-            return
-        for nxt in adj[path[-1]]:
-            if nxt not in path:
-                grow(path + (nxt,))
-
-    for q in adj:
-        grow((q,))
-    return sorted(out)
-
-
 @dataclass(frozen=True, eq=False)
 class SubchainLibrary:
     """Chain length -> fidelity-sorted candidate paths, plus build settings.
@@ -180,7 +144,6 @@ class SubchainLibrary:
     entries: dict[int, list[tuple[int, ...]]]
     max_len: int
     beam_width: int
-    exhaustive: bool
 
     def fidelity(self, path) -> float:
         return path_fidelity(self.chip, path)
@@ -270,7 +233,6 @@ def build_subchain_library(
     chip: ChipModel,
     max_len: int | None = None,
     beam_width: int = 64,
-    exhaustive: bool = False,
 ) -> SubchainLibrary:
     """Collect high-fidelity simple paths for every length in [2, max_len].
 
@@ -278,10 +240,8 @@ def build_subchain_library(
     (best path per vertex-set/endpoint state), so the head of every entry is
     the true fidelity argmax; larger chips fall back to a beam search seeded
     from every coupler and extended at both ends, keeping ``beam_width``
-    candidates per length (deduplicated up to reversal).  With
-    ``exhaustive=True`` all simple paths are enumerated and listed, the
-    reference behavior for tests.  Lengths no search can reach map to empty
-    lists.
+    candidates per length (deduplicated up to reversal).  Lengths no search
+    can reach map to empty lists.
     """
     requested = chip.n if max_len is None else max_len
     if requested > chip.n:
@@ -289,24 +249,12 @@ def build_subchain_library(
     if requested < 2:
         raise ConfigError("max_len must be at least 2")
 
-    if exhaustive:
-        entries = {
-            k: sorted(
-                enumerate_simple_paths(chip, k),
-                key=lambda p: (-path_fidelity(chip, p), p),
-            )
-            for k in range(2, requested + 1)
-        }
-    elif chip.n <= EXACT_SEARCH_LIMIT:
+    if chip.n <= EXACT_SEARCH_LIMIT:
         entries = _collect_exact(chip, requested, beam_width)
     else:
         entries = _collect_beam(chip, requested, beam_width)
     return SubchainLibrary(
-        chip=chip,
-        entries=entries,
-        max_len=requested,
-        beam_width=beam_width,
-        exhaustive=exhaustive,
+        chip=chip, entries=entries, max_len=requested, beam_width=beam_width
     )
 
 
@@ -337,8 +285,5 @@ def select_subchain(lib: SubchainLibrary, k: int) -> tuple[int, ...]:
 def refresh(lib: SubchainLibrary, chip: ChipModel) -> SubchainLibrary:
     """Rebuild against fresh calibration data; returns a new immutable library."""
     return build_subchain_library(
-        chip,
-        max_len=min(lib.max_len, chip.n),
-        beam_width=lib.beam_width,
-        exhaustive=lib.exhaustive,
+        chip, max_len=min(lib.max_len, chip.n), beam_width=lib.beam_width
     )

@@ -3,17 +3,17 @@
 Every builder returns a :class:`QuboMatrix` in *minimize* form; problems that
 are natively maximizations (max cut, set packing) are negated at build time
 and record ``sense="max"`` so reports can restore the original objective.
-Constant terms are kept in ``offset`` through every conversion, so the chain
+:func:`weight_graph_from_qubo` turns a QUBO into the Ising weight graph the
+rest of the pipeline consumes, keeping constant terms in ``offset``, so
 
-    qubo.value(x) == ising.energy(2x - 1) + ising.offset
-                  == graph.energy(2x - 1) + graph.offset
+    qubo.value(x) == graph.energy(2x - 1) + graph.offset
 
-holds exactly for all binary assignments ``x``.
+holds for all binary assignments ``x`` (exactly for dyadic coefficients).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,38 +51,6 @@ class QuboMatrix:
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(x @ self.q @ x) + self.offset
-
-
-@dataclass
-class IsingModel:
-    """Spin Hamiltonian ``sum_{i<j} J_ij s_i s_j + sum_i h_i s_i`` over s=+/-1.
-
-    ``offset`` is the constant dropped by the spin substitution, retained so
-    ``energy(s) + offset`` matches the originating QUBO objective.
-    """
-
-    n: int
-    j: dict[tuple[int, int], float] = field(default_factory=dict)
-    h: np.ndarray = None
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ModelError("Ising model needs at least one spin")
-        if self.h is None:
-            self.h = np.zeros(self.n)
-        self.h = np.asarray(self.h, dtype=float)
-        if self.h.shape != (self.n,):
-            raise ModelError(f"h must have length {self.n}")
-        for (i, jj) in self.j:
-            if not 0 <= i < jj < self.n:
-                raise ModelError(f"coupling key ({i},{jj}) must satisfy 0 <= i < j < n")
-
-    def energy(self, spins) -> float:
-        """Hamiltonian value for a +/-1 assignment, offset excluded."""
-        e = sum(c * spins[i] * spins[jj] for (i, jj), c in self.j.items())
-        e += sum(self.h[i] * spins[i] for i in range(self.n))
-        return float(e)
 
 
 def _as_edge_list(graph):
@@ -209,42 +177,22 @@ def qubo_from_set_packing(universe_size: int, sets, penalty: float = 2.0) -> Qub
     return QuboMatrix(q=q, sense="max")
 
 
-def ising_from_qubo(qubo: QuboMatrix) -> IsingModel:
-    """Spin substitution ``s = 2x - 1`` applied to a QUBO.
+def weight_graph_from_qubo(qubo: QuboMatrix) -> WeightGraph:
+    """Spin substitution ``s = 2x - 1`` applied to a QUBO, as a weight graph.
 
-    ``J_ij = (Q_ij + Q_ji)/4`` for i<j, ``h_i = Q_ii/2 + sum_{j!=i}
-    (Q_ij + Q_ji)/4``, ``offset = sum_{i<j} (Q_ij + Q_ji)/4 + sum_i Q_ii/2``
-    plus the QUBO's own constant.  The identity
-    ``energy(2x-1) + offset == qubo.value(x)`` holds exactly.
+    With symmetric ``Q``: couplings ``J = triu(Q + Q^T, 1)/4`` become edges
+    (zero couplings are dropped), biases ``h = diag(Q)/2`` plus the row and
+    column sums of ``J`` become node weights (zero-weight nodes retained),
+    and ``offset = qubo.offset + tr(Q)/2 + sum(J)``.  Then
+    ``energy(2x - 1) + offset == qubo.value(x)`` for every binary ``x``.
     """
     q = qubo.q
-    n = qubo.n
-    j: dict[tuple[int, int], float] = {}
-    h = np.zeros(n)
-    offset = qubo.offset
-    for i in range(n):
-        h[i] += q[i, i] / 2.0
-        offset += q[i, i] / 2.0
-        for jj in range(i + 1, n):
-            c = (q[i, jj] + q[jj, i]) / 4.0
-            if c != 0.0:
-                j[(i, jj)] = c
-            h[i] += c
-            h[jj] += c
-            offset += c
-    return IsingModel(n=n, j=j, h=h, offset=offset)
-
-
-def weight_graph_from_ising(m: IsingModel) -> WeightGraph:
-    """Transcribe an Ising model into its weight graph.
-
-    Biases become node weights (zero-weight nodes retained), nonzero
-    couplings become weighted edges.
-    """
-    nodes = [(i, float(m.h[i])) for i in range(m.n)]
-    edges = [(i, jj, c) for (i, jj), c in m.j.items() if c != 0.0]
-    return WeightGraph(nodes=nodes, edges=edges, offset=m.offset)
-
-
-def weight_graph_from_qubo(qubo: QuboMatrix) -> WeightGraph:
-    return weight_graph_from_ising(ising_from_qubo(qubo))
+    j = np.triu(q + q.T, 1) / 4.0
+    h = np.diag(q) / 2.0 + j.sum(axis=0) + j.sum(axis=1)
+    offset = qubo.offset + np.trace(q) / 2.0 + j.sum()
+    u, v = np.nonzero(j)
+    return WeightGraph(
+        nodes=list(enumerate(h.tolist())),
+        edges=list(zip(u.tolist(), v.tolist(), j[u, v].tolist())),
+        offset=float(offset),
+    )

@@ -1,7 +1,9 @@
 """Asynchronous sampling jobs over an append-only on-disk store.
 
 Tasks move queued -> running -> completed | failed, one JSON record per line;
-on reload the last line per id wins, so the log is crash safe and diffable.
+on reload the last line per id wins, so the log is diffable.  A crash in
+the middle of an append leaves a torn final line without its newline:
+readers skip it and the next writer cuts it off before appending.
 The built-in backend samples exact simulator probabilities with a seeded
 generator; a remote backend can be slotted in by implementing ``run``.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .circuits import Gate
 from .compiler import PhysicalCircuit
-from .errors import ResultUnavailableError, TaskNotFoundError
+from .errors import ParseError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph
 from .qasm import emit, parse
 from .simulator import sample_counts, simulate_gates
@@ -66,8 +68,10 @@ class TaskRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TaskRecord":
-        doc = json.loads(line)
-        return cls(**doc)
+        try:
+            return cls(**json.loads(line))
+        except (json.JSONDecodeError, TypeError) as exc:
+            raise ParseError(f"malformed task record: {exc}") from exc
 
 
 class TaskStore:
@@ -76,25 +80,57 @@ class TaskStore:
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
+        self._tail_checked = False
 
     def append(self, record: TaskRecord):
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(record.to_json() + "\n")
+            with open(self.path, "a+b") as f:
+                if not self._tail_checked:
+                    _mend_tail(f)
+                    self._tail_checked = True
+                f.write((record.to_json() + "\n").encode("utf-8"))
                 f.flush()
 
     def load(self) -> dict[str, TaskRecord]:
         records: dict[str, TaskRecord] = {}
         try:
             with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
+                for k, line in enumerate(f, start=1):
+                    if line.isspace():
+                        continue
+                    try:
                         rec = TaskRecord.from_json(line)
-                        records[rec.id] = rec
+                    except ParseError as exc:
+                        if not line.endswith("\n"):
+                            break  # torn final line: an append cut short by a crash
+                        raise ParseError(str(exc), f"{self.path}, line {k}") from exc
+                    records[rec.id] = rec
         except FileNotFoundError:
             pass
         return records
+
+
+def _mend_tail(f) -> None:
+    """Make the file at ``f`` (opened "a+b") end with a newline.
+
+    A final line without one is cut off when it does not parse as a record,
+    and terminated when it does.
+    """
+    end = f.seek(0, 2)
+    if end == 0:
+        return
+    f.seek(end - 1)
+    if f.read(1) == b"\n":
+        return
+    f.seek(0)
+    data = f.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        TaskRecord.from_json(data[start:].decode("utf-8"))
+    except (ParseError, UnicodeDecodeError):
+        f.truncate(start)
+    else:
+        f.write(b"\n")
 
 
 class LocalSampler:

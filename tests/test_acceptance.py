@@ -22,7 +22,6 @@ from quchain import (
     emit,
     expectation_decomposed,
     expectation_full,
-    ising_from_qubo,
     optimize,
     parse,
     permute_qubits,
@@ -124,15 +123,15 @@ def test_criterion_05_qubo_ising_equivalence():
     rng = np.random.default_rng(505)
 
     def check(qubo):
-        ising = ising_from_qubo(qubo)
+        g = weight_graph_from_qubo(qubo)
         n = qubo.n
         assert n <= 12
         bits = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
         qvals = np.einsum("bi,ij,bj->b", bits, qubo.q, bits) + qubo.offset
         spins = 2.0 * bits - 1.0
-        ivals = np.full(len(bits), ising.offset)
-        ivals += spins @ ising.h
-        for (i, j), c in ising.j.items():
+        ivals = np.full(len(bits), g.offset)
+        ivals += spins @ np.asarray(g.node_weights)
+        for i, j, c in g.edges:
             ivals += c * spins[:, i] * spins[:, j]
         assert np.max(np.abs(qvals - ivals)) < 1e-12
 

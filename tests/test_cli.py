@@ -134,6 +134,26 @@ class TestCompile:
         assert json.loads(layout_out.read_text())["logical_to_physical"] == list(pc.initial_mapping)
 
 
+    @pytest.mark.parametrize(
+        "doc, location",
+        [
+            ({"gamma": [0.65]}, "$"),
+            ({"gamma": [0.65], "beta": 1.21}, "beta"),
+            ({"gamma": [0.65], "beta": ["x"]}, "beta[0]"),
+            ([0.65, 1.21], "$"),
+        ],
+    )
+    def test_bad_params_file_exits_one(self, demo6_file, tmp_path, capsys, doc, location):
+        params = tmp_path / "bad.json"
+        params.write_text(json.dumps(doc))
+        code = run(
+            ["compile", "--problem", "maxcut", "--graph", demo6_file,
+             "--params", str(params), "--out", str(tmp_path / "c.qasm")]
+        )
+        assert code == 1
+        assert f"error: {location}: " in capsys.readouterr().err
+
+
 class TestTaskFlow:
     def test_full_pipeline_hundred_shots(self, demo6_file, tmp_path, capsys):
         store = str(tmp_path / "store")

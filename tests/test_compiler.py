@@ -16,7 +16,6 @@ from quchain import (
     build_template,
     compile_graph,
     decompose_gates,
-    exhaustive_best_mapping,
     layout_document,
     optimize_circuit,
     permute_qubits,
@@ -28,6 +27,7 @@ from quchain import (
 )
 
 from conftest import random_graph, random_qaoa_params
+from oracles import exhaustive_best_mapping
 
 
 def rzz_meetings(template):
@@ -151,16 +151,6 @@ class TestMappingSearch:
         mapping, cost = search_initial_mapping(g, 2)
         assert cost == 0
         assert sorted(mapping) == [0, 1]
-
-    def test_mirror_prune_lossless_for_even_chains(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            g = random_graph(rng, 4, 8, weighted=False, with_bias=False)
-            if g.n % 2:
-                g = WeightGraph(nodes=g.nodes + [(g.n, 0.0)], edges=g.edges)
-            _, base = search_initial_mapping(g, g.n)
-            _, pruned = search_initial_mapping(g, g.n, mirror_prune=True)
-            assert pruned == base
 
     def test_predicted_equals_realized(self):
         rng = np.random.default_rng(31)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quchain import ParseError, WeightGraph, dumps_graph, loads_graph, read_graph, write_graph
+from quchain import (
+    ParseError,
+    WeightGraph,
+    dumps_graph,
+    loads_calibration,
+    loads_graph,
+    read_graph,
+    write_graph,
+)
 
 
 def test_k2_round_trip_byte_identical(tmp_path):
@@ -76,6 +84,37 @@ def test_self_loop_rejected():
 def test_non_contiguous_ids_rejected():
     with pytest.raises(ValueError):
         WeightGraph(nodes=[(0, 0.0), (2, 0.0)], edges=[])
+
+
+GRAPH_DOC = (
+    '{"offset": %s, "nodes": [{"id": 0, "w": %s}, {"id": 1, "w": 0}],'
+    ' "edges": [{"u": 0, "v": 1, "w": %s}]}'
+)
+CALIB_DOC = (
+    '{"qubits": [{"id": 0, "t1_us": %s, "t2_us": %s, "f1q": %s},'
+    ' {"id": 1, "t1_us": 1, "t2_us": 1, "f1q": 0.9}],'
+    ' "couplers": [{"a": 0, "b": 1, "f2q": %s}]}'
+)
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "1e400", "10**400"])
+@pytest.mark.parametrize(
+    "doc, slots, where",
+    [
+        (GRAPH_DOC, 3, ["offset", "nodes[0].w", "edges[0].w"]),
+        (CALIB_DOC, 4, ["qubits[0].t1_us", "qubits[0].t2_us", "qubits[0].f1q", "couplers[0].f2q"]),
+    ],
+    ids=["graph", "calibration"],
+)
+def test_non_finite_numbers_rejected_with_location(doc, slots, where, bad):
+    load = loads_graph if doc is GRAPH_DOC else loads_calibration
+    for k, location in enumerate(where):
+        values = ["0.5"] * slots
+        values[k] = bad
+        with pytest.raises(ParseError) as err:
+            load(doc % tuple(values))
+        assert err.value.location == location
 
 
 @st.composite

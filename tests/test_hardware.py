@@ -20,6 +20,8 @@ from quchain import (
     select_subchain,
 )
 
+from oracles import exhaustive_library_entries
+
 
 def fixture_text(name: str) -> str:
     return (importlib.resources.files("quchain") / "data" / name).read_text()
@@ -93,6 +95,25 @@ class TestCalibration:
         with pytest.raises(ParseError) as err:
             loads_calibration('{"qubits": [{"id": 0, "t1_us": 1, "f1q": 0.9, "t2_us": 1}], "couplers": [{"a": 0, "f2q": 1}]}')
         assert "couplers[0]" in str(err.value)
+
+
+    def test_non_integer_ids_rejected(self):
+        qubits = [{"id": i, "t1_us": 1, "t2_us": 1, "f1q": 0.99} for i in range(2)]
+        couplers = [{"a": 0, "b": 1, "f2q": 0.9}]
+        for section, k, key in [("qubits", 1, "id"), ("couplers", 0, "a"), ("couplers", 0, "b")]:
+            doc = json.loads(json.dumps({"qubits": qubits, "couplers": couplers}))
+            doc[section][k][key] = 1.7
+            with pytest.raises(ParseError) as err:
+                loads_calibration(json.dumps(doc))
+            assert f"{section}[{k}].{key}" in str(err.value)
+
+    def test_extra_keys_accepted(self):
+        doc = {
+            "chip": "test",
+            "qubits": [{"id": i, "t1_us": 1, "t2_us": 1, "f1q": 0.99, "note": ""} for i in range(2)],
+            "couplers": [{"a": 0, "b": 1, "f2q": 0.9, "gate": "cz"}],
+        }
+        assert loads_calibration(json.dumps(doc)).n == 2
 
 
 class TestLibrary:
@@ -256,12 +277,12 @@ class TestOracle:
                 continue
             chip = make_chip(n, couplers)
             beam = build_subchain_library(chip)
-            exact = build_subchain_library(chip, exhaustive=True)
+            exact = exhaustive_library_entries(chip)
             for k in beam.entries:
-                assert bool(beam.entries[k]) == bool(exact.entries[k])
+                assert bool(beam.entries[k]) == bool(exact[k])
                 if beam.entries[k]:
                     assert beam.fidelity(beam.entries[k][0]) == pytest.approx(
-                        exact.fidelity(exact.entries[k][0]), abs=1e-12
+                        path_fidelity_of(chip, exact[k][0]), abs=1e-12
                     )
             checked += 1
         assert checked >= 40
@@ -279,10 +300,10 @@ class TestOracle:
             if not couplers:
                 continue
             chip = make_chip(n, couplers)
-            lib = build_subchain_library(chip, exhaustive=True)
-            for k in lib.entries:
+            entries = exhaustive_library_entries(chip)
+            for k in entries:
                 want = nx_best_path(chip, k)
-                if lib.entries[k]:
-                    assert lib.fidelity(lib.entries[k][0]) == pytest.approx(want, abs=1e-12)
+                if entries[k]:
+                    assert path_fidelity_of(chip, entries[k][0]) == pytest.approx(want, abs=1e-12)
                 else:
                     assert want is None

@@ -11,12 +11,10 @@ from quchain import (
     ConfigError,
     ModelError,
     QuboMatrix,
-    ising_from_qubo,
     qubo_from_graph_coloring,
     qubo_from_maxcut,
     qubo_from_number_partition,
     qubo_from_set_packing,
-    weight_graph_from_ising,
     weight_graph_from_qubo,
 )
 
@@ -171,59 +169,82 @@ class TestSetPacking:
 
 class TestIsingConversion:
     def test_worked_two_by_two(self):
-        ising = ising_from_qubo(QuboMatrix(q=np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert ising.j == {(0, 1): 0.5}
-        assert np.allclose(ising.h, [0.5, 0.5])
-        assert ising.offset == pytest.approx(0.5)
+        g = weight_graph_from_qubo(QuboMatrix(q=np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert g.edges == [(0, 1, 0.5)]
+        assert np.allclose(g.node_weights, [0.5, 0.5])
+        assert g.offset == pytest.approx(0.5)
 
     def test_zero_matrix(self):
-        ising = ising_from_qubo(QuboMatrix(q=np.zeros((3, 3))))
-        assert ising.j == {} and np.allclose(ising.h, 0) and ising.offset == 0
+        g = weight_graph_from_qubo(QuboMatrix(q=np.zeros((3, 3))))
+        assert g.edges == [] and np.allclose(g.node_weights, 0) and g.offset == 0
 
     def test_single_diagonal(self):
-        ising = ising_from_qubo(QuboMatrix(q=np.array([[1.0]])))
-        assert ising.h[0] == pytest.approx(0.5)
-        assert ising.offset == pytest.approx(0.5)
-        assert ising.energy([-1]) + ising.offset == pytest.approx(0.0)
-        assert ising.energy([1]) + ising.offset == pytest.approx(1.0)
+        g = weight_graph_from_qubo(QuboMatrix(q=np.array([[1.0]])))
+        assert g.node_weights[0] == pytest.approx(0.5)
+        assert g.offset == pytest.approx(0.5)
+        assert g.energy([-1]) + g.offset == pytest.approx(0.0)
+        assert g.energy([1]) + g.offset == pytest.approx(1.0)
 
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_energy_identity_random(self, n, seed):
         rng = np.random.default_rng(seed)
         qubo = QuboMatrix(q=rng.normal(size=(n, n)), offset=float(rng.normal()))
-        ising = ising_from_qubo(qubo)
+        g = weight_graph_from_qubo(qubo)
         for bits in itertools.product((0, 1), repeat=n):
             spins = [2 * b - 1 for b in bits]
-            assert ising.energy(spins) + ising.offset == pytest.approx(
+            assert g.energy(spins) + g.offset == pytest.approx(
                 qubo.value(bits), abs=1e-12
             )
 
 
 class TestWeightGraph:
     def test_direct_transcription(self):
-        from quchain import IsingModel
-
-        m = IsingModel(n=2, j={(0, 1): 0.5}, h=np.array([0.5, 0.5]), offset=0.5)
-        g = weight_graph_from_ising(m)
+        # J = 0.5, h = (0.5, 0.5), offset 0.5 become one edge and two node weights
+        g = weight_graph_from_qubo(QuboMatrix(q=np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert g.nodes == [(0, 0.5), (1, 0.5)]
         assert g.edges == [(0, 1, 0.5)]
         assert g.offset == 0.5
 
     def test_bias_only_graph_is_edgeless(self):
-        from quchain import IsingModel
-
-        m = IsingModel(n=3, j={}, h=np.array([1.0, -2.0, 0.0]))
-        g = weight_graph_from_ising(m)
+        g = weight_graph_from_qubo(QuboMatrix(q=np.diag([2.0, -4.0, 0.0])))
+        assert g.node_weights == [1.0, -2.0, 0.0]
         assert g.edges == []
         assert g.n == 3  # zero-weight nodes retained
 
     def test_complete_coupling_gives_k3(self):
-        from quchain import IsingModel
+        q = 2.0 * (np.ones((3, 3)) - np.eye(3))
+        g = weight_graph_from_qubo(QuboMatrix(q=q))
+        assert g.edges == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
-        m = IsingModel(n=3, j={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, h=np.zeros(3))
-        g = weight_graph_from_ising(m)
-        assert len(g.edges) == 3
+    def test_zero_couplings_are_not_edges(self):
+        q = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        g = weight_graph_from_qubo(QuboMatrix(q=q))
+        assert g.edges == [(0, 1, 0.5)]
+
+    def test_matches_elementwise_substitution(self):
+        # the substitution written term by term, as a reference for the
+        # vectorized transform: equal bit for bit on dyadic coefficients
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            q = rng.integers(-16, 17, size=(n, n)) / 8.0
+            qubo = QuboMatrix(q=q, offset=float(rng.integers(-8, 9)) / 4.0)
+            qs = qubo.q
+            h = [qs[i, i] / 2.0 for i in range(n)]
+            offset = qubo.offset + sum(qs[i, i] / 2.0 for i in range(n))
+            edges = []
+            for i, j in itertools.combinations(range(n), 2):
+                c = (qs[i, j] + qs[j, i]) / 4.0
+                h[i] += c
+                h[j] += c
+                offset += c
+                if c != 0.0:
+                    edges.append((i, j, c))
+            g = weight_graph_from_qubo(qubo)
+            assert g.node_weights == h
+            assert g.edges == edges
+            assert g.offset == offset
 
     def test_graph_energy_matches_qubo_for_builders(self):
         # end-to-end energy identity through both conversion hops

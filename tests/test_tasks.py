@@ -5,6 +5,7 @@ import pytest
 
 from quchain import (
     LocalSampler,
+    ParseError,
     QaoaParams,
     ResultUnavailableError,
     TaskNotFoundError,
@@ -163,6 +164,55 @@ class TestPersistence:
         with TaskService(store) as svc:
             assert svc.status(rec.id) == "failed"
             assert "interrupted" in svc.record(rec.id).error
+
+
+class TestTornTail:
+    """A crash during an append leaves a final line without its newline."""
+
+    def _completed_store(self, store, k2_graph):
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        with TaskService(store) as svc:
+            rec = svc.submit(pc, shots=50, wait=True, seed=1)
+        text = store.read_text()
+        store.write_text(text + text.splitlines()[-1][:40])  # torn copy of the last record
+        return rec
+
+    def test_readers_skip_torn_final_line(self, store, k2_graph):
+        rec = self._completed_store(store, k2_graph)
+        reloaded = TaskService(store, read_only=True)
+        assert reloaded.status(rec.id) == "completed"
+        assert reloaded.result(rec.id) == rec.counts
+
+    def test_append_after_torn_tail_starts_a_fresh_line(self, store, k2_graph):
+        rec = self._completed_store(store, k2_graph)
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.5,), beta=(0.1,)))
+        with TaskService(store) as svc:
+            new = svc.submit(pc, shots=30, wait=True, seed=2)
+        lines = store.read_text().split("\n")
+        assert lines[-1] == ""
+        assert len(lines) == 7  # 3 records per task, then the final newline
+        reloaded = TaskService(store, read_only=True)
+        assert reloaded.status(rec.id) == "completed"
+        assert reloaded.status(new.id) == "completed"
+
+    def test_complete_final_line_without_newline_is_kept(self, store, k2_graph):
+        rec = self._completed_store(store, k2_graph)
+        store.write_text(store.read_text().rsplit("\n", 1)[0])  # drop tail and newline
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.5,), beta=(0.1,)))
+        with TaskService(store) as svc:
+            assert svc.status(rec.id) == "completed"
+            new = svc.submit(pc, shots=30, wait=True, seed=2)
+        reloaded = TaskService(store, read_only=True)
+        assert reloaded.status(rec.id) == "completed"
+        assert reloaded.status(new.id) == "completed"
+
+    def test_malformed_inner_line_is_located_parse_error(self, store, k2_graph):
+        self._completed_store(store, k2_graph)
+        lines = store.read_text().split("\n")
+        lines[1] = lines[1][:40]
+        store.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match="line 2"):
+            TaskService(store, read_only=True)
 
 
 class TestLocalSampler:
