@@ -16,6 +16,7 @@ from .compiler import (
     search_initial_mapping,
 )
 from .engine import (
+    LightCone,
     OptimizationResult,
     TermSubproblem,
     decompose,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -12,7 +13,7 @@ from . import bench as bench_mod
 from .circuits import QaoaParams
 from .compiler import compile_graph, layout_document
 from .engine import optimize
-from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
+from .errors import ConfigError, ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph, read_graph
 from .hardware import build_subchain_library, load_calibration, select_subchain
 from .problems import (
@@ -84,7 +85,18 @@ def _add_problem_flags(sub):
     sub.add_argument("--penalty", type=float, default=2.0, help="set-packing penalty")
 
 
-def _load_params(args, p: int) -> QaoaParams:
+def _angle_list(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        values = tuple(_parse_number_list(text))
+    except ValueError:
+        raise ConfigError(f"{flag}: malformed number in {text!r}") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(f"{flag}: angles must be finite, got {text!r}")
+    return values
+
+
+def _load_params(args, p: int | None) -> QaoaParams:
+    """Angles from --params or --gamma/--beta; ``p``, when given, must match."""
     if args.params:
         with open(args.params, encoding="utf-8") as f:
             doc = json_object(f.read())
@@ -94,13 +106,17 @@ def _load_params(args, p: int) -> QaoaParams:
             if not isinstance(values, list):
                 raise ParseError("expected a list of angles", key)
             angles[key] = [real(x, f"{key}[{k}]") for k, x in enumerate(values)]
-        return QaoaParams(**angles)
-    if args.gamma and args.beta:
-        return QaoaParams(
-            gamma=tuple(_parse_number_list(args.gamma)),
-            beta=tuple(_parse_number_list(args.beta)),
+        params = QaoaParams(**angles)
+    elif args.gamma and args.beta:
+        params = QaoaParams(
+            gamma=_angle_list(args.gamma, "--gamma"),
+            beta=_angle_list(args.beta, "--beta"),
         )
-    raise QuchainError("provide --params FILE or both --gamma and --beta")
+    else:
+        raise QuchainError("provide --params FILE or both --gamma and --beta")
+    if p is not None and p != params.p:
+        raise ConfigError(f"--p {p} does not match the {params.p} layer(s) of angles given")
+    return params
 
 
 def _pick_chain(args, k: int):
@@ -311,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--params", help="parameters JSON from solve")
     s.add_argument("--gamma", help="comma-separated gamma angles")
     s.add_argument("--beta", help="comma-separated beta angles")
-    s.add_argument("--p", type=int, default=1)
+    s.add_argument(
+        "--p", type=int, default=None,
+        help="expected depth; must match the angles (default: their depth)",
+    )
     s.add_argument("--bmax", type=int, default=5)
     s.add_argument("--out", required=True, help="output QASM path")
     s.add_argument("--layout", help="output layout JSON path")

@@ -2,15 +2,22 @@
 
 Two evaluation routes are provided and must agree exactly:
 
-* :func:`expectation_full` simulates the whole circuit and contracts the
-  probability vector with the diagonal Hamiltonian.
+* :func:`expectation_full` simulates the whole circuit gate by gate and
+  contracts the probability vector with the diagonal Hamiltonian.  It is the
+  reference the other route is tested against.
 * :func:`expectation_decomposed` splits the Hamiltonian into one subproblem
-  per term, simulates each term's p-hop neighborhood subgraph independently
-  (the term's light cone) and sums the per-term expectations.
+  per term, groups the terms by their p-hop neighborhood subgraph (the
+  term's light cone), simulates each distinct cone independently and sums
+  the per-cone expectations.
 
 The second route is the scalable one: subproblem sizes depend on local graph
 structure, not on the total qubit count, and the evaluations are independent
-so they can run in parallel.
+so they can run in parallel.  :func:`decompose` builds each distinct cone's
+cost diagonal and summed observable once (within a memory budget),
+:func:`optimize` decomposes once per depth and reuses the cones for every
+evaluation, and each cone is simulated by
+:func:`~quchain.simulator.qaoa_state`: one diagonal phase per cost layer and
+in-place 2x2 rotations for the mixer.
 """
 
 from __future__ import annotations
@@ -24,10 +31,13 @@ from scipy.optimize import minimize
 from .circuits import QaoaParams, build_qaoa_circuit
 from .errors import CapacityError
 from .graph import WeightGraph
-from .simulator import QUBIT_LIMIT, probabilities, simulate
+from .simulator import QUBIT_LIMIT, probabilities, qaoa_state, simulate
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MAX_EVALS = 20000
+#: Memory the light cones of one decomposition may keep their cost diagonal
+#: and observable in; cones beyond it rebuild both on every evaluation.
+CONE_CACHE_BYTES = 1 << 26
 
 
 def _spin_signs(n: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -56,85 +66,143 @@ def expectation_full(g: WeightGraph, params: QaoaParams) -> float:
     return float(probabilities(state) @ energy_table(g))
 
 
+class LightCone:
+    """Induced p-hop subgraph shared by every term whose light cone it is.
+
+    ``index_map[i]`` is the original id of subgraph node ``i``.  The cone's
+    cost diagonal and its ``observable``, the sum of its terms (each
+    ``weight`` times its spin product) over the subgraph's basis states, are
+    built once when ``cached`` is set and on every call otherwise.
+    """
+
+    def __init__(self, subgraph: WeightGraph, index_map: tuple[int, ...],
+                 terms: tuple[tuple[tuple[int, ...], float], ...], cached: bool):
+        self.subgraph = subgraph
+        self.index_map = index_map
+        self.terms = terms  # (support, weight) pairs in decomposition order
+        self.cached = cached
+        self._table = energy_table(subgraph) if cached else None
+        self._observable = self._summed_observable() if cached else None
+
+    def term_observable(self, support: tuple[int, ...], weight: float) -> np.ndarray:
+        pos = {orig: i for i, orig in enumerate(self.index_map)}
+        return weight * _spin_signs(self.subgraph.n, tuple(pos[s] for s in support))
+
+    def _summed_observable(self) -> np.ndarray:
+        observable = np.zeros(1 << self.subgraph.n)
+        for support, weight in self.terms:
+            observable += self.term_observable(support, weight)
+        return observable
+
+    def probabilities(self, params: QaoaParams) -> np.ndarray:
+        table = self._table if self.cached else energy_table(self.subgraph)
+        return np.abs(qaoa_state(table, params)) ** 2
+
+    def expectation(self, params: QaoaParams) -> float:
+        observable = self._observable if self.cached else self._summed_observable()
+        return float(self.probabilities(params) @ observable)
+
+
 @dataclass(frozen=True)
 class TermSubproblem:
-    """One Hamiltonian term with its light-cone subgraph.
+    """One Hamiltonian term with its light cone.
 
     ``kind`` is "edge" or "node"; ``support`` holds original node ids and
-    ``weight`` the term coefficient.  ``index_map[i]`` is the original id of
-    subgraph node ``i``; the subgraph is the induced p-hop closed neighborhood
-    of the support.
+    ``weight`` the term coefficient.  ``cone`` is the induced p-hop closed
+    neighborhood of the support, shared with every term that has the same
+    one.
     """
 
     kind: str
     support: tuple[int, ...]
     weight: float
-    subgraph: WeightGraph
-    index_map: tuple[int, ...]
+    cone: LightCone = field(repr=False, compare=False)
 
-    def local_support(self) -> tuple[int, ...]:
-        pos = {orig: i for i, orig in enumerate(self.index_map)}
-        return tuple(pos[s] for s in self.support)
+    @property
+    def subgraph(self) -> WeightGraph:
+        return self.cone.subgraph
+
+    @property
+    def index_map(self) -> tuple[int, ...]:
+        return self.cone.index_map
 
     def expectation(self, params: QaoaParams) -> float:
-        state = simulate(build_qaoa_circuit(self.subgraph, params))
-        signs = _spin_signs(self.subgraph.n, self.local_support())
-        return self.weight * float(probabilities(state) @ signs)
+        observable = self.cone.term_observable(self.support, self.weight)
+        return float(self.cone.probabilities(params) @ observable)
 
 
-def _p_hop_closure(g: WeightGraph, support, p: int) -> set[int]:
-    adj = g.adjacency()
+def _p_hop_closure(adj, support, p: int) -> frozenset[int]:
     frontier = set(support)
     seen = set(support)
     for _ in range(p):
         frontier = {v for u in frontier for v in adj[u]} - seen
         seen |= frontier
-    return seen
+    return frozenset(seen)
 
 
 def decompose(g: WeightGraph, p: int) -> list[TermSubproblem]:
     """One subproblem per Hamiltonian term, each with its p-hop light cone.
 
     Every edge and every nonzero-weight node contributes exactly one
-    subproblem, so the terms partition H_C without overlap.
+    subproblem, so the terms partition H_C without overlap.  Terms with the
+    same light cone share one :class:`LightCone`.  Cones, in order of first
+    appearance, keep their cost diagonal and summed observable while the
+    total stays within ``CONE_CACHE_BYTES``; the rest rebuild them on every
+    evaluation.  A light cone wider than the simulator limit raises
+    :class:`CapacityError` naming its term before any table is built.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    subs: list[TermSubproblem] = []
-    for u, v, w in g.edges:
-        keep = _p_hop_closure(g, (u, v), p)
+    adj = g.adjacency()
+    terms = [("edge", (u, v), w) for u, v, w in g.edges]
+    terms += [("node", (i,), w) for i, w in g.nodes if w != 0.0]
+    closures = [_p_hop_closure(adj, support, p) for _, support, _ in terms]
+    groups: dict[frozenset[int], list] = {}
+    for (kind, support, w), keep in zip(terms, closures):
+        if len(keep) > QUBIT_LIMIT:
+            raise CapacityError(
+                f"{kind} term {support} has a {len(keep)}-qubit light cone, "
+                f"above the simulator limit of {QUBIT_LIMIT}"
+            )
+        groups.setdefault(keep, []).append((support, w))
+    cones, cached_bytes = {}, 0
+    for keep, members in groups.items():
         sub, index_map = g.induced_subgraph(keep)
-        subs.append(TermSubproblem("edge", (u, v), w, sub, tuple(index_map)))
-    for i, w in g.nodes:
-        if w != 0.0:
-            keep = _p_hop_closure(g, (i,), p)
-            sub, index_map = g.induced_subgraph(keep)
-            subs.append(TermSubproblem("node", (i,), w, sub, tuple(index_map)))
-    return subs
+        need = 16 << sub.n  # float64 table and observable
+        cached = cached_bytes + need <= CONE_CACHE_BYTES
+        cached_bytes += need if cached else 0
+        cones[keep] = LightCone(sub, tuple(index_map), tuple(members), cached)
+    return [
+        TermSubproblem(kind, support, w, cones[keep])
+        for (kind, support, w), keep in zip(terms, closures)
+    ]
+
+
+def _light_cones(subs: list[TermSubproblem]) -> list[LightCone]:
+    """The distinct cones of ``subs`` in order of first appearance."""
+    return list(dict.fromkeys(s.cone for s in subs))
+
+
+def _sum_cones(cones: list[LightCone], params: QaoaParams, workers: int) -> float:
+    """Sum of per-cone expectations, reduced in cone index order."""
+    if workers > 1 and len(cones) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(lambda c: c.expectation(params), cones))
+    else:
+        values = [c.expectation(params) for c in cones]
+    return float(sum(values))
 
 
 def expectation_decomposed(
     g: WeightGraph, params: QaoaParams, workers: int = 1
 ) -> float:
-    """Sum of per-term expectations; equals :func:`expectation_full` exactly.
+    """Sum of per-cone expectations; equals :func:`expectation_full` exactly.
 
-    Subproblems are independent; with ``workers > 1`` they are evaluated on a
-    thread pool.  Results are reduced in subproblem index order either way, so
-    the total is bitwise deterministic.
+    Cones are independent; with ``workers > 1`` they are evaluated on a
+    thread pool.  Results are reduced in cone index order either way, so the
+    total is bitwise deterministic.
     """
-    subs = decompose(g, params.p)
-    for s in subs:
-        if s.subgraph.n > QUBIT_LIMIT:
-            raise CapacityError(
-                f"{s.kind} term {s.support} has a {s.subgraph.n}-qubit light "
-                f"cone, above the simulator limit of {QUBIT_LIMIT}"
-            )
-    if workers > 1 and len(subs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda s: s.expectation(params), subs))
-    else:
-        values = [s.expectation(params) for s in subs]
-    return float(sum(values))
+    return _sum_cones(_light_cones(decompose(g, params.p)), params, workers)
 
 
 def interp_initialize(params: QaoaParams) -> QaoaParams:
@@ -181,7 +249,10 @@ class _Objective:
     """Counts evaluations against the budget and keeps the trace.
 
     ``best`` is the lowest-energy evaluation (the first on ties) at the depth
-    of the latest evaluation; a change of depth starts it afresh.
+    of the latest evaluation; a change of depth starts it afresh.  The
+    decomposed evaluator decomposes the graph once per depth and keeps only
+    the light cones of the latest depth, reusing them for every evaluation at
+    that depth.
     """
 
     def __init__(self, g, evaluator, workers, max_evals):
@@ -191,6 +262,7 @@ class _Objective:
         self.max_evals = max_evals
         self.trace: list[tuple[QaoaParams, float]] = []
         self.best: tuple[QaoaParams, float] | None = None
+        self.cones: tuple[int, list[LightCone]] | None = None  # (depth, cones)
 
     def exhausted(self) -> bool:
         return len(self.trace) >= self.max_evals
@@ -199,7 +271,9 @@ class _Objective:
         if self.evaluator == "full":
             e = expectation_full(self.g, params)
         else:
-            e = expectation_decomposed(self.g, params, workers=self.workers)
+            if self.cones is None or self.cones[0] != params.p:
+                self.cones = (params.p, _light_cones(decompose(self.g, params.p)))
+            e = _sum_cones(self.cones[1], params, self.workers)
         self.trace.append((params, e))
         if self.best is None or params.p != self.best[0].p or e < self.best[1]:
             self.best = (params, e)

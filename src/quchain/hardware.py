@@ -97,8 +97,11 @@ def loads_calibration(text: str) -> ChipModel:
                 f1q=_fidelity(required(row, "f1q", where), where + ".f1q"),
             )
         )
+    raw_couplers = doc.get("couplers", [])
+    if not isinstance(raw_couplers, list):
+        raise ParseError("couplers must be a list", "couplers")
     couplers = []
-    for k, row in enumerate(doc.get("couplers", [])):
+    for k, row in enumerate(raw_couplers):
         where = f"couplers[{k}]"
         if not isinstance(row, dict):
             raise ParseError("coupler entry must be an object", where)

@@ -7,6 +7,7 @@ digits so that parse(emit(c)) reproduces every angle bit for bit.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .circuits import Gate
@@ -122,6 +123,8 @@ def parse(text: str) -> PhysicalCircuit:
                 angle = float(m.group(2))
             except ValueError:
                 fail(f"malformed real {m.group(2)!r}", lineno, col + len(name) + 1)
+            if not math.isfinite(angle):
+                fail(f"non-finite angle {m.group(2)!r}", lineno, col + len(name) + 1)
             gates.append(
                 Gate(name, (check_q(int(m.group(3)), lineno, col),), angle)
             )

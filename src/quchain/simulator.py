@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Gate, LogicalCircuit
+from .circuits import Gate, LogicalCircuit, QaoaParams
 from .errors import CapacityError
 
 #: Hard cap on simulated register width (2**24 amplitudes ~ 256 MiB).
@@ -110,6 +110,28 @@ def simulate_gates(n: int, gates) -> np.ndarray:
 
 def simulate(circuit: LogicalCircuit) -> np.ndarray:
     return simulate_gates(circuit.n, circuit.gates)
+
+
+def qaoa_state(table: np.ndarray, params: QaoaParams) -> np.ndarray:
+    """QAOA statevector from the cost diagonal ``table`` over 2**k basis states.
+
+    Equals ``simulate(build_qaoa_circuit(g, params))`` for
+    ``table = energy_table(g)``, global phase included: each cost layer is the
+    diagonal phase exp(-i gamma C) and each mixer RX(2 beta) on every qubit,
+    applied in place as a 2x2 update on a view that isolates the qubit's axis.
+    """
+    k = table.size.bit_length() - 1
+    psi = np.full(table.size, 2.0 ** (-k / 2), dtype=complex)
+    for gamma, beta in zip(params.gamma, params.beta):
+        psi *= np.exp(-1j * gamma * table)
+        c, s = np.cos(beta), -1j * np.sin(beta)
+        for q in range(k):
+            # RX = c*I + s*X, and X on qubit q swaps the two halves of its axis.
+            view = psi.reshape(1 << (k - 1 - q), 2, 1 << q)
+            flipped = s * view[:, ::-1, :]
+            view *= c
+            view += flipped
+    return psi
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:

@@ -153,6 +153,40 @@ class TestCompile:
         assert code == 1
         assert f"error: {location}: " in capsys.readouterr().err
 
+    def _compile_with_flags(self, demo6_file, tmp_path, *flags) -> int:
+        return run(
+            ["compile", "--problem", "maxcut", "--graph", demo6_file,
+             *flags, "--out", str(tmp_path / "c.qasm")]
+        )
+
+    @pytest.mark.parametrize(
+        "gamma, beta, flag",
+        [("nan", "0.3", "--gamma"), ("0.5", "inf", "--beta"),
+         ("0.5,-inf", "0.3,0.2", "--gamma"), ("0.5", "0.3x", "--beta")],
+    )
+    def test_bad_angle_flags_exit_one(self, demo6_file, tmp_path, capsys, gamma, beta, flag):
+        code = self._compile_with_flags(
+            demo6_file, tmp_path, "--gamma", gamma, "--beta", beta
+        )
+        assert code == 1
+        assert f"error: {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "c.qasm").exists()
+
+    def test_depth_defaults_to_the_angles(self, demo6_file, tmp_path):
+        flags = ("--gamma", "0.65,0.7", "--beta", "1.21,1.2")
+        assert self._compile_with_flags(demo6_file, tmp_path, *flags) == 0
+        rx = [g for g in parse((tmp_path / "c.qasm").read_text()).gates() if g.kind == "rx"]
+        assert len(rx) == 2 * 6  # one mixer per qubit per layer
+        assert self._compile_with_flags(demo6_file, tmp_path, "--p", "2", *flags) == 0
+
+    def test_depth_mismatch_exits_one(self, demo6_file, tmp_path, capsys):
+        code = self._compile_with_flags(
+            demo6_file, tmp_path, "--p", "2", "--params", self._params(tmp_path, p=1)
+        )
+        assert code == 1
+        assert "--p 2" in capsys.readouterr().err
+        assert not (tmp_path / "c.qasm").exists()
+
 
 class TestTaskFlow:
     def test_full_pipeline_hundred_shots(self, demo6_file, tmp_path, capsys):

@@ -15,6 +15,8 @@ from quchain import (
     optimize,
     simulate,
 )
+from quchain.engine import _light_cones as light_cones
+from quchain.simulator import qaoa_state
 
 from conftest import (
     graph_energy_min_max,
@@ -173,6 +175,65 @@ class TestDecomposition:
             expectation_decomposed(star, params)
         assert "(0, 1)" in str(err.value)
 
+    def test_terms_with_one_cone_share_it(self):
+        k8 = WeightGraph(
+            nodes=[(i, 0.1 * i) for i in range(8)],
+            edges=[(u, v, 1.0 + u - v) for u in range(8) for v in range(u + 1, 8)],
+        )
+        subs = decompose(k8, 1)
+        assert len(subs) == 28 + 7
+        assert len(light_cones(subs)) == 1
+        params = QaoaParams(gamma=(0.4,), beta=(0.3,))
+        assert expectation_decomposed(k8, params) == pytest.approx(
+            expectation_full(k8, params), abs=1e-12
+        )
+
+    def test_dense_graph_memory_does_not_grow_with_term_count(self):
+        import tracemalloc
+
+        k14 = WeightGraph(
+            nodes=[(i, 0.0) for i in range(14)],
+            edges=[(u, v, 1.0) for u in range(14) for v in range(u + 1, 14)],
+        )
+        params = QaoaParams(gamma=(0.4,), beta=(0.3,))
+        tracemalloc.start()
+        try:
+            expectation_decomposed(k14, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One 14-qubit cone for all 91 terms: a few 2**14 arrays, not 91 pairs.
+        assert peak < 40 * (1 << 14) * 8
+
+    def test_cones_beyond_the_budget_are_rebuilt(self, monkeypatch):
+        import quchain.engine as engine
+
+        ring = WeightGraph(
+            nodes=[(i, 0.3 if i % 3 == 0 else 0.0) for i in range(24)],
+            edges=[(i, (i + 1) % 24, 1.0 - 0.05 * i) for i in range(24)],
+        )
+        params = QaoaParams(gamma=(0.4, 0.8, 0.2), beta=(0.3, 0.1, 0.5))
+        cached = expectation_decomposed(ring, params)
+        budget = 5 * 16 * (1 << 8)  # five 8-qubit cones
+        monkeypatch.setattr(engine, "CONE_CACHE_BYTES", budget)
+        cones = light_cones(decompose(ring, 3))
+        kept = [c for c in cones if c.cached]
+        assert len(kept) == 5 < len(cones)
+        assert sum(16 << c.subgraph.n for c in kept) <= budget
+        assert expectation_decomposed(ring, params) == cached  # same arithmetic
+
+
+class TestQaoaStateKernel:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_gate_by_gate_simulation(self, p):
+        rng = np.random.default_rng(40 + p)
+        for _ in range(20):
+            g = random_graph(rng, 1, 7)
+            params = random_qaoa_params(rng, p)
+            kernel = qaoa_state(energy_table(g), params)
+            reference = simulate(build_qaoa_circuit(g, params))
+            assert np.max(np.abs(kernel - reference)) <= 1e-12  # no phase alignment
+
 
 class TestEnergyTable:
     def test_table_matches_energy(self, demo6_graph):
@@ -237,6 +298,39 @@ class TestOptimize:
         )
         assert res2.params.p == 2
         assert res2.energy <= res1.energy + 1e-9
+
+    def test_decomposes_once_per_depth(self, demo6_graph, monkeypatch):
+        import quchain.engine as engine
+
+        depths = []
+
+        def counting_decompose(g, p):
+            depths.append(p)
+            return decompose(g, p)
+
+        monkeypatch.setattr(engine, "decompose", counting_decompose)
+        res = optimize(demo6_graph, p=3, seed=2, grid_size=4, evaluator="decomposed")
+        assert res.evaluations > 3
+        assert depths == [1, 2, 3]
+
+    def test_keeps_only_the_current_depths_cones(self, demo6_graph, monkeypatch):
+        import weakref
+
+        import quchain.engine as engine
+
+        refs = {}
+
+        def tracking_decompose(g, p):
+            # Cones of depths below p - 1 must be gone before depth p is built.
+            assert all(r() is None for d, rs in refs.items() if d < p - 1 for r in rs)
+            subs = decompose(g, p)
+            refs[p] = [weakref.ref(c) for c in light_cones(subs)]
+            return subs
+
+        monkeypatch.setattr(engine, "decompose", tracking_decompose)
+        optimize(demo6_graph, p=3, seed=2, grid_size=4, evaluator="decomposed")
+        assert sorted(refs) == [1, 2, 3]
+        assert all(r() is None for rs in refs.values() for r in rs)
 
     def test_trace_rows_shape(self, k2_graph):
         res = optimize(k2_graph, p=1, method="grid", grid_size=8)

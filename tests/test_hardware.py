@@ -107,6 +107,16 @@ class TestCalibration:
                 loads_calibration(json.dumps(doc))
             assert f"{section}[{k}].{key}" in str(err.value)
 
+    @pytest.mark.parametrize("couplers", [5, {}, ""])
+    def test_couplers_must_be_a_list(self, couplers):
+        doc = {
+            "qubits": [{"id": i, "t1_us": 1, "t2_us": 1, "f1q": 0.99} for i in range(2)],
+            "couplers": couplers,
+        }
+        with pytest.raises(ParseError) as err:
+            loads_calibration(json.dumps(doc))
+        assert err.value.location == "couplers"
+
     def test_extra_keys_accepted(self):
         doc = {
             "chip": "test",

@@ -81,6 +81,19 @@ def test_malformed_real_rejected():
     assert "malformed real" in str(err.value)
 
 
+@pytest.mark.parametrize("stmt", ["rx(nan) q[0];", "rz(inf) q[0];", "  rz(-inf) q[0];"])
+def test_non_finite_angle_rejected_with_location(stmt):
+    text = (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+        f"{stmt}\nmeasure q[0] -> c[0];\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    col = stmt.index("(") + 2  # first character of the angle
+    assert err.value.location == f"line 5, col {col}"
+    assert "non-finite angle" in str(err.value)
+
+
 def test_register_bounds_checked():
     text = (
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
