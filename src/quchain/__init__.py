@@ -18,7 +18,6 @@ from .compiler import (
 from .engine import (
     LightCone,
     OptimizationResult,
-    TermSubproblem,
     decompose,
     energy_table,
     expectation_decomposed,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .graph import WeightGraph
@@ -29,6 +30,8 @@ class Gate:
             raise ValueError(f"{self.kind} operands must be distinct, got {self.qubits}")
         if (self.angle is not None) != (self.kind in ANGLED_KINDS):
             raise ValueError(f"{self.kind} angle mismatch: {self.angle}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
 
 
 @dataclass

@@ -133,6 +133,10 @@ def _store_path(args) -> str:
 
 
 def cmd_solve(args) -> int:
+    for flag, value in (("--p", args.p), ("--grid-size", args.grid_size),
+                        ("--max-evals", args.max_evals)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     g, sense = _load_problem(args)
     init = "interp" if args.init == "interp" else args.init
     result = optimize(
@@ -143,7 +147,6 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         grid_size=args.grid_size,
         max_evals=args.max_evals,
-        workers=args.workers,
     )
     print(f"p = {args.p}")
     print("gamma =", " ".join(f"{x:.10g}" for x in result.params.gamma))
@@ -317,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--init", choices=["random", "interp"], default=None)
     s.add_argument("--grid-size", type=int, default=64)
     s.add_argument("--max-evals", type=int, default=20000)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", help="write optimal parameters JSON")
     s.add_argument("--trace", help="write optimizer trace CSV")
     s.set_defaults(func=cmd_solve)

@@ -5,24 +5,21 @@ Two evaluation routes are provided and must agree exactly:
 * :func:`expectation_full` simulates the whole circuit gate by gate and
   contracts the probability vector with the diagonal Hamiltonian.  It is the
   reference the other route is tested against.
-* :func:`expectation_decomposed` splits the Hamiltonian into one subproblem
-  per term, groups the terms by their p-hop neighborhood subgraph (the
-  term's light cone), simulates each distinct cone independently and sums
-  the per-cone expectations.
+* :func:`expectation_decomposed` groups the Hamiltonian's terms by their
+  p-hop neighborhood subgraph (the term's light cone), simulates each
+  distinct cone independently and sums the per-cone expectations.
 
-The second route is the scalable one: subproblem sizes depend on local graph
-structure, not on the total qubit count, and the evaluations are independent
-so they can run in parallel.  :func:`decompose` builds each distinct cone's
-cost diagonal and summed observable once (within a memory budget),
-:func:`optimize` decomposes once per depth and reuses the cones for every
-evaluation, and each cone is simulated by
+The second route is the scalable one: cone sizes depend on local graph
+structure, not on the total qubit count.  :func:`decompose` returns the
+distinct cones, each building its cost diagonal and summed observable once
+(within a memory budget); :func:`optimize` decomposes once per depth and
+reuses the cones for every evaluation, and each cone is simulated by
 :func:`~quchain.simulator.qaoa_state`: one diagonal phase per cost layer and
 in-place 2x2 rotations for the mixer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,25 +36,35 @@ DEFAULT_MAX_EVALS = 20000
 #: and observable in; cones beyond it rebuild both on every evaluation.
 CONE_CACHE_BYTES = 1 << 26
 
+_SPIN = np.array([1.0, -1.0])  # z = 1 - 2*bit
 
-def _spin_signs(n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Vector over basis states of prod_{q in qubits} z_q with z = 1 - 2*bit."""
-    idx = np.arange(1 << n)
-    signs = np.ones(1 << n)
-    for q in qubits:
-        signs *= 1.0 - 2.0 * ((idx >> q) & 1)
-    return signs
+
+def _terms(g: WeightGraph) -> list[tuple[tuple[int, ...], float]]:
+    """(support, weight) of every Hamiltonian term: edges, then nonzero nodes."""
+    return [((u, v), w) for u, v, w in g.edges] + [((i,), w) for i, w in g.nodes if w != 0.0]
+
+
+def _diagonal(n: int, terms) -> np.ndarray:
+    """Sum over ``terms`` of weight * prod_{q in support} z_q for every basis state.
+
+    Each term is one broadcast add over the ``[2] * n`` view of the result,
+    in which qubit q is axis n-1-q (little-endian indexing).
+    """
+    diag = np.zeros(1 << n)
+    view = diag.reshape([2] * n)
+    for support, w in terms:
+        tensor = np.float64(w)
+        for q in support:
+            shape = [1] * n
+            shape[n - 1 - q] = 2
+            tensor = tensor * _SPIN.reshape(shape)
+        view += tensor
+    return diag
 
 
 def energy_table(g: WeightGraph) -> np.ndarray:
     """C(z) for every basis state (offset excluded), little-endian indexing."""
-    table = np.zeros(1 << g.n)
-    for u, v, w in g.edges:
-        table += w * _spin_signs(g.n, (u, v))
-    for i, w in g.nodes:
-        if w != 0.0:
-            table += w * _spin_signs(g.n, (i,))
-    return table
+    return _diagonal(g.n, _terms(g))
 
 
 def expectation_full(g: WeightGraph, params: QaoaParams) -> float:
@@ -69,66 +76,31 @@ def expectation_full(g: WeightGraph, params: QaoaParams) -> float:
 class LightCone:
     """Induced p-hop subgraph shared by every term whose light cone it is.
 
-    ``index_map[i]`` is the original id of subgraph node ``i``.  The cone's
-    cost diagonal and its ``observable``, the sum of its terms (each
-    ``weight`` times its spin product) over the subgraph's basis states, are
-    built once when ``cached`` is set and on every call otherwise.
+    ``index_map[i]`` is the original id of subgraph node ``i`` and ``terms``
+    holds the (support, weight) pairs, in original ids, of the terms it
+    serves.  The cone's cost diagonal and its observable, the sum of its
+    terms over the subgraph's basis states, are built once when ``cached``
+    is set and on every call otherwise.
     """
 
     def __init__(self, subgraph: WeightGraph, index_map: tuple[int, ...],
                  terms: tuple[tuple[tuple[int, ...], float], ...], cached: bool):
         self.subgraph = subgraph
         self.index_map = index_map
-        self.terms = terms  # (support, weight) pairs in decomposition order
+        self.terms = terms
         self.cached = cached
-        self._table = energy_table(subgraph) if cached else None
-        self._observable = self._summed_observable() if cached else None
+        self._arrays = self._build() if cached else None
 
-    def term_observable(self, support: tuple[int, ...], weight: float) -> np.ndarray:
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
         pos = {orig: i for i, orig in enumerate(self.index_map)}
-        return weight * _spin_signs(self.subgraph.n, tuple(pos[s] for s in support))
-
-    def _summed_observable(self) -> np.ndarray:
-        observable = np.zeros(1 << self.subgraph.n)
-        for support, weight in self.terms:
-            observable += self.term_observable(support, weight)
-        return observable
-
-    def probabilities(self, params: QaoaParams) -> np.ndarray:
-        table = self._table if self.cached else energy_table(self.subgraph)
-        return np.abs(qaoa_state(table, params)) ** 2
+        local = [(tuple(pos[s] for s in support), w) for support, w in self.terms]
+        n = self.subgraph.n
+        return _diagonal(n, _terms(self.subgraph)), _diagonal(n, local)
 
     def expectation(self, params: QaoaParams) -> float:
-        observable = self._observable if self.cached else self._summed_observable()
-        return float(self.probabilities(params) @ observable)
-
-
-@dataclass(frozen=True)
-class TermSubproblem:
-    """One Hamiltonian term with its light cone.
-
-    ``kind`` is "edge" or "node"; ``support`` holds original node ids and
-    ``weight`` the term coefficient.  ``cone`` is the induced p-hop closed
-    neighborhood of the support, shared with every term that has the same
-    one.
-    """
-
-    kind: str
-    support: tuple[int, ...]
-    weight: float
-    cone: LightCone = field(repr=False, compare=False)
-
-    @property
-    def subgraph(self) -> WeightGraph:
-        return self.cone.subgraph
-
-    @property
-    def index_map(self) -> tuple[int, ...]:
-        return self.cone.index_map
-
-    def expectation(self, params: QaoaParams) -> float:
-        observable = self.cone.term_observable(self.support, self.weight)
-        return float(self.cone.probabilities(params) @ observable)
+        """Sum of the cone's term expectations at ``params``."""
+        table, observable = self._arrays if self.cached else self._build()
+        return float(np.abs(qaoa_state(table, params)) ** 2 @ observable)
 
 
 def _p_hop_closure(adj, support, p: int) -> frozenset[int]:
@@ -140,69 +112,43 @@ def _p_hop_closure(adj, support, p: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def decompose(g: WeightGraph, p: int) -> list[TermSubproblem]:
-    """One subproblem per Hamiltonian term, each with its p-hop light cone.
+def decompose(g: WeightGraph, p: int) -> list[LightCone]:
+    """The distinct p-hop light cones of the Hamiltonian's terms.
 
-    Every edge and every nonzero-weight node contributes exactly one
-    subproblem, so the terms partition H_C without overlap.  Terms with the
-    same light cone share one :class:`LightCone`.  Cones, in order of first
-    appearance, keep their cost diagonal and summed observable while the
-    total stays within ``CONE_CACHE_BYTES``; the rest rebuild them on every
-    evaluation.  A light cone wider than the simulator limit raises
-    :class:`CapacityError` naming its term before any table is built.
+    Every edge and every nonzero-weight node is a term of exactly one cone,
+    so the cones partition H_C without overlap; terms with the same light
+    cone share it.  Cones come in order of first appearance and keep their
+    cost diagonal and summed observable while the total stays within
+    ``CONE_CACHE_BYTES``; the rest rebuild them on every evaluation.  A light
+    cone wider than the simulator limit raises :class:`CapacityError` naming
+    its term before any table is built.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     adj = g.adjacency()
-    terms = [("edge", (u, v), w) for u, v, w in g.edges]
-    terms += [("node", (i,), w) for i, w in g.nodes if w != 0.0]
-    closures = [_p_hop_closure(adj, support, p) for _, support, _ in terms]
     groups: dict[frozenset[int], list] = {}
-    for (kind, support, w), keep in zip(terms, closures):
+    for support, w in _terms(g):
+        keep = _p_hop_closure(adj, support, p)
         if len(keep) > QUBIT_LIMIT:
+            kind = "edge" if len(support) == 2 else "node"
             raise CapacityError(
                 f"{kind} term {support} has a {len(keep)}-qubit light cone, "
                 f"above the simulator limit of {QUBIT_LIMIT}"
             )
         groups.setdefault(keep, []).append((support, w))
-    cones, cached_bytes = {}, 0
+    cones, cached_bytes = [], 0
     for keep, members in groups.items():
         sub, index_map = g.induced_subgraph(keep)
         need = 16 << sub.n  # float64 table and observable
         cached = cached_bytes + need <= CONE_CACHE_BYTES
         cached_bytes += need if cached else 0
-        cones[keep] = LightCone(sub, tuple(index_map), tuple(members), cached)
-    return [
-        TermSubproblem(kind, support, w, cones[keep])
-        for (kind, support, w), keep in zip(terms, closures)
-    ]
+        cones.append(LightCone(sub, tuple(index_map), tuple(members), cached))
+    return cones
 
 
-def _light_cones(subs: list[TermSubproblem]) -> list[LightCone]:
-    """The distinct cones of ``subs`` in order of first appearance."""
-    return list(dict.fromkeys(s.cone for s in subs))
-
-
-def _sum_cones(cones: list[LightCone], params: QaoaParams, workers: int) -> float:
-    """Sum of per-cone expectations, reduced in cone index order."""
-    if workers > 1 and len(cones) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda c: c.expectation(params), cones))
-    else:
-        values = [c.expectation(params) for c in cones]
-    return float(sum(values))
-
-
-def expectation_decomposed(
-    g: WeightGraph, params: QaoaParams, workers: int = 1
-) -> float:
-    """Sum of per-cone expectations; equals :func:`expectation_full` exactly.
-
-    Cones are independent; with ``workers > 1`` they are evaluated on a
-    thread pool.  Results are reduced in cone index order either way, so the
-    total is bitwise deterministic.
-    """
-    return _sum_cones(_light_cones(decompose(g, params.p)), params, workers)
+def expectation_decomposed(g: WeightGraph, params: QaoaParams) -> float:
+    """Sum of per-cone expectations in cone order; equals :func:`expectation_full`."""
+    return float(sum(c.expectation(params) for c in decompose(g, params.p)))
 
 
 def interp_initialize(params: QaoaParams) -> QaoaParams:
@@ -255,10 +201,9 @@ class _Objective:
     that depth.
     """
 
-    def __init__(self, g, evaluator, workers, max_evals):
+    def __init__(self, g, evaluator, max_evals):
         self.g = g
         self.evaluator = evaluator
-        self.workers = workers
         self.max_evals = max_evals
         self.trace: list[tuple[QaoaParams, float]] = []
         self.best: tuple[QaoaParams, float] | None = None
@@ -272,8 +217,8 @@ class _Objective:
             e = expectation_full(self.g, params)
         else:
             if self.cones is None or self.cones[0] != params.p:
-                self.cones = (params.p, _light_cones(decompose(self.g, params.p)))
-            e = _sum_cones(self.cones[1], params, self.workers)
+                self.cones = (params.p, decompose(self.g, params.p))
+            e = float(sum(c.expectation(params) for c in self.cones[1]))
         self.trace.append((params, e))
         if self.best is None or params.p != self.best[0].p or e < self.best[1]:
             self.best = (params, e)
@@ -323,7 +268,6 @@ def optimize(
     max_evals: int = DEFAULT_MAX_EVALS,
     ftol: float = 1e-10,
     evaluator: str = "decomposed",
-    workers: int = 1,
 ) -> OptimizationResult:
     """Minimize E_p over the variational angles.
 
@@ -337,6 +281,9 @@ def optimize(
     skipped and the best depth-p parameters so far are returned flagged as
     non-converged.
     """
+    for name, value in (("p", p), ("grid_size", grid_size), ("max_evals", max_evals)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if method not in ("grid", "simplex", "grid+simplex"):
         raise ValueError(f"unknown method {method!r}")
     if evaluator not in ("full", "decomposed"):
@@ -355,7 +302,7 @@ def optimize(
     refine = ["simplex"] if "simplex" in method else []
     stages += refine + (["interp"] + refine) * (p - depth)
 
-    obj = _Objective(g, evaluator, workers, max_evals)
+    obj = _Objective(g, evaluator, max_evals)
     converged = True
     refined = None  # simplex result at the current depth
     for stage in stages:

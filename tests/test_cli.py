@@ -75,6 +75,25 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert len(doc["gamma"]) == 2 and len(doc["beta"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--p", "0"), ("--p", "-2"), ("--grid-size", "0"), ("--grid-size", "-3"),
+        ("--max-evals", "0"),
+    ])
+    def test_bad_numeric_flags_exit_one(self, demo6_file, tmp_path, capsys, monkeypatch,
+                                        flag, value):
+        def no_optimize(*args, **kwargs):
+            pytest.fail("solve optimized before rejecting its flags")
+
+        monkeypatch.setattr("quchain.cli.optimize", no_optimize)
+        out = tmp_path / "params.json"
+        code = run(
+            ["solve", "--problem", "maxcut", "--graph", demo6_file, "--grid-size", "4",
+             flag, value, "--out", str(out)]
+        )
+        assert code == 1
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompile:
     def _params(self, tmp_path, p=1):

@@ -15,7 +15,6 @@ from quchain import (
     optimize,
     simulate,
 )
-from quchain.engine import _light_cones as light_cones
 from quchain.simulator import qaoa_state
 
 from conftest import (
@@ -99,36 +98,38 @@ class TestExpectationFull:
 class TestDecomposition:
     def test_path_one_hop_closure(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0), (2, 0.0)], edges=[(0, 1, 1.0), (1, 2, 1.0)])
-        subs = decompose(g, 1)
-        first = next(s for s in subs if s.support == (0, 1))
+        cones = decompose(g, 1)
+        first = next(c for c in cones if ((0, 1), 1.0) in c.terms)
         assert first.index_map == (0, 1, 2)
         assert first.subgraph.n == 3
 
     def test_edgeless_graph_single_vertex_terms(self):
         g = WeightGraph(nodes=[(0, 1.0), (1, 0.0), (2, -0.5)], edges=[])
-        subs = decompose(g, 1)
-        assert len(subs) == 2  # only nonzero-weight nodes
-        assert all(s.subgraph.n == 1 for s in subs)
+        cones = decompose(g, 1)
+        assert len(cones) == 2  # only nonzero-weight nodes
+        assert all(c.subgraph.n == 1 for c in cones)
 
     def test_ring_of_six(self):
         edges = [(i, (i + 1) % 6, 1.0) for i in range(6)]
         g = WeightGraph(nodes=[(i, 0.0) for i in range(6)], edges=edges)
-        subs = decompose(g, 1)
-        assert len(subs) == 6
-        for s in subs:
-            assert s.subgraph.n == 4  # 1-hop closure of an edge on a ring is a 4-path
-            assert len(s.subgraph.edges) == 3
+        cones = decompose(g, 1)
+        assert len(cones) == 6
+        for c in cones:
+            assert c.subgraph.n == 4  # 1-hop closure of an edge on a ring is a 4-path
+            assert len(c.subgraph.edges) == 3
 
     def test_subproblem_count(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             g = random_graph(rng, 2, 8)
-            subs = decompose(g, 1)
-            biased = sum(1 for _, w in g.nodes if w != 0.0)
-            assert len(subs) == biased + len(g.edges)
+            cones = decompose(g, 1)
+            terms = [t for c in cones for t in c.terms]
             # every Hamiltonian term covered exactly once
-            seen = {(s.kind, s.support) for s in subs}
-            assert len(seen) == len(subs)
+            expected = [((u, v), w) for u, v, w in g.edges]
+            expected += [((i,), w) for i, w in g.nodes if w != 0.0]
+            assert sorted(terms) == sorted(expected)
+            # distinct cones
+            assert len({c.index_map for c in cones}) == len(cones)
 
     def test_matches_full_expectation(self):
         rng = np.random.default_rng(17)
@@ -141,9 +142,9 @@ class TestDecomposition:
             assert split == pytest.approx(full, abs=1e-9)
 
     def test_k2_single_subproblem(self, k2_graph):
-        subs = decompose(k2_graph, 1)
-        assert len(subs) == 1
-        assert subs[0].subgraph.n == 2
+        cones = decompose(k2_graph, 1)
+        assert len(cones) == 1
+        assert cones[0].subgraph.n == 2
 
     def test_disconnected_union_is_additive(self):
         ga = WeightGraph(nodes=[(0, 0.3), (1, 0.0)], edges=[(0, 1, 0.8)])
@@ -156,12 +157,6 @@ class TestDecomposition:
         assert expectation_decomposed(union, params) == pytest.approx(
             expectation_full(ga, params) + expectation_full(gb, params), abs=1e-12
         )
-
-    def test_parallel_reduction_is_bitwise_deterministic(self, demo6_graph):
-        params = QaoaParams(gamma=(0.4, 0.8), beta=(0.3, 0.1))
-        serial = expectation_decomposed(demo6_graph, params, workers=1)
-        threaded = expectation_decomposed(demo6_graph, params, workers=4)
-        assert serial == threaded  # exact equality, not approx
 
     def test_oversized_light_cone_names_the_term(self):
         from quchain import CapacityError
@@ -180,9 +175,9 @@ class TestDecomposition:
             nodes=[(i, 0.1 * i) for i in range(8)],
             edges=[(u, v, 1.0 + u - v) for u in range(8) for v in range(u + 1, 8)],
         )
-        subs = decompose(k8, 1)
-        assert len(subs) == 28 + 7
-        assert len(light_cones(subs)) == 1
+        cones = decompose(k8, 1)
+        assert len(cones) == 1
+        assert len(cones[0].terms) == 28 + 7
         params = QaoaParams(gamma=(0.4,), beta=(0.3,))
         assert expectation_decomposed(k8, params) == pytest.approx(
             expectation_full(k8, params), abs=1e-12
@@ -216,7 +211,7 @@ class TestDecomposition:
         cached = expectation_decomposed(ring, params)
         budget = 5 * 16 * (1 << 8)  # five 8-qubit cones
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", budget)
-        cones = light_cones(decompose(ring, 3))
+        cones = decompose(ring, 3)
         kept = [c for c in cones if c.cached]
         assert len(kept) == 5 < len(cones)
         assert sum(16 << c.subgraph.n for c in kept) <= budget
@@ -235,12 +230,29 @@ class TestQaoaStateKernel:
             assert np.max(np.abs(kernel - reference)) <= 1e-12  # no phase alignment
 
 
+def _dyadic_graph(rng, n: int) -> WeightGraph:
+    """Random graph with node fields; multiples of 1/8 keep every sum exact."""
+    edges = [(u, v, int(rng.integers(-16, 17)) / 8.0)
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    nodes = [(i, int(rng.integers(-8, 9)) / 8.0) for i in range(n)]
+    return WeightGraph(nodes=nodes, edges=edges)
+
+
 class TestEnergyTable:
     def test_table_matches_energy(self, demo6_graph):
-        table = energy_table(demo6_graph)
-        for z in range(1 << demo6_graph.n):
-            spins = [1 - 2 * ((z >> i) & 1) for i in range(demo6_graph.n)]
-            assert table[z] == pytest.approx(demo6_graph.energy(spins), abs=1e-12)
+        rng = np.random.default_rng(33)
+        graphs = [
+            demo6_graph,
+            *(_dyadic_graph(rng, n) for n in (2, 3, 5, 7, 9)),
+            WeightGraph(nodes=[(0, 0.5), (1, 0.0), (2, -1.25)], edges=[]),  # edgeless
+            WeightGraph(nodes=[(0, -0.75)], edges=[]),
+        ]
+        for g in graphs:
+            table = energy_table(g)
+            assert table.shape == (1 << g.n,)
+            for z in range(1 << g.n):
+                spins = [1 - 2 * ((z >> i) & 1) for i in range(g.n)]
+                assert table[z] == g.energy(spins)
 
 
 class TestInterp:
@@ -323,14 +335,29 @@ class TestOptimize:
         def tracking_decompose(g, p):
             # Cones of depths below p - 1 must be gone before depth p is built.
             assert all(r() is None for d, rs in refs.items() if d < p - 1 for r in rs)
-            subs = decompose(g, p)
-            refs[p] = [weakref.ref(c) for c in light_cones(subs)]
-            return subs
+            cones = decompose(g, p)
+            refs[p] = [weakref.ref(c) for c in cones]
+            return cones
 
         monkeypatch.setattr(engine, "decompose", tracking_decompose)
         optimize(demo6_graph, p=3, seed=2, grid_size=4, evaluator="decomposed")
         assert sorted(refs) == [1, 2, 3]
         assert all(r() is None for rs in refs.values() for r in rs)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"p": 0}, "p"), ({"p": -2}, "p"), ({"grid_size": 0}, "grid_size"),
+        ({"grid_size": -3}, "grid_size"), ({"max_evals": 0}, "max_evals"),
+    ])
+    def test_rejects_bad_numeric_arguments(self, k2_graph, monkeypatch, kwargs, name):
+        import quchain.engine as engine
+
+        def no_evaluation(*args):
+            pytest.fail("optimize evaluated before rejecting its arguments")
+
+        monkeypatch.setattr(engine, "expectation_full", no_evaluation)
+        monkeypatch.setattr(engine, "decompose", no_evaluation)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            optimize(k2_graph, **kwargs)
 
     def test_trace_rows_shape(self, k2_graph):
         res = optimize(k2_graph, p=1, method="grid", grid_size=8)

@@ -130,6 +130,10 @@ def test_gate_validation():
         Gate("h", (0,), 0.3)
     with pytest.raises(ValueError):
         Gate("rx", (0,))
+    for kind, qubits, angle in [("rz", (0,), float("nan")), ("rx", (0,), float("inf")),
+                                ("rzz", (0, 1), float("-inf"))]:
+        with pytest.raises(ValueError, match="finite"):
+            Gate(kind, qubits, angle)
     with pytest.raises(ValueError):
         LogicalCircuit(n=2, gates=[Gate("h", (5,))])
 
