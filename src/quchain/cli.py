@@ -138,12 +138,11 @@ def cmd_solve(args) -> int:
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     g, sense = _load_problem(args)
-    init = "interp" if args.init == "interp" else args.init
     result = optimize(
         g,
         p=args.p,
         method=args.optimizer,
-        init=init,
+        init=args.init,
         seed=args.seed,
         grid_size=args.grid_size,
         max_evals=args.max_evals,

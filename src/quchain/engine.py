@@ -4,18 +4,18 @@ Two evaluation routes are provided and must agree exactly:
 
 * :func:`expectation_full` simulates the whole circuit gate by gate and
   contracts the probability vector with the diagonal Hamiltonian.  It is the
-  reference the other route is tested against.
+  reference the tests compare the light-cone route against.
 * :func:`expectation_decomposed` groups the Hamiltonian's terms by their
   p-hop neighborhood subgraph (the term's light cone), simulates each
   distinct cone independently and sums the per-cone expectations.
 
-The second route is the scalable one: cone sizes depend on local graph
-structure, not on the total qubit count.  :func:`decompose` returns the
-distinct cones, each building its cost diagonal and summed observable once
-(within a memory budget); :func:`optimize` decomposes once per depth and
-reuses the cones for every evaluation, and each cone is simulated by
-:func:`~quchain.simulator.qaoa_state`: one diagonal phase per cost layer and
-in-place 2x2 rotations for the mixer.
+:func:`optimize` evaluates on the light-cone route only: cone sizes depend on
+local graph structure, not on the total qubit count.  :func:`decompose`
+returns the distinct cones, each building its cost diagonal and summed
+observable once (within a memory budget); :func:`optimize` decomposes once
+per depth and reuses the cones for every evaluation, and each cone is
+simulated by :func:`~quchain.simulator.qaoa_state`: one diagonal phase per
+cost layer and in-place 2x2 rotations for the mixer.
 """
 
 from __future__ import annotations
@@ -28,15 +28,13 @@ from scipy.optimize import minimize
 from .circuits import QaoaParams, build_qaoa_circuit
 from .errors import CapacityError
 from .graph import WeightGraph
-from .simulator import QUBIT_LIMIT, probabilities, qaoa_state, simulate
+from .simulator import QUBIT_LIMIT, probabilities, qaoa_state, simulate, spin_product
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MAX_EVALS = 20000
 #: Memory the light cones of one decomposition may keep their cost diagonal
 #: and observable in; cones beyond it rebuild both on every evaluation.
 CONE_CACHE_BYTES = 1 << 26
-
-_SPIN = np.array([1.0, -1.0])  # z = 1 - 2*bit
 
 
 def _terms(g: WeightGraph) -> list[tuple[tuple[int, ...], float]]:
@@ -47,18 +45,12 @@ def _terms(g: WeightGraph) -> list[tuple[tuple[int, ...], float]]:
 def _diagonal(n: int, terms) -> np.ndarray:
     """Sum over ``terms`` of weight * prod_{q in support} z_q for every basis state.
 
-    Each term is one broadcast add over the ``[2] * n`` view of the result,
-    in which qubit q is axis n-1-q (little-endian indexing).
+    Each term is one broadcast add over the ``[2] * n`` view of the result.
     """
     diag = np.zeros(1 << n)
     view = diag.reshape([2] * n)
     for support, w in terms:
-        tensor = np.float64(w)
-        for q in support:
-            shape = [1] * n
-            shape[n - 1 - q] = 2
-            tensor = tensor * _SPIN.reshape(shape)
-        view += tensor
+        view += w * spin_product(n, support)
     return diag
 
 
@@ -195,15 +187,13 @@ class _Objective:
     """Counts evaluations against the budget and keeps the trace.
 
     ``best`` is the lowest-energy evaluation (the first on ties) at the depth
-    of the latest evaluation; a change of depth starts it afresh.  The
-    decomposed evaluator decomposes the graph once per depth and keeps only
-    the light cones of the latest depth, reusing them for every evaluation at
-    that depth.
+    of the latest evaluation; a change of depth starts it afresh.  The graph
+    is decomposed once per depth and only the light cones of the latest depth
+    are kept, reused for every evaluation at that depth.
     """
 
-    def __init__(self, g, evaluator, max_evals):
+    def __init__(self, g, max_evals):
         self.g = g
-        self.evaluator = evaluator
         self.max_evals = max_evals
         self.trace: list[tuple[QaoaParams, float]] = []
         self.best: tuple[QaoaParams, float] | None = None
@@ -213,12 +203,9 @@ class _Objective:
         return len(self.trace) >= self.max_evals
 
     def __call__(self, params: QaoaParams) -> float:
-        if self.evaluator == "full":
-            e = expectation_full(self.g, params)
-        else:
-            if self.cones is None or self.cones[0] != params.p:
-                self.cones = (params.p, decompose(self.g, params.p))
-            e = float(sum(c.expectation(params) for c in self.cones[1]))
+        if self.cones is None or self.cones[0] != params.p:
+            self.cones = (params.p, decompose(self.g, params.p))
+        e = float(sum(c.expectation(params) for c in self.cones[1]))
         self.trace.append((params, e))
         if self.best is None or params.p != self.best[0].p or e < self.best[1]:
             self.best = (params, e)
@@ -267,7 +254,6 @@ def optimize(
     grid_size: int = DEFAULT_GRID_SIZE,
     max_evals: int = DEFAULT_MAX_EVALS,
     ftol: float = 1e-10,
-    evaluator: str = "decomposed",
 ) -> OptimizationResult:
     """Minimize E_p over the variational angles.
 
@@ -286,8 +272,6 @@ def optimize(
             raise ValueError(f"{name} must be at least 1, got {value}")
     if method not in ("grid", "simplex", "grid+simplex"):
         raise ValueError(f"unknown method {method!r}")
-    if evaluator not in ("full", "decomposed"):
-        raise ValueError(f"unknown evaluator {evaluator!r}")
     if isinstance(init, QaoaParams) and init.p != p:
         raise ValueError(f"init has depth {init.p}, requested p={p}")
     if isinstance(init, QaoaParams) or init == "random":
@@ -302,7 +286,7 @@ def optimize(
     refine = ["simplex"] if "simplex" in method else []
     stages += refine + (["interp"] + refine) * (p - depth)
 
-    obj = _Objective(g, evaluator, max_evals)
+    obj = _Objective(g, max_evals)
     converged = True
     refined = None  # simplex result at the current depth
     for stage in stages:

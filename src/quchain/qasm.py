@@ -69,6 +69,12 @@ def parse(text: str) -> PhysicalCircuit:
     def fail(msg, lineno, col=1):
         raise ParseError(msg, f"line {lineno}, col {col}")
 
+    def number(digits, lineno, col):
+        try:
+            return int(digits)
+        except ValueError:  # past Python's integer-conversion digit limit
+            fail(f"integer of {len(digits)} digits is too long", lineno, col)
+
     if not stmts or stmts[0][2] != "OPENQASM 2.0;":
         lineno = stmts[0][0] if stmts else 1
         fail('document must start with "OPENQASM 2.0;"', lineno)
@@ -84,21 +90,22 @@ def parse(text: str) -> PhysicalCircuit:
         fail("expected qreg declaration", lineno, col)
     if m.group(1) != "q":
         fail(f"quantum register must be named 'q', got {m.group(1)!r}", lineno, col)
-    nq = int(m.group(2))
+    nq = number(m.group(2), lineno, col)
     lineno, col, stmt = stmts[3]
     m = _RE_CREG.match(stmt)
     if not m:
         fail("expected creg declaration", lineno, col)
     if m.group(1) != "c":
         fail(f"classical register must be named 'c', got {m.group(1)!r}", lineno, col)
-    nc = int(m.group(2))
+    nc = number(m.group(2), lineno, col)
     if nq < 1 or nc < 1:
         fail("registers must be non-empty", lineno, col)
 
     gates: list[Gate] = []
     layout: dict[int, int] = {}
 
-    def check_q(q, lineno, col):
+    def check_q(digits, lineno, col):
+        q = number(digits, lineno, col)
         if q >= nq:
             fail(f"q[{q}] outside register of size {nq}", lineno, col)
         return q
@@ -114,7 +121,7 @@ def parse(text: str) -> PhysicalCircuit:
             m = _RE_H.match(stmt)
             if not m:
                 fail("malformed h statement", lineno, col)
-            gates.append(Gate("h", (check_q(int(m.group(1)), lineno, col),)))
+            gates.append(Gate("h", (check_q(m.group(1), lineno, col),)))
         elif name in ("rx", "rz"):
             m = _RE_ROT.match(stmt)
             if not m:
@@ -126,14 +133,14 @@ def parse(text: str) -> PhysicalCircuit:
             if not math.isfinite(angle):
                 fail(f"non-finite angle {m.group(2)!r}", lineno, col + len(name) + 1)
             gates.append(
-                Gate(name, (check_q(int(m.group(3)), lineno, col),), angle)
+                Gate(name, (check_q(m.group(3), lineno, col),), angle)
             )
         elif name == "cx":
             m = _RE_CX.match(stmt)
             if not m:
                 fail("malformed cx statement", lineno, col)
-            a = check_q(int(m.group(1)), lineno, col)
-            b = check_q(int(m.group(2)), lineno, col)
+            a = check_q(m.group(1), lineno, col)
+            b = check_q(m.group(2), lineno, col)
             if a == b:
                 fail("cx operands must differ", lineno, col)
             gates.append(Gate("cnot", (a, b)))
@@ -141,8 +148,8 @@ def parse(text: str) -> PhysicalCircuit:
             m = _RE_MEASURE.match(stmt)
             if not m:
                 fail("malformed measure statement", lineno, col)
-            q = check_q(int(m.group(1)), lineno, col)
-            cbit = int(m.group(2))
+            q = check_q(m.group(1), lineno, col)
+            cbit = number(m.group(2), lineno, col)
             if cbit >= nc:
                 fail(f"c[{cbit}] outside register of size {nc}", lineno, col)
             if cbit in layout:

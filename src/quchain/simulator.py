@@ -22,89 +22,89 @@ from .errors import CapacityError
 QUBIT_LIMIT = 24
 
 
-def zero_state(n: int) -> np.ndarray:
-    _check_capacity(n)
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
-def _check_capacity(n: int):
-    if n > QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds the simulator limit of {QUBIT_LIMIT}")
-    if n < 1:
-        raise ValueError("need at least one qubit")
-
-
 def _axis(q: int, n: int) -> int:
     # C-order reshape puts qubit 0 (least-significant bit) on the last axis.
     return n - 1 - q
 
 
-def _apply_matrix_1q(state: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    psi = np.moveaxis(state.reshape([2] * n), _axis(q, n), -1)
-    psi = psi @ m.T
-    return np.moveaxis(psi, -1, _axis(q, n)).reshape(-1)
+_SPIN = np.array([1.0, -1.0])  # z = 1 - 2*bit
+_H_DIAG = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)  # H = (Z + X)/sqrt2
+
+
+def spin_product(n: int, support) -> np.ndarray:
+    """prod_{q in support} z_q, shaped to broadcast against the ``[2] * n`` view."""
+    tensor = np.float64(1.0)
+    for q in support:
+        shape = [1] * n
+        shape[_axis(q, n)] = 2
+        tensor = tensor * _SPIN.reshape(shape)
+    return tensor
+
+
+def phase(psi: np.ndarray, n: int, support, theta: float) -> None:
+    """psi <- exp(-i theta/2 prod_{q in support} Z_q) psi, in place."""
+    view = psi.reshape([2] * n)
+    view *= np.exp(-0.5j * theta * spin_product(n, support))
+
+
+def mix(psi: np.ndarray, k: int, q: int, d, s) -> None:
+    """psi <- d psi + s X_q psi, in place.
+
+    X on qubit q swaps the two halves of its axis in the
+    ``(2**(k-1-q), 2, 2**q)`` view; ``d`` is a scalar or a per-bit column of
+    shape (2, 1).
+    """
+    view = psi.reshape(1 << (k - 1 - q), 2, 1 << q)
+    flipped = s * view[:, ::-1, :]
+    view *= d
+    view += flipped
+
+
+def _exchange(psi: np.ndarray, n: int, qubits, bits_a, bits_b) -> None:
+    """Swap, in place, the amplitudes whose ``qubits`` read ``bits_a`` with
+    those that read ``bits_b``."""
+    view = psi.reshape([2] * n)
+    ia, ib = [slice(None)] * n, [slice(None)] * n
+    for q, a, b in zip(qubits, bits_a, bits_b):
+        # Length-1 slices keep every axis, so both sides stay views.
+        ia[_axis(q, n)], ib[_axis(q, n)] = slice(a, a + 1), slice(b, b + 1)
+    first, second = view[tuple(ia)], view[tuple(ib)]
+    held = first.copy()
+    first[...] = second
+    second[...] = held
 
 
 def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    kind = gate.kind
-    if kind == "h":
-        m = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-        return _apply_matrix_1q(state, m, gate.qubits[0], n)
-    if kind == "rx":
+    """Apply ``gate`` to the C-contiguous complex ``state`` in place; returns ``state``."""
+    if not state.flags.c_contiguous:  # reshape would copy and the update would be lost
+        raise ValueError("apply_gate needs a C-contiguous state")
+    kind, qubits = gate.kind, gate.qubits
+    if kind in ("rz", "rzz"):
+        phase(state, n, qubits, gate.angle)
+    elif kind == "rx":
         t = gate.angle / 2.0
-        m = np.array(
-            [[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]], dtype=complex
-        )
-        return _apply_matrix_1q(state, m, gate.qubits[0], n)
-
-    psi = state.reshape([2] * n)
-    if kind == "rz":
-        ax = _axis(gate.qubits[0], n)
-        idx0 = [slice(None)] * n
-        idx1 = [slice(None)] * n
-        idx0[ax], idx1[ax] = 0, 1
-        psi = psi.copy()
-        psi[tuple(idx0)] *= np.exp(-1j * gate.angle / 2.0)
-        psi[tuple(idx1)] *= np.exp(1j * gate.angle / 2.0)
-        return psi.reshape(-1)
-    if kind == "rzz":
-        a, b = (_axis(q, n) for q in gate.qubits)
-        psi = psi.copy()
-        for ba in (0, 1):
-            for bb in (0, 1):
-                idx = [slice(None)] * n
-                idx[a], idx[b] = ba, bb
-                zz = (1 - 2 * ba) * (1 - 2 * bb)
-                psi[tuple(idx)] *= np.exp(-1j * gate.angle * zz / 2.0)
-        return psi.reshape(-1)
-    if kind == "cnot":
-        c, t = (_axis(q, n) for q in gate.qubits)
-        psi = psi.copy()
-        i0 = [slice(None)] * n
-        i1 = [slice(None)] * n
-        i0[c], i0[t] = 1, 0
-        i1[c], i1[t] = 1, 1
-        psi[tuple(i0)], psi[tuple(i1)] = psi[tuple(i1)].copy(), psi[tuple(i0)].copy()
-        return psi.reshape(-1)
-    if kind == "swap":
-        a, b = (_axis(q, n) for q in gate.qubits)
-        psi = psi.copy()
-        i0 = [slice(None)] * n
-        i1 = [slice(None)] * n
-        i0[a], i0[b] = 0, 1
-        i1[a], i1[b] = 1, 0
-        psi[tuple(i0)], psi[tuple(i1)] = psi[tuple(i1)].copy(), psi[tuple(i0)].copy()
-        return psi.reshape(-1)
-    raise ValueError(f"cannot simulate gate kind {kind!r}")
+        mix(state, n, qubits[0], np.cos(t), -1j * np.sin(t))
+    elif kind == "h":
+        mix(state, n, qubits[0], _H_DIAG, 1.0 / np.sqrt(2.0))
+    elif kind == "cnot":
+        _exchange(state, n, qubits, (1, 0), (1, 1))
+    elif kind == "swap":
+        _exchange(state, n, qubits, (0, 1), (1, 0))
+    else:
+        raise ValueError(f"cannot simulate gate kind {kind!r}")
+    return state
 
 
 def simulate_gates(n: int, gates) -> np.ndarray:
     """Exact statevector after applying ``gates`` to |0...0>."""
-    state = zero_state(n)
+    if n > QUBIT_LIMIT:
+        raise CapacityError(f"{n} qubits exceeds the simulator limit of {QUBIT_LIMIT}")
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
     for g in gates:
-        state = apply_gate(state, g, n)
+        apply_gate(state, g, n)
     return state
 
 
@@ -118,7 +118,7 @@ def qaoa_state(table: np.ndarray, params: QaoaParams) -> np.ndarray:
     Equals ``simulate(build_qaoa_circuit(g, params))`` for
     ``table = energy_table(g)``, global phase included: each cost layer is the
     diagonal phase exp(-i gamma C) and each mixer RX(2 beta) on every qubit,
-    applied in place as a 2x2 update on a view that isolates the qubit's axis.
+    applied in place by :func:`mix`.
     """
     k = table.size.bit_length() - 1
     psi = np.full(table.size, 2.0 ** (-k / 2), dtype=complex)
@@ -126,11 +126,7 @@ def qaoa_state(table: np.ndarray, params: QaoaParams) -> np.ndarray:
         psi *= np.exp(-1j * gamma * table)
         c, s = np.cos(beta), -1j * np.sin(beta)
         for q in range(k):
-            # RX = c*I + s*X, and X on qubit q swaps the two halves of its axis.
-            view = psi.reshape(1 << (k - 1 - q), 2, 1 << q)
-            flipped = s * view[:, ::-1, :]
-            view *= c
-            view += flipped
+            mix(psi, k, q, c, s)
     return psi
 
 

@@ -14,16 +14,17 @@ character l is classical bit l.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import queue
 import secrets
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .circuits import Gate
 from .compiler import PhysicalCircuit
-from .errors import ParseError, ResultUnavailableError, TaskNotFoundError
+from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph
 from .qasm import emit, parse
 from .simulator import sample_counts, simulate_gates
@@ -50,21 +51,7 @@ class TaskRecord:
     updated_at: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "name": self.name,
-                "qasm": self.qasm,
-                "shots": self.shots,
-                "status": self.status,
-                "seed": self.seed,
-                "counts": self.counts,
-                "error": self.error,
-                "created_at": self.created_at,
-                "updated_at": self.updated_at,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "TaskRecord":
@@ -133,6 +120,17 @@ def _mend_tail(f) -> None:
         f.write(b"\n")
 
 
+def _writer_lease(path):
+    """The store file, opened and exclusively flock-ed; one writer at a time."""
+    f = open(path, "ab")
+    try:
+        fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        f.close()
+        raise QuchainError(f"{path}: task store is held by another writer") from None
+    return f
+
+
 class LocalSampler:
     """Samples the exact output distribution of a parsed QASM circuit.
 
@@ -168,6 +166,9 @@ class TaskService:
     enqueued.  A capacity or backend failure marks the task failed; the
     service keeps going.  On restart, terminal records are reloaded intact,
     interrupted running tasks are marked failed, and queued ones re-enqueued.
+    A writer holds an exclusive ``flock`` on the store file from before it
+    loads it until :meth:`close`; a second writer raises :class:`QuchainError`
+    and read-only openers take no lock.
     """
 
     def __init__(self, store_path, backend=None, read_only: bool = False):
@@ -175,10 +176,15 @@ class TaskService:
         self.backend = backend if backend is not None else LocalSampler()
         self.read_only = read_only
         self._lock = threading.Lock()
-        self._records = self.store.load()
+        self._worker = None
+        self._lease = None if read_only else _writer_lease(store_path)
+        try:
+            self._records = self.store.load()
+        except BaseException:
+            self.close()
+            raise
         self._done: dict[str, threading.Event] = {}
         self._queue: queue.Queue[str] = queue.Queue()
-        self._worker = None
         if read_only:
             return
         for rec in list(self._records.values()):
@@ -201,6 +207,9 @@ class TaskService:
         if self._worker is not None:
             self._stop.set()
             self._worker.join(timeout=10.0)
+        if self._lease is not None:
+            self._lease.close()
+            self._lease = None
 
     def drain(self):
         """Block until every queued task reaches a terminal state."""

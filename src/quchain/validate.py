@@ -19,6 +19,9 @@ def json_object(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno}, col {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer literal past Python's digit limit, or nesting past the recursion limit.
+        raise ParseError(str(exc), "$") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object", "$")
     return doc

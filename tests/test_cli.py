@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from quchain import WeightGraph, parse, write_graph
+from quchain import TaskService, WeightGraph, parse, write_graph
 from quchain.cli import main
 
 from conftest import DEMO6_EDGES
@@ -261,6 +261,17 @@ class TestTaskFlow:
             rows = list(csv.reader(f))
         assert rows[0] == ["bitstring", "count", "energy", "objective"]
         assert sum(int(r[1]) for r in rows[1:]) == 100
+
+    def test_submit_while_another_writer_holds_the_store_exits_one(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        qasm = tmp_path / "c.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+                        "h q[0];\nmeasure q[0] -> c[0];\n")
+        with TaskService(store / "tasks.jsonl"):
+            code = run(["--store", str(store), "submit", "--qasm", str(qasm), "--shots", "10"])
+        assert code == 1
+        assert str(store / "tasks.jsonl") in capsys.readouterr().err
 
     def test_unknown_id_exits_two(self, tmp_path, capsys):
         store = str(tmp_path / "store")

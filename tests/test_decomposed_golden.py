@@ -75,7 +75,7 @@ EXPECTATIONS = {
     'ring12_p2': '0x1.8a795fd983897p-3',
 }
 
-# optimize(demo6, p=2, grid_size=8, evaluator="decomposed"): evaluations,
+# optimize(demo6, p=2, grid_size=8): evaluations,
 # energy as float.hex, trace digest.
 OPTIMIZE_DEMO6_P2 = (472, '-0x1.e23de4152c688p+0', 'ee54bf0c11f721a5')
 
@@ -87,5 +87,5 @@ def test_expectation_matches_golden(name):
 
 
 def test_optimize_trace_matches_golden(demo6_graph):
-    r = optimize(demo6_graph, p=2, grid_size=8, evaluator="decomposed")
+    r = optimize(demo6_graph, p=2, grid_size=8)
     assert (r.evaluations, float(r.energy).hex(), _digest(r)) == OPTIMIZE_DEMO6_P2

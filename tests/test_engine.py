@@ -321,7 +321,7 @@ class TestOptimize:
             return decompose(g, p)
 
         monkeypatch.setattr(engine, "decompose", counting_decompose)
-        res = optimize(demo6_graph, p=3, seed=2, grid_size=4, evaluator="decomposed")
+        res = optimize(demo6_graph, p=3, seed=2, grid_size=4)
         assert res.evaluations > 3
         assert depths == [1, 2, 3]
 
@@ -340,7 +340,7 @@ class TestOptimize:
             return cones
 
         monkeypatch.setattr(engine, "decompose", tracking_decompose)
-        optimize(demo6_graph, p=3, seed=2, grid_size=4, evaluator="decomposed")
+        optimize(demo6_graph, p=3, seed=2, grid_size=4)
         assert sorted(refs) == [1, 2, 3]
         assert all(r() is None for rs in refs.values() for r in rs)
 

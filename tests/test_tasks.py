@@ -1,5 +1,12 @@
 """Task lifecycle, persistence, local sampling and result ranking."""
 
+import os
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +14,7 @@ from quchain import (
     LocalSampler,
     ParseError,
     QaoaParams,
+    QuchainError,
     ResultUnavailableError,
     TaskNotFoundError,
     TaskService,
@@ -213,6 +221,65 @@ class TestTornTail:
         store.write_text("\n".join(lines))
         with pytest.raises(ParseError, match="line 2"):
             TaskService(store, read_only=True)
+
+
+class _BlockingSampler(LocalSampler):
+    """Holds every task in "running" until ``release`` is set."""
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def run(self, qasm_text, shots, seed=None):
+        self.started.set()
+        self.release.wait(30.0)
+        return super().run(qasm_text, shots, seed)
+
+
+_SECOND_WRITER = """
+import sys
+from quchain import QuchainError, TaskService
+try:
+    TaskService(sys.argv[1]).close()
+except QuchainError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+class TestWriterLease:
+    """One writer process at a time; readers take no lock."""
+
+    def test_second_writer_process_is_refused(self, store):
+        backend = _BlockingSampler()
+        with TaskService(store, backend=backend) as svc:
+            task_id = svc.submit(single_qubit_plus_qasm(), shots=20, seed=1)
+            assert backend.started.wait(30.0)
+            before = store.read_bytes()
+            src = str(Path(__file__).resolve().parent.parent / "src")
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run(
+                [sys.executable, "-c", _SECOND_WRITER, str(store)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert str(store) in proc.stdout
+            assert store.read_bytes() == before  # the running task was left alone
+            assert TaskService(store, read_only=True).status(task_id) == "running"
+            backend.release.set()
+            assert svc.wait(task_id, timeout=30.0).status == "completed"
+        with TaskService(store) as again:
+            assert again.status(task_id) == "completed"
+
+    def test_lease_is_released_on_close(self, store):
+        first = TaskService(store)
+        with pytest.raises(QuchainError, match=re.escape(str(store))):
+            TaskService(store)
+        first.close()
+        first.close()
+        with TaskService(store) as second:
+            second.submit(single_qubit_plus_qasm(), shots=5, wait=True, seed=0)
 
 
 class TestLocalSampler:
