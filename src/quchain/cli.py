@@ -12,10 +12,15 @@ import sys
 from . import bench as bench_mod
 from .circuits import QaoaParams
 from .compiler import compile_graph, layout_document
-from .engine import optimize
+from .engine import DEFAULT_GRID_SIZE, DEFAULT_MAX_EVALS, optimize
 from .errors import ConfigError, ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph, read_graph
-from .hardware import build_subchain_library, load_calibration, select_subchain
+from .hardware import (
+    DEFAULT_BEAM_WIDTH,
+    build_subchain_library,
+    load_calibration,
+    select_subchain,
+)
 from .problems import (
     qubo_from_graph_coloring,
     qubo_from_maxcut,
@@ -317,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimizer", default="grid+simplex", choices=["grid", "simplex", "grid+simplex"]
     )
     s.add_argument("--init", choices=["random", "interp"], default=None)
-    s.add_argument("--grid-size", type=int, default=64)
-    s.add_argument("--max-evals", type=int, default=20000)
+    s.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    s.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS)
     s.add_argument("--out", help="write optimal parameters JSON")
     s.add_argument("--trace", help="write optimizer trace CSV")
     s.set_defaults(func=cmd_solve)
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("chains", help="print the subchain library")
     s.add_argument("--max-len", type=int, default=None)
-    s.add_argument("--beam-width", type=int, default=64)
+    s.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
     s.set_defaults(func=cmd_chains)
     return parser
 

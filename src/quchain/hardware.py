@@ -2,14 +2,16 @@
 
 A subchain is a simple path in the chip's coupling graph; its overall
 fidelity is the product of the two-qubit gate fidelities along it.  The
-library maps chain length to candidate paths sorted by that product, rebuilt
-from scratch on every calibration refresh.  Single-qubit fidelity and
-T1/T2 are ingested and reported but do not enter the ranking.
+library maps chain length to candidate paths sorted by that product.  One
+search builds it: a sweep that keeps the best path per (vertex set, endpoint
+pair) state, exhaustive on small chips and cut to the best states per length
+on large ones, rerun from scratch on every calibration refresh.
+Single-qubit fidelity and T1/T2 are parsed and validated but enter neither
+the ranking nor any output.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -151,113 +153,80 @@ class SubchainLibrary:
     def fidelity(self, path) -> float:
         return path_fidelity(self.chip, path)
 
-    def to_json(self) -> str:
-        doc = {
-            str(k): [
-                {"path": list(p), "fidelity": format(self.fidelity(p), ".17g")}
-                for p in paths
-            ]
-            for k, paths in sorted(self.entries.items())
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
-
-#: Chips up to this size get the exact per-state search instead of the beam.
+#: Chips up to this size keep every state, which makes each entry's head the
+#: exact fidelity argmax; larger chips extend only each length's harvest.
 EXACT_SEARCH_LIMIT = 12
 
-
-def _collect_beam(chip: ChipModel, max_len: int, beam_width: int):
-    """Greedy beam: extend the best ``beam_width`` paths per length at both
-    ends.  Scales to large chips but may miss the global optimum."""
-    adj = chip.adjacency()
-
-    def rank(paths):
-        return sorted(paths, key=lambda p: (-path_fidelity(chip, p), p))
-
-    entries: dict[int, list[tuple[int, ...]]] = {}
-    beam = rank({_canonical((c.a, c.b)) for c in chip.couplers})[:beam_width]
-    entries[2] = list(beam)
-    for k in range(3, max_len + 1):
-        grown: set[tuple[int, ...]] = set()
-        for path in beam:
-            for nxt in adj[path[-1]]:
-                if nxt not in path:
-                    grown.add(_canonical(path + (nxt,)))
-            for nxt in adj[path[0]]:
-                if nxt not in path:
-                    grown.add(_canonical((nxt,) + path))
-        beam = rank(grown)[:beam_width]
-        entries[k] = list(beam)
-    return entries
+#: Candidate paths kept per chain length.
+DEFAULT_BEAM_WIDTH = 64
 
 
-def _collect_exact(chip: ChipModel, max_len: int, beam_width: int):
-    """Dynamic program over (vertex set, endpoint pair) states.
+def _collect(chip: ChipModel, max_len: int, beam_width: int):
+    """Best path per (vertex set, endpoint pair) state, grown one qubit per length.
 
     Keeping the best path per state dominates every simple path with the
-    same support and ends, so the per-length fidelity argmax is exact; the
-    state count is O(2^n n^2), affordable for small chips only.
+    same support and ends, so on chips of at most :data:`EXACT_SEARCH_LIMIT`
+    qubits the per-length argmax is exact; the state count is O(2^n n^2).
+    Larger chips extend only the ``beam_width`` states harvested per length.
     """
     adj = chip.adjacency()
-    ids = [q.id for q in chip.qubits]
-    bit = {qid: 1 << i for i, qid in enumerate(ids)}
+    bit = {q.id: 1 << i for i, q in enumerate(chip.qubits)}
     # state key (mask, lo_end, hi_end) -> (fidelity, canonical path)
     frontier: dict[tuple[int, int, int], tuple[float, tuple[int, ...]]] = {}
     for c in chip.couplers:
         lo, hi = min(c.a, c.b), max(c.a, c.b)
         frontier[(bit[lo] | bit[hi], lo, hi)] = (c.f2q, (lo, hi))
     entries: dict[int, list[tuple[int, ...]]] = {}
-
-    def harvest(states):
-        ranked = sorted(states.values(), key=lambda t: (-t[0], t[1]))
-        return [path for _, path in ranked[:beam_width]]
-
-    entries[2] = harvest(frontier)
-    for k in range(3, max_len + 1):
-        grown: dict[tuple[int, int, int], tuple[float, tuple[int, ...]]] = {}
-        for (mask, lo, hi), (f, path) in frontier.items():
-            for end in (path[0], path[-1]):
-                for nxt, fe in adj[end].items():
-                    if mask & bit[nxt]:
-                        continue
-                    new_path = (nxt,) + path if end == path[0] else path + (nxt,)
-                    new_path = _canonical(new_path)
-                    key = (mask | bit[nxt], new_path[0], new_path[-1])
-                    cand = (f * fe, new_path)
-                    old = grown.get(key)
-                    if old is None or (-cand[0], cand[1]) < (-old[0], old[1]):
-                        grown[key] = cand
-        frontier = grown
-        entries[k] = harvest(frontier)
+    for k in range(2, max_len + 1):
+        if k > 2:
+            grown: dict[tuple[int, int, int], tuple[float, tuple[int, ...]]] = {}
+            for (mask, lo, hi), (f, path) in frontier.items():
+                for end in (lo, hi):
+                    for nxt, fe in adj[end].items():
+                        if mask & bit[nxt]:
+                            continue
+                        new_path = _canonical((nxt,) + path if end == lo else path + (nxt,))
+                        key = (mask | bit[nxt], new_path[0], new_path[-1])
+                        cand = (f * fe, new_path)
+                        old = grown.get(key)
+                        if old is None or (-cand[0], cand[1]) < (-old[0], old[1]):
+                            grown[key] = cand
+            frontier = grown
+        ranked = sorted(frontier.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[:beam_width]
+        entries[k] = [path for _, (_, path) in ranked]
+        if chip.n > EXACT_SEARCH_LIMIT:
+            frontier = dict(ranked)
     return entries
 
 
 def build_subchain_library(
     chip: ChipModel,
     max_len: int | None = None,
-    beam_width: int = 64,
+    beam_width: int = DEFAULT_BEAM_WIDTH,
 ) -> SubchainLibrary:
     """Collect high-fidelity simple paths for every length in [2, max_len].
 
-    Chips of at most :data:`EXACT_SEARCH_LIMIT` qubits use an exact search
-    (best path per vertex-set/endpoint state), so the head of every entry is
-    the true fidelity argmax; larger chips fall back to a beam search seeded
-    from every coupler and extended at both ends, keeping ``beam_width``
-    candidates per length (deduplicated up to reversal).  Lengths no search
-    can reach map to empty lists.
+    One sweep grows the best path per vertex-set/endpoint state from every
+    coupler, one qubit per length at either end, and stores the
+    ``beam_width`` best states per length, sorted by fidelity and then path.
+    On chips of at most :data:`EXACT_SEARCH_LIMIT` qubits every state is
+    extended, so the head of every entry is the true fidelity argmax; on
+    larger chips only the stored states are, which scales but may miss the
+    optimum.  Lengths the sweep cannot reach map to empty lists.
     """
     requested = chip.n if max_len is None else max_len
     if requested > chip.n:
         raise ConfigError(f"max_len {requested} exceeds the {chip.n}-qubit chip")
     if requested < 2:
         raise ConfigError("max_len must be at least 2")
-
-    if chip.n <= EXACT_SEARCH_LIMIT:
-        entries = _collect_exact(chip, requested, beam_width)
-    else:
-        entries = _collect_beam(chip, requested, beam_width)
+    if beam_width < 1:
+        raise ConfigError(f"beam_width must be at least 1, got {beam_width}")
     return SubchainLibrary(
-        chip=chip, entries=entries, max_len=requested, beam_width=beam_width
+        chip=chip,
+        entries=_collect(chip, requested, beam_width),
+        max_len=requested,
+        beam_width=beam_width,
     )
 
 

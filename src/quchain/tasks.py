@@ -167,8 +167,9 @@ class TaskService:
     service keeps going.  On restart, terminal records are reloaded intact,
     interrupted running tasks are marked failed, and queued ones re-enqueued.
     A writer holds an exclusive ``flock`` on the store file from before it
-    loads it until :meth:`close`; a second writer raises :class:`QuchainError`
-    and read-only openers take no lock.
+    loads it until :meth:`close` has waited out the running task, so no other
+    writer can see that task as interrupted; a second writer raises
+    :class:`QuchainError` and read-only openers take no lock.
     """
 
     def __init__(self, store_path, backend=None, read_only: bool = False):
@@ -206,7 +207,7 @@ class TaskService:
     def close(self):
         if self._worker is not None:
             self._stop.set()
-            self._worker.join(timeout=10.0)
+            self._worker.join()  # a task still inside backend.run keeps the lease
         if self._lease is not None:
             self._lease.close()
             self._lease = None
@@ -340,6 +341,8 @@ def process_results(
     graph's offset, re-negated for maximization problems.  Rows are sorted by
     (energy, -count); the first ``top`` rows are flagged as solutions.
     """
+    if top < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
     rows = []
     for bits, count in counts.items():
         if len(bits) != g.n:

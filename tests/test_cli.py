@@ -273,6 +273,19 @@ class TestTaskFlow:
         assert code == 1
         assert str(store / "tasks.jsonl") in capsys.readouterr().err
 
+    def test_top_below_one_exits_one(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        graph = tmp_path / "k2.json"
+        write_graph(WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)]), graph)
+        qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
+                "h q[0];\nh q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
+        with TaskService(store / "tasks.jsonl") as service:
+            task_id = service.submit(qasm, shots=10, seed=1, wait=True).id
+        code = run(["--store", str(store), "result", task_id, "--graph", str(graph), "--top", "0"])
+        assert code == 1
+        assert "top" in capsys.readouterr().err
+
     def test_unknown_id_exits_two(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         code = run(["--store", store, "status", "ffffffffffffffffffffffffffffffff"])
@@ -317,6 +330,11 @@ class TestChains:
         assert code == 0
         out = capsys.readouterr().out
         assert "k=2" in out and "k=4" in out
+
+    def test_beam_width_below_one_exits_one(self, capsys):
+        code = run(["--calib", fixture_path("chain18.json"), "chains", "--beam-width", "-2"])
+        assert code == 1
+        assert "beam_width" in capsys.readouterr().err
 
     def test_requires_calibration(self, capsys):
         code = run(["chains"])

@@ -21,6 +21,7 @@ from quchain import (
 )
 
 from oracles import exhaustive_library_entries
+from test_selection_golden import perturbed_grid136
 
 
 def fixture_text(name: str) -> str:
@@ -147,19 +148,38 @@ class TestLibrary:
 
     def test_descending_within_key(self):
         rng = np.random.default_rng(8)
-        chip = make_chip(
-            6,
-            [(a, b, float(rng.uniform(0.8, 0.99))) for a in range(6) for b in range(a + 1, 6) if rng.random() < 0.6],
-        )
-        lib = build_subchain_library(chip)
-        for paths in lib.entries.values():
-            fids = [lib.fidelity(p) for p in paths]
-            assert fids == sorted(fids, reverse=True)
+        chips = [
+            make_chip(
+                6,
+                [(a, b, float(rng.uniform(0.8, 0.99))) for a in range(6) for b in range(a + 1, 6) if rng.random() < 0.6],
+            ),
+            loads_calibration(fixture_text("grid136.json")),
+            loads_calibration(perturbed_grid136(0)),
+        ]
+        for chip in chips:
+            lib = build_subchain_library(chip)
+            for paths in lib.entries.values():
+                fids = [lib.fidelity(p) for p in paths]
+                assert fids == sorted(fids, reverse=True)
+
+    @pytest.mark.parametrize("calibration", ["grid136", "grid136_seed7"])
+    def test_one_path_per_vertex_set_and_ends(self, calibration):
+        text = fixture_text("grid136.json") if calibration == "grid136" else perturbed_grid136(7)
+        lib = build_subchain_library(loads_calibration(text))
+        for k, paths in lib.entries.items():
+            states = {(frozenset(p), p[0], p[-1]) for p in paths}
+            assert len(states) == len(paths), f"k={k} holds two paths of one state"
 
     def test_max_len_validation(self):
         chip = make_chip(3, [(0, 1, 0.9), (1, 2, 0.9)])
         with pytest.raises(ConfigError):
             build_subchain_library(chip, max_len=5)
+
+    @pytest.mark.parametrize("beam_width", [0, -3])
+    def test_beam_width_below_one_rejected(self, beam_width):
+        chip = loads_calibration(fixture_text("chain18.json"))
+        with pytest.raises(ConfigError, match="beam_width"):
+            build_subchain_library(chip, beam_width=beam_width)
 
 
 class TestSelection:
@@ -208,7 +228,7 @@ class TestRefresh:
         chip = loads_calibration(fixture_text("chain10.json"))
         a = build_subchain_library(chip)
         b = refresh(a, chip)
-        assert a.to_json() == b.to_json()
+        assert a.entries == b.entries
 
     def test_removed_coupler_splits_paths(self):
         chip = make_chip(4, [(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)])
@@ -237,10 +257,10 @@ class TestBeamRoute:
                 assert len(set(p)) == len(p) == k
                 assert all(b in adj[a] for a, b in zip(p, p[1:]))
 
-    def test_beam_head_on_fourteen_qubits_matches_exact_search(self):
-        # force the beam on a chip small enough to cross-check against the
-        # exact per-state search
-        from quchain.hardware import _collect_beam, _collect_exact
+    def test_cut_sweep_head_on_ten_qubits_never_beats_exact_search(self, monkeypatch):
+        # cut the sweep to its harvest on a chip small enough to cross-check
+        # against the exhaustive sweep
+        from quchain import hardware
 
         rng = np.random.default_rng(41)
         for _ in range(10):
@@ -253,8 +273,10 @@ class TestBeamRoute:
             if not couplers:
                 continue
             chip = make_chip(10, couplers)
-            beam = _collect_beam(chip, 10, 256)
-            exact = _collect_exact(chip, 10, 256)
+            exact = hardware._collect(chip, 10, 256)
+            with monkeypatch.context() as m:
+                m.setattr(hardware, "EXACT_SEARCH_LIMIT", 0)
+                beam = hardware._collect(chip, 10, 256)
             for k in exact:
                 if exact[k]:
                     want = max(

@@ -1,5 +1,6 @@
 """Task lifecycle, persistence, local sampling and result ranking."""
 
+import json
 import os
 import re
 import subprocess
@@ -272,6 +273,35 @@ class TestWriterLease:
         with TaskService(store) as again:
             assert again.status(task_id) == "completed"
 
+    def test_close_keeps_the_lease_until_the_worker_returns(self, store, monkeypatch):
+        backend = _BlockingSampler()
+        svc = TaskService(store, backend=backend)
+        # A close() that gives up on a bounded join would do so at once here.
+        join = svc._worker.join
+        monkeypatch.setattr(
+            svc._worker, "join",
+            lambda timeout=None: join(None if timeout is None else min(timeout, 0.05)),
+        )
+        task_id = svc.submit(single_qubit_plus_qasm(), shots=20, seed=1)
+        closer = threading.Thread(target=svc.close)
+        try:
+            assert backend.started.wait(30.0)
+            closer.start()
+            closer.join(0.3)
+            assert closer.is_alive(), "close() returned while the task was running"
+            with pytest.raises(QuchainError, match=re.escape(str(store))):
+                TaskService(store).close()
+        finally:
+            backend.release.set()
+            closer.join(30.0)
+        assert not closer.is_alive()
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        terminal = [r for r in records if r["status"] in ("completed", "failed")]
+        assert [(r["id"], r["status"]) for r in terminal] == [(task_id, "completed")]
+        assert "interrupted by restart" not in store.read_text()
+        with TaskService(store, read_only=True) as again:
+            assert again.status(task_id) == "completed"
+
     def test_lease_is_released_on_close(self, store):
         first = TaskService(store)
         with pytest.raises(QuchainError, match=re.escape(str(store))):
@@ -340,6 +370,11 @@ class TestProcessResults:
         ranked = process_results(counts, k2_graph, top=1)
         assert len(ranked.solutions) == 1
         assert ranked.solutions[0].bitstring == "10"
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_rejected(self, k2_graph, top):
+        with pytest.raises(ValueError, match="top"):
+            process_results({"01": 1, "10": 1, "11": 1}, k2_graph, top=top)
 
     def test_length_mismatch(self, k2_graph):
         with pytest.raises(ValueError):
