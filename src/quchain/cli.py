@@ -129,7 +129,7 @@ def _pick_chain(args, k: int):
         return None
     chip = load_calibration(args.calib)
     lib = build_subchain_library(chip)
-    return select_subchain(lib, max(2, k))[:k]
+    return select_subchain(lib, max(2, k))
 
 
 def _store_path(args) -> str:

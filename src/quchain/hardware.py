@@ -12,7 +12,6 @@ the ranking nor any output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, ParseError
@@ -231,27 +230,17 @@ def build_subchain_library(
 
 
 def select_subchain(lib: SubchainLibrary, k: int) -> tuple[int, ...]:
-    """Best stored chain for k qubits.
+    """Best stored chain of exactly k qubits: the head of the length-k entry.
 
-    Takes the head entry under the smallest key >= k; when that chain is
-    longer than k, the contiguous k-window with the highest fidelity product
-    is returned (leftmost on ties).
+    Every stored length-(k+1) path grows from a stored length-k one, so a
+    library holds an entry at every length up to its longest chain.
     """
     if k < 2:
         raise ValueError("subchain selection needs k >= 2")
-    keys = sorted(key for key, paths in lib.entries.items() if key >= k and paths)
-    if not keys:
+    paths = lib.entries.get(k)
+    if not paths:
         raise CapacityError(f"no stored chain offers {k} qubits")
-    chain = lib.entries[keys[0]][0]
-    if len(chain) == k:
-        return chain
-    best, best_f = None, -math.inf
-    for s in range(len(chain) - k + 1):
-        window = chain[s : s + k]
-        f = lib.fidelity(window)
-        if f > best_f:
-            best, best_f = window, f
-    return best
+    return paths[0]
 
 
 def refresh(lib: SubchainLibrary, chip: ChipModel) -> SubchainLibrary:

@@ -1,9 +1,11 @@
 """Asynchronous sampling jobs over an append-only on-disk store.
 
 Tasks move queued -> running -> completed | failed, one JSON record per line;
-on reload the last line per id wins, so the log is diffable.  A crash in
-the middle of an append leaves a torn final line without its newline:
-readers skip it and the next writer cuts it off before appending.
+on reload the last line per id wins, so the log is diffable.  One writer
+at a time holds the store: it opens and ``flock``-s the file once, and every
+record it appends goes through that handle.  A crash in the middle of an
+append leaves a torn final line without its newline: readers skip it and the
+next writer cuts it off when it takes the store.
 The built-in backend samples exact simulator probabilities with a seeded
 generator; a remote backend can be slotted in by implementing ``run``.
 
@@ -14,9 +16,9 @@ character l is classical bit l.
 
 from __future__ import annotations
 
+import collections
 import fcntl
 import json
-import queue
 import secrets
 import threading
 import time
@@ -61,42 +63,6 @@ class TaskRecord:
             raise ParseError(f"malformed task record: {exc}") from exc
 
 
-class TaskStore:
-    """JSON-lines record log; one writer, any number of readers."""
-
-    def __init__(self, path):
-        self.path = path
-        self._lock = threading.Lock()
-        self._tail_checked = False
-
-    def append(self, record: TaskRecord):
-        with self._lock:
-            with open(self.path, "a+b") as f:
-                if not self._tail_checked:
-                    _mend_tail(f)
-                    self._tail_checked = True
-                f.write((record.to_json() + "\n").encode("utf-8"))
-                f.flush()
-
-    def load(self) -> dict[str, TaskRecord]:
-        records: dict[str, TaskRecord] = {}
-        try:
-            with open(self.path, encoding="utf-8") as f:
-                for k, line in enumerate(f, start=1):
-                    if line.isspace():
-                        continue
-                    try:
-                        rec = TaskRecord.from_json(line)
-                    except ParseError as exc:
-                        if not line.endswith("\n"):
-                            break  # torn final line: an append cut short by a crash
-                        raise ParseError(str(exc), f"{self.path}, line {k}") from exc
-                    records[rec.id] = rec
-        except FileNotFoundError:
-            pass
-        return records
-
-
 def _mend_tail(f) -> None:
     """Make the file at ``f`` (opened "a+b") end with a newline.
 
@@ -120,15 +86,40 @@ def _mend_tail(f) -> None:
         f.write(b"\n")
 
 
-def _writer_lease(path):
-    """The store file, opened and exclusively flock-ed; one writer at a time."""
-    f = open(path, "ab")
+def _open_log(path):
+    """The store file opened "a+b", exclusively flock-ed and with its tail
+    mended: the writer's lease and the only handle records reach it by."""
+    f = open(path, "a+b")
     try:
         fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        _mend_tail(f)
     except BlockingIOError:
         f.close()
         raise QuchainError(f"{path}: task store is held by another writer") from None
+    except BaseException:
+        f.close()
+        raise
     return f
+
+
+def _load_log(path) -> dict[str, TaskRecord]:
+    """The last record per id; a torn final line is skipped."""
+    records: dict[str, TaskRecord] = {}
+    try:
+        with open(path, encoding="utf-8") as f:
+            for k, line in enumerate(f, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    rec = TaskRecord.from_json(line)
+                except ParseError as exc:
+                    if not line.endswith("\n"):
+                        break  # torn final line: an append cut short by a crash
+                    raise ParseError(str(exc), f"{path}, line {k}") from exc
+                records[rec.id] = rec
+    except FileNotFoundError:
+        pass
+    return records
 
 
 class LocalSampler:
@@ -160,41 +151,41 @@ class LocalSampler:
 
 
 class TaskService:
-    """FIFO executor with persistent task records.
+    """FIFO executor with persistent task records, run on one condition that
+    guards the records, the pending ids and the stopping flag.
 
-    Invalid circuits are rejected at submit time, before anything is
-    enqueued.  A capacity or backend failure marks the task failed; the
+    Invalid circuits and shot counts are rejected before anything is
+    written.  A capacity or backend failure marks the task failed; the
     service keeps going.  On restart, terminal records are reloaded intact,
     interrupted running tasks are marked failed, and queued ones re-enqueued.
-    A writer holds an exclusive ``flock`` on the store file from before it
-    loads it until :meth:`close` has waited out the running task, so no other
-    writer can see that task as interrupted; a second writer raises
-    :class:`QuchainError` and read-only openers take no lock.
+    A writer appends only through the store handle it ``flock``-ed before
+    loading, held until :meth:`close` has waited out the running task, so no
+    other writer sees that task as interrupted.  A second writer, and
+    ``submit`` on a closed or read-only service, raise :class:`QuchainError`.
     """
 
     def __init__(self, store_path, backend=None, read_only: bool = False):
-        self.store = TaskStore(store_path)
+        self.store_path = store_path
         self.backend = backend if backend is not None else LocalSampler()
         self.read_only = read_only
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
+        self._pending: collections.deque[str] = collections.deque()
+        self._stopping = False
         self._worker = None
-        self._lease = None if read_only else _writer_lease(store_path)
+        self._log = None if read_only else _open_log(store_path)
         try:
-            self._records = self.store.load()
+            self._records = _load_log(store_path)
         except BaseException:
             self.close()
             raise
-        self._done: dict[str, threading.Event] = {}
-        self._queue: queue.Queue[str] = queue.Queue()
         if read_only:
             return
-        for rec in list(self._records.values()):
-            if rec.status == "running":
-                self._transition(rec.id, "failed", error="interrupted by restart")
-            elif rec.status == "queued":
-                self._done[rec.id] = threading.Event()
-                self._queue.put(rec.id)
-        self._stop = threading.Event()
+        with self._cond:
+            for rec in list(self._records.values()):
+                if rec.status == "running":
+                    self._transition(rec.id, "failed", error="interrupted by restart")
+                elif rec.status == "queued":
+                    self._pending.append(rec.id)
         self._worker = threading.Thread(target=self._loop, daemon=True)
         self._worker.start()
 
@@ -205,84 +196,84 @@ class TaskService:
         self.close()
 
     def close(self):
+        with self._cond:
+            self._stopping = True
+            self._cond.notify_all()
         if self._worker is not None:
-            self._stop.set()
             self._worker.join()  # a task still inside backend.run keeps the lease
-        if self._lease is not None:
-            self._lease.close()
-            self._lease = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+
+    def _settled(self, rec: TaskRecord) -> bool:
+        """Not to be moved on here: read-only, or neither running nor queued
+        before close."""
+        live = ("running",) if self._stopping else ("queued", "running")
+        return self.read_only or rec.status not in live
 
     def drain(self):
-        """Block until every queued task reaches a terminal state."""
-        with self._lock:
-            pending = [r.id for r in self._records.values() if r.status in ("queued", "running")]
-        for task_id in pending:
-            self.wait(task_id)
+        """Block until every task queued or running now is settled."""
+        with self._cond:
+            pending = [r.id for r in self._records.values() if not self._settled(r)]
+            self._cond.wait_for(lambda: all(self._settled(self._records[i]) for i in pending))
+
+    def _append(self, rec: TaskRecord) -> None:
+        """Write ``rec`` through the writer's handle; the caller holds the condition.
+
+        Once ``close`` has begun only the running task's records are taken."""
+        if self._log is None or (self._stopping and rec.status == "queued"):
+            raise QuchainError(f"{self.store_path}: task store is not open for writing")
+        self._log.write((rec.to_json() + "\n").encode("utf-8"))
+        self._log.flush()
+        self._records[rec.id] = rec
+        self._cond.notify_all()
 
     def _transition(self, task_id: str, status: str, counts=None, error=None):
-        with self._lock:
-            rec = self._records[task_id]
-            if status not in _TRANSITIONS[rec.status]:
-                raise ValueError(f"illegal transition {rec.status} -> {status}")
-            rec = replace(
-                rec, status=status, counts=counts, error=error, updated_at=time.time()
-            )
-            self._records[task_id] = rec
-            self.store.append(rec)
+        rec = self._records[task_id]
+        if status not in _TRANSITIONS[rec.status]:
+            raise ValueError(f"illegal transition {rec.status} -> {status}")
+        self._append(
+            replace(rec, status=status, counts=counts, error=error, updated_at=time.time())
+        )
 
     def _loop(self):
-        while not self._stop.is_set():
-            try:
-                task_id = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            rec = self._records[task_id]
-            self._transition(task_id, "running")
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._pending or self._stopping)
+                if self._stopping:
+                    return
+                rec = self._records[self._pending.popleft()]
+                self._transition(rec.id, "running")
             try:
                 counts = self.backend.run(rec.qasm, rec.shots, rec.seed)
                 total = sum(counts.values())
                 if total != rec.shots:
                     raise ValueError(f"backend returned {total} counts for {rec.shots} shots")
-                self._transition(task_id, "completed", counts=counts)
+                done = dict(status="completed", counts=counts)
             except Exception as exc:  # failure terminates the task, not the service
-                self._transition(task_id, "failed", error=str(exc))
-            self._done[task_id].set()
+                done = dict(status="failed", error=str(exc))
+            with self._cond:
+                self._transition(rec.id, **done)
 
     def submit(self, circuit, shots: int, name: str = "", wait: bool = False, seed=None):
         """Enqueue a sampling job; returns the task id, or the terminal record
         when ``wait`` is set."""
-        if self.read_only:
-            raise ValueError("service opened read-only")
+        if isinstance(shots, bool) or not isinstance(shots, int):
+            raise ValueError(f"shots must be an int, got {shots!r}")
         if shots < 1:
             raise ValueError(f"shots must be positive, got {shots}")
-        if isinstance(circuit, PhysicalCircuit):
-            qasm_text = emit(circuit)
-        else:
-            qasm_text = str(circuit)
+        qasm_text = emit(circuit) if isinstance(circuit, PhysicalCircuit) else str(circuit)
         parse(qasm_text)  # reject invalid circuits before enqueueing
-        task_id = secrets.token_hex(16)
-        rec = TaskRecord(
-            id=task_id,
-            name=name,
-            qasm=qasm_text,
-            shots=int(shots),
-            status="queued",
-            seed=seed,
-            created_at=time.time(),
-            updated_at=time.time(),
-        )
-        with self._lock:
-            self._records[task_id] = rec
-            self._done[task_id] = threading.Event()
-            self.store.append(rec)
-        self._queue.put(task_id)
-        if wait:
-            self._done[task_id].wait()
-            return self.record(task_id)
-        return task_id
+        now = time.time()
+        rec = TaskRecord(id=secrets.token_hex(16), name=name, qasm=qasm_text, shots=shots,
+                         status="queued", seed=seed, created_at=now, updated_at=now)
+        with self._cond:
+            self._append(rec)
+            self._pending.append(rec.id)
+        return self.wait(rec.id) if wait else rec.id
 
     def record(self, task_id: str) -> TaskRecord:
-        with self._lock:
+        with self._cond:
             if task_id not in self._records:
                 raise TaskNotFoundError(f"unknown task id {task_id!r}")
             return self._records[task_id]
@@ -303,13 +294,11 @@ class TaskService:
         )
 
     def wait(self, task_id: str, timeout: float | None = None) -> TaskRecord:
-        rec = self.record(task_id)
-        if rec.status in ("completed", "failed"):
-            return rec
-        event = self._done.get(task_id)
-        if event is not None:
-            event.wait(timeout)
-        return self.record(task_id)
+        """The task's record once it is settled, or after ``timeout`` seconds."""
+        with self._cond:
+            self.record(task_id)
+            self._cond.wait_for(lambda: self._settled(self._records[task_id]), timeout)
+            return self._records[task_id]
 
 
 @dataclass(frozen=True)
@@ -343,6 +332,8 @@ def process_results(
     """
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     rows = []
     for bits, count in counts.items():
         if len(bits) != g.n:

@@ -114,7 +114,7 @@ class TestCompile:
         pc = parse(qasm_out.read_text())
         used = {q for g in pc.gates() for q in g.qubits}
         assert len(used) == 6
-        # uniform coupler fidelity: the best 6-window of the 18-chain is 0..5
+        # uniform coupler fidelity: ties go to the smallest path, so the 6-chain is 0..5
         assert used == set(range(6))
         printed = capsys.readouterr().out
         assert "depth" in printed and "cnot_count" in printed

@@ -188,13 +188,6 @@ class TestSelection:
         lib = build_subchain_library(chip)
         assert select_subchain(lib, 3) == (1, 2, 3)
 
-    def test_window_of_longer_chain(self):
-        chip = make_chip(5, [(0, 1, 0.90), (1, 2, 0.99), (2, 3, 0.98), (3, 4, 0.91)])
-        lib = build_subchain_library(chip)
-        lib.entries[3].clear()  # force fallback to the k=5 chain
-        window = select_subchain(lib, 3)
-        assert window == (1, 2, 3)  # best 3-window of 0-1-2-3-4
-
     def test_capacity_error(self):
         chip = make_chip(3, [(0, 1, 0.9), (1, 2, 0.9)])
         lib = build_subchain_library(chip)

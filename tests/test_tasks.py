@@ -97,6 +97,14 @@ class TestLifecycle:
             with pytest.raises(ValueError):
                 svc.submit(pc, shots=0)
 
+    @pytest.mark.parametrize("shots", [2.7, True])
+    def test_non_int_shots_rejected(self, store, k2_graph, shots):
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        with TaskService(store) as svc:
+            with pytest.raises(ValueError, match="shots"):
+                svc.submit(pc, shots=shots)
+        assert store.read_bytes() == b""
+
 
 class TestConcurrency:
     def test_parallel_submissions_all_complete(self, store, k2_graph):
@@ -122,6 +130,52 @@ class TestConcurrency:
             for task_id in ids:
                 assert svc.status(task_id) == "completed"
                 assert sum(svc.result(task_id).values()) == 20
+
+
+class _CountingSampler:
+    """Puts every shot on the all-zero string, without simulating."""
+
+    def run(self, qasm_text, shots, seed=None):
+        return {"0": shots}
+
+
+class TestConditionStress:
+    def test_submitters_waiters_and_drain_lose_no_record(self, store):
+        n_threads, per_thread = 6, 15
+        ids, errors = [], []
+        lock = threading.Lock()
+
+        def job(svc, i):
+            try:
+                for j in range(per_thread):
+                    out = svc.submit(single_qubit_plus_qasm(), shots=3, seed=j, wait=j % 3 == 0)
+                    task_id = out if isinstance(out, str) else out.id
+                    if j % 5 == 0:
+                        svc.drain()
+                    with lock:
+                        ids.append(task_id)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with TaskService(store, backend=_CountingSampler()) as svc:
+                threads = [threading.Thread(target=job, args=(svc, i)) for i in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+                assert not any(t.is_alive() for t in threads)
+                svc.drain()
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        assert len(set(ids)) == n_threads * per_thread
+        lines = store.read_text().splitlines()
+        assert len(lines) == 3 * len(ids)  # queued, running, completed per task
+        reloaded = TaskService(store, read_only=True)
+        assert all(reloaded.result(task_id) == {"0": 3} for task_id in ids)
 
 
 class TestPersistence:
@@ -312,6 +366,65 @@ class TestWriterLease:
             second.submit(single_qubit_plus_qasm(), shots=5, wait=True, seed=0)
 
 
+class TestClosedWriter:
+    """A closed service appends nothing, and waits on nothing it will not run."""
+
+    def test_submit_after_close_raises_and_writes_nothing(self, store):
+        svc = TaskService(store)
+        svc.submit(single_qubit_plus_qasm(), shots=5, wait=True, seed=0)
+        svc.close()
+        before = store.read_bytes()
+        with pytest.raises(QuchainError, match=re.escape(str(store))):
+            svc.submit(single_qubit_plus_qasm(), shots=5, seed=1)
+        assert store.read_bytes() == before
+        with TaskService(store) as second:  # holds the lease now
+            with pytest.raises(QuchainError, match=re.escape(str(store))):
+                svc.submit(single_qubit_plus_qasm(), shots=5, seed=2)
+            assert store.read_bytes() == before
+        assert len(TaskService(store, read_only=True)._records) == 1
+
+    def test_submit_wait_after_close_raises_instead_of_blocking(self, store):
+        svc = TaskService(store)
+        svc.close()
+        outcome = []
+
+        def submit():
+            try:
+                outcome.append(svc.submit(single_qubit_plus_qasm(), shots=5, wait=True))
+            except QuchainError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=submit, daemon=True)
+        thread.start()
+        thread.join(30.0)
+        assert not thread.is_alive(), "submit(wait=True) on a closed service blocked"
+        assert len(outcome) == 1 and isinstance(outcome[0], QuchainError)
+
+    def test_read_only_submit_raises_naming_the_store(self, store):
+        reader = TaskService(store, read_only=True)
+        with pytest.raises(QuchainError, match=re.escape(str(store))):
+            reader.submit(single_qubit_plus_qasm(), shots=5)
+        assert not store.exists()
+
+    def test_read_only_wait_on_queued_task_returns_at_once(self, store, k2_graph):
+        import time
+
+        from quchain.tasks import TaskRecord
+
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        rec = TaskRecord(
+            id="ef" * 16, name="queued", qasm=emit(pc), shots=40,
+            status="queued", created_at=time.time(), updated_at=time.time(),
+        )
+        store.write_text(rec.to_json() + "\n")
+        reader = TaskService(store, read_only=True)
+        t0 = time.perf_counter()
+        assert reader.wait(rec.id).status == "queued"
+        assert reader.wait(rec.id, timeout=30.0).status == "queued"
+        reader.drain()
+        assert time.perf_counter() - t0 < 5.0
+
+
 class TestLocalSampler:
     def test_plus_state_within_five_sigma(self):
         counts = LocalSampler().run(single_qubit_plus_qasm(), 10000, seed=8)
@@ -385,6 +498,10 @@ class TestProcessResults:
         row = ranked.rows[0]
         assert row.energy == pytest.approx(-2.5)
         assert row.objective == pytest.approx(6.0)  # cut value restored
+
+    def test_unknown_sense_rejected(self, k2_graph):
+        with pytest.raises(ValueError, match="sense"):
+            process_results({"01": 1}, k2_graph, sense="maximize")
 
     def test_decoding_matches_uncompiled_simulation(self):
         # ranked energies from compiled-samples equal those of the logical circuit
