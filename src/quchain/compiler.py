@@ -15,11 +15,18 @@ initial positions meet is a pure function of n (the ExeR table), which turns
 initial-mapping selection into a search problem: place high-degree vertices
 so that the last graph edge meets as early as possible, then truncate the
 template after that cycle.
+
+``compile_graph`` emits the schedule in one pass as native CNOT/RZ gates on
+the chain's wires, merging an RZZ and a SWAP on one pair into three CNOTs
+(Jin et al., "A structured method for compilation of QAOA circuits in
+quantum computing", arXiv:2112.06143).  ``decompose_gates`` followed by the
+``optimize_circuit`` peephole pass is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -340,7 +347,9 @@ def decompose_gates(sched: ScheduledCircuit) -> PhysicalCircuit:
     """Expand RZZ and SWAP layers into the native CNOT/RZ gate set.
 
     RZZ(t)(a,b) -> CNOT(a,b) RZ(t)(b) CNOT(a,b); SWAP(a,b) -> CNOT(a,b)
-    CNOT(b,a) CNOT(a,b); single-qubit gates pass through.
+    CNOT(b,a) CNOT(a,b); single-qubit gates pass through.  With
+    ``optimize_circuit`` it is the reference pipeline ``compile_graph`` is
+    tested against; ``compile_graph`` calls neither.
     """
     cycles: list[list[Gate]] = []
     for layer in sched.layers:
@@ -372,6 +381,8 @@ def optimize_circuit(pc: PhysicalCircuit) -> PhysicalCircuit:
     either wire in between; cancellations cascade.  Surviving gates are
     rescheduled as soon as possible, so the cycle count equals the dependency
     depth.  The unitary is preserved and depth/CNOT count never increase.
+    Applied to ``decompose_gates``' output it is the reference that
+    ``compile_graph``'s merged emission must equal.
     """
     kept: list[list] = []  # [gate, {wire: predecessor index or None}, alive]
     last: dict[int, int] = {}
@@ -413,35 +424,94 @@ def optimize_circuit(pc: PhysicalCircuit) -> PhysicalCircuit:
     )
 
 
+def _chain_wires(chain, k: int) -> tuple[int, ...]:
+    """The first ``k`` wires of ``chain``, each a distinct non-negative int."""
+    if chain is None:
+        return tuple(range(k))
+    wires = []
+    for c in chain:
+        try:
+            q = -1 if isinstance(c, bool) else operator.index(c)
+        except TypeError:
+            q = -1
+        if q < 0:
+            raise ValueError(f"chain entries must be non-negative ints, got {c!r}")
+        wires.append(q)
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"chain repeats a qubit: {tuple(wires)}")
+    if len(wires) < k:
+        raise CapacityError(f"chain of {len(wires)} qubits cannot hold {k} logical qubits")
+    return tuple(wires[:k])
+
+
 def compile_graph(
     g: WeightGraph,
     params: QaoaParams,
     chain=None,
     b_max: int = 5,
 ) -> PhysicalCircuit:
-    """Full pipeline: mapping search, scheduling, decomposition, peephole.
+    """Full pipeline: mapping search, scheduling, native-gate emission.
 
     ``chain`` lists the physical qubit ids of the target coupled path (its
     first ``g.n`` entries are used); default is the identity chain 0..n-1.
+    Entries must be distinct non-negative ints (NumPy ints included).
+
+    Each scheduled layer expands in one pass into CNOT/RZ gates on the chain
+    wires: RZZ(a,b) -> CNOT(a,b) RZ(b) CNOT(a,b) and SWAP(a,b) -> CNOT(a,b)
+    CNOT(b,a) CNOT(a,b), sub-cycle by sub-cycle.  Where consecutive layers
+    share a pair (an RZZ and the SWAP after it, or a SWAP and the RZZ after
+    it), the CNOT(a,b) that ends the first and the one that starts the
+    second are left out, so RZZ+SWAP costs three CNOTs.  These are exactly
+    the pairs ``optimize_circuit`` cancels on ``decompose_gates``' output:
+    every block ends with an RX on every wire, and the schedule never puts a
+    pair into two consecutive layers of one kind.  Gates are placed as soon
+    as possible in stream order, as ``optimize_circuit`` reschedules them.
     """
-    k = g.n
-    if chain is None:
-        chain = tuple(range(k))
-    chain = tuple(int(c) for c in chain)
-    if len(chain) < k:
-        raise CapacityError(f"chain of {len(chain)} qubits cannot hold {k} logical qubits")
-    chain = chain[:k]
-    mapping, _ = search_initial_mapping(g, k, b_max)
-    sched = schedule(g, mapping, params, n_positions=k)
-    pc = optimize_circuit(decompose_gates(sched))
-    cycles = [
-        [Gate(gt.kind, tuple(chain[q] for q in gt.qubits), gt.angle) for gt in cyc]
-        for cyc in pc.cycles
-    ]
+    wires = _chain_wires(chain, g.n)
+    mapping, _ = search_initial_mapping(g, g.n, b_max)
+    sched = schedule(g, mapping, params, n_positions=g.n)
+
+    cycles: list[list[Gate]] = []
+    front = [0] * sched.n  # per position: the cycle of its latest gate
+
+    def one(kind, q, angle=None):
+        c = front[q]
+        if c == len(cycles):
+            cycles.append([])
+        cycles[c].append(Gate(kind, (wires[q],), angle))
+        front[q] = c + 1
+
+    def cnot(a, b):
+        c = front[a] if front[a] > front[b] else front[b]
+        if c == len(cycles):
+            cycles.append([])
+        cycles[c].append(Gate("cnot", (wires[a], wires[b])))
+        front[a] = front[b] = c + 1
+
+    pairs = [{gt.qubits for gt in layer if len(gt.qubits) == 2} for layer in sched.layers]
+    pairs.append(set())  # also pairs[-1], the first layer's empty predecessor
+    for i, layer in enumerate(sched.layers):
+        if not pairs[i]:
+            for gt in layer:
+                one(gt.kind, gt.qubits[0], gt.angle)
+            continue
+        before, after = pairs[i] & pairs[i - 1], pairs[i] & pairs[i + 1]
+        for gt in layer:
+            if gt.qubits not in before:
+                cnot(*gt.qubits)
+        for gt in layer:
+            a, b = gt.qubits
+            if gt.kind == "rzz":
+                one("rz", b, gt.angle)
+            else:
+                cnot(b, a)
+        for gt in layer:
+            if gt.qubits not in after:
+                cnot(*gt.qubits)
     return PhysicalCircuit(
-        n=max(chain) + 1,
+        n=max(wires) + 1,
         cycles=cycles,
-        final_layout=tuple(chain[p_] for p_ in pc.final_layout),
+        final_layout=tuple(wires[p_] for p_ in sched.final_layout),
         scheduled_cost_cycles=sched.cost_cycles,
         initial_mapping=mapping,
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import fcntl
 import json
+import math
 import secrets
 import threading
 import time
@@ -52,6 +53,26 @@ class TaskRecord:
     created_at: float = 0.0
     updated_at: float = 0.0
 
+    def __post_init__(self):
+        """Reject a field outside its type or range, naming the field."""
+        if self.status not in _TRANSITIONS:
+            raise ValueError(f"status must be one of {sorted(_TRANSITIONS)}, got {self.status!r}")
+        if not (isinstance(self.id, str) and isinstance(self.name, str) and isinstance(self.qasm, str)):
+            raise ValueError("id, name and qasm must be str")
+        if not _is_int(self.shots) or self.shots < 1:
+            raise ValueError(f"shots must be an int of at least 1, got {self.shots!r}")
+        if self.seed is not None and not _is_int(self.seed):
+            raise ValueError(f"seed must be an int or None, got {self.seed!r}")
+        if self.counts is not None:
+            _check_counts(self.counts)
+        if self.error is not None and not isinstance(self.error, str):
+            raise ValueError(f"error must be a str or None, got {type(self.error).__name__}")
+        if not (_is_real(self.created_at) and _is_real(self.updated_at)):
+            raise ValueError(
+                f"created_at and updated_at must be finite reals, got "
+                f"{self.created_at!r} and {self.updated_at!r}"
+            )
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
@@ -59,8 +80,36 @@ class TaskRecord:
     def from_json(cls, line: str) -> "TaskRecord":
         try:
             return cls(**json.loads(line))
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             raise ParseError(f"malformed task record: {exc}") from exc
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
+
+
+def _check_counts(counts) -> None:
+    """Raise ValueError unless ``counts`` is a dict of non-negative ints.
+
+    Keys go unchecked: a stored record's keys are JSON object keys, always
+    str.  The values take two C-level passes because every read reloads
+    every record: ``sum``, whose result is a float if any value is one (a
+    non-number raises), and ``min``.  A ``bool`` passes as 0 or 1.
+    """
+    try:
+        ok = (
+            isinstance(counts, dict)
+            and type(sum(counts.values())) is int
+            and min(counts.values(), default=0) >= 0
+        )
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError("counts must map bitstrings to non-negative ints")
 
 
 def _mend_tail(f) -> None:
@@ -154,9 +203,10 @@ class TaskService:
     """FIFO executor with persistent task records, run on one condition that
     guards the records, the pending ids and the stopping flag.
 
-    Invalid circuits and shot counts are rejected before anything is
-    written.  A capacity or backend failure marks the task failed; the
-    service keeps going.  On restart, terminal records are reloaded intact,
+    Invalid circuits and record fields are rejected before anything is
+    written.  A capacity or backend failure, or counts that are not a map of
+    bitstrings to non-negative ints, marks the task failed; the service
+    keeps going.  On restart, terminal records are reloaded intact,
     interrupted running tasks are marked failed, and queued ones re-enqueued.
     A writer appends only through the store handle it ``flock``-ed before
     loading, held until :meth:`close` has waited out the running task, so no
@@ -246,6 +296,7 @@ class TaskService:
                 self._transition(rec.id, "running")
             try:
                 counts = self.backend.run(rec.qasm, rec.shots, rec.seed)
+                _check_counts(counts)
                 total = sum(counts.values())
                 if total != rec.shots:
                     raise ValueError(f"backend returned {total} counts for {rec.shots} shots")
@@ -257,16 +308,13 @@ class TaskService:
 
     def submit(self, circuit, shots: int, name: str = "", wait: bool = False, seed=None):
         """Enqueue a sampling job; returns the task id, or the terminal record
-        when ``wait`` is set."""
-        if isinstance(shots, bool) or not isinstance(shots, int):
-            raise ValueError(f"shots must be an int, got {shots!r}")
-        if shots < 1:
-            raise ValueError(f"shots must be positive, got {shots}")
+        when ``wait`` is set.  ``shots`` must be a positive int, ``name`` a str
+        and ``seed`` an int or None; otherwise ``ValueError``, nothing written."""
         qasm_text = emit(circuit) if isinstance(circuit, PhysicalCircuit) else str(circuit)
-        parse(qasm_text)  # reject invalid circuits before enqueueing
         now = time.time()
         rec = TaskRecord(id=secrets.token_hex(16), name=name, qasm=qasm_text, shots=shots,
                          status="queued", seed=seed, created_at=now, updated_at=now)
+        parse(qasm_text)  # reject invalid circuits before enqueueing
         with self._cond:
             self._append(rec)
             self._pending.append(rec.id)

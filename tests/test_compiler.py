@@ -410,6 +410,62 @@ class TestCompile:
             )
             assert states_equal_up_to_phase(ref, got, 1e-9)
 
+    @pytest.mark.parametrize(
+        "chain",
+        [(0, 1, 2.7), (0, 1, True), (-1, 0, 1), (0, 1, 1), (0, 1, "2"), (0, 1, np.float64(2.0))],
+        ids=["float", "bool", "negative", "duplicate", "str", "numpy-float"],
+    )
+    def test_malformed_chain_rejected(self, chain):
+        g = WeightGraph(nodes=[(i, 0.0) for i in range(3)], edges=[(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="chain"):
+            compile_graph(g, QaoaParams(gamma=(0.3,), beta=(0.2,)), chain=chain)
+
+    def test_numpy_int_chain_accepted(self, k2_graph):
+        params = QaoaParams(gamma=(0.3,), beta=(0.2,))
+        pc = compile_graph(k2_graph, params, chain=np.array([7, 8]))
+        assert pc.final_layout == compile_graph(k2_graph, params, chain=(7, 8)).final_layout
+
+    def test_equals_remapped_reference_pipeline(self):
+        # compile_graph emits native gates directly; the reference decomposes
+        # every layer and cancels CNOT pairs with the peephole pass
+        rng = np.random.default_rng(808)
+        for _ in range(30):
+            g = random_graph(rng, 1, 40)
+            params = random_qaoa_params(rng, int(rng.integers(1, 4)))
+            chain = tuple(int(q) for q in rng.permutation(3 * g.n)[: g.n])
+            pc = compile_graph(g, params, chain=chain)
+            mapping, _ = search_initial_mapping(g, g.n)
+            sched = schedule(g, mapping, params, n_positions=g.n)
+            ref = optimize_circuit(decompose_gates(sched))
+            assert [[(gt.kind, gt.qubits, gt.angle) for gt in cyc] for cyc in pc.cycles] == [
+                [(gt.kind, tuple(chain[q] for q in gt.qubits), gt.angle) for gt in cyc]
+                for cyc in ref.cycles
+            ]
+            assert pc.final_layout == tuple(chain[q] for q in ref.final_layout)
+            assert pc.scheduled_cost_cycles == sched.cost_cycles
+            assert pc.initial_mapping == mapping
+            assert pc.n == max(chain) + 1
+
+    def test_builds_one_circuit_without_reference_passes(self, demo6_graph, monkeypatch):
+        import quchain.compiler as compiler
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compile_graph must not call the reference passes")
+
+        built = []
+
+        class Counted(PhysicalCircuit):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(compiler, "decompose_gates", forbidden)
+        monkeypatch.setattr(compiler, "optimize_circuit", forbidden)
+        monkeypatch.setattr(compiler, "PhysicalCircuit", Counted)
+        pc = compile_graph(demo6_graph, QaoaParams(gamma=(0.4, 0.5), beta=(0.3, 0.2)))
+        assert len(built) == 1 and built[0] is pc
+        assert pc.cnot_count > 0
+
     def test_layout_document(self, demo6_graph):
         import json
 

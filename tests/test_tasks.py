@@ -425,6 +425,62 @@ class TestClosedWriter:
         assert time.perf_counter() - t0 < 5.0
 
 
+_VALID_RECORD = {
+    "id": "ab" * 16, "name": "job", "qasm": single_qubit_plus_qasm(), "shots": 10,
+    "status": "completed", "seed": 3, "counts": {"0": 4, "1": 6}, "error": None,
+    "created_at": 1.5e9, "updated_at": 1.5e9,
+}
+
+
+class _NegativeCountsSampler(LocalSampler):
+    """Counts that sum to the shot count but hold a negative entry."""
+
+    def run(self, qasm_text, shots, seed=None):
+        return {"0": -3, "1": shots + 3}
+
+
+class TestRecordChecks:
+    """Every stored field is checked on load; a writer cannot store a record
+    its readers would reject."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("status", "bogus"), ("shots", -5), ("shots", 0), ("shots", True), ("shots", 2.5),
+            ("id", 1), ("name", None), ("qasm", ["h q[0];"]), ("seed", "1"), ("seed", True),
+            ("counts", {"0": -3}), ("counts", {"0": 1.5}), ("counts", {"0": "4"}),
+            ("counts", [4, 6]), ("error", 7), ("created_at", float("nan")),
+            ("updated_at", float("inf")), ("updated_at", "now"),
+        ],
+    )
+    def test_field_outside_its_type_or_range_is_parse_error(self, field, value):
+        from quchain.tasks import TaskRecord
+
+        line = json.dumps({**_VALID_RECORD, field: value})
+        with pytest.raises(ParseError, match=field):
+            TaskRecord.from_json(line)
+
+    def test_bad_inner_record_is_located(self, store):
+        lines = [json.dumps(_VALID_RECORD), json.dumps({**_VALID_RECORD, "status": "bogus"})]
+        store.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            TaskService(store, read_only=True)
+
+    @pytest.mark.parametrize("kwargs", [{"name": 5}, {"seed": True}, {"seed": 2.5}])
+    def test_submit_rejects_a_field_readers_would_reject(self, store, kwargs):
+        with TaskService(store) as svc:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                svc.submit(single_qubit_plus_qasm(), shots=5, **kwargs)
+        assert store.read_bytes() == b""
+
+    def test_negative_backend_counts_fail_the_task(self, store):
+        with TaskService(store, backend=_NegativeCountsSampler()) as svc:
+            rec = svc.submit(single_qubit_plus_qasm(), shots=10, wait=True)
+        assert rec.status == "failed"
+        assert "counts" in rec.error
+        assert TaskService(store, read_only=True).status(rec.id) == "failed"
+
+
 class TestLocalSampler:
     def test_plus_state_within_five_sigma(self):
         counts = LocalSampler().run(single_qubit_plus_qasm(), 10000, seed=8)
