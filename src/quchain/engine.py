@@ -11,16 +11,23 @@ Two evaluation routes are provided and must agree exactly:
 
 :func:`optimize` evaluates on the light-cone route only: cone sizes depend on
 local graph structure, not on the total qubit count.  :func:`decompose`
-returns the distinct cones, each building its cost diagonal and summed
-observable once (within a memory budget); :func:`optimize` decomposes once
-per depth and reuses the cones for every evaluation, and each cone is
-simulated by :func:`~quchain.simulator.qaoa_state`: one diagonal phase per
-cost layer and in-place 2x2 rotations for the mixer.
+returns the distinct cones of one depth; the evaluator stacks them by width,
+so the cost diagonals and observables of the cones of one width form one
+block each, built once per depth within a memory budget.
+:func:`~quchain.simulator.qaoa_state` runs once per width and batch of
+points: one diagonal phase per cost layer and in-place 2x2 rotations for the
+mixer.  There is one evaluator: the p=1 grid is one gamma-major batch, cut
+into chunks whose states fit in the same budget; simplex and interpolation
+steps are batches of one, and :func:`expectation_decomposed` is one too.
+Each (point, cone) energy is its own dot product and each point sums its
+cones in cone order, so a batched energy is bit-equal to the point alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.optimize import minimize
@@ -42,12 +49,13 @@ def _terms(g: WeightGraph) -> list[tuple[tuple[int, ...], float]]:
     return [((u, v), w) for u, v, w in g.edges] + [((i,), w) for i, w in g.nodes if w != 0.0]
 
 
-def _diagonal(n: int, terms) -> np.ndarray:
+def _diagonal(n: int, terms, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over ``terms`` of weight * prod_{q in support} z_q for every basis state.
 
-    Each term is one broadcast add over the ``[2] * n`` view of the result.
+    Each term is one broadcast add over the ``[2] * n`` view of the result,
+    which is ``out`` (zero on entry) when given.
     """
-    diag = np.zeros(1 << n)
+    diag = np.zeros(1 << n) if out is None else out
     view = diag.reshape([2] * n)
     for support, w in terms:
         view += w * spin_product(n, support)
@@ -70,9 +78,10 @@ class LightCone:
 
     ``index_map[i]`` is the original id of subgraph node ``i`` and ``terms``
     holds the (support, weight) pairs, in original ids, of the terms it
-    serves.  The cone's cost diagonal and its observable, the sum of its
-    terms over the subgraph's basis states, are built once when ``cached``
-    is set and on every call otherwise.
+    serves.  ``cached`` says whether the cone's cost diagonal and observable,
+    the sum of its terms over the subgraph's basis states, count against
+    ``CONE_CACHE_BYTES`` and are built once per depth into its width's stack,
+    or are rebuilt on every evaluation.
     """
 
     def __init__(self, subgraph: WeightGraph, index_map: tuple[int, ...],
@@ -81,18 +90,6 @@ class LightCone:
         self.index_map = index_map
         self.terms = terms
         self.cached = cached
-        self._arrays = self._build() if cached else None
-
-    def _build(self) -> tuple[np.ndarray, np.ndarray]:
-        pos = {orig: i for i, orig in enumerate(self.index_map)}
-        local = [(tuple(pos[s] for s in support), w) for support, w in self.terms]
-        n = self.subgraph.n
-        return _diagonal(n, _terms(self.subgraph)), _diagonal(n, local)
-
-    def expectation(self, params: QaoaParams) -> float:
-        """Sum of the cone's term expectations at ``params``."""
-        table, observable = self._arrays if self.cached else self._build()
-        return float(np.abs(qaoa_state(table, params)) ** 2 @ observable)
 
 
 def _p_hop_closure(adj, support, p: int) -> frozenset[int]:
@@ -109,11 +106,13 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
 
     Every edge and every nonzero-weight node is a term of exactly one cone,
     so the cones partition H_C without overlap; terms with the same light
-    cone share it.  Cones come in order of first appearance and keep their
-    cost diagonal and summed observable while the total stays within
-    ``CONE_CACHE_BYTES``; the rest rebuild them on every evaluation.  A light
-    cone wider than the simulator limit raises :class:`CapacityError` naming
-    its term before any table is built.
+    cone share it.  Cones come in order of first appearance, the order their
+    energies are summed in.  They are marked ``cached`` while the total of
+    their cost diagonals and observables stays within ``CONE_CACHE_BYTES``:
+    those arrays are built once per depth, stacked by cone width, and the
+    rest are rebuilt on every evaluation.  A light cone wider than the
+    simulator limit raises :class:`CapacityError` naming its term before any
+    table is built.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -138,9 +137,73 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
     return cones
 
 
+def _blocks(cones: list[LightCone]) -> tuple[np.ndarray, np.ndarray]:
+    """Cost diagonals, shape (C, 2**k), and observables, shape (C, 2**k, 1),
+    of equal-width ``cones``, one row each."""
+    n = cones[0].subgraph.n
+    tables = np.zeros((len(cones), 1 << n))
+    observables = np.zeros((len(cones), 1 << n))
+    for row, cone in enumerate(cones):
+        pos = {orig: i for i, orig in enumerate(cone.index_map)}
+        local = [(tuple(pos[s] for s in support), w) for support, w in cone.terms]
+        _diagonal(n, _terms(cone.subgraph), out=tables[row])
+        _diagonal(n, local, out=observables[row])
+    return tables, observables.reshape(len(cones), 1 << n, 1)
+
+
+def _stack_energies(tables: np.ndarray, observables: np.ndarray, points) -> np.ndarray:
+    """(B, C) energies of C equal-width cones at B points, one dot each."""
+    pr = np.abs(qaoa_state(tables, points)) ** 2
+    # A (1, 2**k) @ (2**k, 1) matmul is the same dot as a 1-D ``@``.
+    return np.matmul(pr[:, :, None, :], observables)[:, :, 0, 0]
+
+
+class _ConeStacks:
+    """The cones of one depth, stacked by width: the light-cone evaluator.
+
+    A stack is the positions of its cones in :func:`decompose` order, the
+    cones, and for cached cones their (C, 2**k) blocks of cost diagonals and
+    observables, built once.  Each cone beyond the cache budget is a stack
+    of its own and rebuilds its arrays on every evaluation, as the cone
+    alone would.
+    """
+
+    def __init__(self, cones: list[LightCone]):
+        self.size = len(cones)
+        self.row_bytes = 16 * sum(1 << c.subgraph.n for c in cones)  # one point's states
+        groups: dict[object, list[int]] = {}
+        for i, c in enumerate(cones):
+            # A cone beyond the budget stands alone, so one rebuilds at a time.
+            groups.setdefault(c.subgraph.n if c.cached else ("rebuilt", i), []).append(i)
+        self.stacks = []
+        for at in groups.values():
+            members = [cones[i] for i in at]
+            blocks = _blocks(members) if members[0].cached else None
+            self.stacks.append((np.array(at), members, blocks))
+
+    def energies(self, points: list[QaoaParams]) -> list[float]:
+        """<H_C> at each of ``points``, all of one depth.
+
+        Points go through the kernel in chunks whose states fit in
+        ``CONE_CACHE_BYTES``, one call per stack and chunk.  Each (point,
+        cone) energy is its own dot product, and each point's energies are
+        summed with ``sum`` in cone order, so every result is bit-equal to
+        evaluating the point alone, cone by cone.
+        """
+        rows = max(1, CONE_CACHE_BYTES // self.row_bytes)
+        out: list[float] = []
+        for start in range(0, len(points), rows):
+            chunk = points[start:start + rows]
+            per_cone = np.empty((len(chunk), self.size))
+            for at, members, blocks in self.stacks:
+                per_cone[:, at] = _stack_energies(*(blocks or _blocks(members)), chunk)
+            out += [sum(energies) for energies in per_cone.tolist()]
+        return out
+
+
 def expectation_decomposed(g: WeightGraph, params: QaoaParams) -> float:
     """Sum of per-cone expectations in cone order; equals :func:`expectation_full`."""
-    return float(sum(c.expectation(params) for c in decompose(g, params.p)))
+    return _ConeStacks(decompose(g, params.p)).energies([params])[0]
 
 
 def interp_initialize(params: QaoaParams) -> QaoaParams:
@@ -188,8 +251,8 @@ class _Objective:
 
     ``best`` is the lowest-energy evaluation (the first on ties) at the depth
     of the latest evaluation; a change of depth starts it afresh.  The graph
-    is decomposed once per depth and only the light cones of the latest depth
-    are kept, reused for every evaluation at that depth.
+    is decomposed once per depth and only the cone stacks of the latest
+    depth are kept, reused for every evaluation at that depth.
     """
 
     def __init__(self, g, max_evals):
@@ -197,31 +260,37 @@ class _Objective:
         self.max_evals = max_evals
         self.trace: list[tuple[QaoaParams, float]] = []
         self.best: tuple[QaoaParams, float] | None = None
-        self.cones: tuple[int, list[LightCone]] | None = None  # (depth, cones)
+        self.cones: tuple[int, _ConeStacks] | None = None  # (depth, stacks)
 
     def exhausted(self) -> bool:
         return len(self.trace) >= self.max_evals
 
+    def batch(self, points: list[QaoaParams]) -> list[float]:
+        """Evaluate ``points`` of one depth together, then record them in order."""
+        depth = points[0].p
+        if self.cones is None or self.cones[0] != depth:
+            self.cones = None  # free the previous depth's blocks first
+            self.cones = (depth, _ConeStacks(decompose(self.g, depth)))
+        energies = self.cones[1].energies(points)
+        for params, e in zip(points, energies):
+            self.trace.append((params, e))
+            if self.best is None or params.p != self.best[0].p or e < self.best[1]:
+                self.best = (params, e)
+        return energies
+
     def __call__(self, params: QaoaParams) -> float:
-        if self.cones is None or self.cones[0] != params.p:
-            self.cones = (params.p, decompose(self.g, params.p))
-        e = float(sum(c.expectation(params) for c in self.cones[1]))
-        self.trace.append((params, e))
-        if self.best is None or params.p != self.best[0].p or e < self.best[1]:
-            self.best = (params, e)
-        return e
+        return self.batch([params])[0]
 
 
 def _grid_search(obj: _Objective, grid_size: int) -> bool:
-    """Evaluate the p=1 grid; False if the budget ran out before its end."""
+    """Evaluate the p=1 grid gamma-major as one batch, cut at the budget left;
+    False if the budget ran out before its end."""
     gammas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
     betas = np.linspace(0.0, np.pi / 2.0, grid_size, endpoint=False)
-    for gm in gammas:
-        for bt in betas:
-            if obj.exhausted():
-                return False
-            obj(QaoaParams(gamma=(gm,), beta=(bt,)))
-    return True
+    points = [QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in betas]
+    left = obj.max_evals - len(obj.trace)
+    obj.batch(points[:left])
+    return left >= len(points)
 
 
 def _simplex(obj: _Objective, start: QaoaParams, ftol: float) -> tuple[bool, QaoaParams]:
@@ -268,12 +337,22 @@ def optimize(
     non-converged.
     """
     for name, value in (("p", p), ("grid_size", grid_size), ("max_evals", max_evals)):
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if not (isinstance(ftol, Real) and math.isfinite(ftol) and ftol >= 0):
+        raise ValueError(f"ftol must be a finite number of at least 0, got {ftol!r}")
     if method not in ("grid", "simplex", "grid+simplex"):
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(init, QaoaParams) and init.p != p:
-        raise ValueError(f"init has depth {init.p}, requested p={p}")
+    if not (init is None or isinstance(init, QaoaParams)
+            or isinstance(init, str) and init in ("interp", "random")):
+        raise ValueError(f"init must be None, 'interp', 'random' or QaoaParams, got {init!r}")
+    if isinstance(init, QaoaParams):
+        if init.p != p:
+            raise ValueError(f"init has depth {init.p}, requested p={p}")
+        if not all(math.isfinite(x) for x in init.flat()):
+            raise ValueError(f"init angles must be finite, got {init.flat()}")
     if isinstance(init, QaoaParams) or init == "random":
         depth = p
         start = init if isinstance(init, QaoaParams) else random_params(p, seed)

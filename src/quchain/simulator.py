@@ -47,15 +47,16 @@ def phase(psi: np.ndarray, n: int, support, theta: float) -> None:
     view *= np.exp(-0.5j * theta * spin_product(n, support))
 
 
-def mix(psi: np.ndarray, k: int, q: int, d, s) -> None:
-    """psi <- d psi + s X_q psi, in place.
+def mix(psi: np.ndarray, q: int, d, s) -> None:
+    """psi <- d psi + s X_q psi, in place, on the last axis of ``psi``.
 
-    X on qubit q swaps the two halves of its axis in the
-    ``(2**(k-1-q), 2, 2**q)`` view; ``d`` is a scalar or a per-bit column of
-    shape (2, 1).
+    X on qubit q swaps the two halves of its axis in the ``(..., 2, 2**q)``
+    view of the last axis, so any leading axes are carried along.  ``d`` and
+    ``s`` are scalars or broadcast against that view: a per-bit column of
+    shape (2, 1), or per-row coefficients shaped to the leading axes.
     """
-    view = psi.reshape(1 << (k - 1 - q), 2, 1 << q)
-    flipped = s * view[:, ::-1, :]
+    view = psi.reshape(*psi.shape[:-1], -1, 2, 1 << q)
+    flipped = s * view[..., ::-1, :]
     view *= d
     view += flipped
 
@@ -83,9 +84,9 @@ def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         phase(state, n, qubits, gate.angle)
     elif kind == "rx":
         t = gate.angle / 2.0
-        mix(state, n, qubits[0], np.cos(t), -1j * np.sin(t))
+        mix(state, qubits[0], np.cos(t), -1j * np.sin(t))
     elif kind == "h":
-        mix(state, n, qubits[0], _H_DIAG, 1.0 / np.sqrt(2.0))
+        mix(state, qubits[0], _H_DIAG, 1.0 / np.sqrt(2.0))
     elif kind == "cnot":
         _exchange(state, n, qubits, (1, 0), (1, 1))
     elif kind == "swap":
@@ -112,22 +113,44 @@ def simulate(circuit: LogicalCircuit) -> np.ndarray:
     return simulate_gates(circuit.n, circuit.gates)
 
 
-def qaoa_state(table: np.ndarray, params: QaoaParams) -> np.ndarray:
-    """QAOA statevector from the cost diagonal ``table`` over 2**k basis states.
+def qaoa_state(tables: np.ndarray, params) -> np.ndarray:
+    """QAOA statevectors from cost diagonals over 2**k basis states.
 
-    Equals ``simulate(build_qaoa_circuit(g, params))`` for
-    ``table = energy_table(g)``, global phase included: each cost layer is the
-    diagonal phase exp(-i gamma C) and each mixer RX(2 beta) on every qubit,
-    applied in place by :func:`mix`.
+    ``tables`` is one diagonal of shape (2**k,) or a stack of them, shape
+    (C, 2**k); ``params`` is one :class:`QaoaParams`, giving a state of the
+    shape of ``tables``, or a sequence of B of one depth, giving states of
+    shape ``(B, *tables.shape)``.  For ``table = energy_table(g)``,
+    ``qaoa_state(table, params)`` equals
+    ``simulate(build_qaoa_circuit(g, params))``, global phase included: each
+    cost layer is the diagonal phase exp(-i gamma C) and each mixer RX(2 beta)
+    on every qubit, applied in place by :func:`mix`.  Every row gets the
+    arithmetic of a single-point call, so batched and single states are
+    bit-equal.
     """
-    k = table.size.bit_length() - 1
-    psi = np.full(table.size, 2.0 ** (-k / 2), dtype=complex)
-    for gamma, beta in zip(params.gamma, params.beta):
-        psi *= np.exp(-1j * gamma * table)
+    k = tables.shape[-1].bit_length() - 1
+    single = isinstance(params, QaoaParams)
+    points = [params] if single else params
+    if len(points) == 1:  # scalar angles: no broadcast overhead
+        layers = zip(points[0].gamma, points[0].beta)
+        rows = ()
+    else:
+        # (p, B) so that each layer's angles are contiguous, shaped to
+        # broadcast against the tables and against mix's (B, ..., 2, 2**q) view.
+        gammas = np.array([pt.gamma for pt in points]).T.copy()
+        betas = np.array([pt.beta for pt in points]).T.copy()
+        layers = zip(gammas.reshape(-1, len(points), *(1,) * tables.ndim),
+                     betas.reshape(-1, len(points), 1, 1, 1))
+        rows = (len(points),)
+    # The cone axis merges with the high qubits: one mix call serves every cone.
+    psi = np.full((*rows, tables.size), 2.0 ** (-k / 2), dtype=complex)
+    for gamma, beta in layers:
+        factor = -1j * gamma * tables
+        psi *= np.exp(factor, out=factor).reshape(psi.shape)
+        del factor  # at most one state-sized temporary, here or in mix
         c, s = np.cos(beta), -1j * np.sin(beta)
         for q in range(k):
-            mix(psi, k, q, c, s)
-    return psi
+            mix(psi, q, c, s)
+    return psi.reshape(tables.shape if single else (len(points), *tables.shape))
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:

@@ -230,10 +230,10 @@ class TestQaoaStateKernel:
             assert np.max(np.abs(kernel - reference)) <= 1e-12  # no phase alignment
 
 
-def _dyadic_graph(rng, n: int) -> WeightGraph:
+def _dyadic_graph(rng, n: int, density: float = 0.6) -> WeightGraph:
     """Random graph with node fields; multiples of 1/8 keep every sum exact."""
     edges = [(u, v, int(rng.integers(-16, 17)) / 8.0)
-             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+             for u in range(n) for v in range(u + 1, n) if rng.random() < density]
     nodes = [(i, int(rng.integers(-8, 9)) / 8.0) for i in range(n)]
     return WeightGraph(nodes=nodes, edges=edges)
 
@@ -359,9 +359,153 @@ class TestOptimize:
         with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
             optimize(k2_graph, **kwargs)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"p": 1.5}, "p"), ({"p": True}, "p"),
+        ({"grid_size": 2.5}, "grid_size"), ({"grid_size": True}, "grid_size"),
+        ({"max_evals": float("nan")}, "max_evals"), ({"max_evals": 2.5}, "max_evals"),
+        ({"max_evals": True}, "max_evals"),
+        ({"ftol": float("nan")}, "ftol"), ({"ftol": float("inf")}, "ftol"),
+        ({"ftol": -1e-3}, "ftol"),
+        ({"init": "bogus"}, "init"), ({"init": 3}, "init"),
+        ({"init": QaoaParams(gamma=(float("nan"),), beta=(0.1,))}, "init"),
+        ({"init": QaoaParams(gamma=(0.2,), beta=(float("inf"),))}, "init"),
+    ])
+    def test_rejects_malformed_arguments(self, k2_graph, monkeypatch, kwargs, name):
+        import quchain.engine as engine
+
+        def no_evaluation(*args):
+            pytest.fail("optimize evaluated before rejecting its arguments")
+
+        monkeypatch.setattr(engine, "decompose", no_evaluation)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            optimize(k2_graph, **{"grid_size": 4, **kwargs})
+
     def test_trace_rows_shape(self, k2_graph):
         res = optimize(k2_graph, p=1, method="grid", grid_size=8)
         rows = res.trace_rows()
         assert len(rows) == 64
         assert all(len(r) == 4 for r in rows)  # index, gamma, beta, energy
         assert rows[0][0] == 0
+
+
+def _cone_by_cone(g: WeightGraph, params: QaoaParams) -> float:
+    """The light-cone energy one point and one cone at a time: a 1-D kernel
+    call and one dot per cone, summed in cone order.  The observable is the
+    energy table of the cone's own terms, exact for dyadic weights."""
+    energies = []
+    for cone in decompose(g, params.p):
+        pos = {orig: i for i, orig in enumerate(cone.index_map)}
+        fields = {pos[s[0]]: w for s, w in cone.terms if len(s) == 1}
+        terms = WeightGraph(
+            nodes=[(i, fields.get(i, 0.0)) for i in range(cone.subgraph.n)],
+            edges=[(pos[s[0]], pos[s[1]], w) for s, w in cone.terms if len(s) == 2],
+        )
+        state = qaoa_state(energy_table(cone.subgraph), params)
+        energies.append(float(np.abs(state) ** 2 @ energy_table(terms)))
+    return sum(energies)
+
+
+def _mixed_width_graphs():
+    """Seeded sparse dyadic graphs with fields whose cones span several widths."""
+    rng = np.random.default_rng(909)
+    graphs = []
+    while len(graphs) < 6:
+        g = _dyadic_graph(rng, int(rng.integers(6, 11)), density=0.3)
+        if len({c.subgraph.n for c in decompose(g, 1)}) >= 3:
+            graphs.append(g)
+    return graphs
+
+
+class TestBatchedEvaluation:
+    """The width stacks and the batched kernel against the cone-by-cone route."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_batch_equals_cone_by_cone(self, p):
+        import quchain.engine as engine
+
+        rng = np.random.default_rng(70 + p)
+        for g in _mixed_width_graphs():
+            points = [random_qaoa_params(rng, p) for _ in range(9)]
+            reference = [_cone_by_cone(g, pt) for pt in points]
+            assert engine._Objective(g, len(points)).batch(points) == reference
+            assert [expectation_decomposed(g, pt) for pt in points] == reference
+
+    def test_cones_beyond_the_budget_and_small_chunks(self, monkeypatch):
+        import quchain.engine as engine
+
+        rng = np.random.default_rng(77)
+        for g in _mixed_width_graphs():
+            cones = decompose(g, 2)
+            total = sum(16 << c.subgraph.n for c in cones)
+            monkeypatch.setattr(engine, "CONE_CACHE_BYTES", total // 2)
+            cached = [c.cached for c in decompose(g, 2)]
+            assert any(cached) and not all(cached)
+            points = [random_qaoa_params(rng, 2) for _ in range(11)]  # several chunks
+            reference = [_cone_by_cone(g, pt) for pt in points]
+            assert engine._Objective(g, len(points)).batch(points) == reference
+            monkeypatch.undo()
+
+    def test_cones_beyond_the_budget_are_built_one_at_a_time(self, monkeypatch):
+        import tracemalloc
+
+        import quchain.engine as engine
+
+        ring = WeightGraph(
+            nodes=[(i, 0.0) for i in range(40)],
+            edges=[(i, (i + 1) % 40, 1.0 + 0.01 * i) for i in range(40)],
+        )
+        params = QaoaParams(gamma=(0.3,) * 5, beta=(0.2,) * 5)
+        monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 0)
+        cones = decompose(ring, 5)
+        assert len(cones) == 40 and {c.subgraph.n for c in cones} == {12}
+        assert not any(c.cached for c in cones)
+        tracemalloc.start()
+        try:
+            expectation_decomposed(ring, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One 12-qubit cone's arrays (64 KiB) and state with its temporaries
+        # at a time, not the 40 cones' 2.5 MiB of arrays.
+        assert peak < 1 << 20
+
+    def test_budget_ending_mid_grid_matches_the_point_loop(self):
+        g = _mixed_width_graphs()[0]
+        res = optimize(g, p=1, method="grid+simplex", grid_size=8, max_evals=37)
+        gammas = np.linspace(0.0, np.pi, 8, endpoint=False)
+        betas = np.linspace(0.0, np.pi / 2.0, 8, endpoint=False)
+        trace, best = [], None
+        for params in [QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in betas][:37]:
+            e = _cone_by_cone(g, params)
+            trace.append((params, e))
+            if best is None or e < best[1]:
+                best = (params, e)
+        assert res.trace == trace
+        assert (res.params, res.energy) == best
+        assert not res.converged and res.evaluations == 37
+
+    def test_grid_state_stays_within_the_byte_bound(self, monkeypatch):
+        import tracemalloc
+
+        import quchain.engine as engine
+
+        k12 = WeightGraph(
+            nodes=[(i, 0.1 * i) for i in range(12)],
+            edges=[(u, v, 1.0 + 0.01 * (u - v)) for u in range(12) for v in range(u + 1, 12)],
+        )
+        row = 16 << 12  # one point's complex 12-qubit state
+        bound = 4 * row
+        monkeypatch.setattr(engine, "CONE_CACHE_BYTES", bound)
+        tracemalloc.start()
+        try:
+            res = optimize(k12, p=1, method="grid", grid_size=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == 64  # sixteen chunks of four rows
+        # The chunk's states and one temporary of their size (the phase factor
+        # or mix's flipped copy), plus a fixed slack: the cone's table and
+        # observable (one row), NumPy's iterator buffers (two operands of
+        # 8192 complex elements, 256 KiB) and 128 KiB of trace and
+        # bookkeeping.  All 64 rows at once would hold 4 MiB of state.
+        assert peak <= 2 * bound + row + (256 << 10) + (128 << 10)
