@@ -17,7 +17,7 @@ block each, built once per depth within a memory budget.
 :func:`~quchain.simulator.qaoa_state` runs once per width and batch of
 points: one diagonal phase per cost layer and in-place 2x2 rotations for the
 mixer.  There is one evaluator: the p=1 grid is one gamma-major batch, cut
-into chunks whose states fit in the same budget; simplex and interpolation
+into chunks whose states fit in ``CHUNK_BYTES``; simplex and interpolation
 steps are batches of one, and :func:`expectation_decomposed` is one too.
 Each (point, cone) energy is its own dot product and each point sums its
 cones in cone order, so a batched energy is bit-equal to the point alone.
@@ -42,6 +42,10 @@ DEFAULT_MAX_EVALS = 20000
 #: Memory the light cones of one decomposition may keep their cost diagonal
 #: and observable in; cones beyond it rebuild both on every evaluation.
 CONE_CACHE_BYTES = 1 << 26
+#: State bytes one kernel call may hold for a batch of points (at least one
+#: point; never more than ``CONE_CACHE_BYTES``).  Chunks of a few MiB stay in
+#: the CPU cache: a 64 MiB chunk made the default p=1 grid slower.
+CHUNK_BYTES = 1 << 21
 
 
 def _terms(g: WeightGraph) -> list[tuple[tuple[int, ...], float]]:
@@ -49,13 +53,12 @@ def _terms(g: WeightGraph) -> list[tuple[tuple[int, ...], float]]:
     return [((u, v), w) for u, v, w in g.edges] + [((i,), w) for i, w in g.nodes if w != 0.0]
 
 
-def _diagonal(n: int, terms, out: np.ndarray | None = None) -> np.ndarray:
+def _diagonal(n: int, terms) -> np.ndarray:
     """Sum over ``terms`` of weight * prod_{q in support} z_q for every basis state.
 
-    Each term is one broadcast add over the ``[2] * n`` view of the result,
-    which is ``out`` (zero on entry) when given.
+    Each term is one broadcast add over the ``[2] * n`` view of the result.
     """
-    diag = np.zeros(1 << n) if out is None else out
+    diag = np.zeros(1 << n)
     view = diag.reshape([2] * n)
     for support, w in terms:
         view += w * spin_product(n, support)
@@ -146,8 +149,8 @@ def _blocks(cones: list[LightCone]) -> tuple[np.ndarray, np.ndarray]:
     for row, cone in enumerate(cones):
         pos = {orig: i for i, orig in enumerate(cone.index_map)}
         local = [(tuple(pos[s] for s in support), w) for support, w in cone.terms]
-        _diagonal(n, _terms(cone.subgraph), out=tables[row])
-        _diagonal(n, local, out=observables[row])
+        tables[row] = _diagonal(n, _terms(cone.subgraph))
+        observables[row] = _diagonal(n, local)
     return tables, observables.reshape(len(cones), 1 << n, 1)
 
 
@@ -185,19 +188,21 @@ class _ConeStacks:
         """<H_C> at each of ``points``, all of one depth.
 
         Points go through the kernel in chunks whose states fit in
-        ``CONE_CACHE_BYTES``, one call per stack and chunk.  Each (point,
+        ``CHUNK_BYTES`` and ``CONE_CACHE_BYTES``, one call per stack and
+        chunk; without cones every energy is 0.0.  Each (point,
         cone) energy is its own dot product, and each point's energies are
         summed with ``sum`` in cone order, so every result is bit-equal to
         evaluating the point alone, cone by cone.
         """
-        rows = max(1, CONE_CACHE_BYTES // self.row_bytes)
+        cap = min(CONE_CACHE_BYTES, CHUNK_BYTES)
+        rows = max(1, cap // self.row_bytes) if self.row_bytes else len(points)
         out: list[float] = []
         for start in range(0, len(points), rows):
             chunk = points[start:start + rows]
             per_cone = np.empty((len(chunk), self.size))
             for at, members, blocks in self.stacks:
                 per_cone[:, at] = _stack_energies(*(blocks or _blocks(members)), chunk)
-            out += [sum(energies) for energies in per_cone.tolist()]
+            out += [float(sum(energies)) for energies in per_cone.tolist()]
         return out
 
 
@@ -287,10 +292,11 @@ def _grid_search(obj: _Objective, grid_size: int) -> bool:
     False if the budget ran out before its end."""
     gammas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
     betas = np.linspace(0.0, np.pi / 2.0, grid_size, endpoint=False)
-    points = [QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in betas]
     left = obj.max_evals - len(obj.trace)
-    obj.batch(points[:left])
-    return left >= len(points)
+    points = [QaoaParams(gamma=(gammas[i // grid_size],), beta=(betas[i % grid_size],))
+              for i in range(min(left, grid_size * grid_size))]
+    obj.batch(points)
+    return left >= grid_size * grid_size
 
 
 def _simplex(obj: _Objective, start: QaoaParams, ftol: float) -> tuple[bool, QaoaParams]:

@@ -292,6 +292,22 @@ class TestOptimize:
         assert res.params.gamma == pytest.approx(init.gamma, abs=1e-9)
         assert res.params.beta == pytest.approx(init.beta, abs=1e-9)
 
+    def test_edgeless_zero_graph_has_no_cones_and_zero_energy(self):
+        g = WeightGraph(nodes=[(0, 0.0)], edges=[])
+        assert decompose(g, 1) == []
+        e = expectation_decomposed(g, QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        assert e == 0.0 and isinstance(e, float)
+        res = optimize(g, p=2, grid_size=4)
+        assert res.energy == 0.0 and isinstance(res.energy, float)
+        assert all(isinstance(e, float) for _, e in res.trace)
+
+    def test_large_grid_builds_only_the_points_in_budget(self, k2_graph):
+        res = optimize(k2_graph, p=1, method="grid", grid_size=20000, max_evals=100)
+        betas = np.linspace(0.0, np.pi / 2.0, 20000, endpoint=False)[:100]
+        assert res.evaluations == 100 and not res.converged
+        assert [params for params, _ in res.trace] == [
+            QaoaParams(gamma=(0.0,), beta=(bt,)) for bt in betas]
+
     def test_deterministic_under_seed(self, k2_graph):
         a = optimize(k2_graph, p=1, method="grid+simplex", seed=5)
         b = optimize(k2_graph, p=1, method="grid+simplex", seed=5)
@@ -484,7 +500,8 @@ class TestBatchedEvaluation:
         assert (res.params, res.energy) == best
         assert not res.converged and res.evaluations == 37
 
-    def test_grid_state_stays_within_the_byte_bound(self, monkeypatch):
+    @pytest.mark.parametrize("cap", ["CONE_CACHE_BYTES", "CHUNK_BYTES"])
+    def test_grid_state_stays_within_the_byte_bound(self, monkeypatch, cap):
         import tracemalloc
 
         import quchain.engine as engine
@@ -495,7 +512,7 @@ class TestBatchedEvaluation:
         )
         row = 16 << 12  # one point's complex 12-qubit state
         bound = 4 * row
-        monkeypatch.setattr(engine, "CONE_CACHE_BYTES", bound)
+        monkeypatch.setattr(engine, cap, bound)  # the smaller cap sets the chunk
         tracemalloc.start()
         try:
             res = optimize(k12, p=1, method="grid", grid_size=8)
