@@ -54,7 +54,7 @@ class LogicalCircuit:
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """Variational angles, one (gamma, beta) pair per layer."""
+    """Variational angles, one (gamma, beta) pair per layer, all finite."""
 
     gamma: tuple[float, ...]
     beta: tuple[float, ...]
@@ -62,8 +62,11 @@ class QaoaParams:
     def __post_init__(self):
         if len(self.gamma) != len(self.beta) or not self.gamma:
             raise ValueError("gamma and beta must have equal, nonzero length")
-        object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
-        object.__setattr__(self, "beta", tuple(float(x) for x in self.beta))
+        for name in ("gamma", "beta"):
+            angles = tuple(float(x) for x in getattr(self, name))
+            if not all(map(math.isfinite, angles)):
+                raise ValueError(f"{name} angles must be finite, got {angles}")
+            object.__setattr__(self, name, angles)
 
     @property
     def p(self) -> int:

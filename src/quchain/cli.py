@@ -125,10 +125,12 @@ def _load_params(args, p: int | None) -> QaoaParams:
 
 
 def _pick_chain(args, k: int):
+    """The best k-chain; the sweep finishes each length before the next, so a
+    library built only to k holds the same chain as one built to the chip."""
     if not args.calib:
         return None
     chip = load_calibration(args.calib)
-    lib = build_subchain_library(chip)
+    lib = build_subchain_library(chip, max_len=min(max(2, k), chip.n))
     return select_subchain(lib, max(2, k))
 
 

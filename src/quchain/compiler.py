@@ -10,17 +10,17 @@ four-step pattern (i = 0, 1, 2, ...):
 
 Repeating the block brings every pair of initially-placed qubits adjacent in
 exactly one RZZ layer; the full pattern takes 2n-2 cycles for even n and
-2n-1 for odd n.  Because the pattern is fixed, the cycle at which any two
-initial positions meet is a pure function of n (the ExeR table), which turns
-initial-mapping selection into a search problem: place high-degree vertices
-so that the last graph edge meets as early as possible, then truncate the
-template after that cycle.
+2n-1 for odd n.  Because the pattern is fixed, where any two initial
+positions meet, cycle and chain pair, is a pure function of n (the ExeR
+table).  Mapping selection searches it so that the last graph edge meets as
+early as possible, and ``schedule`` reads every edge's RZZ slot from it.
 
-``compile_graph`` emits the schedule in one pass as native CNOT/RZ gates on
-the chain's wires, merging an RZZ and a SWAP on one pair into three CNOTs
-(Jin et al., "A structured method for compilation of QAOA circuits in
+``compile_graph`` expands the schedule in one pass into native CNOT/RZ gates
+on the chain's wires, merging an RZZ and a SWAP on one pair into three
+CNOTs (Jin et al., "A structured method for compilation of QAOA circuits in
 quantum computing", arXiv:2112.06143).  ``decompose_gates`` followed by the
-``optimize_circuit`` peephole pass is the reference it is tested against.
+``optimize_circuit`` peephole pass is its tested reference; one
+as-soon-as-possible placer packs the gates of both into cycles.
 """
 
 from __future__ import annotations
@@ -83,10 +83,15 @@ def build_template(n: int) -> Template:
 
 @dataclass(frozen=True, eq=False)
 class ExeRTable:
-    """Cycle (1-based) at which two initial positions meet for their RZZ."""
+    """Where two initial positions meet for their RZZ.
+
+    ``table[i, j]`` is the (1-based) cycle and ``where[i, j]`` the lower
+    chain position of the template pair on which positions i and j meet.
+    """
 
     n: int
     table: np.ndarray  # (n, n) int64, symmetric, zero diagonal
+    where: np.ndarray  # (n, n) int64, symmetric, zero diagonal
 
     def cycle(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -94,19 +99,19 @@ class ExeRTable:
 
 @lru_cache(maxsize=256)
 def build_exer_table(n: int) -> ExeRTable:
-    """Simulate the template layer by layer and record every meeting cycle."""
-    tpl = build_template(n)
+    """Simulate the template layer by layer and record every meeting."""
     table = np.zeros((n, n), dtype=np.int64)
+    where = np.zeros((n, n), dtype=np.int64)
     item = list(range(n))  # position -> initially-placed index
-    for cycle, layer in enumerate(tpl.layers, start=1):
-        if layer.kind == "rzz":
-            for a, b in layer.pairs:
-                table[item[a], item[b]] = cycle
-                table[item[b], item[a]] = cycle
-        else:
-            for a, b in layer.pairs:
-                item[a], item[b] = item[b], item[a]
-    return ExeRTable(n=n, table=table)
+    for cycle, layer in enumerate(build_template(n).layers, start=1):
+        for a, b in layer.pairs:
+            i, j = item[a], item[b]
+            if layer.kind == "rzz":
+                table[i, j] = table[j, i] = cycle
+                where[i, j] = where[j, i] = a
+            else:
+                item[a], item[b] = j, i
+    return ExeRTable(n=n, table=table, where=where)
 
 
 def search_initial_mapping(
@@ -203,13 +208,13 @@ def schedule(
 ) -> ScheduledCircuit:
     """Place the QAOA circuit onto the template under an initial mapping.
 
-    Layer 1 inserts RZZ(2*gamma_1*J_uv) at the cycle where (u, v) meet and
-    keeps every SWAP layer up to the last inserted RZZ; everything after is
-    truncated.  Bias rotations RZ(2*gamma_k*h_i) go at each cost block's
-    first cycle on the logical qubit's current position (they commute with
-    the diagonal block).  Even-indexed blocks replay the retained cycles in
-    exact reverse with their own angle, so the chain permutation cancels
-    pairwise and the final layout is the identity for even p.
+    Edge (u, v) gets RZZ(2*gamma*J_uv) at ExeR cycle ``table[m_u, m_v]`` on
+    the pair at ``where[m_u, m_v]``, in position order within a cycle;
+    cycles after the last RZZ are truncated.  Bias rotations RZ(2*gamma*h_i)
+    open each cost block on the qubit's current position (they commute with
+    the diagonal block).  Odd blocks run the retained cycles from
+    ``mapping`` to ``moved``; even blocks replay them in reverse with their
+    own angle, back to ``mapping``, which is the final layout for even p.
     """
     k = g.n
     mapping = tuple(int(m) for m in mapping)
@@ -219,67 +224,46 @@ def schedule(
     if any(not 0 <= m < n for m in mapping):
         raise ValueError("mapping position out of range")
 
-    # Walk the template once, recording which graph edges meet at each cycle.
+    meet: dict[int, list[tuple[int, float]]] = {}  # cycle -> [(position, J)]
+    if g.edges:
+        exer = build_exer_table(n)
+        us, vs, ws = zip(*g.edges)
+        ends = np.take(mapping, us), np.take(mapping, vs)
+        for cycle, pos, w in zip(exer.table[ends].tolist(), exer.where[ends].tolist(), ws):
+            meet.setdefault(cycle, []).append((pos, w))
+    last_rzz = max(meet, default=0)
+
     retained: list[tuple[str, list]] = []
-    last_rzz = 0
-    if n >= 2 and g.edges:
-        tpl = build_template(n)
-        edge_w = {(u, v): w for u, v, w in g.edges}
-        log_at = [-1] * n
-        for logical, pos in enumerate(mapping):
-            log_at[pos] = logical
-        cycles: list[tuple[str, list]] = []
-        for cycle, layer in enumerate(tpl.layers, start=1):
-            if layer.kind == "rzz":
-                hits = []
-                for a, b in layer.pairs:
-                    u, v = log_at[a], log_at[b]
-                    if u == -1 or v == -1:
-                        continue
-                    w = edge_w.get((min(u, v), max(u, v)))
-                    if w is not None:
-                        hits.append((a, b, w))
-                cycles.append(("rzz", hits))
-                if hits:
-                    last_rzz = cycle
-            else:
-                cycles.append(("swap", list(layer.pairs)))
-                for a, b in layer.pairs:
-                    log_at[a], log_at[b] = log_at[b], log_at[a]
-        retained = cycles[:last_rzz]
+    item = list(range(n))  # chain position -> the initial position it holds
+    template = build_template(n).layers[:last_rzz] if last_rzz else ()
+    for cycle, layer in enumerate(template, start=1):
+        if layer.kind == "swap":
+            retained.append(("swap", layer.pairs))
+            for a, b in layer.pairs:
+                item[a], item[b] = item[b], item[a]
+        elif cycle in meet:
+            retained.append(("rzz", sorted(meet[cycle])))
+    moved_to = {i: pos for pos, i in enumerate(item)}
+    moved = tuple(moved_to[m] for m in mapping)
 
     layers: list[list[Gate]] = [[Gate("h", (mapping[l],)) for l in range(k)]]
-    pos_of = list(mapping)
-
-    def run_block(block_cycles, gamma):
-        for kind, items in block_cycles:
-            if kind == "rzz":
-                if items:
-                    layers.append(
-                        [Gate("rzz", (a, b), 2.0 * gamma * w) for a, b, w in items]
-                    )
-            else:
-                layers.append([Gate("swap", (a, b)) for a, b in items])
-                inv = {p_: l for l, p_ in enumerate(pos_of)}
-                for a, b in items:
-                    la, lb = inv.get(a), inv.get(b)
-                    if la is not None:
-                        pos_of[la] = b
-                    if lb is not None:
-                        pos_of[lb] = a
-
     biased = [(i, w) for i, w in g.nodes if w != 0.0]
     for block in range(1, params.p + 1):
         gamma, beta = params.gamma[block - 1], params.beta[block - 1]
+        start, end = (mapping, moved) if block % 2 == 1 else (moved, mapping)
         if biased:
-            layers.append([Gate("rz", (pos_of[i],), 2.0 * gamma * w) for i, w in biased])
-        run_block(retained if block % 2 == 1 else list(reversed(retained)), gamma)
-        layers.append([Gate("rx", (pos_of[l],), 2.0 * beta) for l in range(k)])
+            layers.append([Gate("rz", (start[i],), 2.0 * gamma * w) for i, w in biased])
+        for kind, items in retained if block % 2 == 1 else reversed(retained):
+            if kind == "rzz":
+                layers.append([Gate("rzz", (a, a + 1), 2.0 * gamma * w) for a, w in items])
+            else:
+                layers.append([Gate("swap", pair) for pair in items])
+        layers.append([Gate("rx", (end[l],), 2.0 * beta) for l in range(k)])
 
     return ScheduledCircuit(
         n=n,
         layers=layers,
-        final_layout=tuple(pos_of),
+        final_layout=end,
         cost_cycles=params.p * last_rzz,
         last_rzz_cycle=last_rzz,
     )
@@ -404,24 +388,27 @@ def optimize_circuit(pc: PhysicalCircuit) -> PhysicalCircuit:
         for q in gate.qubits:
             last[q] = len(kept) - 1
 
-    cycles: list[list[Gate]] = []
-    front: dict[int, int] = {}
-    for gate, _, alive in kept:
-        if not alive:
-            continue
-        c = 1 + max((front.get(q, 0) for q in gate.qubits), default=0)
-        while len(cycles) < c:
-            cycles.append([])
-        cycles[c - 1].append(gate)
-        for q in gate.qubits:
-            front[q] = c
     return PhysicalCircuit(
         n=pc.n,
-        cycles=cycles,
+        cycles=_asap(pc.n, (gate for gate, _, alive in kept if alive)),
         final_layout=pc.final_layout,
         scheduled_cost_cycles=pc.scheduled_cost_cycles,
         initial_mapping=pc.initial_mapping,
     )
+
+
+def _asap(n: int, gates) -> list[list[Gate]]:
+    """Place each gate, in order, in the first cycle after its wires' latest gate."""
+    cycles: list[list[Gate]] = []
+    front = [0] * n  # per wire: the cycle after its latest gate
+    for gate in gates:
+        a, b = gate.qubits[0], gate.qubits[-1]  # b == a for a one-qubit gate
+        c = front[a] if front[a] > front[b] else front[b]
+        if c == len(cycles):
+            cycles.append([])
+        cycles[c].append(gate)
+        front[a] = front[b] = c + 1
+    return cycles
 
 
 def _chain_wires(chain, k: int) -> tuple[int, ...]:
@@ -464,53 +451,41 @@ def compile_graph(
     second are left out, so RZZ+SWAP costs three CNOTs.  These are exactly
     the pairs ``optimize_circuit`` cancels on ``decompose_gates``' output:
     every block ends with an RX on every wire, and the schedule never puts a
-    pair into two consecutive layers of one kind.  Gates are placed as soon
-    as possible in stream order, as ``optimize_circuit`` reschedules them.
+    pair into two consecutive layers of one kind.  The gate stream is packed
+    by the placer ``optimize_circuit`` also uses: each gate, in order, goes
+    in the first cycle after its wires' latest gate.
     """
     wires = _chain_wires(chain, g.n)
     mapping, _ = search_initial_mapping(g, g.n, b_max)
     sched = schedule(g, mapping, params, n_positions=g.n)
 
-    cycles: list[list[Gate]] = []
-    front = [0] * sched.n  # per position: the cycle of its latest gate
-
-    def one(kind, q, angle=None):
-        c = front[q]
-        if c == len(cycles):
-            cycles.append([])
-        cycles[c].append(Gate(kind, (wires[q],), angle))
-        front[q] = c + 1
-
     def cnot(a, b):
-        c = front[a] if front[a] > front[b] else front[b]
-        if c == len(cycles):
-            cycles.append([])
-        cycles[c].append(Gate("cnot", (wires[a], wires[b])))
-        front[a] = front[b] = c + 1
+        return Gate("cnot", (wires[a], wires[b]))
 
+    stream: list[Gate] = []
     pairs = [{gt.qubits for gt in layer if len(gt.qubits) == 2} for layer in sched.layers]
     pairs.append(set())  # also pairs[-1], the first layer's empty predecessor
     for i, layer in enumerate(sched.layers):
         if not pairs[i]:
             for gt in layer:
-                one(gt.kind, gt.qubits[0], gt.angle)
+                stream.append(Gate(gt.kind, (wires[gt.qubits[0]],), gt.angle))
             continue
         before, after = pairs[i] & pairs[i - 1], pairs[i] & pairs[i + 1]
         for gt in layer:
             if gt.qubits not in before:
-                cnot(*gt.qubits)
+                stream.append(cnot(*gt.qubits))
         for gt in layer:
             a, b = gt.qubits
             if gt.kind == "rzz":
-                one("rz", b, gt.angle)
+                stream.append(Gate("rz", (wires[b],), gt.angle))
             else:
-                cnot(b, a)
+                stream.append(cnot(b, a))
         for gt in layer:
             if gt.qubits not in after:
-                cnot(*gt.qubits)
+                stream.append(cnot(*gt.qubits))
     return PhysicalCircuit(
         n=max(wires) + 1,
-        cycles=cycles,
+        cycles=_asap(max(wires) + 1, stream),
         final_layout=tuple(wires[p_] for p_ in sched.final_layout),
         scheduled_cost_cycles=sched.cost_cycles,
         initial_mapping=mapping,

@@ -354,11 +354,8 @@ def optimize(
     if not (init is None or isinstance(init, QaoaParams)
             or isinstance(init, str) and init in ("interp", "random")):
         raise ValueError(f"init must be None, 'interp', 'random' or QaoaParams, got {init!r}")
-    if isinstance(init, QaoaParams):
-        if init.p != p:
-            raise ValueError(f"init has depth {init.p}, requested p={p}")
-        if not all(math.isfinite(x) for x in init.flat()):
-            raise ValueError(f"init angles must be finite, got {init.flat()}")
+    if isinstance(init, QaoaParams) and init.p != p:
+        raise ValueError(f"init has depth {init.p}, requested p={p}")
     if isinstance(init, QaoaParams) or init == "random":
         depth = p
         start = init if isinstance(init, QaoaParams) else random_params(p, seed)

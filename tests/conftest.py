@@ -10,8 +10,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quchain import QaoaParams, WeightGraph, qubo_from_maxcut, weight_graph_from_qubo
+
+# Property tests draw the same examples on every run and keep no example
+# database; a test's own ``settings`` only choose how many it draws.
+settings.register_profile("quchain", derandomize=True, database=None, deadline=None)
+settings.load_profile("quchain")
 
 DEMO6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 4), (1, 3)]
 

@@ -3,11 +3,21 @@
 import csv
 import importlib.resources
 import json
+from argparse import Namespace
 
 import pytest
 
-from quchain import TaskService, WeightGraph, parse, write_graph
-from quchain.cli import main
+from quchain import (
+    CapacityError,
+    TaskService,
+    WeightGraph,
+    build_subchain_library,
+    load_calibration,
+    parse,
+    select_subchain,
+    write_graph,
+)
+from quchain.cli import _pick_chain, main
 
 from conftest import DEMO6_EDGES
 
@@ -120,6 +130,22 @@ class TestCompile:
         assert "depth" in printed and "cnot_count" in printed
         layout = json.loads(layout_out.read_text())
         assert sorted(layout["logical_to_physical"]) == list(range(6))
+
+    @pytest.mark.parametrize("calib,ks", [
+        ("chain18.json", (1, 2, 3, 7, 17, 18, 19)),
+        ("grid136.json", (1, 2, 10, 30, 64, 100, 136, 137)),
+    ])
+    def test_picked_chain_is_the_full_library_head(self, calib, ks):
+        path = fixture_path(calib)
+        full = build_subchain_library(load_calibration(path))
+        for k in ks:
+            try:
+                want = select_subchain(full, max(2, k))
+            except CapacityError as exc:
+                with pytest.raises(CapacityError, match=f"^{exc}$"):
+                    _pick_chain(Namespace(calib=path), k)
+            else:
+                assert _pick_chain(Namespace(calib=path), k) == want
 
     def test_chip_too_small(self, demo6_file, tmp_path, capsys):
         calib = tmp_path / "tiny.json"

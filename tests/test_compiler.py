@@ -1,5 +1,6 @@
 """Template, ExeR table, mapping search, scheduling and peephole passes."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -29,9 +30,31 @@ from quchain import (
 from conftest import random_graph, random_qaoa_params
 from oracles import exhaustive_best_mapping
 
+# seed -> digest of ``schedule`` on a seeded graph with fields, a chain of
+# g.n to g.n + 3 positions and a shuffled mapping (see TestSchedule)
+WIDE_SCHEDULES = {
+    0: '593f2eb637e54703',
+    1: 'ef84699d2e09470e',
+    2: '404435f352c9ec95',
+    3: 'e89f4a0c9d5dce51',
+    4: 'b4659cc2a4a341cc',
+    5: '8ac0e0fbefe5af3e',
+    6: 'c164c74dbe98395c',
+    7: '4192dd39e8d9a33c',
+    8: '46151429622b8008',
+    9: 'c87428324eed3598',
+    10: '7e071f0865dc2ff9',
+    11: '8843d289102f4944',
+    12: '97e72c65bbb6103d',
+    13: '6cb6e4452f68bf84',
+    14: '908a45bcddcdee26',
+    15: 'ec6f324a9cf9fc05',
+}
+
 
 def rzz_meetings(template):
-    """Independent re-simulation of the pattern: pair -> 1-based cycle."""
+    """Independent re-simulation of the pattern: pair -> (1-based cycle,
+    lower chain position of the template pair it meets on)."""
     item = list(range(template.n))
     met = {}
     for cycle, layer in enumerate(template.layers, start=1):
@@ -39,7 +62,7 @@ def rzz_meetings(template):
             for a, b in layer.pairs:
                 key = (min(item[a], item[b]), max(item[a], item[b]))
                 assert key not in met, f"pair {key} met twice"
-                met[key] = cycle
+                met[key] = (cycle, min(a, b))
         else:
             for a, b in layer.pairs:
                 item[a], item[b] = item[b], item[a]
@@ -102,11 +125,13 @@ class TestExeRTable:
                     assert 1 <= ex.cycle(a, b) <= bound
 
     def test_matches_independent_simulation(self):
-        for n in range(2, 11):
+        for n in range(2, 13):
             met = rzz_meetings(build_template(n))
             ex = build_exer_table(n)
-            for (a, b), cycle in met.items():
+            assert (ex.where == ex.where.T).all()
+            for (a, b), (cycle, pos) in met.items():
                 assert ex.cycle(a, b) == cycle
+                assert ex.where[a, b] == pos
 
 
 class TestMappingSearch:
@@ -222,6 +247,21 @@ class TestSchedule:
         assert len(rz_layers) == 2  # one bias layer per cost block
         # first block: node 0 still at its initial position
         assert rz_layers[0][0].qubits == (mapping[0],)
+
+    @pytest.mark.parametrize("seed", list(WIDE_SCHEDULES))
+    def test_wider_chain_and_shuffled_mapping_match_digest(self, seed):
+        """``n_positions`` above ``g.n``: digests recorded before the table-driven rewrite."""
+        rng = np.random.default_rng([10, seed])
+        g = random_graph(rng, 2, 12)
+        params = random_qaoa_params(rng, 1 + seed % 3)
+        n = g.n + seed % 4
+        mapping = tuple(int(m) for m in rng.permutation(n)[: g.n])
+        sched = schedule(g, mapping, params, n_positions=n)
+        text = repr((
+            [[(gt.kind, gt.qubits, gt.angle) for gt in layer] for layer in sched.layers],
+            sched.n, sched.final_layout, sched.cost_cycles, sched.last_rzz_cycle,
+        ))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == WIDE_SCHEDULES[seed]
 
 
 class TestGateDecomposition:

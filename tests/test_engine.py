@@ -383,8 +383,6 @@ class TestOptimize:
         ({"ftol": float("nan")}, "ftol"), ({"ftol": float("inf")}, "ftol"),
         ({"ftol": -1e-3}, "ftol"),
         ({"init": "bogus"}, "init"), ({"init": 3}, "init"),
-        ({"init": QaoaParams(gamma=(float("nan"),), beta=(0.1,))}, "init"),
-        ({"init": QaoaParams(gamma=(0.2,), beta=(float("inf"),))}, "init"),
     ])
     def test_rejects_malformed_arguments(self, k2_graph, monkeypatch, kwargs, name):
         import quchain.engine as engine
@@ -395,6 +393,14 @@ class TestOptimize:
         monkeypatch.setattr(engine, "decompose", no_evaluation)
         with pytest.raises(ValueError, match=f"^{name} "):
             optimize(k2_graph, **{"grid_size": 4, **kwargs})
+
+    @pytest.mark.parametrize("gamma,beta,name", [
+        ((float("nan"),), (0.1,), "gamma"), ((0.2,), (float("inf"),), "beta"),
+        ((0.2, float("-inf")), (0.1, 0.3), "gamma"),
+    ])
+    def test_params_reject_non_finite_angles(self, gamma, beta, name):
+        with pytest.raises(ValueError, match=f"^{name} angles must be finite"):
+            QaoaParams(gamma=gamma, beta=beta)
 
     def test_trace_rows_shape(self, k2_graph):
         res = optimize(k2_graph, p=1, method="grid", grid_size=8)

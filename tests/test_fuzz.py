@@ -2,7 +2,7 @@
 
 Malformed input may only raise :class:`ParseError`; anything else escaping
 is a bug.  Inputs that once escaped are kept as explicit examples.  Runs are
-derandomized so the suite is deterministic.
+derandomized by the suite's hypothesis profile (``conftest.py``).
 """
 
 import json
@@ -21,7 +21,7 @@ from quchain import (
     parse,
 )
 
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+FUZZ = settings(max_examples=100)
 
 _DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit of json.loads
 _LONG_INT = "1" + "0" * 5000  # past Python's integer-conversion digit limit
@@ -119,7 +119,7 @@ def _gate_bits(pc):
             for g in pc.gates()]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(_compiled_circuits())
 def test_parse_emit_round_trip_is_exact(pc):
     back = parse(emit(pc))

@@ -131,7 +131,7 @@ def weight_graphs(draw):
 
 
 @given(weight_graphs())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_round_trip_is_identity_on_canonical_form(g):
     text = dumps_graph(g)
     g2 = loads_graph(text)

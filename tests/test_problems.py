@@ -31,7 +31,7 @@ def test_qubo_symmetrizes_and_validates():
 
 
 @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_symmetrization_preserves_objective(n, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, n))
@@ -186,7 +186,7 @@ class TestIsingConversion:
         assert g.energy([1]) + g.offset == pytest.approx(1.0)
 
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_energy_identity_random(self, n, seed):
         rng = np.random.default_rng(seed)
         qubo = QuboMatrix(q=rng.normal(size=(n, n)), offset=float(rng.normal()))
