@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -87,6 +87,8 @@ class ExeRTable:
 
     ``table[i, j]`` is the (1-based) cycle and ``where[i, j]`` the lower
     chain position of the template pair on which positions i and j meet.
+    Both arrays are read-only: ``build_exer_table`` hands one instance to
+    every caller in the process.
     """
 
     n: int
@@ -111,7 +113,18 @@ def build_exer_table(n: int) -> ExeRTable:
                 where[i, j] = where[j, i] = a
             else:
                 item[a], item[b] = j, i
+    table.setflags(write=False)
+    where.setflags(write=False)
     return ExeRTable(n=n, table=table, where=where)
+
+
+def _cost_dtype(n: int):
+    """Integer type for the mapping search's costs on an n-position chain.
+
+    Costs never exceed the sentinel 10n+7.  int16 holds it up to n = 3,276,
+    and NumPy's stable sort is a radix sort for integers of 16 bits or fewer.
+    """
+    return np.int16 if 10 * n + 7 <= np.iinfo(np.int16).max else np.int64
 
 
 def search_initial_mapping(
@@ -138,27 +151,28 @@ def search_initial_mapping(
         raise ValueError("b_max must be at least 1")
     if n == 1:
         return (0,), 0
-    exer = build_exer_table(n).table
-    sentinel = np.int64(10 * n + 7)
+    dtype = _cost_dtype(n)
+    exer = build_exer_table(n).table.astype(dtype)
+    sentinel = dtype(10 * n + 7)
 
     adj = g.adjacency()
     order = sorted(range(k), key=lambda v: (-len(adj[v]), v))
     maps = np.full((1, k), -1, dtype=np.int32)
-    costs = np.zeros(1, dtype=np.int64)
+    costs = np.zeros(1, dtype=dtype)
     mapped: list[int] = []
     mapped_set: set[int] = set()
     for q in order:
         mnbrs = [m for m in adj[q] if m in mapped_set]
         pcount = maps.shape[0]
         if mnbrs:
-            cand = np.empty((pcount, n), dtype=np.int64)
+            cand = np.empty((pcount, n), dtype=dtype)
             cols = maps[:, mnbrs].astype(np.int64)
             chunk = max(1, 4_000_000 // max(1, n * len(mnbrs)))
             for s in range(0, pcount, chunk):
                 e = min(pcount, s + chunk)
                 cand[s:e] = exer[:, cols[s:e]].max(axis=2).T
         else:
-            cand = np.zeros((pcount, n), dtype=np.int64)
+            cand = np.zeros((pcount, n), dtype=dtype)
         np.maximum(cand, costs[:, None], out=cand)
         if mapped:
             occupied = maps[:, mapped].astype(np.int64)
@@ -234,11 +248,14 @@ def schedule(
     last_rzz = max(meet, default=0)
 
     retained: list[tuple[str, list]] = []
+    swaps: dict[tuple, list[Gate]] = {}  # the template repeats two SWAP layers
     item = list(range(n))  # chain position -> the initial position it holds
     template = build_template(n).layers[:last_rzz] if last_rzz else ()
     for cycle, layer in enumerate(template, start=1):
         if layer.kind == "swap":
-            retained.append(("swap", layer.pairs))
+            if layer.pairs not in swaps:
+                swaps[layer.pairs] = [Gate("swap", pair) for pair in layer.pairs]
+            retained.append(("swap", swaps[layer.pairs]))
             for a, b in layer.pairs:
                 item[a], item[b] = item[b], item[a]
         elif cycle in meet:
@@ -257,7 +274,7 @@ def schedule(
             if kind == "rzz":
                 layers.append([Gate("rzz", (a, a + 1), 2.0 * gamma * w) for a, w in items])
             else:
-                layers.append([Gate("swap", pair) for pair in items])
+                layers.append(list(items))
         layers.append([Gate("rx", (end[l],), 2.0 * beta) for l in range(k)])
 
     return ScheduledCircuit(
@@ -277,6 +294,11 @@ class PhysicalCircuit:
     SWAP permutations; measuring it into classical bit ``l`` hides the chain
     permutation from downstream decoders.  ``depth`` is dependency-DAG depth
     with unit gate cost, independent of how cycles happen to be packed.
+
+    Gates are frozen, so one ``Gate`` may sit in many cycles.  Construction
+    checks every gate's kind and wires and every cycle for a wire used twice;
+    a circuit from the ASAP placer also records its depth then.  To change
+    the cycles, build a new circuit.
     """
 
     n: int
@@ -284,20 +306,24 @@ class PhysicalCircuit:
     final_layout: tuple[int, ...]
     scheduled_cost_cycles: int | None = None
     initial_mapping: tuple[int, ...] | None = None
+    # set by ``_asap``, whose packing has the dependency depth as its cycle count
+    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.final_layout = tuple(int(x) for x in self.final_layout)
         for c, cycle in enumerate(self.cycles):
-            seen: set[int] = set()
+            # a Gate's own operands are distinct, so a one-gate cycle reuses none
+            seen: set[int] | None = set() if len(cycle) > 1 else None
             for gate in cycle:
                 if gate.kind not in ("h", "rx", "rz", "cnot"):
                     raise ValueError(f"physical circuits cannot hold {gate.kind!r}")
                 for q in gate.qubits:
                     if not 0 <= q < self.n:
                         raise ValueError(f"wire {q} outside register of {self.n}")
-                    if q in seen:
-                        raise ValueError(f"wire {q} used twice in cycle {c}")
-                    seen.add(q)
+                    if seen is not None:
+                        if q in seen:
+                            raise ValueError(f"wire {q} used twice in cycle {c}")
+                        seen.add(q)
 
     @property
     def n_logical(self) -> int:
@@ -317,6 +343,8 @@ class PhysicalCircuit:
 
     @property
     def depth(self) -> int:
+        if self._depth is not None:
+            return self._depth
         front: dict[int, int] = {}
         depth = 0
         for gate in self.gates():
@@ -388,17 +416,21 @@ def optimize_circuit(pc: PhysicalCircuit) -> PhysicalCircuit:
         for q in gate.qubits:
             last[q] = len(kept) - 1
 
-    return PhysicalCircuit(
-        n=pc.n,
-        cycles=_asap(pc.n, (gate for gate, _, alive in kept if alive)),
+    return _asap(
+        pc.n,
+        (gate for gate, _, alive in kept if alive),
         final_layout=pc.final_layout,
         scheduled_cost_cycles=pc.scheduled_cost_cycles,
         initial_mapping=pc.initial_mapping,
     )
 
 
-def _asap(n: int, gates) -> list[list[Gate]]:
-    """Place each gate, in order, in the first cycle after its wires' latest gate."""
+def _asap(n: int, gates, **fields) -> PhysicalCircuit:
+    """Place each gate, in order, in the first cycle after its wires' latest gate.
+
+    A gate then lands in the cycle of its dependency depth, so the circuit's
+    depth is its cycle count and is recorded instead of walked.
+    """
     cycles: list[list[Gate]] = []
     front = [0] * n  # per wire: the cycle after its latest gate
     for gate in gates:
@@ -408,7 +440,9 @@ def _asap(n: int, gates) -> list[list[Gate]]:
             cycles.append([])
         cycles[c].append(gate)
         front[a] = front[b] = c + 1
-    return cycles
+    pc = PhysicalCircuit(n=n, cycles=cycles, **fields)
+    pc._depth = len(cycles)
+    return pc
 
 
 def _chain_wires(chain, k: int) -> tuple[int, ...]:
@@ -453,14 +487,20 @@ def compile_graph(
     every block ends with an RX on every wire, and the schedule never puts a
     pair into two consecutive layers of one kind.  The gate stream is packed
     by the placer ``optimize_circuit`` also uses: each gate, in order, goes
-    in the first cycle after its wires' latest gate.
+    in the first cycle after its wires' latest gate.  Each distinct CNOT is
+    built once and shared by every cycle that holds it.
     """
     wires = _chain_wires(chain, g.n)
     mapping, _ = search_initial_mapping(g, g.n, b_max)
     sched = schedule(g, mapping, params, n_positions=g.n)
 
+    cnots: dict[tuple[int, int], Gate] = {}
+
     def cnot(a, b):
-        return Gate("cnot", (wires[a], wires[b]))
+        gate = cnots.get((a, b))
+        if gate is None:
+            gate = cnots[a, b] = Gate("cnot", (wires[a], wires[b]))
+        return gate
 
     stream: list[Gate] = []
     pairs = [{gt.qubits for gt in layer if len(gt.qubits) == 2} for layer in sched.layers]
@@ -483,9 +523,9 @@ def compile_graph(
         for gt in layer:
             if gt.qubits not in after:
                 stream.append(cnot(*gt.qubits))
-    return PhysicalCircuit(
-        n=max(wires) + 1,
-        cycles=_asap(max(wires) + 1, stream),
+    return _asap(
+        max(wires) + 1,
+        stream,
         final_layout=tuple(wires[p_] for p_ in sched.final_layout),
         scheduled_cost_cycles=sched.cost_cycles,
         initial_mapping=mapping,

@@ -27,6 +27,9 @@ from quchain import (
     states_equal_up_to_phase,
 )
 
+from quchain import compiler
+from quchain.bench import random_weight_graph
+
 from conftest import random_graph, random_qaoa_params
 from oracles import exhaustive_best_mapping
 
@@ -133,6 +136,18 @@ class TestExeRTable:
                 assert ex.cycle(a, b) == cycle
                 assert ex.where[a, b] == pos
 
+    def test_cached_arrays_are_read_only(self):
+        ex = build_exer_table(3)
+        for arr in (ex.table, ex.where):
+            with pytest.raises(ValueError):
+                arr[0, 2] = 1
+        g = WeightGraph(nodes=[(i, 0.0) for i in range(3)], edges=[(0, 2, 1.0)])
+        sched = schedule(g, (0, 1, 2), QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        cycle, pos = rzz_meetings(build_template(3))[0, 2]
+        assert sched.last_rzz_cycle == cycle == 5
+        rzz = [gt for layer in sched.layers for gt in layer if gt.kind == "rzz"]
+        assert [gt.qubits for gt in rzz] == [(pos, pos + 1)]
+
 
 class TestMappingSearch:
     def test_path_graph_centers_high_degree_vertex(self):
@@ -176,6 +191,23 @@ class TestMappingSearch:
         mapping, cost = search_initial_mapping(g, 2)
         assert cost == 0
         assert sorted(mapping) == [0, 1]
+
+    def test_cost_dtype_is_int16_while_the_sentinel_fits(self):
+        assert compiler._cost_dtype(2) is np.int16
+        assert compiler._cost_dtype(3276) is np.int16  # sentinel 32,767
+        assert compiler._cost_dtype(3277) is np.int64
+
+    def test_int16_sort_equals_int64_sort(self, monkeypatch):
+        graphs = [
+            random_weight_graph(n, d, [11, n, int(d * 10)])
+            for n in (12, 40, 100)
+            for d in (0.2, 0.6, 1.0)
+        ]
+        rng = np.random.default_rng(1101)
+        graphs += [random_graph(rng, 20, 80, weighted=False, with_bias=False) for _ in range(3)]
+        found = [search_initial_mapping(g, g.n) for g in graphs]
+        monkeypatch.setattr(compiler, "_cost_dtype", lambda n: np.int64)
+        assert [search_initial_mapping(g, g.n) for g in graphs] == found
 
     def test_predicted_equals_realized(self):
         rng = np.random.default_rng(31)
@@ -330,6 +362,20 @@ class TestPeephole:
         out = optimize_circuit(self._pc(gates, 2))
         assert out.cnot_count == 2
 
+    def test_shared_gate_checked_and_wire_reuse_still_caught(self):
+        h = Gate("h", (0,))
+        pc = PhysicalCircuit(n=2, cycles=[[h], [h, Gate("h", (1,))], [h]], final_layout=(0, 1))
+        assert pc.depth == 3
+        with pytest.raises(ValueError, match="wire 0 used twice in cycle 1"):
+            PhysicalCircuit(n=2, cycles=[[h], [h, h]], final_layout=(0, 1))
+        with pytest.raises(ValueError, match="wire 0 used twice in cycle 0"):
+            PhysicalCircuit(n=2, cycles=[[Gate("cnot", (1, 0)), h]], final_layout=(0, 1))
+        far = Gate("cnot", (0, 3))
+        with pytest.raises(ValueError, match="wire 3 outside register of 2"):
+            PhysicalCircuit(n=2, cycles=[[far], [far]], final_layout=(0, 1))
+        with pytest.raises(ValueError, match="cannot hold 'swap'"):
+            PhysicalCircuit(n=2, cycles=[[h], [Gate("swap", (0, 1))]], final_layout=(0, 1))
+
     def test_asap_moves_disjoint_gate_to_first_cycle(self):
         gates = [Gate("h", (0,)), Gate("rz", (0,), 0.1), Gate("h", (2,))]
         out = optimize_circuit(self._pc(gates, 3))
@@ -423,6 +469,27 @@ class TestCompile:
         assert kinds == ["h", "rz", "rx"]
         ref = simulate(build_qaoa_circuit(g, QaoaParams(gamma=(0.5,), beta=(0.25,))))
         assert states_equal_up_to_phase(ref, simulate_gates(1, list(pc.gates())), 1e-9)
+
+    def test_recorded_depth_equals_the_walk(self):
+        rng = np.random.default_rng(1102)
+        graphs = [random_graph(rng, 2, 12) for _ in range(20)]
+        graphs += [random_weight_graph(100, d, 1102) for d in (0.2, 1.0)]
+        for g in graphs:
+            params = random_qaoa_params(rng, int(rng.integers(1, 4)))
+            pc = compile_graph(g, params)
+            ref = optimize_circuit(decompose_gates(schedule(g, pc.initial_mapping, params)))
+            for placed in (pc, ref):
+                walked = PhysicalCircuit(
+                    n=placed.n, cycles=placed.cycles, final_layout=placed.final_layout
+                )
+                assert placed.depth == len(placed.cycles) == walked.depth
+
+    def test_each_distinct_cnot_built_once(self):
+        g = random_weight_graph(30, 0.6, 1103)
+        pc = compile_graph(g, QaoaParams(gamma=(0.4, 0.3), beta=(0.2, 0.1)),
+                           chain=tuple(range(40, 10, -1)))
+        cnots = [gt for gt in pc.gates() if gt.kind == "cnot"]
+        assert len({id(gt) for gt in cnots}) == len(set(cnots)) < len(cnots)
 
     def test_random_unitary_equivalence(self):
         rng = np.random.default_rng(55)

@@ -128,3 +128,78 @@ def test_round_trip_random_compiled_circuits():
         assert back.final_layout == pc.final_layout
         assert list(back.gates()) == list(pc.gates())
         assert emit(back) == text  # determinism through one more hop
+
+
+_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        (_HEAD + "qreg q[4];\ncreg c[1];\nh q[٣];\nmeasure q[0] -> c[0];\n", "line 5, col 1"),
+        (_HEAD + "qreg q[٤];\ncreg c[1];\nmeasure q[0] -> c[0];\n", "line 3, col 1"),
+        (_HEAD + "qreg q[4];\ncreg c[1];\n  cx q[0],q[１];\nmeasure q[0] -> c[0];\n", "line 5, col 3"),
+    ],
+)
+def test_non_ascii_digits_rejected(doc, location):
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize("angle", ["1_0", "١.5", "0x10", "1e", "--1", "1.2.3", "e5"])
+def test_angle_must_be_a_qasm_real(angle):
+    text = _HEAD + f"qreg q[1];\ncreg c[1];\nrx({angle}) q[0];\nmeasure q[0] -> c[0];\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "malformed real" in str(err.value)
+    assert err.value.location == "line 5, col 4"
+
+
+@pytest.mark.parametrize(
+    "x", [-0.0, 0.0, 1e-05, math.pi, 1.0000000000000001e20, -2.5e-300, 5e-324, 7.0]
+)
+def test_every_emitted_angle_form_parses_bit_for_bit(x):
+    pc = PhysicalCircuit(n=1, cycles=[[Gate("rz", (0,), x)]], final_layout=(0,))
+    (back,) = parse(emit(pc)).gates()
+    assert back.angle.hex() == x.hex()
+    assert math.copysign(1.0, back.angle) == math.copysign(1.0, x)
+
+
+def test_repeated_statements_share_one_gate():
+    text = _HEAD + "qreg q[2];\ncreg c[2];\n" + "h q[0];\ncx q[0],q[1];\n  h q[0];\n" * 50
+    text += "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+    gates = list(parse(text).gates())
+    assert len(gates) == 150
+    assert gates == [Gate("h", (0,)), Gate("cnot", (0, 1)), Gate("h", (0,))] * 50
+    assert len({id(g) for g in gates}) == 3  # one per distinct line
+
+
+def test_repeated_measure_still_fails_after_repeats():
+    body = "rz(0.5) q[1];\ncx q[1],q[0];\n" * 10
+    text = (_HEAD + "qreg q[2];\ncreg c[2];\n" + body
+            + "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\nmeasure q[0] -> c[0];\n")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "classical bit 0 measured twice" in str(err.value)
+    assert err.value.location == "line 27, col 1"
+
+
+def test_out_of_range_cx_after_a_thousand_repeats_is_located():
+    text = (_HEAD + "qreg q[3];\ncreg c[1];\n" + "cx q[0],q[2];\n" * 1000
+            + "   cx q[0],q[3];\nmeasure q[0] -> c[0];\n")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "q[3] outside register of size 3" in str(err.value)
+    assert err.value.location == "line 1005, col 4"
+
+
+def test_parse_equals_compile_graph_gate_for_gate():
+    rng = np.random.default_rng(1104)
+    for n, p in ((30, 1), (60, 2)):
+        g = random_graph(rng, n, n + 1)
+        pc = compile_graph(g, random_qaoa_params(rng, p), chain=tuple(range(3 * n, 0, -1)))
+        back = parse(emit(pc))
+        assert list(back.gates()) == list(pc.gates())
+        assert back.final_layout == pc.final_layout
+        assert back.n == pc.n
