@@ -41,6 +41,8 @@ class BenchRow:
 def random_weight_graph(n: int, density: float, seed) -> WeightGraph:
     """Uniform random graph: floor(d*C(n,2)) edges without replacement,
     unit edge weights, zero node weights.  May be disconnected."""
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must be in [0, 1], got {density}")
     pairs = list(itertools.combinations(range(n), 2))
     m = int(density * len(pairs))
     rng = np.random.default_rng(seed)

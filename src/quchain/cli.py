@@ -38,8 +38,21 @@ PALETTE = [
 ]
 
 
-def _parse_number_list(text, cast=float):
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _parse_number_list(text: str, flag: str, cast=float) -> list:
+    """Comma-separated numbers; a malformed or non-finite entry raises
+    :class:`ConfigError` naming ``flag``."""
+    values = []
+    for tok in text.split(","):
+        if not tok.strip():
+            continue
+        try:
+            value = cast(tok)
+        except ValueError:
+            raise ConfigError(f"{flag}: malformed number {tok!r} in {text!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag}: numbers must be finite, got {tok!r} in {text!r}")
+        values.append(value)
+    return values
 
 
 def _load_problem(args) -> tuple[WeightGraph, str]:
@@ -63,14 +76,11 @@ def _load_problem(args) -> tuple[WeightGraph, str]:
     elif problem == "partition":
         if not args.numbers:
             raise QuchainError("--numbers is required for the partition problem")
-        qubo = qubo_from_number_partition(_parse_number_list(args.numbers, int))
+        qubo = qubo_from_number_partition(_parse_number_list(args.numbers, "--numbers", int))
     elif problem == "setpack":
         if not args.sets:
             raise QuchainError("--sets is required for set packing")
-        sets = [
-            {int(x) for x in group.split(",") if x.strip()}
-            for group in args.sets.split(";")
-        ]
+        sets = [set(_parse_number_list(group, "--sets", int)) for group in args.sets.split(";")]
         qubo = qubo_from_set_packing(args.universe, sets, args.penalty)
     else:
         raise QuchainError(f"unknown problem {problem!r}")
@@ -90,16 +100,6 @@ def _add_problem_flags(sub):
     sub.add_argument("--penalty", type=float, default=2.0, help="set-packing penalty")
 
 
-def _angle_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(_parse_number_list(text))
-    except ValueError:
-        raise ConfigError(f"{flag}: malformed number in {text!r}") from None
-    if not all(math.isfinite(x) for x in values):
-        raise ConfigError(f"{flag}: angles must be finite, got {text!r}")
-    return values
-
-
 def _load_params(args, p: int | None) -> QaoaParams:
     """Angles from --params or --gamma/--beta; ``p``, when given, must match."""
     if args.params:
@@ -114,8 +114,8 @@ def _load_params(args, p: int | None) -> QaoaParams:
         params = QaoaParams(**angles)
     elif args.gamma and args.beta:
         params = QaoaParams(
-            gamma=_angle_list(args.gamma, "--gamma"),
-            beta=_angle_list(args.beta, "--beta"),
+            gamma=_parse_number_list(args.gamma, "--gamma"),
+            beta=_parse_number_list(args.beta, "--beta"),
         )
     else:
         raise QuchainError("provide --params FILE or both --gamma and --beta")
@@ -135,7 +135,6 @@ def _pick_chain(args, k: int):
 
 
 def _store_path(args) -> str:
-    os.makedirs(args.store, exist_ok=True)
     return os.path.join(args.store, "tasks.jsonl")
 
 
@@ -209,6 +208,7 @@ def cmd_compile(args) -> int:
 def cmd_submit(args) -> int:
     with open(args.qasm, encoding="utf-8") as f:
         text = f.read()
+    os.makedirs(args.store, exist_ok=True)  # only a writer creates the store
     with TaskService(_store_path(args)) as service:
         out = service.submit(
             text, shots=args.shots, name=args.name, wait=args.wait, seed=args.seed
@@ -274,9 +274,9 @@ def _write_dot(args, g: WeightGraph, ranked) -> None:
 
 def cmd_bench(args) -> int:
     rows = bench_mod.run_bench(
-        sizes=_parse_number_list(args.sizes, int),
-        densities=_parse_number_list(args.densities),
-        p_list=_parse_number_list(args.p_list, int),
+        sizes=_parse_number_list(args.sizes, "--sizes", int),
+        densities=_parse_number_list(args.densities, "--densities"),
+        p_list=_parse_number_list(args.p_list, "--p-list", int),
         reps=args.reps,
         seed=args.seed,
     )

@@ -140,6 +140,11 @@ def search_initial_mapping(
     the path; per level, at most ``b_max`` nodes are retained per distinct
     cost value (insertion order: parent first, then ascending position).
 
+    A level is whole-array steps over a (parents, positions) cost array:
+    each parent's cost, a running maximum with the (symmetric) ExeR row of
+    each placed neighbor's position, a sentinel on occupied positions, one
+    stable sort, and a mask keeping the first ``b_max`` of each cost group.
+
     Returns the best mapping (logical -> position) and its predicted last
     RZZ cycle, which equals the last RZZ cycle of the schedule it induces.
     """
@@ -157,44 +162,26 @@ def search_initial_mapping(
 
     adj = g.adjacency()
     order = sorted(range(k), key=lambda v: (-len(adj[v]), v))
+    level_of = {v: level for level, v in enumerate(order)}
     maps = np.full((1, k), -1, dtype=np.int32)
     costs = np.zeros(1, dtype=dtype)
-    mapped: list[int] = []
-    mapped_set: set[int] = set()
-    for q in order:
-        mnbrs = [m for m in adj[q] if m in mapped_set]
-        pcount = maps.shape[0]
-        if mnbrs:
-            cand = np.empty((pcount, n), dtype=dtype)
-            cols = maps[:, mnbrs].astype(np.int64)
-            chunk = max(1, 4_000_000 // max(1, n * len(mnbrs)))
-            for s in range(0, pcount, chunk):
-                e = min(pcount, s + chunk)
-                cand[s:e] = exer[:, cols[s:e]].max(axis=2).T
-        else:
-            cand = np.zeros((pcount, n), dtype=dtype)
-        np.maximum(cand, costs[:, None], out=cand)
-        if mapped:
-            occupied = maps[:, mapped].astype(np.int64)
-            rows = np.repeat(np.arange(pcount), occupied.shape[1])
-            cand[rows, occupied.ravel()] = sentinel
+    for level, q in enumerate(order):
+        cand = np.repeat(costs[:, None], n, axis=1)
+        for m in adj[q]:
+            if level_of[m] < level:
+                np.maximum(cand, exer[maps[:, m]], out=cand)
+        np.put_along_axis(cand, maps[:, order[:level]], sentinel, axis=1)
         flat = cand.ravel()  # parent-major, position-minor: the insertion order
         idx = np.argsort(flat, kind="stable")
         vals = flat[idx]
-        starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-        keep: list[np.ndarray] = []
-        for gi, s in enumerate(starts):
-            if vals[s] >= sentinel:
-                break
-            e = starts[gi + 1] if gi + 1 < len(starts) else len(vals)
-            keep.append(idx[s : min(e, s + b_max)])
-        kept = np.concatenate(keep)
-        parents = kept // n
-        maps = maps[parents].copy()
-        maps[:, q] = (kept % n).astype(np.int32)
-        costs = flat[kept]
-        mapped.append(q)
-        mapped_set.add(q)
+        pos = np.arange(len(vals))
+        starts = np.r_[True, vals[1:] != vals[:-1]]
+        rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
+        keep = (rank < b_max) & (vals < sentinel)
+        kept = idx[keep]
+        maps = maps[kept // n]
+        maps[:, q] = kept % n
+        costs = vals[keep]
     best = int(np.argmin(costs))
     return tuple(int(x) for x in maps[best]), int(costs[best])
 

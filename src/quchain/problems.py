@@ -13,6 +13,7 @@ holds for all binary assignments ``x`` (exactly for dyadic coefficients).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,16 @@ class QuboMatrix:
             raise ModelError(f"QUBO matrix must be square, got shape {q.shape}")
         if q.shape[0] < 1:
             raise ModelError("QUBO needs at least one variable")
+        bad = np.argwhere(~np.isfinite(q))
+        if bad.size:
+            i, j = bad[0]
+            raise ModelError(f"QUBO entry [{i}, {j}] must be finite, got {q[i, j]}")
         if self.sense not in ("min", "max"):
             raise ModelError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.q = (q + q.T) / 2.0
         self.offset = float(self.offset)
+        if not math.isfinite(self.offset):
+            raise ModelError(f"QUBO offset must be finite, got {self.offset}")
 
     @property
     def n(self) -> int:
@@ -157,8 +164,8 @@ def qubo_from_set_packing(universe_size: int, sets, penalty: float = 2.0) -> Qub
     With ``penalty > 1`` the minimum selects a maximum pairwise-disjoint
     subfamily.  Set elements must be integers in ``[0, universe_size)``.
     """
-    if penalty <= 1:
-        raise ConfigError(f"penalty must exceed 1 to dominate, got {penalty}")
+    if not (math.isfinite(penalty) and penalty > 1):
+        raise ConfigError(f"penalty must be finite and exceed 1 to dominate, got {penalty}")
     sets = [frozenset(s) for s in sets]
     if not sets:
         raise ModelError("set packing needs at least one set")

@@ -1,5 +1,7 @@
 """Benchmark harness: random instance generation and metric properties."""
 
+import pytest
+
 from quchain.bench import BenchRow, cell_means, random_weight_graph, run_bench
 
 
@@ -48,3 +50,9 @@ def test_cell_means_aggregate_per_cell():
     (mean,) = cell_means(rows)
     assert mean[:4] == (5, 0.5, 1, "mean")
     assert mean[4:] == (2.0, 5.0, 12.0, 14.0)
+
+
+@pytest.mark.parametrize("density", [-0.1, 1.5, float("nan")])
+def test_random_weight_graph_rejects_density_outside_unit_interval(density):
+    with pytest.raises(ValueError, match="density"):
+        random_weight_graph(5, density, seed=0)

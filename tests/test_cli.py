@@ -104,6 +104,24 @@ class TestSolve:
         assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("penalty", ["nan", "inf"])
+    def test_non_finite_set_packing_penalty_exits_one(self, capsys, penalty):
+        code = run(["solve", "--problem", "setpack", "--sets", "0,1;1,2;2",
+                    "--universe", "3", "--penalty", penalty])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "E_p" not in captured.out
+        assert "penalty" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--numbers", "1,x"), ("--numbers", "3,2.5"), ("--sets", "0,1;1,y"),
+    ])
+    def test_malformed_problem_numbers_name_their_flag(self, capsys, flag, value):
+        problem = "partition" if flag == "--numbers" else "setpack"
+        code = run(["solve", "--problem", problem, flag, value, "--universe", "3"])
+        assert code == 1
+        assert f"error: {flag}: malformed number" in capsys.readouterr().err
+
 
 class TestCompile:
     def _params(self, tmp_path, p=1):
@@ -317,8 +335,43 @@ class TestTaskFlow:
         code = run(["--store", store, "status", "ffffffffffffffffffffffffffffffff"])
         assert code == 2
 
+    @pytest.mark.parametrize("verb", [["status"], ["result", "--graph", "g.json"]])
+    def test_read_only_verbs_create_no_store(self, tmp_path, capsys, monkeypatch, verb):
+        monkeypatch.chdir(tmp_path)
+        for store in ([], ["--store", "sub/dir"]):
+            code = run([*store, verb[0], "deadbeef", *verb[1:]])
+            assert code == 2
+            assert "unknown task id" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBench:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sizes", "6,x", "malformed number"),
+        ("--sizes", "6.5", "malformed number"),
+        ("--densities", "0.5,nan", "numbers must be finite"),
+        ("--densities", "inf", "numbers must be finite"),
+        ("--densities", "0.5x", "malformed number"),
+        ("--p-list", "one", "malformed number"),
+    ])
+    def test_bad_number_lists_name_their_flag(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench.csv"
+        args = {"--sizes": "4", "--densities": "0.5", "--p-list": "1", flag: value}
+        code = run(["bench", *[x for kv in args.items() for x in kv],
+                    "--reps", "1", "--out", str(out)])
+        assert code == 1
+        assert f"error: {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("density", ["2", "-0.5"])
+    def test_density_outside_unit_interval_exits_one(self, tmp_path, capsys, density):
+        out = tmp_path / "bench.csv"
+        code = run(["bench", "--sizes", "4", "--densities", density, "--reps", "1",
+                    "--out", str(out)])
+        assert code == 1
+        assert "density must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_schema_and_complete_law(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run(

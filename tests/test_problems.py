@@ -30,6 +30,19 @@ def test_qubo_symmetrizes_and_validates():
         QuboMatrix(q=np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qubo_rejects_non_finite_entries_and_offset(bad):
+    with pytest.raises(ModelError, match=r"entry \[1, 0\] must be finite"):
+        QuboMatrix(q=np.array([[1.0, 0.0], [bad, -1.0]]))
+    with pytest.raises(ModelError, match="offset must be finite"):
+        QuboMatrix(q=np.eye(2), offset=bad)
+
+
+def test_maxcut_rejects_non_finite_weight():
+    with pytest.raises(ModelError, match="must be finite"):
+        qubo_from_maxcut([(0, 1, float("nan"))])
+
+
 @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
 @settings(max_examples=40)
 def test_symmetrization_preserves_objective(n, seed):
@@ -165,6 +178,11 @@ class TestSetPacking:
     def test_penalty_must_dominate(self):
         with pytest.raises(ConfigError):
             qubo_from_set_packing(2, [{1}], penalty=1.0)
+
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    def test_penalty_must_be_finite(self, penalty):
+        with pytest.raises(ConfigError, match="penalty"):
+            qubo_from_set_packing(2, [{1}], penalty=penalty)
 
 
 class TestIsingConversion:
