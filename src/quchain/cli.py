@@ -273,12 +273,18 @@ def _write_dot(args, g: WeightGraph, ranked) -> None:
 
 
 def cmd_bench(args) -> int:
+    sizes = _parse_number_list(args.sizes, "--sizes", int)
+    densities = _parse_number_list(args.densities, "--densities")
+    p_list = _parse_number_list(args.p_list, "--p-list", int)
+    for flag, values in (("--sizes", sizes), ("--p-list", p_list), ("--reps", [args.reps])):
+        for value in values:
+            if value < 1:
+                raise ConfigError(f"{flag}: must be at least 1, got {value}")
+    for d in densities:
+        if not 0 <= d <= 1:
+            raise ConfigError(f"--densities: density must be in [0, 1], got {d}")
     rows = bench_mod.run_bench(
-        sizes=_parse_number_list(args.sizes, "--sizes", int),
-        densities=_parse_number_list(args.densities, "--densities"),
-        p_list=_parse_number_list(args.p_list, "--p-list", int),
-        reps=args.reps,
-        seed=args.seed,
+        sizes=sizes, densities=densities, p_list=p_list, reps=args.reps, seed=args.seed
     )
     bench_mod.write_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")

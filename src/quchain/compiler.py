@@ -13,14 +13,16 @@ exactly one RZZ layer; the full pattern takes 2n-2 cycles for even n and
 2n-1 for odd n.  Because the pattern is fixed, where any two initial
 positions meet, cycle and chain pair, is a pure function of n (the ExeR
 table).  Mapping selection searches it so that the last graph edge meets as
-early as possible, and ``schedule`` reads every edge's RZZ slot from it.
+early as possible, and one walk of the template reads every edge's RZZ slot
+from it and yields the scheduled layers as (chain positions, angle) rows.
 
-``compile_graph`` expands the schedule in one pass into native CNOT/RZ gates
+``compile_graph`` expands those rows in one pass into native CNOT/RZ gates
 on the chain's wires, merging an RZZ and a SWAP on one pair into three
 CNOTs (Jin et al., "A structured method for compilation of QAOA circuits in
-quantum computing", arXiv:2112.06143).  ``decompose_gates`` followed by the
-``optimize_circuit`` peephole pass is its tested reference; one
-as-soon-as-possible placer packs the gates of both into cycles.
+quantum computing", arXiv:2112.06143).  ``schedule`` wraps the same rows
+into RZZ/SWAP gates for the tested reference, ``decompose_gates`` followed
+by the ``optimize_circuit`` peephole pass; one as-soon-as-possible placer
+packs the gates of both routes into cycles.
 """
 
 from __future__ import annotations
@@ -201,6 +203,50 @@ class ScheduledCircuit:
     last_rzz_cycle: int
 
 
+def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int):
+    """The walk behind ``schedule`` and ``compile_graph``.
+
+    Returns the scheduled layers as ``(kind, rows)`` with each row
+    ``(chain positions, angle)``, the final layout and the last RZZ cycle.
+    """
+    k = g.n
+    meet: dict[int, list[tuple[int, float]]] = {}  # cycle -> [(position, J)]
+    if g.edges:
+        exer = build_exer_table(n)
+        us, vs, ws = zip(*g.edges)
+        ends = np.take(mapping, us), np.take(mapping, vs)
+        for cycle, pos, w in zip(exer.table[ends].tolist(), exer.where[ends].tolist(), ws):
+            meet.setdefault(cycle, []).append((pos, w))
+    last_rzz = max(meet, default=0)
+
+    retained: list[tuple[str, list]] = []
+    item = list(range(n))  # chain position -> the initial position it holds
+    template = build_template(n).layers[:last_rzz] if last_rzz else ()
+    for cycle, layer in enumerate(template, start=1):
+        if layer.kind == "swap":
+            retained.append(("swap", [(pair, None) for pair in layer.pairs]))
+            for a, b in layer.pairs:
+                item[a], item[b] = item[b], item[a]
+        elif cycle in meet:
+            retained.append(("rzz", sorted(meet[cycle])))
+    moved_to = {i: pos for pos, i in enumerate(item)}
+    moved = tuple(moved_to[m] for m in mapping)
+
+    layers: list[tuple[str, list]] = [("h", [((mapping[l],), None) for l in range(k)])]
+    biased = [(i, w) for i, w in g.nodes if w != 0.0]
+    for block in range(1, params.p + 1):
+        gamma, beta = params.gamma[block - 1], params.beta[block - 1]
+        start, end = (mapping, moved) if block % 2 == 1 else (moved, mapping)
+        if biased:
+            layers.append(("rz", [((start[i],), 2.0 * gamma * w) for i, w in biased]))
+        for kind, items in retained if block % 2 == 1 else reversed(retained):
+            if kind == "rzz":
+                items = [((a, a + 1), 2.0 * gamma * w) for a, w in items]
+            layers.append((kind, items))
+        layers.append(("rx", [((end[l],), 2.0 * beta) for l in range(k)]))
+    return layers, end, last_rzz
+
+
 def schedule(
     g: WeightGraph,
     mapping,
@@ -224,49 +270,10 @@ def schedule(
     n = (max(mapping) + 1) if n_positions is None else int(n_positions)
     if any(not 0 <= m < n for m in mapping):
         raise ValueError("mapping position out of range")
-
-    meet: dict[int, list[tuple[int, float]]] = {}  # cycle -> [(position, J)]
-    if g.edges:
-        exer = build_exer_table(n)
-        us, vs, ws = zip(*g.edges)
-        ends = np.take(mapping, us), np.take(mapping, vs)
-        for cycle, pos, w in zip(exer.table[ends].tolist(), exer.where[ends].tolist(), ws):
-            meet.setdefault(cycle, []).append((pos, w))
-    last_rzz = max(meet, default=0)
-
-    retained: list[tuple[str, list]] = []
-    swaps: dict[tuple, list[Gate]] = {}  # the template repeats two SWAP layers
-    item = list(range(n))  # chain position -> the initial position it holds
-    template = build_template(n).layers[:last_rzz] if last_rzz else ()
-    for cycle, layer in enumerate(template, start=1):
-        if layer.kind == "swap":
-            if layer.pairs not in swaps:
-                swaps[layer.pairs] = [Gate("swap", pair) for pair in layer.pairs]
-            retained.append(("swap", swaps[layer.pairs]))
-            for a, b in layer.pairs:
-                item[a], item[b] = item[b], item[a]
-        elif cycle in meet:
-            retained.append(("rzz", sorted(meet[cycle])))
-    moved_to = {i: pos for pos, i in enumerate(item)}
-    moved = tuple(moved_to[m] for m in mapping)
-
-    layers: list[list[Gate]] = [[Gate("h", (mapping[l],)) for l in range(k)]]
-    biased = [(i, w) for i, w in g.nodes if w != 0.0]
-    for block in range(1, params.p + 1):
-        gamma, beta = params.gamma[block - 1], params.beta[block - 1]
-        start, end = (mapping, moved) if block % 2 == 1 else (moved, mapping)
-        if biased:
-            layers.append([Gate("rz", (start[i],), 2.0 * gamma * w) for i, w in biased])
-        for kind, items in retained if block % 2 == 1 else reversed(retained):
-            if kind == "rzz":
-                layers.append([Gate("rzz", (a, a + 1), 2.0 * gamma * w) for a, w in items])
-            else:
-                layers.append(list(items))
-        layers.append([Gate("rx", (end[l],), 2.0 * beta) for l in range(k)])
-
+    layers, end, last_rzz = _layers(g, mapping, params, n)
     return ScheduledCircuit(
         n=n,
-        layers=layers,
+        layers=[[Gate(kind, qs, angle) for qs, angle in rows] for kind, rows in layers],
         final_layout=end,
         cost_cycles=params.p * last_rzz,
         last_rzz_cycle=last_rzz,
@@ -383,29 +390,23 @@ def optimize_circuit(pc: PhysicalCircuit) -> PhysicalCircuit:
     Applied to ``decompose_gates``' output it is the reference that
     ``compile_graph``'s merged emission must equal.
     """
-    kept: list[list] = []  # [gate, {wire: predecessor index or None}, alive]
-    last: dict[int, int] = {}
+    kept: list[Gate | None] = []  # None marks a cancelled gate
+    stacks: list[list[int]] = [[] for _ in range(pc.n)]  # per wire: surviving gates
     for gate in pc.gates():
+        on = [stacks[q] for q in gate.qubits]
         if gate.kind == "cnot":
-            ia = last.get(gate.qubits[0])
-            ib = last.get(gate.qubits[1])
-            if ia is not None and ia == ib:
-                prev = kept[ia]
-                if prev[0].kind == "cnot" and prev[0].qubits == gate.qubits:
-                    prev[2] = False
-                    for q, pi in prev[1].items():
-                        if pi is None:
-                            last.pop(q, None)
-                        else:
-                            last[q] = pi
-                    continue
-        kept.append([gate, {q: last.get(q) for q in gate.qubits}, True])
-        for q in gate.qubits:
-            last[q] = len(kept) - 1
+            a, b = on
+            if a and b and a[-1] == b[-1] and kept[a[-1]] == gate:
+                kept[a.pop()] = None
+                b.pop()
+                continue
+        for stack in on:
+            stack.append(len(kept))
+        kept.append(gate)
 
     return _asap(
         pc.n,
-        (gate for gate, _, alive in kept if alive),
+        (gate for gate in kept if gate is not None),
         final_layout=pc.final_layout,
         scheduled_cost_cycles=pc.scheduled_cost_cycles,
         initial_mapping=pc.initial_mapping,
@@ -464,22 +465,22 @@ def compile_graph(
     first ``g.n`` entries are used); default is the identity chain 0..n-1.
     Entries must be distinct non-negative ints (NumPy ints included).
 
-    Each scheduled layer expands in one pass into CNOT/RZ gates on the chain
-    wires: RZZ(a,b) -> CNOT(a,b) RZ(b) CNOT(a,b) and SWAP(a,b) -> CNOT(a,b)
-    CNOT(b,a) CNOT(a,b), sub-cycle by sub-cycle.  Where consecutive layers
-    share a pair (an RZZ and the SWAP after it, or a SWAP and the RZZ after
-    it), the CNOT(a,b) that ends the first and the one that starts the
-    second are left out, so RZZ+SWAP costs three CNOTs.  These are exactly
-    the pairs ``optimize_circuit`` cancels on ``decompose_gates``' output:
-    every block ends with an RX on every wire, and the schedule never puts a
-    pair into two consecutive layers of one kind.  The gate stream is packed
-    by the placer ``optimize_circuit`` also uses: each gate, in order, goes
-    in the first cycle after its wires' latest gate.  Each distinct CNOT is
-    built once and shared by every cycle that holds it.
+    The rows of each layer of the walk ``schedule`` wraps expand in one pass
+    into CNOT/RZ on the chain wires, with no RZZ or SWAP gate built: RZZ(a,b)
+    -> CNOT(a,b) RZ(b) CNOT(a,b) and SWAP(a,b) -> CNOT(a,b) CNOT(b,a)
+    CNOT(a,b), sub-cycle by sub-cycle.  Where consecutive layers share a pair
+    (an RZZ and the SWAP after it, or a SWAP and the RZZ after it), the
+    CNOT(a,b) that ends the first and the one that starts the second are left
+    out, so RZZ+SWAP costs three CNOTs.  These are exactly the pairs
+    ``optimize_circuit`` cancels on ``decompose_gates``' output: every block
+    ends with an RX on every wire, and the schedule never puts a pair into two
+    consecutive layers of one kind.  The placer ``optimize_circuit`` also uses
+    packs the stream: each gate, in order, goes in the first cycle after its
+    wires' latest gate.  Each distinct CNOT is built once and shared.
     """
     wires = _chain_wires(chain, g.n)
     mapping, _ = search_initial_mapping(g, g.n, b_max)
-    sched = schedule(g, mapping, params, n_positions=g.n)
+    layers, end, last_rzz = _layers(g, mapping, params, g.n)
 
     cnots: dict[tuple[int, int], Gate] = {}
 
@@ -490,31 +491,26 @@ def compile_graph(
         return gate
 
     stream: list[Gate] = []
-    pairs = [{gt.qubits for gt in layer if len(gt.qubits) == 2} for layer in sched.layers]
+    pairs = [
+        {qs for qs, _ in rows} if kind in ("rzz", "swap") else set() for kind, rows in layers
+    ]
     pairs.append(set())  # also pairs[-1], the first layer's empty predecessor
-    for i, layer in enumerate(sched.layers):
+    for i, (kind, rows) in enumerate(layers):
         if not pairs[i]:
-            for gt in layer:
-                stream.append(Gate(gt.kind, (wires[gt.qubits[0]],), gt.angle))
+            stream.extend(Gate(kind, (wires[q],), angle) for (q,), angle in rows)
             continue
         before, after = pairs[i] & pairs[i - 1], pairs[i] & pairs[i + 1]
-        for gt in layer:
-            if gt.qubits not in before:
-                stream.append(cnot(*gt.qubits))
-        for gt in layer:
-            a, b = gt.qubits
-            if gt.kind == "rzz":
-                stream.append(Gate("rz", (wires[b],), gt.angle))
-            else:
-                stream.append(cnot(b, a))
-        for gt in layer:
-            if gt.qubits not in after:
-                stream.append(cnot(*gt.qubits))
+        stream.extend(cnot(*qs) for qs, _ in rows if qs not in before)
+        if kind == "rzz":
+            stream.extend(Gate("rz", (wires[b],), angle) for (_, b), angle in rows)
+        else:
+            stream.extend(cnot(b, a) for (a, b), _ in rows)
+        stream.extend(cnot(*qs) for qs, _ in rows if qs not in after)
     return _asap(
         max(wires) + 1,
         stream,
-        final_layout=tuple(wires[p_] for p_ in sched.final_layout),
-        scheduled_cost_cycles=sched.cost_cycles,
+        final_layout=tuple(wires[p_] for p_ in end),
+        scheduled_cost_cycles=params.p * last_rzz,
         initial_mapping=mapping,
     )
 

@@ -14,6 +14,7 @@ holds for all binary assignments ``x`` (exactly for dyadic coefficients).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +121,13 @@ def qubo_from_number_partition(numbers) -> QuboMatrix:
     for v in numbers:
         if not isinstance(v, (int, np.integer)) or v <= 0:
             raise ModelError(f"numbers must be positive integers, got {v!r}")
+    numbers = [int(v) for v in numbers]
+    exact = sum(numbers)
+    if 4 * exact * exact > sys.float_info.max:  # bounds every coefficient and the offset
+        i = numbers.index(max(numbers))
+        raise ModelError(f"numbers[{i}] is too large: the QUBO coefficients overflow a float")
     n = len(numbers)
-    total = float(sum(numbers))
+    total = float(exact)
     q = np.zeros((n, n))
     for i in range(n):
         q[i, i] = 4.0 * numbers[i] ** 2 - 4.0 * total * numbers[i]

@@ -113,6 +113,12 @@ class TestSolve:
         assert "E_p" not in captured.out
         assert "penalty" in captured.err
 
+    @pytest.mark.parametrize("exponent", [200, 400])
+    def test_partition_number_too_large_exits_one(self, capsys, exponent):
+        code = run(["solve", "--problem", "partition", "--numbers", f"{10**exponent},3"])
+        assert code == 1
+        assert "error: numbers[0]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--numbers", "1,x"), ("--numbers", "3,2.5"), ("--sets", "0,1;1,y"),
     ])
@@ -353,15 +359,27 @@ class TestBench:
         ("--densities", "inf", "numbers must be finite"),
         ("--densities", "0.5x", "malformed number"),
         ("--p-list", "one", "malformed number"),
+        ("--sizes", "4,0", "must be at least 1, got 0"),
+        ("--sizes", "-3", "must be at least 1, got -3"),
+        ("--p-list", "0", "must be at least 1, got 0"),
+        ("--p-list", "1,-1", "must be at least 1, got -1"),
+        ("--reps", "0", "must be at least 1, got 0"),
+        ("--densities", "0.5,2", "density must be in [0, 1], got 2.0"),
     ])
     def test_bad_number_lists_name_their_flag(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "bench.csv"
-        args = {"--sizes": "4", "--densities": "0.5", "--p-list": "1", flag: value}
-        code = run(["bench", *[x for kv in args.items() for x in kv],
-                    "--reps", "1", "--out", str(out)])
+        args = {"--sizes": "4", "--densities": "0.5", "--p-list": "1", "--reps": "1",
+                flag: value}
+        code = run(["bench", *[x for kv in args.items() for x in kv], "--out", str(out)])
         assert code == 1
         assert f"error: {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_single_node_size_runs(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--sizes", "1", "--densities", "0.5", "--p-list", "1",
+                    "--reps", "1", "--out", str(out)]) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("density", ["2", "-0.5"])
     def test_density_outside_unit_interval_exits_one(self, tmp_path, capsys, density):

@@ -560,18 +560,27 @@ class TestCompile:
             raise AssertionError("compile_graph must not call the reference passes")
 
         built = []
+        kinds = set()
 
         class Counted(PhysicalCircuit):
             def __post_init__(self):
                 built.append(self)
                 super().__post_init__()
 
+        class Recorded(Gate):
+            def __post_init__(self):
+                kinds.add(self.kind)
+                super().__post_init__()
+
+        monkeypatch.setattr(compiler, "schedule", forbidden)
         monkeypatch.setattr(compiler, "decompose_gates", forbidden)
         monkeypatch.setattr(compiler, "optimize_circuit", forbidden)
         monkeypatch.setattr(compiler, "PhysicalCircuit", Counted)
+        monkeypatch.setattr(compiler, "Gate", Recorded)
         pc = compile_graph(demo6_graph, QaoaParams(gamma=(0.4, 0.5), beta=(0.3, 0.2)))
         assert len(built) == 1 and built[0] is pc
         assert pc.cnot_count > 0
+        assert kinds == {"h", "rz", "cnot", "rx"}
 
     def test_layout_document(self, demo6_graph):
         import json

@@ -126,6 +126,16 @@ class TestNumberPartition:
         with pytest.raises(ModelError):
             qubo_from_number_partition([3, -1])
 
+    @pytest.mark.parametrize("exponent", [200, 400, 5000])
+    def test_rejects_numbers_whose_coefficients_overflow(self, exponent):
+        with pytest.raises(ModelError, match=r"numbers\[1\] is too large"):
+            qubo_from_number_partition([3, 10**exponent])
+
+    def test_numpy_integers_do_not_wrap(self):
+        wide = qubo_from_number_partition([np.int64(10**10), np.int64(3)])
+        exact = qubo_from_number_partition([10**10, 3])
+        assert np.array_equal(wide.q, exact.q) and wide.offset == exact.offset
+
 
 class TestGraphColoring:
     def test_triangle_three_colors(self):
