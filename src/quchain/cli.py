@@ -388,6 +388,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except TaskNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,12 +25,10 @@ cones in cone order, so a batched energy is bit-equal to the point alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuits import QaoaParams, build_qaoa_circuit
 from .errors import CapacityError
@@ -299,8 +297,9 @@ def _grid_search(obj: _Objective, grid_size: int) -> bool:
     return left >= grid_size * grid_size
 
 
-def _simplex(obj: _Objective, start: QaoaParams, ftol: float) -> tuple[bool, QaoaParams]:
+def _simplex(obj: _Objective, start: QaoaParams) -> tuple[bool, QaoaParams]:
     """Nelder-Mead from ``start``, capped at the evaluations left in the budget."""
+    from scipy.optimize import minimize  # here, so importing quchain loads no SciPy
 
     def f(x):
         return obj(QaoaParams.from_flat(x))
@@ -312,7 +311,7 @@ def _simplex(obj: _Objective, start: QaoaParams, ftol: float) -> tuple[bool, Qao
         method="Nelder-Mead",
         options={
             "xatol": 1e-8,
-            "fatol": ftol,
+            "fatol": 1e-10,
             "maxfev": budget,
             "maxiter": 10 * budget,
         },
@@ -328,7 +327,6 @@ def optimize(
     seed=0,
     grid_size: int = DEFAULT_GRID_SIZE,
     max_evals: int = DEFAULT_MAX_EVALS,
-    ftol: float = 1e-10,
 ) -> OptimizationResult:
     """Minimize E_p over the variational angles.
 
@@ -347,8 +345,6 @@ def optimize(
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if not (isinstance(ftol, Real) and math.isfinite(ftol) and ftol >= 0):
-        raise ValueError(f"ftol must be a finite number of at least 0, got {ftol!r}")
     if method not in ("grid", "simplex", "grid+simplex"):
         raise ValueError(f"unknown method {method!r}")
     if not (init is None or isinstance(init, QaoaParams)
@@ -381,7 +377,7 @@ def optimize(
             converged &= _grid_search(obj, grid_size)
         elif stage == "simplex":
             origin = obj.best[0] if obj.best is not None else random_params(depth, seed)
-            ok, refined = _simplex(obj, origin, ftol)
+            ok, refined = _simplex(obj, origin)
             converged &= ok
         else:  # "interp"
             # Depth 1 hands on its best point, deeper depths their simplex result.

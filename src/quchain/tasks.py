@@ -1,11 +1,13 @@
 """Asynchronous sampling jobs over an append-only on-disk store.
 
 Tasks move queued -> running -> completed | failed, one JSON record per line;
-on reload the last line per id wins, so the log is diffable.  One writer
-at a time holds the store: it opens and ``flock``-s the file once, and every
-record it appends goes through that handle.  A crash in the middle of an
-append leaves a torn final line without its newline: readers skip it and the
-next writer cuts it off when it takes the store.
+on reload the last line per id wins, so the log is diffable.  One reader
+parses the lines for readers and writers.  One writer at a time holds the
+store: it ``flock``-s the file once, reads the records through that handle
+and appends every record through it.  A crash mid-append leaves a torn final
+line without its newline: readers skip it, and the next writer cuts it off
+after a clean read.  Any other bad line, a non-UTF-8 byte included, is a
+located ``ParseError``; a writer that refuses a store writes nothing to it.
 The built-in backend samples exact simulator probabilities with a seeded
 generator; a remote backend can be slotted in by implementing ``run``.
 
@@ -20,6 +22,7 @@ import collections
 import fcntl
 import json
 import math
+import os
 import secrets
 import threading
 import time
@@ -77,7 +80,7 @@ class TaskRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "TaskRecord":
+    def from_json(cls, line: str | bytes) -> "TaskRecord":
         try:
             return cls(**json.loads(line))
         except (ValueError, TypeError, RecursionError) as exc:
@@ -112,63 +115,60 @@ def _check_counts(counts) -> None:
         raise ValueError("counts must map bitstrings to non-negative ints")
 
 
-def _mend_tail(f) -> None:
-    """Make the file at ``f`` (opened "a+b") end with a newline.
-
-    A final line without one is cut off when it does not parse as a record,
-    and terminated when it does.
-    """
-    end = f.seek(0, 2)
-    if end == 0:
-        return
-    f.seek(end - 1)
-    if f.read(1) == b"\n":
-        return
-    f.seek(0)
-    data = f.read()
-    start = data.rfind(b"\n") + 1
-    try:
-        TaskRecord.from_json(data[start:].decode("utf-8"))
-    except (ParseError, UnicodeDecodeError):
-        f.truncate(start)
-    else:
-        f.write(b"\n")
+def _read_log(f, path) -> tuple[dict[str, TaskRecord], int | None]:
+    """The last record per id in the store open at ``f`` (binary, at its
+    start), and the offset of a torn final line, or None: a final line
+    without its newline that is not a record, blank included.  A blank line
+    is skipped; any other bad line raises a ``ParseError`` naming ``path``
+    and the line."""
+    records: dict[str, TaskRecord] = {}
+    for k, line in enumerate(f, start=1):
+        whole = line.endswith(b"\n")
+        if whole and line.isspace():
+            continue
+        try:
+            rec = TaskRecord.from_json(line)
+        except ParseError as exc:
+            if not whole:
+                return records, f.tell() - len(line)
+            raise ParseError(str(exc), f"{path}, line {k}") from exc
+        records[rec.id] = rec
+    return records, None
 
 
 def _open_log(path):
-    """The store file opened "a+b", exclusively flock-ed and with its tail
-    mended: the writer's lease and the only handle records reach it by."""
+    """The store file opened "a+b" and exclusively flock-ed (the writer's lease
+    and the only handle records reach it by), and the records read through it.
+    Only a clean read lets it cut a torn tail or end a final record with its
+    newline; a store it refuses is left as it was."""
     f = open(path, "a+b")
     try:
         fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        _mend_tail(f)
+        f.seek(0)
+        records, torn = _read_log(f, path)
+        end = f.tell()
+        if torn is not None:
+            f.truncate(torn)
+        elif end and os.pread(f.fileno(), 1, end - 1) != b"\n":
+            f.write(b"\n")
     except BlockingIOError:
         f.close()
         raise QuchainError(f"{path}: task store is held by another writer") from None
     except BaseException:
         f.close()
         raise
-    return f
+    return f, records
 
 
 def _load_log(path) -> dict[str, TaskRecord]:
-    """The last record per id; a torn final line is skipped."""
-    records: dict[str, TaskRecord] = {}
+    """A reader's records, read without the lock; a missing store has none."""
     try:
-        with open(path, encoding="utf-8") as f:
-            for k, line in enumerate(f, start=1):
-                if line.isspace():
-                    continue
-                try:
-                    rec = TaskRecord.from_json(line)
-                except ParseError as exc:
-                    if not line.endswith("\n"):
-                        break  # torn final line: an append cut short by a crash
-                    raise ParseError(str(exc), f"{path}, line {k}") from exc
-                records[rec.id] = rec
+        # A 1000-shot record's line runs to ~25 KB; reading such a store
+        # through 8 KiB buffers took ~5% longer than through 64 KiB.
+        with open(path, "rb", buffering=1 << 16) as f:
+            return _read_log(f, path)[0]
     except FileNotFoundError:
-        pass
-    return records
+        return {}
 
 
 class LocalSampler:
@@ -222,14 +222,10 @@ class TaskService:
         self._pending: collections.deque[str] = collections.deque()
         self._stopping = False
         self._worker = None
-        self._log = None if read_only else _open_log(store_path)
-        try:
-            self._records = _load_log(store_path)
-        except BaseException:
-            self.close()
-            raise
         if read_only:
+            self._log, self._records = None, _load_log(store_path)
             return
+        self._log, self._records = _open_log(store_path)
         with self._cond:
             for rec in list(self._records.values()):
                 if rec.status == "running":

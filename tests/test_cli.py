@@ -351,6 +351,38 @@ class TestTaskFlow:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_status_on_a_non_utf8_store_names_store_and_line(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        record = {"id": "ab" * 16, "name": "job", "qasm": "", "shots": 10,
+                  "status": "queued", "created_at": 1.5e9, "updated_at": 1.5e9}
+        line = json.dumps(record).encode().replace(b'"job"', b'"job\xe9"')
+        (store / "tasks.jsonl").write_bytes(line + b"\n")
+        code = run(["--store", str(store), "status", "ab" * 16])
+        assert code == 1
+        assert f"{store / 'tasks.jsonl'}, line 1" in capsys.readouterr().err
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize("verb", [
+        ["submit", "--qasm", "c.qasm", "--shots", "10", "--wait"],
+        ["solve", "--graph", "g.json", "--init", "random", "--out", "params.json"],
+        ["bench", "--sizes", "4", "--densities", "0.5", "--reps", "1", "--out", "bench.csv"],
+    ])
+    def test_negative_seed_exits_one_before_the_verb_runs(self, tmp_path, capsys,
+                                                          monkeypatch, verb):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.qasm").write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
+                                         "creg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n")
+        write_graph(WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)]),
+                    tmp_path / "g.json")
+        before = sorted(tmp_path.iterdir())
+        code = run(["--seed", "-1", "--store", "st", *verb])
+        assert code == 1
+        assert "error: --seed must be at least 0, got -1" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before  # no store, no output file
+
+
 class TestBench:
     @pytest.mark.parametrize("flag, value, message", [
         ("--sizes", "6,x", "malformed number"),

@@ -277,6 +277,41 @@ class TestTornTail:
         with pytest.raises(ParseError, match="line 2"):
             TaskService(store, read_only=True)
 
+    @pytest.mark.parametrize("tail", ["torn record", "unterminated record", "blank"])
+    def test_writer_repairs_the_tail_byte_for_byte(self, store, k2_graph, tail):
+        self._completed_store(store, k2_graph)
+        body = store.read_bytes().rsplit(b"\n", 1)[0] + b"\n"  # without the torn copy
+        stored = {"torn record": body + body.splitlines()[-1][:40],
+                  "unterminated record": body[:-1], "blank": body + b" \t "}[tail]
+        store.write_bytes(stored)
+        TaskService(store).close()
+        assert store.read_bytes() == body
+
+    def test_non_utf8_byte_is_located_parse_error(self, store):
+        line = json.dumps(_VALID_RECORD).encode().replace(b'"job"', b'"job\xe9"')
+        store.write_bytes(line + b"\n" + json.dumps(_VALID_RECORD).encode() + b"\n")
+        before = store.read_bytes()
+        for read_only in (True, False):
+            with pytest.raises(ParseError, match=re.escape(f"{store}, line 1")):
+                TaskService(store, read_only=read_only)
+        assert store.read_bytes() == before
+
+    def test_refusing_writer_leaves_the_store_as_it_was(self, store, k2_graph):
+        self._completed_store(store, k2_graph)
+        lines = store.read_text().split("\n")
+        good = lines[1]
+        lines[1] = good[:40]
+        store.write_text("\n".join(lines))
+        before = store.read_bytes()
+        with pytest.raises(ParseError, match="line 2"):
+            TaskService(store)
+        assert store.read_bytes() == before  # the torn tail is still there
+        lines[1] = good
+        store.write_text("\n".join(lines))
+        with TaskService(store) as svc:  # the refused writer released its lock
+            assert svc.status(json.loads(good)["id"]) == "completed"
+        assert store.read_text() == "\n".join(lines[:-1]) + "\n"
+
 
 class _BlockingSampler(LocalSampler):
     """Holds every task in "running" until ``release`` is set."""
