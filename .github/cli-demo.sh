@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# The README's command-line run through the installed `quchain` script.
+#
+#   bash .github/cli-demo.sh WORKDIR
+#
+# Everything is written under WORKDIR, so the checkout is left as it was.
+set -euo pipefail
+repo=$(cd "$(dirname "$0")/.." && pwd)
+cd "$1"
+cat > maxcut6.json <<'JSON'
+{
+  "offset": 0,
+  "nodes": [
+    {"id": 0, "w": 1}, {"id": 1, "w": 1}, {"id": 2, "w": 1},
+    {"id": 3, "w": 1}, {"id": 4, "w": 1}, {"id": 5, "w": 1}
+  ],
+  "edges": [
+    {"u": 0, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": 1},
+    {"u": 2, "v": 3, "w": 1}, {"u": 3, "v": 4, "w": 1},
+    {"u": 4, "v": 5, "w": 1}, {"u": 0, "v": 4, "w": 1},
+    {"u": 1, "v": 3, "w": 1}
+  ]
+}
+JSON
+quchain solve --problem maxcut --graph maxcut6.json --p 1 --out params.json
+quchain --calib "$repo/src/quchain/data/chain18.json" \
+  compile --problem maxcut --graph maxcut6.json \
+  --params params.json --out circuit.qasm --layout layout.json
+id=$(quchain --store st submit --qasm circuit.qasm --shots 100)
+test "$(quchain --store st status "$id")" = completed
+quchain --store st result "$id" --problem maxcut --graph maxcut6.json \
+  --top 2 --dot solution.dot --hist histogram.csv > result.txt
+sed -n 2p result.txt | grep -q ' \*$'  # the best row is flagged
+
+# Node 6 has no edge, so the max-cut model is the same six qubits and the
+# bitstring does not cover node 6: it is drawn unfilled.
+sed 's/{"id": 5, "w": 1}/{"id": 5, "w": 1}, {"id": 6, "w": 1}/' maxcut6.json > maxcut7.json
+quchain --store st result "$id" --problem maxcut --graph maxcut7.json \
+  --dot solution7.dot > result7.txt
+grep -qx '  6 \[style=filled, fillcolor=white\];' solution7.dot

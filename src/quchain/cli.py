@@ -236,8 +236,8 @@ def cmd_result(args) -> int:
     g, sense = _load_problem(args)
     ranked = process_results(counts, g, top=args.top, sense=sense)
     print("bitstring count energy objective")
-    for row in ranked.rows:
-        mark = " *" if row in ranked.solutions else ""
+    for k, row in enumerate(ranked.rows):
+        mark = " *" if k < ranked.top else ""
         print(f"{row.bitstring} {row.count} {row.energy:.10g} {row.objective:.10g}{mark}")
     if args.hist:
         with open(args.hist, "w", newline="", encoding="utf-8") as f:
@@ -262,8 +262,9 @@ def _write_dot(args, g: WeightGraph, ranked) -> None:
             color = PALETTE[chosen[0] % len(PALETTE)] if chosen else "white"
             lines.append(f'  {v} [style=filled, fillcolor={color}];')
     else:
+        # A max-cut model sized from the edges covers no trailing edgeless node.
         for v, _ in src.nodes:
-            color = PALETTE[int(best[v])]
+            color = PALETTE[int(best[v])] if v < len(best) else "white"
             lines.append(f'  {v} [style=filled, fillcolor={color}];')
     for u, v, _ in src.edges:
         lines.append(f"  {u} -- {v};")

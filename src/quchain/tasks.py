@@ -1,14 +1,17 @@
 """Asynchronous sampling jobs over an append-only on-disk store.
 
-Tasks move queued -> running -> completed | failed, one JSON record per line;
-on reload the last line per id wins, so the log is diffable.  One reader
-parses the lines for readers and writers.  One writer at a time holds the
-store: it ``flock``-s the file once, reads the records through that handle
-and appends every record through it.  A crash mid-append leaves a torn final
-line without its newline: readers skip it, and the next writer cuts it off
-after a clean read.  Any other bad line, a non-UTF-8 byte included, is a
-located ``ParseError``; a writer that refuses a store writes nothing to it.
-The built-in backend samples exact simulator probabilities with a seeded
+Tasks move queued -> running -> completed | failed, one JSON line per state,
+so the log is diffable.  The queued line holds the whole record; each later
+line holds only the id, the status, both timestamps and the counts or error.
+On reload lines merge per id in order; QASM is written once.  A full line from
+an older store merges the same way.  One reader parses the lines for readers
+and writers.  One writer at a time holds the store: it ``flock``-s the file
+once, reads the records through that handle and appends every record through
+it.  A crash mid-append leaves a torn final line without its newline: readers
+skip it, and the next writer cuts it off after a clean read.  Any other bad
+line, a non-UTF-8 byte or a later line for an id with no earlier one included,
+is a located ``ParseError``; a writer that refuses a store writes nothing to
+it.  The built-in backend samples exact simulator probabilities with a seeded
 generator; a remote backend can be slotted in by implementing ``run``.
 
 Bit convention: measured bit b maps to spin z = 1 - 2b (bit 0 is the +1
@@ -27,6 +30,8 @@ import secrets
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
+
+import numpy as np
 
 from .circuits import Gate
 from .compiler import PhysicalCircuit
@@ -79,10 +84,35 @@ class TaskRecord:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
+    def log_line(self) -> str:
+        """The store line for this state: the whole record when queued, else
+        the fields a transition sets.  ``created_at`` rides on every line so
+        a line can be timed without its queued line."""
+        if self.status == "queued":
+            return self.to_json()
+        fields = {"id": self.id, "status": self.status,
+                  "created_at": self.created_at, "updated_at": self.updated_at}
+        if self.counts is not None:
+            fields["counts"] = self.counts
+        if self.error is not None:
+            fields["error"] = self.error
+        return json.dumps(fields, sort_keys=True)
+
     @classmethod
-    def from_json(cls, line: str | bytes) -> "TaskRecord":
+    def from_json(cls, line: str | bytes, earlier: dict | None = None) -> "TaskRecord":
+        """The record ``line`` leaves for its id: its fields merged onto the
+        id's record in ``earlier`` (records by id), or a whole record when
+        ``earlier`` has none.  A line that is neither is a ``ParseError``."""
         try:
-            return cls(**json.loads(line))
+            fields = json.loads(line)
+            if not isinstance(fields, dict):
+                raise ValueError("a task record must be a JSON object")
+            prev = earlier.get(fields.get("id")) if earlier else None
+            if prev is not None:
+                return replace(prev, **fields)
+            if "qasm" not in fields:
+                raise ValueError(f"no earlier record for task {fields.get('id')!r}")
+            return cls(**fields)
         except (ValueError, TypeError, RecursionError) as exc:
             raise ParseError(f"malformed task record: {exc}") from exc
 
@@ -116,18 +146,19 @@ def _check_counts(counts) -> None:
 
 
 def _read_log(f, path) -> tuple[dict[str, TaskRecord], int | None]:
-    """The last record per id in the store open at ``f`` (binary, at its
-    start), and the offset of a torn final line, or None: a final line
-    without its newline that is not a record, blank included.  A blank line
-    is skipped; any other bad line raises a ``ParseError`` naming ``path``
-    and the line."""
+    """The record per id in the store open at ``f`` (binary, at its start),
+    each id's lines merged in order, and the offset of a torn final line, or
+    None: a final line without its newline that is not a record, blank
+    included.  A blank line is skipped; any other bad line, a transition for
+    an id with no earlier line included, raises a ``ParseError`` naming
+    ``path`` and the line."""
     records: dict[str, TaskRecord] = {}
     for k, line in enumerate(f, start=1):
         whole = line.endswith(b"\n")
         if whole and line.isspace():
             continue
         try:
-            rec = TaskRecord.from_json(line)
+            rec = TaskRecord.from_json(line, records)
         except ParseError as exc:
             if not whole:
                 return records, f.tell() - len(line)
@@ -269,7 +300,7 @@ class TaskService:
         Once ``close`` has begun only the running task's records are taken."""
         if self._log is None or (self._stopping and rec.status == "queued"):
             raise QuchainError(f"{self.store_path}: task store is not open for writing")
-        self._log.write((rec.to_json() + "\n").encode("utf-8"))
+        self._log.write((rec.log_line() + "\n").encode("utf-8"))
         self._log.flush()
         self._records[rec.id] = rec
         self._cond.notify_all()
@@ -368,25 +399,50 @@ class RankedSolutions:
 def process_results(
     counts: dict[str, int], g: WeightGraph, top: int = 2, sense: str = "min"
 ) -> RankedSolutions:
-    """Score each sampled bitstring by C(z) with z = 1 - 2*bit.
+    """Score every sampled bitstring by C(z) with z = 1 - 2*bit, all at once.
 
+    The keys are decoded once into an (m, n) array of spins.  Energies add
+    the edge terms in ``g.edges`` order and then the node sum, the order
+    :meth:`WeightGraph.energy` adds in, so they equal it bit for bit.
     ``objective`` restores the original problem value: energy plus the
-    graph's offset, re-negated for maximization problems.  Rows are sorted by
-    (energy, -count); the first ``top`` rows are flagged as solutions.
+    graph's offset, re-negated for maximization problems, with -0.0 folded
+    into 0.0.  Rows are sorted stably by (energy, -count); the first ``top``
+    rows are flagged as solutions.  A key that is not ``g.n`` characters of
+    0 and 1 raises ``ValueError``.
     """
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    rows = []
-    for bits, count in counts.items():
-        if len(bits) != g.n:
-            raise ValueError(f"bitstring {bits!r} does not cover {g.n} qubits")
-        z = [1 - 2 * int(b) for b in bits]
-        energy = g.energy(z)
-        objective = energy + g.offset
-        if sense == "max":
-            objective = -objective
-        rows.append(SolutionRow(bits, int(count), energy, objective))
-    rows.sort(key=lambda r: (r.energy, -r.count))
+    keys = list(counts)
+    for key in keys:
+        if len(key) != g.n:
+            raise ValueError(f"bitstring {key!r} does not cover {g.n} qubits")
+    # Each non-ASCII character becomes one b"?", so every key keeps n bytes.
+    raw = "".join(keys).encode("ascii", "replace")
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(keys), g.n) - ord("0")
+    bad = (bits > 1).any(axis=1)
+    if bad.any():
+        raise ValueError(f"bitstring {keys[int(bad.argmax())]!r} is not made of 0s and 1s")
+    spins = (1.0 - 2.0 * bits).T  # one row per qubit
+    energy = np.zeros(len(keys))
+    for u, v, w in g.edges:
+        energy += w * spins[u] * spins[v]
+    node_sum = np.zeros(len(keys))
+    for i, w in g.nodes:
+        node_sum += w * spins[i]
+    energy += node_sum
+    objective = energy + g.offset
+    if sense == "max":
+        objective = -objective
+    objective += 0.0  # -0.0 + 0.0 is 0.0
+    hits = np.array(list(counts.values()), dtype=np.int64)
+    order = np.lexsort((-hits, energy))
+    rows = [
+        SolutionRow(keys[k], c, e, o)
+        for k, c, e, o in zip(
+            order.tolist(), hits[order].tolist(),
+            energy[order].tolist(), objective[order].tolist(),
+        )
+    ]
     return RankedSolutions(rows=rows, top=top)

@@ -323,6 +323,42 @@ class TestTaskFlow:
         assert code == 1
         assert str(store / "tasks.jsonl") in capsys.readouterr().err
 
+    def test_dot_draws_a_node_the_bitstring_does_not_cover_unfilled(self, tmp_path, capsys):
+        # The max-cut model is sized from the edges, so edgeless node 3 has no bit.
+        store = tmp_path / "store"
+        store.mkdir()
+        graph = tmp_path / "g4.json"
+        write_graph(WeightGraph(nodes=[(i, 1.0) for i in range(4)],
+                                edges=[(0, 1, 1.0), (1, 2, 1.0)]), graph)
+        qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\nrx(3.141592653589793) q[1];\n'
+                + "".join(f"measure q[{i}] -> c[{i}];\n" for i in range(3)))
+        with TaskService(store / "tasks.jsonl") as service:
+            task_id = service.submit(qasm, shots=5, seed=1, wait=True).id
+        dot = tmp_path / "out.dot"
+        code = run(["--store", str(store), "result", task_id, "--problem", "maxcut",
+                    "--graph", str(graph), "--dot", str(dot)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1] == "010 5 -1 2 *"
+        lines = dot.read_text().splitlines()
+        assert lines[2] == "  1 [style=filled, fillcolor=salmon];"
+        assert lines[4] == "  3 [style=filled, fillcolor=white];"
+
+    def test_zero_max_cut_objective_prints_as_zero(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        graph = tmp_path / "k2.json"
+        write_graph(WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)]), graph)
+        qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
+                "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
+        with TaskService(store / "tasks.jsonl") as service:
+            task_id = service.submit(qasm, shots=2, seed=1, wait=True).id
+        hist = tmp_path / "hist.csv"
+        code = run(["--store", str(store), "result", task_id, "--problem", "maxcut",
+                    "--graph", str(graph), "--hist", str(hist)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1] == "00 2 0.5 0 *"
+        assert hist.read_text().splitlines()[1] == "00,2,0.5,0.0"
+
     def test_top_below_one_exits_one(self, tmp_path, capsys):
         store = tmp_path / "store"
         store.mkdir()

@@ -635,3 +635,142 @@ class TestMaxcutDemoFlow:
             frozenset({frozenset({1, 2, 4}), frozenset({0, 3, 5})}),
         }
         assert all(r.objective == pytest.approx(6.0) for r in best_rows)
+
+
+def _ranked_by_loop(counts, g, sense):
+    """The per-bitstring ranking through ``WeightGraph.energy``: rows as
+    (bitstring, count, energy, objective), sorted stably by (energy, -count)."""
+    rows = []
+    for bits, count in counts.items():
+        energy = g.energy([1 - 2 * int(b) for b in bits])
+        objective = energy + g.offset
+        rows.append((bits, int(count), energy, -objective if sense == "max" else objective))
+    return sorted(rows, key=lambda r: (r[2], -r[1]))
+
+
+class TestRankingDifferential:
+    """``process_results`` against the per-bitstring loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_energies_bit_equal_and_order_equal(self, seed):
+        from quchain import WeightGraph
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+
+        def draw():
+            # A short non-dyadic list makes energy ties likely; normal draws
+            # make them rare.
+            return float(rng.choice([0.1, 0.2, 0.3, -0.7, 1 / 3]) if seed % 2 else rng.normal())
+
+        edges = [(u, v, draw()) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        nodes = [(i, draw() if rng.random() < 0.5 else 0.0) for i in range(n)]  # half with fields
+        g = WeightGraph(nodes=nodes, edges=edges, offset=float(rng.normal()))
+        states = rng.permutation(1 << n)[: int(rng.integers(1, (1 << n) + 1))]
+        counts = {
+            "".join(str((int(z) >> i) & 1) for i in range(n)): int(rng.integers(1, 4))
+            for z in states
+        }
+        for sense in ("min", "max"):
+            ranked = process_results(counts, g, top=3, sense=sense)
+            want = _ranked_by_loop(counts, g, sense)
+            got = [(r.bitstring, r.count, r.energy, r.objective) for r in ranked.rows]
+            assert [r[:2] for r in got] == [r[:2] for r in want]
+            assert [repr(r[2]) for r in got] == [repr(r[2]) for r in want]
+            assert [r[3] for r in got] == [r[3] for r in want]
+
+    def test_energy_ties_keep_count_then_insertion_order(self, k2_graph):
+        counts = {"00": 2, "11": 5, "01": 1, "10": 1}
+        rows = process_results(counts, k2_graph, top=1).rows
+        assert [r.bitstring for r in rows] == ["01", "10", "11", "00"]
+
+    @pytest.mark.parametrize("key", ["010", "0", "2", "x", "é", "0€"])
+    def test_bad_bitstrings_raise_value_error(self, k2_graph, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            process_results({"01": 1, key: 1}, k2_graph)
+
+    def test_empty_counts_give_no_rows(self, k2_graph):
+        ranked = process_results({}, k2_graph, top=2)
+        assert ranked.rows == [] and ranked.solutions == []
+
+    def test_zero_objective_of_a_max_problem_is_positive_zero(self, demo6_graph):
+        row = process_results({"000000": 2}, demo6_graph, top=1, sense="max").rows[0]
+        assert repr(row.objective) == "0.0"  # not -0.0
+        assert row.energy + demo6_graph.offset == 0.0
+
+
+# Three full-record lines per task, as stores written before transition lines
+# hold them: one completed task, and one left running by a crash.
+_OLD_QASM = json.dumps(single_qubit_plus_qasm())
+_OLD_STORE = (
+    '{"counts": null, "created_at": 1792388888.4655244, "error": null, "id": '
+    '"de2c8b44d013f332f0e946d0688fe992", "name": "old", "qasm": ' + _OLD_QASM + ', "seed": 3, '
+    '"shots": 10, "status": "queued", "updated_at": 1792388888.4655244}\n'
+    '{"counts": null, "created_at": 1792388888.4655244, "error": null, "id": '
+    '"de2c8b44d013f332f0e946d0688fe992", "name": "old", "qasm": ' + _OLD_QASM + ', "seed": 3, '
+    '"shots": 10, "status": "running", "updated_at": 1792388888.4659379}\n'
+    '{"counts": {"0": 9, "1": 1}, "created_at": 1792388888.4655244, "error": null, "id": '
+    '"de2c8b44d013f332f0e946d0688fe992", "name": "old", "qasm": ' + _OLD_QASM + ', "seed": 3, '
+    '"shots": 10, "status": "completed", "updated_at": 1792388888.4660566}\n'
+    '{"counts": null, "created_at": 1792388890.25, "error": null, "id": '
+    '"0123456789abcdef0123456789abcdef", "name": "stale", "qasm": ' + _OLD_QASM + ', '
+    '"seed": null, "shots": 5, "status": "queued", "updated_at": 1792388890.25}\n'
+    '{"counts": null, "created_at": 1792388890.25, "error": null, "id": '
+    '"0123456789abcdef0123456789abcdef", "name": "stale", "qasm": ' + _OLD_QASM + ', '
+    '"seed": null, "shots": 5, "status": "running", "updated_at": 1792388890.5}\n'
+)
+
+
+class TestTransitionLines:
+    """The queued line holds the whole record; later lines hold what changed."""
+
+    def test_old_full_record_store_loads_to_the_same_records(self, store):
+        from quchain.tasks import TaskRecord
+
+        store.write_text(_OLD_STORE)
+        records = TaskService(store, read_only=True)._records
+        assert records == {
+            "de2c8b44d013f332f0e946d0688fe992": TaskRecord(
+                id="de2c8b44d013f332f0e946d0688fe992", name="old",
+                qasm=single_qubit_plus_qasm(), shots=10, status="completed", seed=3,
+                counts={"0": 9, "1": 1}, created_at=1792388888.4655244,
+                updated_at=1792388888.4660566),
+            "0123456789abcdef0123456789abcdef": TaskRecord(
+                id="0123456789abcdef0123456789abcdef", name="stale",
+                qasm=single_qubit_plus_qasm(), shots=5, status="running",
+                created_at=1792388890.25, updated_at=1792388890.5),
+        }
+
+    def test_new_writer_on_an_old_store(self, store):
+        store.write_text(_OLD_STORE)
+        with TaskService(store, backend=_CountingSampler()) as svc:
+            new = svc.submit(single_qubit_plus_qasm(), shots=4, name="new", wait=True)
+            written = dict(svc._records)
+        assert written["0123456789abcdef0123456789abcdef"].status == "failed"
+        assert written[new.id].counts == {"0": 4}
+        assert TaskService(store, read_only=True)._records == written
+        added = store.read_text()[len(_OLD_STORE):].splitlines()
+        assert len(added) == 4  # failed, then queued, running, completed
+        assert ['"qasm"' in line for line in added] == [False, True, False, False]
+
+    def test_writer_and_reader_agree_on_every_record(self, store):
+        with TaskService(store, backend=_NegativeCountsSampler()) as svc:
+            failed = svc.submit(single_qubit_plus_qasm(), shots=6, wait=True)
+        with TaskService(store) as svc:
+            done = svc.submit(single_qubit_plus_qasm(), shots=7, name="x", seed=2, wait=True)
+            written = dict(svc._records)
+        assert written[failed.id].status == "failed"
+        assert written[done.id].status == "completed"
+        assert TaskService(store, read_only=True)._records == written
+        text = store.read_text()
+        assert text.count(json.dumps(single_qubit_plus_qasm())) == 2  # once per task
+        for line in text.splitlines():
+            assert {"id", "status", "created_at", "updated_at"} <= json.loads(line).keys()
+
+    def test_transition_for_an_unknown_id_is_located_parse_error(self, store):
+        line = json.dumps({"id": "cd" * 16, "status": "running",
+                           "created_at": 1.5e9, "updated_at": 1.5e9})
+        store.write_text(json.dumps(_VALID_RECORD) + "\n\n" + line + "\n")
+        for read_only in (True, False):
+            with pytest.raises(ParseError, match=re.escape(f"{store}, line 3")):
+                TaskService(store, read_only=read_only)
