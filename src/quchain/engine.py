@@ -11,9 +11,12 @@ Two evaluation routes are provided and must agree exactly:
 
 :func:`optimize` evaluates on the light-cone route only: cone sizes depend on
 local graph structure, not on the total qubit count.  :func:`decompose`
-returns the distinct cones of one depth; the evaluator stacks them by width,
-so the cost diagonals and observables of the cones of one width form one
-block each, built once per depth within a memory budget.
+returns the distinct cones of one depth, or one cone of the whole graph when
+the distinct cones together hold more amplitudes than the register
+(sum of 2**|cone| > 2**n) and the register fits the simulator; there is no
+knob.  The evaluator stacks the cones by width, so the cost diagonals and
+observables of the cones of one width form one block each, built once per
+depth within a memory budget.
 :func:`~quchain.simulator.qaoa_state` runs once per width and batch of
 points: one diagonal phase per cost layer and in-place 2x2 rotations for the
 mixer.  There is one evaluator: the p=1 grid is one gamma-major batch, cut
@@ -75,7 +78,8 @@ def expectation_full(g: WeightGraph, params: QaoaParams) -> float:
 
 
 class LightCone:
-    """Induced p-hop subgraph shared by every term whose light cone it is.
+    """Induced p-hop subgraph shared by every term whose light cone it is,
+    or the whole graph holding every term (see :func:`decompose`).
 
     ``index_map[i]`` is the original id of subgraph node ``i`` and ``terms``
     holds the (support, weight) pairs, in original ids, of the terms it
@@ -108,18 +112,22 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
     Every edge and every nonzero-weight node is a term of exactly one cone,
     so the cones partition H_C without overlap; terms with the same light
     cone share it.  Cones come in order of first appearance, the order their
-    energies are summed in.  They are marked ``cached`` while the total of
-    their cost diagonals and observables stays within ``CONE_CACHE_BYTES``:
-    those arrays are built once per depth, stacked by cone width, and the
-    rest are rebuilt on every evaluation.  A light cone wider than the
-    simulator limit raises :class:`CapacityError` naming its term before any
-    table is built.
+    energies are summed in.  When the distinct cones together cost more
+    than the whole graph (sum of 2**|cone| > 2**n) and n is within the
+    simulator limit, the result is one cone of every node holding every
+    term in :func:`_terms` order; larger graphs keep their cones.  Cones
+    are marked ``cached`` while the total of their cost diagonals and
+    observables stays within ``CONE_CACHE_BYTES``: those arrays are built
+    once per depth, stacked by cone width, and the rest are rebuilt on
+    every evaluation.  A light cone wider than the simulator limit raises
+    :class:`CapacityError` naming its term before any table is built.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     adj = g.adjacency()
+    terms = _terms(g)
     groups: dict[frozenset[int], list] = {}
-    for support, w in _terms(g):
+    for support, w in terms:
         keep = _p_hop_closure(adj, support, p)
         if len(keep) > QUBIT_LIMIT:
             kind = "edge" if len(support) == 2 else "node"
@@ -128,6 +136,8 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
                 f"above the simulator limit of {QUBIT_LIMIT}"
             )
         groups.setdefault(keep, []).append((support, w))
+    if g.n <= QUBIT_LIMIT and sum(1 << len(keep) for keep in groups) > 1 << g.n:
+        groups = {frozenset(range(g.n)): terms}  # one whole-graph cone is cheaper
     cones, cached_bytes = [], 0
     for keep, members in groups.items():
         sub, index_map = g.induced_subgraph(keep)

@@ -100,6 +100,11 @@ class TestExpectationFull:
         assert np.max(np.abs(ref - resim)) < 1e-9
 
 
+def _ring(n: int) -> WeightGraph:
+    return WeightGraph(nodes=[(i, 0.0) for i in range(n)],
+                       edges=[(i, (i + 1) % n, 1.0 + 0.01 * i) for i in range(n)])
+
+
 class TestDecomposition:
     def test_path_one_hop_closure(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0), (2, 0.0)], edges=[(0, 1, 1.0), (1, 2, 1.0)])
@@ -114,11 +119,10 @@ class TestDecomposition:
         assert len(cones) == 2  # only nonzero-weight nodes
         assert all(c.subgraph.n == 1 for c in cones)
 
-    def test_ring_of_six(self):
-        edges = [(i, (i + 1) % 6, 1.0) for i in range(6)]
-        g = WeightGraph(nodes=[(i, 0.0) for i in range(6)], edges=edges)
-        cones = decompose(g, 1)
-        assert len(cones) == 6
+    def test_ring_of_eight(self):
+        # Eight 4-qubit cones cost 8 * 2**4 = 128 < 2**8: the cones stay.
+        cones = decompose(_ring(8), 1)
+        assert len(cones) == 8
         for c in cones:
             assert c.subgraph.n == 4  # 1-hop closure of an edge on a ring is a 4-path
             assert len(c.subgraph.edges) == 3
@@ -221,6 +225,69 @@ class TestDecomposition:
         assert len(kept) == 5 < len(cones)
         assert sum(16 << c.subgraph.n for c in kept) <= budget
         assert expectation_decomposed(ring, params) == cached  # same arithmetic
+
+
+def _sparse_graph(rng, n: int) -> WeightGraph:
+    """Random graph of mean degree about 2.4 with normal weights and fields."""
+    edges = [(u, v, float(rng.normal()))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 2.4 / n]
+    nodes = [(i, float(rng.normal()) if rng.random() < 0.5 else 0.0) for i in range(n)]
+    return WeightGraph(nodes=nodes, edges=edges)
+
+
+class TestWholeGraphRule:
+    """``decompose`` returns one whole-graph cone when the distinct cones
+    together hold more amplitudes than the register, Σ 2**|cone| > 2**n,
+    and the register fits the simulator."""
+
+    def test_ring_of_six_is_one_cone(self, monkeypatch):
+        import quchain.engine as engine
+
+        g = _ring(6)  # six 4-qubit cones: 6 * 2**4 = 96 > 2**6
+        (cone,) = decompose(g, 1)
+        assert cone.index_map == tuple(range(6))
+        assert list(cone.terms) == engine._terms(g)
+        assert cone.subgraph == g and cone.cached
+        monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 0)
+        assert not decompose(g, 1)[0].cached  # the cache rule still decides
+
+    def test_three_regular_graph_keeps_its_cones(self):
+        import networkx as nx
+
+        reg3 = nx.random_regular_graph(3, 16, seed=3)
+        g = WeightGraph(nodes=[(i, 0.0) for i in range(16)],
+                        edges=[(u, v, 1.0) for u, v in reg3.edges()])
+        cones = decompose(g, 1)
+        assert len(cones) == 24
+        assert sum(1 << c.subgraph.n for c in cones) <= 1 << 16
+
+    def test_register_above_the_limit_keeps_its_cones(self):
+        from quchain import CapacityError
+        from quchain.simulator import QUBIT_LIMIT
+
+        # Each edge of a 25-ring has a 24-qubit cone at p=11: 25 * 2**24 > 2**25,
+        # but the whole register would not fit the simulator.
+        assert QUBIT_LIMIT == 24
+        cones = decompose(_ring(25), 11)
+        assert len(cones) == 25
+        assert {c.subgraph.n for c in cones} == {24}
+        with pytest.raises(CapacityError, match="25-qubit light cone"):
+            decompose(_ring(25), 12)  # a cone above the limit still raises
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cone_route_matches_full_expectation(self, p):
+        rng = np.random.default_rng(160 + p)
+        checked = 0
+        while checked < 6:
+            g = _sparse_graph(rng, int(rng.integers(10, 15)))
+            cones = decompose(g, p)
+            if any(c.subgraph.n == g.n for c in cones):
+                continue  # a whole-graph cone, by the rule or by reach
+            params = random_qaoa_params(rng, p)
+            full = expectation_full(g, params)
+            split = expectation_decomposed(g, params)
+            assert split == pytest.approx(full, abs=1e-9)
+            checked += 1
 
 
 class TestQaoaStateKernel:
@@ -441,12 +508,14 @@ def _cone_by_cone(g: WeightGraph, params: QaoaParams) -> float:
 
 
 def _mixed_width_graphs():
-    """Seeded sparse dyadic graphs with fields whose cones span several widths."""
+    """Seeded sparse dyadic graphs with fields whose cones span several widths
+    at p=1 and more than one at p=2, where the whole-graph rule does not fire."""
     rng = np.random.default_rng(909)
     graphs = []
     while len(graphs) < 6:
         g = _dyadic_graph(rng, int(rng.integers(6, 11)), density=0.3)
-        if len({c.subgraph.n for c in decompose(g, 1)}) >= 3:
+        if (len({c.subgraph.n for c in decompose(g, 1)}) >= 3
+                and len({c.subgraph.n for c in decompose(g, 2)}) >= 2):
             graphs.append(g)
     return graphs
 
@@ -485,10 +554,7 @@ class TestBatchedEvaluation:
 
         import quchain.engine as engine
 
-        ring = WeightGraph(
-            nodes=[(i, 0.0) for i in range(40)],
-            edges=[(i, (i + 1) % 40, 1.0 + 0.01 * i) for i in range(40)],
-        )
+        ring = _ring(40)
         params = QaoaParams(gamma=(0.3,) * 5, beta=(0.2,) * 5)
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 0)
         cones = decompose(ring, 5)
