@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The README's command-line run through the installed `quchain` script.
+# Every command line of the README, its "Other verbs" included, through the
+# installed `quchain` script.
 #
 #   bash .github/cli-demo.sh WORKDIR
 #
@@ -38,3 +39,9 @@ sed 's/{"id": 5, "w": 1}/{"id": 5, "w": 1}, {"id": 6, "w": 1}/' maxcut6.json > m
 quchain --store st result "$id" --problem maxcut --graph maxcut7.json \
   --dot solution7.dot > result7.txt
 grep -qx '  6 \[style=filled, fillcolor=white\];' solution7.dot
+
+# Other verbs.
+quchain bench --sizes 10,20,30 --densities 0.3,0.8 --p-list 1 --reps 20 --out bench.csv
+test "$(wc -l < bench.csv)" -eq 127  # header, 3 sizes x 2 densities x 20 reps, 6 cell means
+quchain --calib "$repo/src/quchain/data/chain10.json" chains > chains.txt
+grep -q '^k=10: ' chains.txt  # the whole 10-qubit chain is one stored chain

@@ -15,12 +15,7 @@ from .compiler import compile_graph, layout_document
 from .engine import DEFAULT_GRID_SIZE, DEFAULT_MAX_EVALS, optimize
 from .errors import ConfigError, ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph, read_graph
-from .hardware import (
-    DEFAULT_BEAM_WIDTH,
-    build_subchain_library,
-    load_calibration,
-    select_subchain,
-)
+from .hardware import build_subchain_library, load_calibration, select_subchain
 from .problems import (
     qubo_from_graph_coloring,
     qubo_from_maxcut,
@@ -28,8 +23,8 @@ from .problems import (
     qubo_from_set_packing,
     weight_graph_from_qubo,
 )
-from .qasm import emit
-from .tasks import TaskService, process_results
+from .qasm import emit, parse
+from .tasks import TaskRecord, TaskService, process_results
 from .validate import json_object, real, required
 
 PALETTE = [
@@ -81,7 +76,7 @@ def _load_problem(args) -> tuple[WeightGraph, str]:
         if not args.sets:
             raise QuchainError("--sets is required for set packing")
         sets = [set(_parse_number_list(group, "--sets", int)) for group in args.sets.split(";")]
-        qubo = qubo_from_set_packing(args.universe, sets, args.penalty)
+        qubo = qubo_from_set_packing(sets, args.penalty)
     else:
         raise QuchainError(f"unknown problem {problem!r}")
     return weight_graph_from_qubo(qubo), qubo.sense
@@ -96,12 +91,11 @@ def _add_problem_flags(sub):
     sub.add_argument("--colors", type=int, default=3, help="color count for coloring")
     sub.add_argument("--numbers", help="comma-separated integers for partition")
     sub.add_argument("--sets", help="semicolon-separated sets, e.g. '1;2;1,2'")
-    sub.add_argument("--universe", type=int, default=0, help="set-packing universe size")
     sub.add_argument("--penalty", type=float, default=2.0, help="set-packing penalty")
 
 
-def _load_params(args, p: int | None) -> QaoaParams:
-    """Angles from --params or --gamma/--beta; ``p``, when given, must match."""
+def _load_params(args) -> QaoaParams:
+    """Angles from --params or --gamma/--beta."""
     if args.params:
         with open(args.params, encoding="utf-8") as f:
             doc = json_object(f.read())
@@ -111,17 +105,13 @@ def _load_params(args, p: int | None) -> QaoaParams:
             if not isinstance(values, list):
                 raise ParseError("expected a list of angles", key)
             angles[key] = [real(x, f"{key}[{k}]") for k, x in enumerate(values)]
-        params = QaoaParams(**angles)
-    elif args.gamma and args.beta:
-        params = QaoaParams(
+        return QaoaParams(**angles)
+    if args.gamma and args.beta:
+        return QaoaParams(
             gamma=_parse_number_list(args.gamma, "--gamma"),
             beta=_parse_number_list(args.beta, "--beta"),
         )
-    else:
-        raise QuchainError("provide --params FILE or both --gamma and --beta")
-    if p is not None and p != params.p:
-        raise ConfigError(f"--p {p} does not match the {params.p} layer(s) of angles given")
-    return params
+    raise QuchainError("provide --params FILE or both --gamma and --beta")
 
 
 def _pick_chain(args, k: int):
@@ -190,9 +180,9 @@ def cmd_solve(args) -> int:
 
 def cmd_compile(args) -> int:
     g, _ = _load_problem(args)
-    params = _load_params(args, args.p)
+    params = _load_params(args)
     chain = _pick_chain(args, g.n)
-    pc = compile_graph(g, params, chain=chain, b_max=args.bmax)
+    pc = compile_graph(g, params, chain=chain)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(emit(pc))
     if args.layout:
@@ -208,6 +198,10 @@ def cmd_compile(args) -> int:
 def cmd_submit(args) -> int:
     with open(args.qasm, encoding="utf-8") as f:
         text = f.read()
+    # The checks submit makes, before the store directory or file exists.
+    TaskRecord(id="", name=args.name, qasm=text, shots=args.shots, status="queued",
+               seed=args.seed)
+    parse(text)
     os.makedirs(args.store, exist_ok=True)  # only a writer creates the store
     with TaskService(_store_path(args)) as service:
         out = service.submit(
@@ -301,7 +295,7 @@ def cmd_chains(args) -> int:
     if not args.calib:
         raise QuchainError("chains requires --calib")
     chip = load_calibration(args.calib)
-    lib = build_subchain_library(chip, max_len=args.max_len, beam_width=args.beam_width)
+    lib = build_subchain_library(chip, max_len=args.max_len)
     for k in sorted(lib.entries):
         paths = lib.entries[k]
         if not paths:
@@ -330,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--optimizer", default="grid+simplex", choices=["grid", "simplex", "grid+simplex"]
     )
-    s.add_argument("--init", choices=["random", "interp"], default=None)
+    s.add_argument("--init", choices=["random"], default=None)
     s.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     s.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS)
     s.add_argument("--out", help="write optimal parameters JSON")
@@ -342,11 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--params", help="parameters JSON from solve")
     s.add_argument("--gamma", help="comma-separated gamma angles")
     s.add_argument("--beta", help="comma-separated beta angles")
-    s.add_argument(
-        "--p", type=int, default=None,
-        help="expected depth; must match the angles (default: their depth)",
-    )
-    s.add_argument("--bmax", type=int, default=5)
     s.add_argument("--out", required=True, help="output QASM path")
     s.add_argument("--layout", help="output layout JSON path")
     s.set_defaults(func=cmd_compile)
@@ -380,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("chains", help="print the subchain library")
     s.add_argument("--max-len", type=int, default=None)
-    s.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
     s.set_defaults(func=cmd_chains)
     return parser
 

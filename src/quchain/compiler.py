@@ -457,9 +457,11 @@ def compile_graph(
     g: WeightGraph,
     params: QaoaParams,
     chain=None,
-    b_max: int = 5,
 ) -> PhysicalCircuit:
     """Full pipeline: mapping search, scheduling, native-gate emission.
+
+    The mapping search is :func:`search_initial_mapping` at its default
+    ``b_max`` of 5, the search width of Jin et al. (arXiv:2112.06143).
 
     ``chain`` lists the physical qubit ids of the target coupled path (its
     first ``g.n`` entries are used); default is the identity chain 0..n-1.
@@ -479,7 +481,7 @@ def compile_graph(
     wires' latest gate.  Each distinct CNOT is built once and shared.
     """
     wires = _chain_wires(chain, g.n)
-    mapping, _ = search_initial_mapping(g, g.n, b_max)
+    mapping, _ = search_initial_mapping(g, g.n)
     layers, end, last_rzz = _layers(g, mapping, params, g.n)
 
     cnots: dict[tuple[int, int], Gate] = {}

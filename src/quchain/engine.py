@@ -86,7 +86,9 @@ class LightCone:
     serves.  ``cached`` says whether the cone's cost diagonal and observable,
     the sum of its terms over the subgraph's basis states, count against
     ``CONE_CACHE_BYTES`` and are built once per depth into its width's stack,
-    or are rebuilt on every evaluation.
+    or are rebuilt on every evaluation.  A cone serving every term of its
+    subgraph, such as the whole-graph cone, takes its cost diagonal as its
+    observable.
     """
 
     def __init__(self, subgraph: WeightGraph, index_map: tuple[int, ...],
@@ -117,7 +119,8 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
     simulator limit, the result is one cone of every node holding every
     term in :func:`_terms` order; larger graphs keep their cones.  Cones
     are marked ``cached`` while the total of their cost diagonals and
-    observables stays within ``CONE_CACHE_BYTES``: those arrays are built
+    observables (one array for the whole-graph cone) stays within
+    ``CONE_CACHE_BYTES``: those arrays are built
     once per depth, stacked by cone width, and the rest are rebuilt on
     every evaluation.  A light cone wider than the simulator limit raises
     :class:`CapacityError` naming its term before any table is built.
@@ -136,12 +139,14 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
                 f"above the simulator limit of {QUBIT_LIMIT}"
             )
         groups.setdefault(keep, []).append((support, w))
+    amplitude_bytes = 16  # float64 cost diagonal and observable
     if g.n <= QUBIT_LIMIT and sum(1 << len(keep) for keep in groups) > 1 << g.n:
         groups = {frozenset(range(g.n)): terms}  # one whole-graph cone is cheaper
+        amplitude_bytes = 8  # its observable is its cost diagonal
     cones, cached_bytes = [], 0
     for keep, members in groups.items():
         sub, index_map = g.induced_subgraph(keep)
-        need = 16 << sub.n  # float64 table and observable
+        need = amplitude_bytes << sub.n
         cached = cached_bytes + need <= CONE_CACHE_BYTES
         cached_bytes += need if cached else 0
         cones.append(LightCone(sub, tuple(index_map), tuple(members), cached))
@@ -150,15 +155,23 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
 
 def _blocks(cones: list[LightCone]) -> tuple[np.ndarray, np.ndarray]:
     """Cost diagonals, shape (C, 2**k), and observables, shape (C, 2**k, 1),
-    of equal-width ``cones``, one row each."""
+    of equal-width ``cones``, one row each.  A cone serving every term of its
+    subgraph copies its cost diagonal; when every cone does, the observables
+    are a view of the diagonals."""
     n = cones[0].subgraph.n
+    # A cone's terms are those of the whole graph within its subgraph, in
+    # _terms order, as are the subgraph's: equal counts mean equal lists.
+    serves_all = [len(cone.terms) == len(_terms(cone.subgraph)) for cone in cones]
     tables = np.zeros((len(cones), 1 << n))
-    observables = np.zeros((len(cones), 1 << n))
+    observables = tables if all(serves_all) else np.zeros((len(cones), 1 << n))
     for row, cone in enumerate(cones):
-        pos = {orig: i for i, orig in enumerate(cone.index_map)}
-        local = [(tuple(pos[s] for s in support), w) for support, w in cone.terms]
         tables[row] = _diagonal(n, _terms(cone.subgraph))
-        observables[row] = _diagonal(n, local)
+        if not serves_all[row]:
+            pos = {orig: i for i, orig in enumerate(cone.index_map)}
+            local = [(tuple(pos[s] for s in support), w) for support, w in cone.terms]
+            observables[row] = _diagonal(n, local)
+        elif observables is not tables:
+            observables[row] = tables[row]
     return tables, observables.reshape(len(cones), 1 << n, 1)
 
 
@@ -343,8 +356,8 @@ def optimize(
     ``method`` is "grid", "simplex" or "grid+simplex".  The grid stage
     applies at p=1 (64x64 over [0,pi) x [0,pi/2) by default).  ``init`` may
     be explicit :class:`QaoaParams` of depth p, the string "random" (seeded
-    draw at depth p), or "interp" / None: at p>1 this chains upward from the
-    p=1 optimum, interpolating and simplex-refining at every depth.  The run
+    draw at depth p), or None: at p>1 this chains upward from the p=1
+    optimum, interpolating and simplex-refining at every depth.  The run
     is deterministic for a fixed seed.  All stages share one budget of
     ``max_evals`` evaluations; if it runs out, the remaining stages are
     skipped and the best depth-p parameters so far are returned flagged as
@@ -358,8 +371,8 @@ def optimize(
     if method not in ("grid", "simplex", "grid+simplex"):
         raise ValueError(f"unknown method {method!r}")
     if not (init is None or isinstance(init, QaoaParams)
-            or isinstance(init, str) and init in ("interp", "random")):
-        raise ValueError(f"init must be None, 'interp', 'random' or QaoaParams, got {init!r}")
+            or isinstance(init, str) and init == "random"):
+        raise ValueError(f"init must be None, 'random' or QaoaParams, got {init!r}")
     if isinstance(init, QaoaParams) and init.p != p:
         raise ValueError(f"init has depth {init.p}, requested p={p}")
     if isinstance(init, QaoaParams) or init == "random":

@@ -138,7 +138,7 @@ def path_fidelity(chip: ChipModel, path) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SubchainLibrary:
-    """Chain length -> fidelity-sorted candidate paths, plus build settings.
+    """Chain length -> fidelity-sorted candidate paths, up to ``max_len``.
 
     Immutable once built; :func:`refresh` returns a brand-new library so
     concurrent readers never observe partial state.
@@ -147,7 +147,6 @@ class SubchainLibrary:
     chip: ChipModel
     entries: dict[int, list[tuple[int, ...]]]
     max_len: int
-    beam_width: int
 
     def fidelity(self, path) -> float:
         return path_fidelity(self.chip, path)
@@ -158,16 +157,16 @@ class SubchainLibrary:
 EXACT_SEARCH_LIMIT = 12
 
 #: Candidate paths kept per chain length.
-DEFAULT_BEAM_WIDTH = 64
+BEAM_WIDTH = 64
 
 
-def _collect(chip: ChipModel, max_len: int, beam_width: int):
+def _collect(chip: ChipModel, max_len: int):
     """Best path per (vertex set, endpoint pair) state, grown one qubit per length.
 
     Keeping the best path per state dominates every simple path with the
     same support and ends, so on chips of at most :data:`EXACT_SEARCH_LIMIT`
     qubits the per-length argmax is exact; the state count is O(2^n n^2).
-    Larger chips extend only the ``beam_width`` states harvested per length.
+    Larger chips extend only the :data:`BEAM_WIDTH` states harvested per length.
     """
     adj = chip.adjacency()
     bit = {q.id: 1 << i for i, q in enumerate(chip.qubits)}
@@ -192,23 +191,19 @@ def _collect(chip: ChipModel, max_len: int, beam_width: int):
                         if old is None or (-cand[0], cand[1]) < (-old[0], old[1]):
                             grown[key] = cand
             frontier = grown
-        ranked = sorted(frontier.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[:beam_width]
+        ranked = sorted(frontier.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[:BEAM_WIDTH]
         entries[k] = [path for _, (_, path) in ranked]
         if chip.n > EXACT_SEARCH_LIMIT:
             frontier = dict(ranked)
     return entries
 
 
-def build_subchain_library(
-    chip: ChipModel,
-    max_len: int | None = None,
-    beam_width: int = DEFAULT_BEAM_WIDTH,
-) -> SubchainLibrary:
+def build_subchain_library(chip: ChipModel, max_len: int | None = None) -> SubchainLibrary:
     """Collect high-fidelity simple paths for every length in [2, max_len].
 
     One sweep grows the best path per vertex-set/endpoint state from every
     coupler, one qubit per length at either end, and stores the
-    ``beam_width`` best states per length, sorted by fidelity and then path.
+    :data:`BEAM_WIDTH` best states per length, sorted by fidelity and then path.
     On chips of at most :data:`EXACT_SEARCH_LIMIT` qubits every state is
     extended, so the head of every entry is the true fidelity argmax; on
     larger chips only the stored states are, which scales but may miss the
@@ -219,14 +214,7 @@ def build_subchain_library(
         raise ConfigError(f"max_len {requested} exceeds the {chip.n}-qubit chip")
     if requested < 2:
         raise ConfigError("max_len must be at least 2")
-    if beam_width < 1:
-        raise ConfigError(f"beam_width must be at least 1, got {beam_width}")
-    return SubchainLibrary(
-        chip=chip,
-        entries=_collect(chip, requested, beam_width),
-        max_len=requested,
-        beam_width=beam_width,
-    )
+    return SubchainLibrary(chip=chip, entries=_collect(chip, requested), max_len=requested)
 
 
 def select_subchain(lib: SubchainLibrary, k: int) -> tuple[int, ...]:
@@ -245,6 +233,4 @@ def select_subchain(lib: SubchainLibrary, k: int) -> tuple[int, ...]:
 
 def refresh(lib: SubchainLibrary, chip: ChipModel) -> SubchainLibrary:
     """Rebuild against fresh calibration data; returns a new immutable library."""
-    return build_subchain_library(
-        chip, max_len=min(lib.max_len, chip.n), beam_width=lib.beam_width
-    )
+    return build_subchain_library(chip, max_len=min(lib.max_len, chip.n))

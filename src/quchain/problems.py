@@ -164,11 +164,12 @@ def qubo_from_graph_coloring(graph, k: int) -> QuboMatrix:
     return QuboMatrix(q=q, sense="min", offset=float(nv))
 
 
-def qubo_from_set_packing(universe_size: int, sets, penalty: float = 2.0) -> QuboMatrix:
+def qubo_from_set_packing(sets, penalty: float = 2.0) -> QuboMatrix:
     """Maximum set packing: ``-sum_i x_i + P * sum_{overlapping i<j} x_i x_j``.
 
     With ``penalty > 1`` the minimum selects a maximum pairwise-disjoint
-    subfamily.  Set elements must be integers in ``[0, universe_size)``.
+    subfamily.  Set elements must be non-negative integers; only which sets
+    share one matters, so no universe size is needed.
     """
     if not (math.isfinite(penalty) and penalty > 1):
         raise ConfigError(f"penalty must be finite and exceed 1 to dominate, got {penalty}")
@@ -177,8 +178,8 @@ def qubo_from_set_packing(universe_size: int, sets, penalty: float = 2.0) -> Qub
         raise ModelError("set packing needs at least one set")
     for s in sets:
         for e in s:
-            if not isinstance(e, (int, np.integer)) or not 0 <= e < universe_size:
-                raise ModelError(f"element {e!r} outside universe [0, {universe_size})")
+            if not isinstance(e, (int, np.integer)) or e < 0:
+                raise ModelError(f"element {e!r} is not a non-negative integer")
     n = len(sets)
     q = np.zeros((n, n))
     for i in range(n):

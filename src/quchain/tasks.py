@@ -24,7 +24,6 @@ from __future__ import annotations
 import collections
 import fcntl
 import json
-import math
 import os
 import secrets
 import threading
@@ -39,6 +38,7 @@ from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFou
 from .graph import WeightGraph
 from .qasm import emit, parse
 from .simulator import sample_counts, simulate_gates
+from .validate import is_integer, is_real
 
 _TRANSITIONS = {
     "queued": {"running"},
@@ -67,15 +67,15 @@ class TaskRecord:
             raise ValueError(f"status must be one of {sorted(_TRANSITIONS)}, got {self.status!r}")
         if not (isinstance(self.id, str) and isinstance(self.name, str) and isinstance(self.qasm, str)):
             raise ValueError("id, name and qasm must be str")
-        if not _is_int(self.shots) or self.shots < 1:
+        if not is_integer(self.shots) or self.shots < 1:
             raise ValueError(f"shots must be an int of at least 1, got {self.shots!r}")
-        if self.seed is not None and not _is_int(self.seed):
+        if self.seed is not None and not is_integer(self.seed):
             raise ValueError(f"seed must be an int or None, got {self.seed!r}")
         if self.counts is not None:
             _check_counts(self.counts)
         if self.error is not None and not isinstance(self.error, str):
             raise ValueError(f"error must be a str or None, got {type(self.error).__name__}")
-        if not (_is_real(self.created_at) and _is_real(self.updated_at)):
+        if not (is_real(self.created_at) and is_real(self.updated_at)):
             raise ValueError(
                 f"created_at and updated_at must be finite reals, got "
                 f"{self.created_at!r} and {self.updated_at!r}"
@@ -115,14 +115,6 @@ class TaskRecord:
             return cls(**fields)
         except (ValueError, TypeError, RecursionError) as exc:
             raise ParseError(f"malformed task record: {exc}") from exc
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
 
 
 def _check_counts(counts) -> None:

@@ -8,7 +8,7 @@ helpers, so a malformed, non-integer or non-finite value raises
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 from .errors import ParseError
 
@@ -39,20 +39,32 @@ def required(obj: dict, key: str, where: str):
     return obj[key]
 
 
+_FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = -_FLOAT_MAX
+
+
+def is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite JSON number: a float or :func:`is_integer` value within the
+    float range; NaN, +/-Infinity and integers past the range fail.  Floats
+    are tested first: the task store checks two per record on every read."""
+    return (isinstance(value, float) or is_integer(value)) and _FLOAT_MIN <= value <= _FLOAT_MAX
+
+
 def real(value, where: str) -> float:
     """A finite JSON number; NaN, +/-Infinity and overflowing literals fail."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if is_real(value):
+        return float(value)
+    if not (isinstance(value, float) or is_integer(value)):
         raise ParseError(f"expected a real number, got {value!r}", where)
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ParseError(f"expected a finite number, got {value!r}", where)
-    return x
+    raise ParseError(f"expected a finite number, got {value!r}", where)
 
 
 def integer(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise ParseError(f"expected an integer, got {value!r}", where)
     return value

@@ -163,7 +163,7 @@ def test_criterion_05_qubo_ising_equivalence():
             {int(e) for e in rng.choice(6, size=rng.integers(1, 4), replace=False)}
             for _ in range(ns)
         ]
-        check(qubo_from_set_packing(6, sets, penalty=2.0))
+        check(qubo_from_set_packing(sets, penalty=2.0))
     report(5, "energy identity f(x) = H(2x-1)+offset exact to 1e-12, 100 instances",
            time.perf_counter() - t0, 30.0)
 

@@ -79,7 +79,7 @@ class TestSolve:
         out = tmp_path / "p2.json"
         code = run(
             ["solve", "--problem", "maxcut", "--graph", demo6_file, "--p", "2",
-             "--grid-size", "16", "--init", "interp", "--out", str(out)]
+             "--grid-size", "16", "--out", str(out)]
         )
         assert code == 0
         doc = json.loads(out.read_text())
@@ -107,7 +107,7 @@ class TestSolve:
     @pytest.mark.parametrize("penalty", ["nan", "inf"])
     def test_non_finite_set_packing_penalty_exits_one(self, capsys, penalty):
         code = run(["solve", "--problem", "setpack", "--sets", "0,1;1,2;2",
-                    "--universe", "3", "--penalty", penalty])
+                    "--penalty", penalty])
         assert code == 1
         captured = capsys.readouterr()
         assert "E_p" not in captured.out
@@ -124,9 +124,13 @@ class TestSolve:
     ])
     def test_malformed_problem_numbers_name_their_flag(self, capsys, flag, value):
         problem = "partition" if flag == "--numbers" else "setpack"
-        code = run(["solve", "--problem", problem, flag, value, "--universe", "3"])
+        code = run(["solve", "--problem", problem, flag, value])
         assert code == 1
         assert f"error: {flag}: malformed number" in capsys.readouterr().err
+
+    def test_set_packing_needs_no_universe(self, capsys):
+        assert run(["solve", "--problem", "setpack", "--sets", "0;1;0,1"]) == 0
+        assert "objective estimate (max)" in capsys.readouterr().out
 
 
 class TestCompile:
@@ -246,15 +250,6 @@ class TestCompile:
         assert self._compile_with_flags(demo6_file, tmp_path, *flags) == 0
         rx = [g for g in parse((tmp_path / "c.qasm").read_text()).gates() if g.kind == "rx"]
         assert len(rx) == 2 * 6  # one mixer per qubit per layer
-        assert self._compile_with_flags(demo6_file, tmp_path, "--p", "2", *flags) == 0
-
-    def test_depth_mismatch_exits_one(self, demo6_file, tmp_path, capsys):
-        code = self._compile_with_flags(
-            demo6_file, tmp_path, "--p", "2", "--params", self._params(tmp_path, p=1)
-        )
-        assert code == 1
-        assert "--p 2" in capsys.readouterr().err
-        assert not (tmp_path / "c.qasm").exists()
 
 
 class TestTaskFlow:
@@ -322,6 +317,20 @@ class TestTaskFlow:
             code = run(["--store", str(store), "submit", "--qasm", str(qasm), "--shots", "10"])
         assert code == 1
         assert str(store / "tasks.jsonl") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, shots, message", [
+        ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+         "measure q[0] -> c[0];\n", "0", "shots must be an int of at least 1, got 0"),
+        ("not qasm\n", "10", 'document must start with "OPENQASM 2.0;"'),
+    ], ids=["zero-shots", "not-qasm"])
+    def test_rejected_submit_creates_no_store(self, tmp_path, capsys, text, shots, message):
+        qasm = tmp_path / "c.qasm"
+        qasm.write_text(text)
+        store = tmp_path / "store"
+        code = run(["--store", str(store), "submit", "--qasm", str(qasm), "--shots", shots])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not store.exists()
 
     def test_dot_draws_a_node_the_bitstring_does_not_cover_unfilled(self, tmp_path, capsys):
         # The max-cut model is sized from the edges, so edgeless node 3 has no bit.
@@ -419,6 +428,24 @@ class TestGlobalFlags:
         assert sorted(tmp_path.iterdir()) == before  # no store, no output file
 
 
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv, named", [
+        (["compile", "--graph", "g.json", "--out", "c.qasm", "--p", "1"], "--p"),
+        (["compile", "--graph", "g.json", "--out", "c.qasm", "--bmax", "5"], "--bmax"),
+        (["compile", "--graph", "g.json", "--out", "c.qasm", "--universe", "3"], "--universe"),
+        (["solve", "--graph", "g.json", "--universe", "3"], "--universe"),
+        (["result", "ab", "--graph", "g.json", "--universe", "3"], "--universe"),
+        (["solve", "--graph", "g.json", "--init", "interp"], "'interp'"),
+        (["chains", "--beam-width", "64"], "--beam-width"),
+    ], ids=["compile-p", "bmax", "compile-universe", "solve-universe", "result-universe",
+            "init-interp", "beam-width"])
+    def test_removed_flag_exits_two(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+
 class TestBench:
     @pytest.mark.parametrize("flag, value, message", [
         ("--sizes", "6,x", "malformed number"),
@@ -495,11 +522,6 @@ class TestChains:
         assert code == 0
         out = capsys.readouterr().out
         assert "k=2" in out and "k=4" in out
-
-    def test_beam_width_below_one_exits_one(self, capsys):
-        code = run(["--calib", fixture_path("chain18.json"), "chains", "--beam-width", "-2"])
-        assert code == 1
-        assert "beam_width" in capsys.readouterr().err
 
     def test_requires_calibration(self, capsys):
         code = run(["chains"])

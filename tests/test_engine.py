@@ -251,6 +251,22 @@ class TestWholeGraphRule:
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 0)
         assert not decompose(g, 1)[0].cached  # the cache rule still decides
 
+    def test_whole_graph_observable_is_its_cost_diagonal(self):
+        import quchain.engine as engine
+
+        (stack,) = engine._ConeStacks(decompose(_ring(6), 1)).stacks
+        tables, observables = stack[2]
+        assert np.shares_memory(tables, observables)
+        assert np.array_equal(observables[0, :, 0], engine._diagonal(6, engine._terms(_ring(6))))
+
+    def test_whole_graph_cone_counts_one_array_against_the_cache(self, monkeypatch):
+        import quchain.engine as engine
+
+        monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 8 << 6)
+        assert decompose(_ring(6), 1)[0].cached
+        monkeypatch.setattr(engine, "CONE_CACHE_BYTES", (8 << 6) - 1)
+        assert not decompose(_ring(6), 1)[0].cached
+
     def test_three_regular_graph_keeps_its_cones(self):
         import networkx as nx
 
@@ -403,7 +419,7 @@ class TestOptimize:
     def test_interp_chain_improves_depth_two(self, demo6_graph):
         res1 = optimize(demo6_graph, p=1, method="grid+simplex", seed=1, grid_size=16)
         res2 = optimize(
-            demo6_graph, p=2, method="grid+simplex", init="interp", seed=1, grid_size=16
+            demo6_graph, p=2, method="grid+simplex", init=None, seed=1, grid_size=16
         )
         assert res2.params.p == 2
         assert res2.energy <= res1.energy + 1e-9

@@ -175,12 +175,6 @@ class TestLibrary:
         with pytest.raises(ConfigError):
             build_subchain_library(chip, max_len=5)
 
-    @pytest.mark.parametrize("beam_width", [0, -3])
-    def test_beam_width_below_one_rejected(self, beam_width):
-        chip = loads_calibration(fixture_text("chain18.json"))
-        with pytest.raises(ConfigError, match="beam_width"):
-            build_subchain_library(chip, beam_width=beam_width)
-
 
 class TestSelection:
     def test_exact_key_head(self):
@@ -266,10 +260,11 @@ class TestBeamRoute:
             if not couplers:
                 continue
             chip = make_chip(10, couplers)
-            exact = hardware._collect(chip, 10, 256)
             with monkeypatch.context() as m:
+                m.setattr(hardware, "BEAM_WIDTH", 256)
+                exact = hardware._collect(chip, 10)
                 m.setattr(hardware, "EXACT_SEARCH_LIMIT", 0)
-                beam = hardware._collect(chip, 10, 256)
+                beam = hardware._collect(chip, 10)
             for k in exact:
                 if exact[k]:
                     want = max(

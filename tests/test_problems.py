@@ -173,26 +173,35 @@ TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
 class TestSetPacking:
     def test_three_sets(self):
-        q = qubo_from_set_packing(3, [{1}, {2}, {1, 2}], penalty=2.0)
+        q = qubo_from_set_packing([{1}, {2}, {1, 2}], penalty=2.0)
         assert q.sense == "max"
         assert brute_force_qubo_min(q.q, q.offset) == pytest.approx(-2.0)
 
     def test_single_set(self):
-        q = qubo_from_set_packing(2, [{1}], penalty=2.0)
+        q = qubo_from_set_packing([{1}], penalty=2.0)
         assert brute_force_qubo_min(q.q, q.offset) == pytest.approx(-1.0)
 
     def test_identical_sets_conflict(self):
-        q = qubo_from_set_packing(2, [{1}, {1}], penalty=2.0)
+        q = qubo_from_set_packing([{1}, {1}], penalty=2.0)
         assert brute_force_qubo_min(q.q, q.offset) == pytest.approx(-1.0)
 
     def test_penalty_must_dominate(self):
         with pytest.raises(ConfigError):
-            qubo_from_set_packing(2, [{1}], penalty=1.0)
+            qubo_from_set_packing([{1}], penalty=1.0)
 
     @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
     def test_penalty_must_be_finite(self, penalty):
         with pytest.raises(ConfigError, match="penalty"):
-            qubo_from_set_packing(2, [{1}], penalty=penalty)
+            qubo_from_set_packing([{1}], penalty=penalty)
+
+    @pytest.mark.parametrize("element", [-1, 1.5])
+    def test_element_must_be_a_non_negative_integer(self, element):
+        with pytest.raises(ModelError, match=f"element {element!r} "):
+            qubo_from_set_packing([{0}, {element}])
+
+    def test_elements_need_no_universe_bound(self):
+        q = qubo_from_set_packing([{10**6}, {10**6, 3}, {3}])
+        assert brute_force_qubo_min(q.q, q.offset) == pytest.approx(-2.0)
 
 
 class TestIsingConversion:
@@ -280,7 +289,7 @@ class TestWeightGraph:
             qubo_from_maxcut(DEMO6_EDGES),
             qubo_from_number_partition([3, 1, 1]),
             qubo_from_graph_coloring(TRIANGLE, 2),
-            qubo_from_set_packing(3, [{1}, {2}, {1, 2}], penalty=2.0),
+            qubo_from_set_packing([{1}, {2}, {1, 2}], penalty=2.0),
         ]
         for qubo in builders:
             g = weight_graph_from_qubo(qubo)

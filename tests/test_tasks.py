@@ -486,6 +486,9 @@ class TestRecordChecks:
             ("counts", {"0": -3}), ("counts", {"0": 1.5}), ("counts", {"0": "4"}),
             ("counts", [4, 6]), ("error", 7), ("created_at", float("nan")),
             ("updated_at", float("inf")), ("updated_at", "now"),
+            # past the float range, as validate.real judges it
+            pytest.param("created_at", 10**400, id="created_at-10**400"),
+            pytest.param("updated_at", -10**400, id="updated_at--10**400"),
         ],
     )
     def test_field_outside_its_type_or_range_is_parse_error(self, field, value):
