@@ -17,7 +17,7 @@ from quchain import (
     select_subchain,
     write_graph,
 )
-from quchain.cli import _pick_chain, main
+from quchain.cli import PALETTE, _pick_chain, main
 
 from conftest import DEMO6_EDGES
 
@@ -408,6 +408,86 @@ class TestTaskFlow:
         assert f"{store / 'tasks.jsonl'}, line 1" in capsys.readouterr().err
 
 
+    def test_result_of_a_failed_task_exits_three(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        graph = tmp_path / "k2.json"
+        write_graph(WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)]), graph)
+        qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
+                "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
+        with TaskService(store / "tasks.jsonl", backend=_OfflineBackend()) as service:
+            task_id = service.submit(qasm, shots=4, wait=True).id
+        code = run(["--store", str(store), "result", task_id, "--graph", str(graph)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: task failed: device offline\n"
+
+
+class _OfflineBackend:
+    def run(self, qasm_text, shots, seed=None):
+        raise RuntimeError("device offline")
+
+
+class TestColoringFlow:
+    """Graph coloring through every verb: the one-hot model, ``submit --wait``
+    and the DOT file drawn from the best row."""
+
+    def test_triangle_solve_compile_submit_wait_result_dot(self, tmp_path, capsys):
+        graph = tmp_path / "triangle.json"
+        write_graph(WeightGraph(nodes=[(i, 0.0) for i in range(3)],
+                                edges=[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]), graph)
+        problem = ["--problem", "coloring", "--graph", str(graph), "--colors", "3"]
+        params = tmp_path / "params.json"
+        assert run(["solve", *problem, "--grid-size", "8", "--out", str(params)]) == 0
+        assert "(min)" in capsys.readouterr().out
+        qasm = tmp_path / "c.qasm"
+        assert run(["compile", *problem, "--params", str(params), "--out", str(qasm)]) == 0
+        assert parse(qasm.read_text()).n_logical == 9  # vertex v, color c is qubit 3v + c
+        capsys.readouterr()
+
+        store = str(tmp_path / "store")
+        code = run(["--store", store, "submit", "--qasm", str(qasm), "--shots", "200", "--wait"])
+        assert code == 0
+        head, *rows = capsys.readouterr().out.splitlines()
+        task, task_id, status = head.split()
+        assert (task, len(task_id), status) == ("task", 33, "completed")  # id and its colon
+        counts = {bits: int(count) for bits, count in (row.split() for row in rows)}
+        assert list(counts) == sorted(counts)
+        assert sum(counts.values()) == 200 and {len(bits) for bits in counts} == {9}
+
+        dot = tmp_path / "out.dot"
+        code = run(["--store", store, "result", task_id.rstrip(":"), *problem, "--dot", str(dot)])
+        assert code == 0
+        best, count = capsys.readouterr().out.splitlines()[1].split()[:2]
+        assert counts[best] == int(count)
+        # Bit "0" is x = 1: vertex v takes the first color c whose bit 3v + c
+        # is "0", and a vertex with no such bit is drawn white.
+        groups = [best[3 * v:3 * v + 3] for v in range(3)]
+        fills = [PALETTE[g.index("0")] if "0" in g else "white" for g in groups]
+        assert set(fills) - {"white"}
+        assert dot.read_text().splitlines() == [
+            "graph solution {",
+            *(f"  {v} [style=filled, fillcolor={fill}];" for v, fill in enumerate(fills)),
+            "  0 -- 1;", "  0 -- 2;", "  1 -- 2;",
+            "}",
+        ]
+
+
+class TestMissingInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve"], "either --graph or --problem is required"),
+        (["solve", "--problem", "partition"], "--numbers is required for the partition problem"),
+        (["solve", "--problem", "setpack"], "--sets is required for set packing"),
+        (["compile", "--problem", "partition", "--numbers", "1,2", "--gamma", "0.1",
+          "--out", "c.qasm"], "provide --params FILE or both --gamma and --beta"),
+    ], ids=["graph-or-problem", "numbers", "sets", "params"])
+    def test_missing_input_exits_one_with_its_message(self, tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestGlobalFlags:
     @pytest.mark.parametrize("verb", [
         ["submit", "--qasm", "c.qasm", "--shots", "10", "--wait"],
@@ -522,6 +602,20 @@ class TestChains:
         assert code == 0
         out = capsys.readouterr().out
         assert "k=2" in out and "k=4" in out
+
+    def test_length_without_a_chain_prints_none(self, tmp_path, capsys):
+        calib = tmp_path / "star.json"
+        calib.write_text(json.dumps({
+            "qubits": [{"id": i, "t1_us": 50, "t2_us": 40, "f1q": 0.99} for i in range(4)],
+            "couplers": [{"a": 0, "b": i, "f2q": 0.9} for i in (1, 2, 3)],
+        }))
+        code = run(["--calib", str(calib), "chains"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "k=2: 0-1 (0.900000), 0-2 (0.900000), 0-3 (0.900000)",
+            "k=3: 1-0-2 (0.810000), 1-0-3 (0.810000), 2-0-3 (0.810000)",
+            "k=4: (none)",
+        ]
 
     def test_requires_calibration(self, capsys):
         code = run(["chains"])

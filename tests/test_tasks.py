@@ -474,6 +474,13 @@ class _NegativeCountsSampler(LocalSampler):
         return {"0": -3, "1": shots + 3}
 
 
+class _ShortCountsSampler(LocalSampler):
+    """Puts one shot fewer than asked for on the all-zero string."""
+
+    def run(self, qasm_text, shots, seed=None):
+        return {"0": shots - 1}
+
+
 class TestRecordChecks:
     """Every stored field is checked on load; a writer cannot store a record
     its readers would reject."""
@@ -517,6 +524,16 @@ class TestRecordChecks:
         assert rec.status == "failed"
         assert "counts" in rec.error
         assert TaskService(store, read_only=True).status(rec.id) == "failed"
+
+    def test_backend_counts_short_of_the_shots_fail_the_task(self, store):
+        with TaskService(store, backend=_ShortCountsSampler()) as svc:
+            rec = svc.submit(single_qubit_plus_qasm(), shots=10, wait=True)
+            assert rec.status == "failed"
+            assert rec.error == "backend returned 9 counts for 10 shots"
+            assert rec.counts is None
+            svc.backend = _CountingSampler()  # the worker outlives the failure
+            assert svc.submit(single_qubit_plus_qasm(), shots=10, wait=True).counts == {"0": 10}
+        assert TaskService(store, read_only=True).record(rec.id).error == rec.error
 
 
 class TestLocalSampler:
