@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .validate import integer, json_object, only_fields, real, required
+from .validate import integer, json_object, only_fields, real, records, required
 
 #: JSON layout, also the on-disk interchange format:
 #: {"offset": r, "nodes": [{"id": i, "w": r}...], "edges": [{"u": a, "v": b, "w": r}...]}
@@ -121,42 +121,28 @@ def dumps_graph(g: WeightGraph) -> str:
 
 
 def loads_graph(text: str) -> WeightGraph:
-    """Parse the JSON interchange format; errors carry a field location."""
+    """Parse the JSON interchange format; errors carry a field location.
+
+    Checks run in document order: the top-level fields, every node row, the
+    node ids, then every edge row, whose endpoints must be declared nodes.
+    """
     doc = json_object(text)
     only_fields(doc, ("offset", "nodes", "edges"), "$")
     offset = real(required(doc, "offset", "$"), "offset")
     raw_nodes = required(doc, "nodes", "$")
     raw_edges = required(doc, "edges", "$")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ParseError("nodes must be a non-empty list", "nodes")
-    nodes = []
-    for k, row in enumerate(raw_nodes):
-        where = f"nodes[{k}]"
-        if not isinstance(row, dict):
-            raise ParseError("node entry must be an object", where)
-        only_fields(row, ("id", "w"), where)
-        nodes.append((
-            integer(required(row, "id", where), where + ".id"),
-            real(required(row, "w", where), where + ".w"),
-        ))
+    nodes = records(raw_nodes, "nodes", {"id": integer, "w": real}, closed=True, nonempty=True)
     known = {i for i, _ in nodes}
     if len(known) != len(nodes):
         raise ParseError("duplicate node id", "nodes")
-    edges = []
-    if not isinstance(raw_edges, list):
-        raise ParseError("edges must be a list", "edges")
-    for k, row in enumerate(raw_edges):
-        where = f"edges[{k}]"
-        if not isinstance(row, dict):
-            raise ParseError("edge entry must be an object", where)
-        only_fields(row, ("u", "v", "w"), where)
-        u = integer(required(row, "u", where), where + ".u")
-        v = integer(required(row, "v", where), where + ".v")
-        if u not in known:
-            raise ParseError(f"endpoint {u} is not a declared node", where + ".u")
-        if v not in known:
-            raise ParseError(f"endpoint {v} is not a declared node", where + ".v")
-        edges.append((u, v, real(required(row, "w", where), where + ".w")))
+
+    def endpoint(value, where):
+        i = integer(value, where)
+        if i not in known:
+            raise ParseError(f"endpoint {i} is not a declared node", where)
+        return i
+
+    edges = records(raw_edges, "edges", {"u": endpoint, "v": endpoint, "w": real}, closed=True)
     try:
         return WeightGraph(nodes=nodes, edges=edges, offset=offset)
     except ValueError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, ParseError
-from .validate import integer, json_object, real, required
+from .validate import integer, json_object, real, records, required
 
 
 @dataclass(frozen=True)
@@ -79,41 +79,17 @@ def _fidelity(value, where: str) -> float:
 def loads_calibration(text: str) -> ChipModel:
     """Parse a calibration document; errors carry the offending field path.
 
-    Fields beyond the ones read here are ignored.
+    Fields beyond the ones read here are ignored, and ``couplers`` may be
+    left out.
     """
     doc = json_object(text)
-    qubits = []
-    raw_qubits = required(doc, "qubits", "$")
-    if not isinstance(raw_qubits, list) or not raw_qubits:
-        raise ParseError("qubits must be a non-empty list", "qubits")
-    for k, row in enumerate(raw_qubits):
-        where = f"qubits[{k}]"
-        if not isinstance(row, dict):
-            raise ParseError("qubit entry must be an object", where)
-        qubits.append(
-            Qubit(
-                id=integer(required(row, "id", where), where + ".id"),
-                t1_us=real(required(row, "t1_us", where), where + ".t1_us"),
-                t2_us=real(required(row, "t2_us", where), where + ".t2_us"),
-                f1q=_fidelity(required(row, "f1q", where), where + ".f1q"),
-            )
-        )
-    raw_couplers = doc.get("couplers", [])
-    if not isinstance(raw_couplers, list):
-        raise ParseError("couplers must be a list", "couplers")
-    couplers = []
-    for k, row in enumerate(raw_couplers):
-        where = f"couplers[{k}]"
-        if not isinstance(row, dict):
-            raise ParseError("coupler entry must be an object", where)
-        couplers.append(
-            Coupler(
-                a=integer(required(row, "a", where), where + ".a"),
-                b=integer(required(row, "b", where), where + ".b"),
-                f2q=_fidelity(required(row, "f2q", where), where + ".f2q"),
-            )
-        )
-    return ChipModel(qubits=tuple(qubits), couplers=tuple(couplers))
+    qubits = records(required(doc, "qubits", "$"), "qubits",
+                     {"id": integer, "t1_us": real, "t2_us": real, "f1q": _fidelity},
+                     nonempty=True)
+    couplers = records(doc.get("couplers", []), "couplers",
+                       {"a": integer, "b": integer, "f2q": _fidelity})
+    return ChipModel(qubits=tuple(Qubit(*row) for row in qubits),
+                     couplers=tuple(Coupler(*row) for row in couplers))
 
 
 def load_calibration(path) -> ChipModel:

@@ -9,7 +9,6 @@ one point, an optional exponent).
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 
@@ -50,42 +49,43 @@ def emit(pc: PhysicalCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ASCII only: str patterns' \d and \s also match other scripts' digits and
-# spaces, which int() and float() would accept.
-_RE_QREG = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]\s*;$", re.ASCII)
-_RE_CREG = re.compile(r"^creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]\s*;$", re.ASCII)
-_RE_H = re.compile(r"^h\s+q\[(\d+)\]\s*;$", re.ASCII)
-_RE_ROT = re.compile(r"^(rx|rz)\(([^)]*)\)\s*q\[(\d+)\]\s*;$", re.ASCII)
-_RE_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$", re.ASCII)
-_RE_MEASURE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]\s*;$", re.ASCII)
-_RE_WORD = re.compile(r"^([A-Za-z_]\w*)", re.ASCII)
+# Each statement word's full-statement pattern.  ASCII only: str patterns' \d
+# and \s also match other scripts' digits and spaces, which int() and float()
+# would accept.
+_DECLARATION = r"\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]\s*;"
+_ROTATION = r"\(([^)]*)\)\s*q\[(\d+)\]\s*;"
+_STATEMENTS = {word: re.compile(word + rest, re.ASCII) for word, rest in {
+    "qreg": _DECLARATION,
+    "creg": _DECLARATION,
+    "h": r"\s+q\[(\d+)\]\s*;",
+    "rx": _ROTATION,
+    "rz": _ROTATION,
+    "cx": r"\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;",
+    "measure": r"\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]\s*;",
+}.items()}
+_DECLARATIONS = ("qreg", "creg")
+_RE_WORD = re.compile(r"([A-Za-z_]\w*)", re.ASCII)
 _RE_REAL = re.compile(r"\s*[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?\s*", re.ASCII)
-
-_KNOWN_GATES = ("h", "rx", "rz", "cx", "measure")
 
 
 def parse(text: str) -> PhysicalCircuit:
     """Parse a document from the emitted subset back into a circuit.
 
-    Each gate lands in its own cycle, preserving the textual order; the
-    measurement map is rebuilt into ``final_layout``.  Errors carry the line
-    and column of the offending token.
+    One pass reads the lines in order.  The first four statements (non-blank
+    lines) are the header: the version, the include and the two register
+    declarations, judged once the fourth is read or the document ends.  Every
+    later statement is looked up by its first word in one table of
+    full-statement patterns.  Each gate lands in its own cycle, preserving the
+    textual order; the measurement map is rebuilt into ``final_layout``, and
+    a classical bit left unmeasured is reported at the last statement.
+    Errors carry the line and column of the offending token; the first fault
+    in document order is the one reported.
 
     A gate line that passed every check is remembered by its text, and a
     repeat of it reuses that ``Gate``: the register size is fixed for the
     document, so the repeat would parse to an equal gate.  ``measure`` lines
     are always checked, so a classical bit measured twice fails.
     """
-    lines = text.split("\n")
-
-    def statements(start):
-        """(line number, column, text) of each non-blank line from index ``start``."""
-        for lineno, raw in enumerate(lines[start:], start=start + 1):
-            stmt = raw.strip()
-            if stmt:
-                yield lineno, raw.index(stmt[0]) + 1, stmt
-
-    stmts = list(itertools.islice(statements(0), 4))
 
     def fail(msg, lineno, col=1):
         raise ParseError(msg, f"line {lineno}, col {col}")
@@ -96,35 +96,25 @@ def parse(text: str) -> PhysicalCircuit:
         except ValueError:  # past Python's integer-conversion digit limit
             fail(f"integer of {len(digits)} digits is too long", lineno, col)
 
-    if not stmts or stmts[0][2] != "OPENQASM 2.0;":
-        lineno = stmts[0][0] if stmts else 1
-        fail('document must start with "OPENQASM 2.0;"', lineno)
-    if len(stmts) < 2 or stmts[1][2] != 'include "qelib1.inc";':
-        lineno = stmts[1][0] if len(stmts) > 1 else stmts[0][0]
-        fail('expected \'include "qelib1.inc";\'', lineno)
-
-    if len(stmts) < 4:
-        fail("missing register declarations", stmts[-1][0])
-    lineno, col, stmt = stmts[2]
-    m = _RE_QREG.match(stmt)
-    if not m:
-        fail("expected qreg declaration", lineno, col)
-    if m.group(1) != "q":
-        fail(f"quantum register must be named 'q', got {m.group(1)!r}", lineno, col)
-    nq = number(m.group(2), lineno, col)
-    lineno, col, stmt = stmts[3]
-    m = _RE_CREG.match(stmt)
-    if not m:
-        fail("expected creg declaration", lineno, col)
-    if m.group(1) != "c":
-        fail(f"classical register must be named 'c', got {m.group(1)!r}", lineno, col)
-    nc = number(m.group(2), lineno, col)
-    if nq < 1 or nc < 1:
-        fail("registers must be non-empty", lineno, col)
-
-    gates: list[Gate] = []
-    layout: dict[int, int] = {}
-    memo: dict[str, Gate] = {}  # line -> its checked gate
+    def registers(header):
+        """The register sizes the first four statements declare; fewer fail."""
+        if not header or header[0][2] != "OPENQASM 2.0;":
+            fail('document must start with "OPENQASM 2.0;"', header[0][0] if header else 1)
+        if len(header) < 2 or header[1][2] != 'include "qelib1.inc";':
+            fail('expected \'include "qelib1.inc";\'', header[1 if len(header) > 1 else 0][0])
+        if len(header) < 4:
+            fail("missing register declarations", header[-1][0])
+        sizes = []
+        for (lineno, col, stmt), word, kind in zip(header[2:], _DECLARATIONS, ("quantum", "classical")):
+            m = _STATEMENTS[word].fullmatch(stmt)
+            if not m:
+                fail(f"expected {word} declaration", lineno, col)
+            if m[1] != word[0]:
+                fail(f"{kind} register must be named {word[0]!r}, got {m[1]!r}", lineno, col)
+            sizes.append(number(m[2], lineno, col))
+        if min(sizes) < 1:
+            fail("registers must be non-empty", lineno, col)
+        return sizes
 
     def check_q(digits, lineno, col):
         q = number(digits, lineno, col)
@@ -132,68 +122,71 @@ def parse(text: str) -> PhysicalCircuit:
             fail(f"q[{q}] outside register of size {nq}", lineno, col)
         return q
 
-    body = stmts[3][0]  # index of the line after the creg declaration
-    for lineno, raw in enumerate(lines[body:], start=body + 1):
+    header: list[tuple[int, int, str]] = []  # (line number, column, text)
+    gates: list[Gate] = []
+    layout: dict[int, int] = {}
+    memo: dict[str, Gate] = {}  # line -> its checked gate
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         gate = memo.get(raw)
         if gate is not None:
             gates.append(gate)
+            last = lineno
             continue
         stmt = raw.strip()
         if not stmt:
             continue
+        last = lineno
         col = raw.index(stmt[0]) + 1
+        if len(header) < 4:
+            header.append((lineno, col, stmt))
+            if len(header) == 4:
+                nq, nc = registers(header)
+            continue
         if not stmt.endswith(";"):
             fail("missing ';'", lineno, col + len(stmt))
         word = _RE_WORD.match(stmt)
-        name = word.group(1) if word else ""
-        if name not in _KNOWN_GATES:
+        name = word[1] if word else ""
+        pattern = None if name in _DECLARATIONS else _STATEMENTS.get(name)
+        if pattern is None:
             fail(f"unknown gate {name!r}", lineno, col)
-        if name == "h":
-            m = _RE_H.match(stmt)
-            if not m:
-                fail("malformed h statement", lineno, col)
-            gate = Gate("h", (check_q(m.group(1), lineno, col),))
-        elif name in ("rx", "rz"):
-            m = _RE_ROT.match(stmt)
-            if not m:
-                fail(f"malformed {name} statement", lineno, col)
-            try:
-                angle = float(m.group(2))
-            except ValueError:
-                fail(f"malformed real {m.group(2)!r}", lineno, col + len(name) + 1)
-            if not math.isfinite(angle):
-                fail(f"non-finite angle {m.group(2)!r}", lineno, col + len(name) + 1)
-            # after the finiteness check, so nan and inf keep their message
-            if not _RE_REAL.fullmatch(m.group(2)):
-                fail(f"malformed real {m.group(2)!r}", lineno, col + len(name) + 1)
-            gate = Gate(name, (check_q(m.group(3), lineno, col),), angle)
-        elif name == "cx":
-            m = _RE_CX.match(stmt)
-            if not m:
-                fail("malformed cx statement", lineno, col)
-            a = check_q(m.group(1), lineno, col)
-            b = check_q(m.group(2), lineno, col)
-            if a == b:
-                fail("cx operands must differ", lineno, col)
-            gate = Gate("cnot", (a, b))
-        else:
-            m = _RE_MEASURE.match(stmt)
-            if not m:
-                fail("malformed measure statement", lineno, col)
-            q = check_q(m.group(1), lineno, col)
-            cbit = number(m.group(2), lineno, col)
+        m = pattern.fullmatch(stmt)
+        if not m:
+            fail(f"malformed {name} statement", lineno, col)
+        if name == "measure":
+            q = check_q(m[1], lineno, col)
+            cbit = number(m[2], lineno, col)
             if cbit >= nc:
                 fail(f"c[{cbit}] outside register of size {nc}", lineno, col)
             if cbit in layout:
                 fail(f"classical bit {cbit} measured twice", lineno, col)
             layout[cbit] = q
             continue
+        if name == "h":
+            gate = Gate("h", (check_q(m[1], lineno, col),))
+        elif name == "cx":
+            a = check_q(m[1], lineno, col)
+            b = check_q(m[2], lineno, col)
+            if a == b:
+                fail("cx operands must differ", lineno, col)
+            gate = Gate("cnot", (a, b))
+        else:
+            try:
+                angle = float(m[1])
+            except ValueError:
+                fail(f"malformed real {m[1]!r}", lineno, col + len(name) + 1)
+            if not math.isfinite(angle):
+                fail(f"non-finite angle {m[1]!r}", lineno, col + len(name) + 1)
+            # after the finiteness check, so nan and inf keep their message
+            if not _RE_REAL.fullmatch(m[1]):
+                fail(f"malformed real {m[1]!r}", lineno, col + len(name) + 1)
+            gate = Gate(name, (check_q(m[2], lineno, col),), angle)
         memo[raw] = gate
         gates.append(gate)
 
+    if len(header) < 4:
+        registers(header)
     missing = [b for b in range(nc) if b not in layout]
     if missing:
-        last = max(lineno for lineno, _, _ in statements(body - 1))
         fail(f"classical bits never assigned: {missing}", last)
     return PhysicalCircuit(
         n=nq,

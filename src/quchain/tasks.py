@@ -137,6 +137,14 @@ def _check_counts(counts) -> None:
         raise ValueError("counts must map bitstrings to non-negative ints")
 
 
+def _moved(rec: TaskRecord, status: str, counts=None, error=None) -> TaskRecord:
+    """``rec`` moved on to ``status``, a new record checked as any record is;
+    an illegal transition or malformed counts raise ``ValueError``."""
+    if status not in _TRANSITIONS[rec.status]:
+        raise ValueError(f"illegal transition {rec.status} -> {status}")
+    return replace(rec, status=status, counts=counts, error=error, updated_at=time.time())
+
+
 def _read_log(f, path) -> tuple[dict[str, TaskRecord], int | None]:
     """The record per id in the store open at ``f`` (binary, at its start),
     each id's lines merged in order, and the offset of a torn final line, or
@@ -252,7 +260,7 @@ class TaskService:
         with self._cond:
             for rec in list(self._records.values()):
                 if rec.status == "running":
-                    self._transition(rec.id, "failed", error="interrupted by restart")
+                    self._append(_moved(rec, "failed", error="interrupted by restart"))
                 elif rec.status == "queued":
                     self._pending.append(rec.id)
         self._worker = threading.Thread(target=self._loop, daemon=True)
@@ -297,33 +305,24 @@ class TaskService:
         self._records[rec.id] = rec
         self._cond.notify_all()
 
-    def _transition(self, task_id: str, status: str, counts=None, error=None):
-        rec = self._records[task_id]
-        if status not in _TRANSITIONS[rec.status]:
-            raise ValueError(f"illegal transition {rec.status} -> {status}")
-        self._append(
-            replace(rec, status=status, counts=counts, error=error, updated_at=time.time())
-        )
-
     def _loop(self):
         while True:
             with self._cond:
                 self._cond.wait_for(lambda: self._pending or self._stopping)
                 if self._stopping:
                     return
-                rec = self._records[self._pending.popleft()]
-                self._transition(rec.id, "running")
+                rec = _moved(self._records[self._pending.popleft()], "running")
+                self._append(rec)
             try:
                 counts = self.backend.run(rec.qasm, rec.shots, rec.seed)
-                _check_counts(counts)
+                done = _moved(rec, "completed", counts=counts)  # the record checks the counts
                 total = sum(counts.values())
                 if total != rec.shots:
                     raise ValueError(f"backend returned {total} counts for {rec.shots} shots")
-                done = dict(status="completed", counts=counts)
             except Exception as exc:  # failure terminates the task, not the service
-                done = dict(status="failed", error=str(exc))
+                done = _moved(rec, "failed", error=str(exc))
             with self._cond:
-                self._transition(rec.id, **done)
+                self._append(done)
 
     def submit(self, circuit, shots: int, name: str = "", wait: bool = False, seed=None):
         """Enqueue a sampling job; returns the task id, or the terminal record

@@ -2,7 +2,9 @@
 
 Weight graphs, calibrations and QAOA parameter files all parse through these
 helpers, so a malformed, non-integer or non-finite value raises
-:class:`ParseError` naming the field it came from.
+:class:`ParseError` naming the field it came from.  :func:`records` is the
+one walk over a list of JSON objects, the rows of graph ``nodes`` and
+``edges`` and of calibration ``qubits`` and ``couplers``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,30 @@ def required(obj: dict, key: str, where: str):
     if key not in obj:
         raise ParseError(f"missing field {key!r}", where)
     return obj[key]
+
+
+def records(value, key: str, fields: dict, closed: bool = False, nonempty: bool = False) -> list:
+    """The list ``value`` found at ``key``, read as one tuple per entry.
+
+    Each entry must be an object holding every field in ``fields`` (name ->
+    reader); the tuple holds ``reader(entry[name], "key[k].name")`` in
+    ``fields`` order.  A ``closed`` entry may hold no other field, and a
+    ``nonempty`` list needs an entry.  The first fault raises
+    :class:`ParseError`: the list, then entry by entry, its unknown fields
+    before its missing or bad ones.
+    """
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ParseError(f"{key} must be a {'non-empty ' if nonempty else ''}list", key)
+    rows = []
+    for k, entry in enumerate(value):
+        where = f"{key}[{k}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{key[:-1]} entry must be an object", where)
+        if closed:
+            only_fields(entry, fields, where)
+        rows.append(tuple(read(required(entry, name, where), f"{where}.{name}")
+                          for name, read in fields.items()))
+    return rows
 
 
 _FLOAT_MAX = sys.float_info.max
