@@ -40,6 +40,26 @@ quchain --store st result "$id" --problem maxcut --graph maxcut7.json \
   --dot solution7.dot > result7.txt
 grep -qx '  6 \[style=filled, fillcolor=white\];' solution7.dot
 
+# Graph coloring of a triangle in three colors: nine one-hot qubits, sampled
+# with submit --wait, and the DOT file drawn from the best row.
+cat > triangle.json <<'JSON'
+{
+  "offset": 0,
+  "nodes": [{"id": 0, "w": 0}, {"id": 1, "w": 0}, {"id": 2, "w": 0}],
+  "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 0, "v": 2, "w": 1}, {"u": 1, "v": 2, "w": 1}]
+}
+JSON
+coloring=(--problem coloring --graph triangle.json --colors 3)
+quchain solve "${coloring[@]}" --grid-size 8 --out coloring.json
+quchain compile "${coloring[@]}" --params coloring.json --out coloring.qasm
+quchain --store st submit --qasm coloring.qasm --shots 200 --wait > coloring.txt
+head -n 1 coloring.txt | grep -qE '^task [0-9a-f]{32}: completed$'
+test "$(tail -n +2 coloring.txt | awk '{ n += $2 } END { print n }')" -eq 200
+cid=$(head -n 1 coloring.txt | cut -d' ' -f2 | tr -d :)
+quchain --store st result "$cid" "${coloring[@]}" --dot coloring.dot > coloring-result.txt
+test "$(grep -c 'fillcolor=' coloring.dot)" -eq 3  # one line per vertex
+grep -qx '  0 -- 1;' coloring.dot && grep -qx '  1 -- 2;' coloring.dot
+
 # Other verbs.
 quchain bench --sizes 10,20,30 --densities 0.3,0.8 --p-list 1 --reps 20 --out bench.csv
 test "$(wc -l < bench.csv)" -eq 127  # header, 3 sizes x 2 densities x 20 reps, 6 cell means

@@ -123,8 +123,9 @@ def dumps_graph(g: WeightGraph) -> str:
 def loads_graph(text: str) -> WeightGraph:
     """Parse the JSON interchange format; errors carry a field location.
 
-    Checks run in document order: the top-level fields, every node row, the
-    node ids, then every edge row, whose endpoints must be declared nodes.
+    The first fault found is reported, checking in this order: the top-level
+    fields, every node row, the node ids, then every edge row, whose
+    endpoints must be declared nodes, and last the graph itself.
     """
     doc = json_object(text)
     only_fields(doc, ("offset", "nodes", "edges"), "$")

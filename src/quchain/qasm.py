@@ -4,7 +4,10 @@ The subset is exactly ``h``, ``rx``, ``rz``, ``cx`` and ``measure`` over one
 quantum and one classical register.  Angles are printed with 17 significant
 digits so that parse(emit(c)) reproduces every angle bit for bit.  Indices
 are ASCII digits and angles QASM reals (an optional sign, digits with at most
-one point, an optional exponent).
+one point, an optional exponent).  The parser reads a document in one pass:
+its first four statements are the header, and each later one is looked up
+by its first word in :data:`_STATEMENTS`, one table of full-statement
+patterns.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ _STATEMENTS = {word: re.compile(word + rest, re.ASCII) for word, rest in {
     "cx": r"\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;",
     "measure": r"\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]\s*;",
 }.items()}
-_DECLARATIONS = ("qreg", "creg")
+_DECLARATIONS = ("qreg", "creg")  # header words: in the body they are unknown gates
 _RE_WORD = re.compile(r"([A-Za-z_]\w*)", re.ASCII)
 _RE_REAL = re.compile(r"\s*[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?\s*", re.ASCII)
 
