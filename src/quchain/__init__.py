@@ -21,7 +21,6 @@ from .engine import (
     decompose,
     energy_table,
     expectation_decomposed,
-    expectation_full,
     interp_initialize,
     optimize,
     random_params,
@@ -58,12 +57,10 @@ from .problems import (
 from .qasm import emit, parse
 from .simulator import (
     QUBIT_LIMIT,
-    permute_qubits,
     probabilities,
     sample_counts,
     simulate,
     simulate_gates,
-    states_equal_up_to_phase,
 )
 from .tasks import (
     LocalSampler,

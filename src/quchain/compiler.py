@@ -50,10 +50,6 @@ class Template:
     n: int
     layers: tuple[TemplateLayer, ...]
 
-    @property
-    def cycle_count(self) -> int:
-        return len(self.layers)
-
 
 @lru_cache(maxsize=256)
 def build_template(n: int) -> Template:
@@ -96,9 +92,6 @@ class ExeRTable:
     n: int
     table: np.ndarray  # (n, n) int64, symmetric, zero diagonal
     where: np.ndarray  # (n, n) int64, symmetric, zero diagonal
-
-    def cycle(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
 
 @lru_cache(maxsize=256)
@@ -200,7 +193,6 @@ class ScheduledCircuit:
     layers: list[list[Gate]]
     final_layout: tuple[int, ...]
     cost_cycles: int
-    last_rzz_cycle: int
 
 
 def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int):
@@ -276,7 +268,6 @@ def schedule(
         layers=[[Gate(kind, qs, angle) for qs, angle in rows] for kind, rows in layers],
         final_layout=end,
         cost_cycles=params.p * last_rzz,
-        last_rzz_cycle=last_rzz,
     )
 
 
@@ -326,10 +317,6 @@ class PhysicalCircuit:
     def gates(self):
         for cycle in self.cycles:
             yield from cycle
-
-    @property
-    def gate_count(self) -> int:
-        return sum(len(c) for c in self.cycles)
 
     @property
     def cnot_count(self) -> int:

@@ -1,16 +1,11 @@
 """QAOA expectation evaluation and variational parameter search.
 
-Two evaluation routes are provided and must agree exactly:
-
-* :func:`expectation_full` simulates the whole circuit gate by gate and
-  contracts the probability vector with the diagonal Hamiltonian.  It is the
-  reference the tests compare the light-cone route against.
-* :func:`expectation_decomposed` groups the Hamiltonian's terms by their
-  p-hop neighborhood subgraph (the term's light cone), simulates each
-  distinct cone independently and sums the per-cone expectations.
-
-:func:`optimize` evaluates on the light-cone route only: cone sizes depend on
-local graph structure, not on the total qubit count.  :func:`decompose`
+There is one evaluation route, the light-cone route.
+:func:`expectation_decomposed` groups the Hamiltonian's terms by their
+p-hop neighborhood subgraph (the term's light cone), simulates each
+distinct cone independently and sums the per-cone expectations;
+:func:`optimize` evaluates the same way, so cone sizes depend on local
+graph structure, not on the total qubit count.  :func:`decompose`
 returns the distinct cones of one depth, or one cone of the whole graph when
 the distinct cones together hold more amplitudes than the register
 (sum of 2**|cone| > 2**n) and the register fits the simulator; there is no
@@ -19,9 +14,9 @@ observables of the cones of one width form one block each, built once per
 depth within a memory budget.
 :func:`~quchain.simulator.qaoa_state` runs once per width and batch of
 points: one diagonal phase per cost layer and in-place 2x2 rotations for the
-mixer.  There is one evaluator: the p=1 grid is one gamma-major batch, cut
-into chunks whose states fit in ``CHUNK_BYTES``; simplex and interpolation
-steps are batches of one, and :func:`expectation_decomposed` is one too.
+mixer.  The p=1 grid is one gamma-major batch, cut into chunks whose states
+fit in ``CHUNK_BYTES``; simplex and interpolation steps are batches of one,
+and :func:`expectation_decomposed` is one too.
 Each (point, cone) energy is its own dot product and each point sums its
 cones in cone order, so a batched energy is bit-equal to the point alone.
 """
@@ -33,10 +28,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .circuits import QaoaParams, build_qaoa_circuit
+from .circuits import QaoaParams
 from .errors import CapacityError
 from .graph import WeightGraph
-from .simulator import QUBIT_LIMIT, probabilities, qaoa_state, simulate, spin_product
+from .simulator import QUBIT_LIMIT, qaoa_state, spin_product
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MAX_EVALS = 20000
@@ -69,12 +64,6 @@ def _diagonal(n: int, terms) -> np.ndarray:
 def energy_table(g: WeightGraph) -> np.ndarray:
     """C(z) for every basis state (offset excluded), little-endian indexing."""
     return _diagonal(g.n, _terms(g))
-
-
-def expectation_full(g: WeightGraph, params: QaoaParams) -> float:
-    """<gamma,beta| H_C |gamma,beta> by full statevector simulation."""
-    state = simulate(build_qaoa_circuit(g, params))
-    return float(probabilities(state) @ energy_table(g))
 
 
 class LightCone:
@@ -228,7 +217,7 @@ class _ConeStacks:
 
 
 def expectation_decomposed(g: WeightGraph, params: QaoaParams) -> float:
-    """Sum of per-cone expectations in cone order; equals :func:`expectation_full`."""
+    """<gamma,beta| H_C |gamma,beta>: the sum of per-cone expectations in cone order."""
     return _ConeStacks(decompose(g, params.p)).energies([params])[0]
 
 

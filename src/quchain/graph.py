@@ -29,6 +29,12 @@ def _fmt_real(x: float) -> str:
     return format(x, ".17g")
 
 
+class _GraphError(ParseError, ValueError):
+    """A fault in a graph's nodes or in one edge, located at ``nodes`` or
+    ``edges[k]``: a document's row, or the position in the constructor's
+    list."""
+
+
 @dataclass
 class WeightGraph:
     """Undirected weighted graph over nodes ``0..n-1``.
@@ -36,7 +42,9 @@ class WeightGraph:
     ``nodes`` is a list of ``(id, weight)`` and ``edges`` a list of
     ``(u, v, weight)``.  The constructor canonicalizes: nodes are sorted by
     id, edges by ``(u, v)`` with ``u < v``.  Zero-weight nodes are retained;
-    self loops and duplicate edges are rejected.
+    self loops and duplicate edges are rejected.  Each fault raises a
+    :class:`ValueError` that is also a :class:`ParseError` located at
+    ``nodes`` or at the edge's ``edges[k]``, the later row of a duplicate.
     """
 
     nodes: list[tuple[int, float]]
@@ -46,22 +54,22 @@ class WeightGraph:
     def __post_init__(self):
         nodes = sorted((int(i), float(w)) for i, w in self.nodes)
         if not nodes:
-            raise ValueError("graph needs at least one node")
+            raise _GraphError("graph needs at least one node", "nodes")
         ids = [i for i, _ in nodes]
         if ids != list(range(len(ids))):
-            raise ValueError(f"node ids must be exactly 0..{len(ids) - 1}, got {ids}")
+            raise _GraphError(f"node ids must be exactly 0..{len(ids) - 1}, got {ids}", "nodes")
         edges = []
         seen = set()
-        for u, v, w in self.edges:
+        for k, (u, v, w) in enumerate(self.edges):
             u, v = int(u), int(v)
             if u == v:
-                raise ValueError(f"self loop on node {u}")
+                raise _GraphError(f"self loop on node {u}", f"edges[{k}]")
             if u > v:
                 u, v = v, u
             if not (0 <= u < len(ids) and 0 <= v < len(ids)):
-                raise ValueError(f"edge ({u},{v}) references a missing node")
+                raise _GraphError(f"edge ({u},{v}) references a missing node", f"edges[{k}]")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise _GraphError(f"duplicate edge ({u},{v})", f"edges[{k}]")
             seen.add((u, v))
             edges.append((u, v, float(w)))
         self.nodes = nodes
@@ -71,10 +79,6 @@ class WeightGraph:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @property
-    def node_weights(self) -> list[float]:
-        return [w for _, w in self.nodes]
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {i: [] for i, _ in self.nodes}
@@ -124,8 +128,10 @@ def loads_graph(text: str) -> WeightGraph:
     """Parse the JSON interchange format; errors carry a field location.
 
     The first fault found is reported, checking in this order: the top-level
-    fields, every node row, the node ids, then every edge row, whose
-    endpoints must be declared nodes, and last the graph itself.
+    fields, every node row, duplicate node ids, then every edge row, whose
+    endpoints must be declared nodes, and last the graph itself, which
+    locates its faults (see :class:`WeightGraph`): node ids other than
+    0..n-1 at ``nodes``, then each self loop or duplicate edge at its row.
     """
     doc = json_object(text)
     only_fields(doc, ("offset", "nodes", "edges"), "$")
@@ -144,10 +150,7 @@ def loads_graph(text: str) -> WeightGraph:
         return i
 
     edges = records(raw_edges, "edges", {"u": endpoint, "v": endpoint, "w": real}, closed=True)
-    try:
-        return WeightGraph(nodes=nodes, edges=edges, offset=offset)
-    except ValueError as exc:
-        raise ParseError(str(exc), "$") from exc
+    return WeightGraph(nodes=nodes, edges=edges, offset=offset)
 
 
 def write_graph(g: WeightGraph, path) -> None:

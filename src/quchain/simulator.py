@@ -165,21 +165,3 @@ def sample_counts(state: np.ndarray, shots: int, seed=None) -> dict[int, int]:
     values, counts = np.unique(outcomes, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
-
-def permute_qubits(state: np.ndarray, perm) -> np.ndarray:
-    """Relabel qubits: output qubit ``i`` carries input qubit ``perm[i]``."""
-    n = int(np.log2(len(state)))
-    axes = [_axis(perm[n - 1 - ax], n) for ax in range(n)]
-    return np.transpose(state.reshape([2] * n), axes).reshape(-1)
-
-
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Amplitude-wise equality after aligning global phase."""
-    if a.shape != b.shape:
-        return False
-    k = int(np.argmax(np.abs(a)))
-    if abs(b[k]) < 1e-12:
-        return False
-    phase = a[k] / b[k]
-    phase /= abs(phase)
-    return bool(np.max(np.abs(a - phase * b)) < tol)

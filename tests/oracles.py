@@ -1,15 +1,29 @@
-"""Exhaustive reference searches that tests compare the library against.
+"""Reference computations that tests compare the library against.
 
-Each one is exponential or factorial in its input, so it lives with the
-tests, not in the package.
+The exhaustive searches are exponential or factorial in their input; the
+full-simulation references build and simulate the whole circuit gate by
+gate.  Only tests call them, so they live with the tests, not in the
+package.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from quchain import CapacityError, WeightGraph, build_exer_table
+import numpy as np
+
+from quchain import (
+    CapacityError,
+    QaoaParams,
+    WeightGraph,
+    build_exer_table,
+    build_qaoa_circuit,
+    energy_table,
+    probabilities,
+    simulate,
+)
 from quchain.hardware import ChipModel, path_fidelity
+from quchain.simulator import _axis
 
 
 def exhaustive_best_mapping(
@@ -65,3 +79,28 @@ def exhaustive_library_entries(chip: ChipModel) -> dict[int, list[tuple[int, ...
         )
         for k in range(2, chip.n + 1)
     }
+
+
+def expectation_full(g: WeightGraph, params: QaoaParams) -> float:
+    """<gamma,beta| H_C |gamma,beta> by full statevector simulation."""
+    state = simulate(build_qaoa_circuit(g, params))
+    return float(probabilities(state) @ energy_table(g))
+
+
+def permute_qubits(state: np.ndarray, perm) -> np.ndarray:
+    """Relabel qubits: output qubit ``i`` carries input qubit ``perm[i]``."""
+    n = int(np.log2(len(state)))
+    axes = [_axis(perm[n - 1 - ax], n) for ax in range(n)]
+    return np.transpose(state.reshape([2] * n), axes).reshape(-1)
+
+
+def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """Amplitude-wise equality after aligning global phase."""
+    if a.shape != b.shape:
+        return False
+    k = int(np.argmax(np.abs(a)))
+    if abs(b[k]) < 1e-12:
+        return False
+    phase = a[k] / b[k]
+    phase /= abs(phase)
+    return bool(np.max(np.abs(a - phase * b)) < tol)

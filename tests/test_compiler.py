@@ -19,19 +19,17 @@ from quchain import (
     decompose_gates,
     layout_document,
     optimize_circuit,
-    permute_qubits,
     schedule,
     search_initial_mapping,
     simulate,
     simulate_gates,
-    states_equal_up_to_phase,
 )
 
 from quchain import compiler
 from quchain.bench import random_weight_graph
 
 from conftest import random_graph, random_qaoa_params
-from oracles import exhaustive_best_mapping
+from oracles import exhaustive_best_mapping, permute_qubits, states_equal_up_to_phase
 
 # seed -> digest of ``schedule`` on a seeded graph with fields, a chain of
 # g.n to g.n + 3 positions and a shuffled mapping (see TestSchedule)
@@ -75,17 +73,17 @@ def rzz_meetings(template):
 class TestTemplate:
     def test_layer_counts_small(self):
         t5 = build_template(5)
-        assert t5.cycle_count == 9
+        assert len(t5.layers) == 9
         assert sum(1 for l in t5.layers if l.kind == "rzz") == 5
         assert sum(1 for l in t5.layers if l.kind == "swap") == 4
         t6 = build_template(6)
-        assert t6.cycle_count == 10
+        assert len(t6.layers) == 10
         assert sum(1 for l in t6.layers if l.kind == "rzz") == 6
         assert sum(1 for l in t6.layers if l.kind == "swap") == 4
 
     def test_n2_single_meeting(self):
         t = build_template(2)
-        assert t.cycle_count == 2  # second rzz cycle is structurally empty
+        assert len(t.layers) == 2  # second rzz cycle is structurally empty
         assert sum(1 for l in t.layers if l.kind == "swap" and l.pairs) == 0
         assert sum(1 for l in t.layers if l.kind == "rzz" and l.pairs) == 1
 
@@ -107,25 +105,25 @@ class TestTemplate:
 class TestExeRTable:
     def test_first_cycle_pair(self):
         for n in (2, 4, 7):
-            assert build_exer_table(n).cycle(0, 1) == 1
+            assert build_exer_table(n).table[0, 1] == 1
 
     def test_hand_simulated_n4(self):
         ex = build_exer_table(4)
-        assert ex.cycle(0, 2) == 5
-        assert ex.cycle(1, 3) == 5
-        assert ex.cycle(0, 3) == 6
-        assert ex.cycle(1, 2) == 2
+        assert ex.table[0, 2] == 5
+        assert ex.table[1, 3] == 5
+        assert ex.table[0, 3] == 6
+        assert ex.table[1, 2] == 2
 
     def test_symmetry_and_range(self):
         for n in (3, 6, 9):
             ex = build_exer_table(n)
-            bound = build_template(n).cycle_count
+            bound = len(build_template(n).layers)
             for a in range(n):
                 for b in range(n):
                     if a == b:
                         continue
-                    assert ex.cycle(a, b) == ex.cycle(b, a)
-                    assert 1 <= ex.cycle(a, b) <= bound
+                    assert ex.table[a, b] == ex.table[b, a]
+                    assert 1 <= ex.table[a, b] <= bound
 
     def test_matches_independent_simulation(self):
         for n in range(2, 13):
@@ -133,7 +131,7 @@ class TestExeRTable:
             ex = build_exer_table(n)
             assert (ex.where == ex.where.T).all()
             for (a, b), (cycle, pos) in met.items():
-                assert ex.cycle(a, b) == cycle
+                assert ex.table[a, b] == cycle
                 assert ex.where[a, b] == pos
 
     def test_cached_arrays_are_read_only(self):
@@ -144,7 +142,7 @@ class TestExeRTable:
         g = WeightGraph(nodes=[(i, 0.0) for i in range(3)], edges=[(0, 2, 1.0)])
         sched = schedule(g, (0, 1, 2), QaoaParams(gamma=(0.3,), beta=(0.2,)))
         cycle, pos = rzz_meetings(build_template(3))[0, 2]
-        assert sched.last_rzz_cycle == cycle == 5
+        assert sched.cost_cycles == cycle == 5  # p=1: the last RZZ cycle
         rzz = [gt for layer in sched.layers for gt in layer if gt.kind == "rzz"]
         assert [gt.qubits for gt in rzz] == [(pos, pos + 1)]
 
@@ -173,7 +171,7 @@ class TestMappingSearch:
             _, found = search_initial_mapping(g, n)
             assert found == costs.pop() == int(exer.max())
             if n >= 3:
-                assert found == build_template(n).cycle_count
+                assert found == len(build_template(n).layers)
 
     def test_single_edge_identity(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)])
@@ -217,7 +215,7 @@ class TestMappingSearch:
             sched = schedule(
                 g, mapping, QaoaParams(gamma=(0.3,), beta=(0.2,)), n_positions=g.n
             )
-            assert sched.last_rzz_cycle == predicted
+            assert sched.cost_cycles == predicted  # p=1: the last RZZ cycle
 
 
 class TestSchedule:
@@ -246,7 +244,7 @@ class TestSchedule:
                 for gate in layer:
                     a, b = gate.qubits
                     u, v = log_at[a], log_at[b]
-                    assert exer.cycle(mapping[u], mapping[v]) == cycle
+                    assert exer.table[mapping[u], mapping[v]] == cycle
                     placed += 1
             elif kinds == {"swap"}:
                 for gate in layer:
@@ -268,7 +266,7 @@ class TestSchedule:
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)])
         sched = schedule(g, (0, 1), QaoaParams(gamma=(0.3,), beta=(0.2,)), n_positions=4)
         # on a 4-chain the (0,1) edge meets at cycle 1; nothing after survives
-        assert sched.last_rzz_cycle == 1
+        assert sched.cost_cycles == 1
 
     def test_bias_gates_on_current_positions(self):
         g = WeightGraph(nodes=[(0, 0.7), (1, 0.0), (2, 0.0)], edges=[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
@@ -291,7 +289,7 @@ class TestSchedule:
         sched = schedule(g, mapping, params, n_positions=n)
         text = repr((
             [[(gt.kind, gt.qubits, gt.angle) for gt in layer] for layer in sched.layers],
-            sched.n, sched.final_layout, sched.cost_cycles, sched.last_rzz_cycle,
+            sched.n, sched.final_layout, sched.cost_cycles, sched.cost_cycles // params.p,
         ))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == WIDE_SCHEDULES[seed]
 
@@ -311,7 +309,7 @@ class TestGateDecomposition:
         from quchain.compiler import ScheduledCircuit
 
         sc = ScheduledCircuit(
-            n=2, layers=sched_layers, final_layout=(1, 0), cost_cycles=1, last_rzz_cycle=1
+            n=2, layers=sched_layers, final_layout=(1, 0), cost_cycles=1
         )
         pc = decompose_gates(sc)
         seq = [(gt.kind, gt.qubits) for gt in pc.gates()]
@@ -325,12 +323,11 @@ class TestGateDecomposition:
             layers=[[Gate("rzz", (0, 1), 0.8)], [Gate("swap", (0, 1))]],
             final_layout=(1, 0),
             cost_cycles=2,
-            last_rzz_cycle=1,
         )
         pre = decompose_gates(sc)
-        assert pre.gate_count == 6
+        assert len(list(pre.gates())) == 6
         post = optimize_circuit(pre)
-        assert post.gate_count == 4
+        assert len(list(post.gates())) == 4
         assert post.cnot_count == 3
         seq = [(gt.kind, gt.qubits) for gt in post.gates()]
         assert seq == [("cnot", (0, 1)), ("rz", (1,)), ("cnot", (1, 0)), ("cnot", (0, 1))]
@@ -345,12 +342,12 @@ class TestPeephole:
     def test_double_cnot_cancels_to_empty(self):
         pc = self._pc([Gate("cnot", (0, 1)), Gate("cnot", (0, 1))], 2)
         out = optimize_circuit(pc)
-        assert out.gate_count == 0
+        assert len(list(out.gates())) == 0
 
     def test_cascading_cancellation(self):
         gates = [Gate("cnot", (0, 1)), Gate("cnot", (1, 2)), Gate("cnot", (1, 2)), Gate("cnot", (0, 1))]
         out = optimize_circuit(self._pc(gates, 3))
-        assert out.gate_count == 0
+        assert len(list(out.gates())) == 0
 
     def test_opposite_orientation_not_cancelled(self):
         gates = [Gate("cnot", (0, 1)), Gate("cnot", (1, 0))]

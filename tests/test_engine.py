@@ -15,7 +15,6 @@ from quchain import (
     decompose,
     energy_table,
     expectation_decomposed,
-    expectation_full,
     interp_initialize,
     optimize,
     simulate,
@@ -27,6 +26,7 @@ from conftest import (
     random_graph,
     random_qaoa_params,
 )
+from oracles import expectation_full
 
 
 def edge_expectation_oracle(gamma, beta, j):
@@ -467,7 +467,6 @@ class TestOptimize:
         def no_evaluation(*args):
             pytest.fail("optimize evaluated before rejecting its arguments")
 
-        monkeypatch.setattr(engine, "expectation_full", no_evaluation)
         monkeypatch.setattr(engine, "decompose", no_evaluation)
         with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
             optimize(k2_graph, **kwargs)

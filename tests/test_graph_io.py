@@ -86,6 +86,19 @@ def test_non_contiguous_ids_rejected():
         WeightGraph(nodes=[(0, 0.0), (2, 0.0)], edges=[])
 
 
+@pytest.mark.parametrize("nodes, edges, location", [
+    ([(0, 0.0), (2, 0.0)], [], "nodes"),
+    ([(0, 0.0), (1, 0.0)], [(0, 1, 1.0), (1, 1, 1.0)], "edges[1]"),
+    ([(0, 0.0), (1, 0.0)], [(0, 1, 1.0), (0, 5, 1.0)], "edges[1]"),
+    ([(0, 0.0), (1, 0.0)], [(0, 1, 1.0), (1, 0, 2.0)], "edges[1]"),
+])
+def test_constructor_fault_is_a_located_value_error(nodes, edges, location):
+    with pytest.raises(ValueError) as err:
+        WeightGraph(nodes=nodes, edges=edges)
+    assert isinstance(err.value, ParseError)
+    assert err.value.location == location
+
+
 GRAPH_DOC = (
     '{"offset": %s, "nodes": [{"id": 0, "w": %s}, {"id": 1, "w": 0}],'
     ' "edges": [{"u": 0, "v": 1, "w": %s}]}'

@@ -164,9 +164,10 @@ GRAPH_CASES = {
     "edge-v-undeclared": (graph(edges=edge(v=-1)), "endpoint -1 is not a declared node", "edges[0].v"),
     "edge-w-null": (graph(edges=edge(w=None)), "expected a real number, got None", "edges[0].w"),
     "ids-not-contiguous": (graph(nodes=[NODES[0], {"id": 2, "w": 0}], edges=[]),
-                           "node ids must be exactly 0..1, got [0, 2]", "$"),
-    "self-loop": (graph(edges=edge(v=0)), "self loop on node 0", "$"),
-    "duplicate-edge": (graph(edges=EDGES + [{"u": 1, "v": 0, "w": 2}]), "duplicate edge (0,1)", "$"),
+                           "node ids must be exactly 0..1, got [0, 2]", "nodes"),
+    "self-loop": (graph(edges=edge(v=0)), "self loop on node 0", "edges[0]"),
+    "duplicate-edge": (graph(edges=EDGES + [{"u": 1, "v": 0, "w": 2}]), "duplicate edge (0,1)",
+                       "edges[1]"),
 }
 
 # Documents with two faults, and the one reported.
@@ -186,6 +187,10 @@ GRAPH_ORDER_CASES = {
                          "nodes[0].id"),
     "bad-row-then-bad-row": (graph(edges=edge(w="a") + [3]), "expected a real number, got 'a'",
                              "edges[0].w"),
+    "bad-ids-and-self-loop": (graph(nodes=[NODES[0], {"id": 2, "w": 0}], edges=edge(v=0)),
+                              "node ids must be exactly 0..1, got [0, 2]", "nodes"),
+    "duplicate-then-self-loop": (graph(edges=EDGES * 2 + edge(v=0)), "duplicate edge (0,1)",
+                                 "edges[1]"),
 }
 
 

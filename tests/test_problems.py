@@ -208,16 +208,16 @@ class TestIsingConversion:
     def test_worked_two_by_two(self):
         g = weight_graph_from_qubo(QuboMatrix(q=np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert g.edges == [(0, 1, 0.5)]
-        assert np.allclose(g.node_weights, [0.5, 0.5])
+        assert np.allclose([w for _, w in g.nodes], [0.5, 0.5])
         assert g.offset == pytest.approx(0.5)
 
     def test_zero_matrix(self):
         g = weight_graph_from_qubo(QuboMatrix(q=np.zeros((3, 3))))
-        assert g.edges == [] and np.allclose(g.node_weights, 0) and g.offset == 0
+        assert g.edges == [] and np.allclose([w for _, w in g.nodes], 0) and g.offset == 0
 
     def test_single_diagonal(self):
         g = weight_graph_from_qubo(QuboMatrix(q=np.array([[1.0]])))
-        assert g.node_weights[0] == pytest.approx(0.5)
+        assert [w for _, w in g.nodes][0] == pytest.approx(0.5)
         assert g.offset == pytest.approx(0.5)
         assert g.energy([-1]) + g.offset == pytest.approx(0.0)
         assert g.energy([1]) + g.offset == pytest.approx(1.0)
@@ -245,7 +245,7 @@ class TestWeightGraph:
 
     def test_bias_only_graph_is_edgeless(self):
         g = weight_graph_from_qubo(QuboMatrix(q=np.diag([2.0, -4.0, 0.0])))
-        assert g.node_weights == [1.0, -2.0, 0.0]
+        assert [w for _, w in g.nodes] == [1.0, -2.0, 0.0]
         assert g.edges == []
         assert g.n == 3  # zero-weight nodes retained
 
@@ -279,7 +279,7 @@ class TestWeightGraph:
                 if c != 0.0:
                     edges.append((i, j, c))
             g = weight_graph_from_qubo(qubo)
-            assert g.node_weights == h
+            assert [w for _, w in g.nodes] == h
             assert g.edges == edges
             assert g.offset == offset
 

@@ -15,7 +15,6 @@ from quchain import (
     build_qaoa_circuit,
     compile_graph,
     emit,
-    permute_qubits,
     sample_counts,
     simulate,
     simulate_gates,
@@ -23,6 +22,7 @@ from quchain import (
 from quchain.simulator import apply_gate
 
 from conftest import random_graph, random_qaoa_params
+from oracles import permute_qubits
 
 
 def test_hadamard_on_zero():
