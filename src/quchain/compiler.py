@@ -290,7 +290,6 @@ class PhysicalCircuit:
     cycles: list[list[Gate]]
     final_layout: tuple[int, ...]
     scheduled_cost_cycles: int | None = None
-    initial_mapping: tuple[int, ...] | None = None
     # set by ``_asap``, whose packing has the dependency depth as its cycle count
     _depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -396,7 +395,6 @@ def optimize_circuit(pc: PhysicalCircuit) -> PhysicalCircuit:
         (gate for gate in kept if gate is not None),
         final_layout=pc.final_layout,
         scheduled_cost_cycles=pc.scheduled_cost_cycles,
-        initial_mapping=pc.initial_mapping,
     )
 
 
@@ -500,7 +498,6 @@ def compile_graph(
         stream,
         final_layout=tuple(wires[p_] for p_ in end),
         scheduled_cost_cycles=params.p * last_rzz,
-        initial_mapping=mapping,
     )
 
 

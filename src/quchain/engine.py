@@ -9,10 +9,12 @@ graph structure, not on the total qubit count.  :func:`decompose`
 returns the distinct cones of one depth, or one cone of the whole graph when
 the distinct cones together hold more amplitudes than the register
 (sum of 2**|cone| > 2**n) and the register fits the simulator; there is no
-knob.  The evaluator stacks the cones by width, so the cost diagonals and
-observables of the cones of one width form one block each, built once per
-depth within a memory budget.
-:func:`~quchain.simulator.qaoa_state` runs once per width and batch of
+knob.  The evaluator alone decides what it stores: it stacks the cones by
+width, so the cost diagonals and observables of the cones of one width form
+one block each, built once per depth within ``CONE_CACHE_BYTES``.  A cone
+serving every term of its subgraph counts one array against that budget,
+its cost diagonal doubling as its observable; any other cone counts two.
+:func:`~quchain.simulator.qaoa_state` runs once per stack and batch of
 points: one diagonal phase per cost layer and in-place 2x2 rotations for the
 mixer.  The p=1 grid is one gamma-major batch, cut into chunks whose states
 fit in ``CHUNK_BYTES``; simplex and interpolation steps are batches of one,
@@ -72,20 +74,16 @@ class LightCone:
 
     ``index_map[i]`` is the original id of subgraph node ``i`` and ``terms``
     holds the (support, weight) pairs, in original ids, of the terms it
-    serves.  ``cached`` says whether the cone's cost diagonal and observable,
-    the sum of its terms over the subgraph's basis states, count against
-    ``CONE_CACHE_BYTES`` and are built once per depth into its width's stack,
-    or are rebuilt on every evaluation.  A cone serving every term of its
-    subgraph, such as the whole-graph cone, takes its cost diagonal as its
-    observable.
+    serves.  Its observable is the sum of those terms over the subgraph's
+    basis states; what the evaluator stores of it is the evaluator's
+    choice (see :class:`_ConeStacks`).
     """
 
     def __init__(self, subgraph: WeightGraph, index_map: tuple[int, ...],
-                 terms: tuple[tuple[tuple[int, ...], float], ...], cached: bool):
+                 terms: tuple[tuple[tuple[int, ...], float], ...]):
         self.subgraph = subgraph
         self.index_map = index_map
         self.terms = terms
-        self.cached = cached
 
 
 def _p_hop_closure(adj, support, p: int) -> frozenset[int]:
@@ -106,13 +104,10 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
     energies are summed in.  When the distinct cones together cost more
     than the whole graph (sum of 2**|cone| > 2**n) and n is within the
     simulator limit, the result is one cone of every node holding every
-    term in :func:`_terms` order; larger graphs keep their cones.  Cones
-    are marked ``cached`` while the total of their cost diagonals and
-    observables (one array for the whole-graph cone) stays within
-    ``CONE_CACHE_BYTES``: those arrays are built
-    once per depth, stacked by cone width, and the rest are rebuilt on
-    every evaluation.  A light cone wider than the simulator limit raises
-    :class:`CapacityError` naming its term before any table is built.
+    term in :func:`_terms` order; larger graphs keep their cones.  It
+    builds no array and counts no bytes: the evaluator decides what it
+    stores.  A light cone wider than the simulator limit raises
+    :class:`CapacityError` naming its term.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -128,39 +123,28 @@ def decompose(g: WeightGraph, p: int) -> list[LightCone]:
                 f"above the simulator limit of {QUBIT_LIMIT}"
             )
         groups.setdefault(keep, []).append((support, w))
-    amplitude_bytes = 16  # float64 cost diagonal and observable
     if g.n <= QUBIT_LIMIT and sum(1 << len(keep) for keep in groups) > 1 << g.n:
         groups = {frozenset(range(g.n)): terms}  # one whole-graph cone is cheaper
-        amplitude_bytes = 8  # its observable is its cost diagonal
-    cones, cached_bytes = [], 0
+    cones = []
     for keep, members in groups.items():
         sub, index_map = g.induced_subgraph(keep)
-        need = amplitude_bytes << sub.n
-        cached = cached_bytes + need <= CONE_CACHE_BYTES
-        cached_bytes += need if cached else 0
-        cones.append(LightCone(sub, tuple(index_map), tuple(members), cached))
+        cones.append(LightCone(sub, tuple(index_map), tuple(members)))
     return cones
 
 
-def _blocks(cones: list[LightCone]) -> tuple[np.ndarray, np.ndarray]:
+def _blocks(cones: list[LightCone], serves_all: bool) -> tuple[np.ndarray, np.ndarray]:
     """Cost diagonals, shape (C, 2**k), and observables, shape (C, 2**k, 1),
-    of equal-width ``cones``, one row each.  A cone serving every term of its
-    subgraph copies its cost diagonal; when every cone does, the observables
-    are a view of the diagonals."""
+    of equal-width ``cones``, one row each.  When the cones serve every term
+    of their subgraphs, the observables are a view of the diagonals."""
     n = cones[0].subgraph.n
-    # A cone's terms are those of the whole graph within its subgraph, in
-    # _terms order, as are the subgraph's: equal counts mean equal lists.
-    serves_all = [len(cone.terms) == len(_terms(cone.subgraph)) for cone in cones]
     tables = np.zeros((len(cones), 1 << n))
-    observables = tables if all(serves_all) else np.zeros((len(cones), 1 << n))
+    observables = tables if serves_all else np.zeros((len(cones), 1 << n))
     for row, cone in enumerate(cones):
         tables[row] = _diagonal(n, _terms(cone.subgraph))
-        if not serves_all[row]:
+        if not serves_all:
             pos = {orig: i for i, orig in enumerate(cone.index_map)}
             local = [(tuple(pos[s] for s in support), w) for support, w in cone.terms]
             observables[row] = _diagonal(n, local)
-        elif observables is not tables:
-            observables[row] = tables[row]
     return tables, observables.reshape(len(cones), 1 << n, 1)
 
 
@@ -172,27 +156,40 @@ def _stack_energies(tables: np.ndarray, observables: np.ndarray, points) -> np.n
 
 
 class _ConeStacks:
-    """The cones of one depth, stacked by width: the light-cone evaluator.
+    """The cones of one depth, stacked by width: the light-cone evaluator,
+    and the one place that decides what is stored.
 
-    A stack is the positions of its cones in :func:`decompose` order, the
-    cones, and for cached cones their (C, 2**k) blocks of cost diagonals and
-    observables, built once.  Each cone beyond the cache budget is a stack
-    of its own and rebuilds its arrays on every evaluation, as the cone
+    A cone serving every term of its subgraph, such as the whole-graph cone,
+    takes its cost diagonal as its observable and stores one float64 array;
+    any other cone stores two.  Cones are kept, in :func:`decompose` order,
+    while those arrays total at most ``CONE_CACHE_BYTES``.  Kept cones of one
+    width share a stack when they agree on serving every term, the flag
+    :func:`_blocks` is given.  A stack is the positions of its cones, the
+    cones, their (C, 2**k) blocks of cost diagonals and observables, built
+    once, and that flag.  Each cone beyond the budget is a stack of its own
+    with no blocks and rebuilds its arrays on every evaluation, as the cone
     alone would.
     """
 
     def __init__(self, cones: list[LightCone]):
         self.size = len(cones)
         self.row_bytes = 16 * sum(1 << c.subgraph.n for c in cones)  # one point's states
-        groups: dict[object, list[int]] = {}
+        groups: dict[tuple, list[int]] = {}
+        stored = 0
         for i, c in enumerate(cones):
+            # A cone's terms are those of the whole graph within its subgraph, in
+            # _terms order, as are the subgraph's: equal counts mean equal lists.
+            serves_all = len(c.terms) == len(_terms(c.subgraph))
+            need = (8 if serves_all else 16) << c.subgraph.n
+            kept = stored + need <= CONE_CACHE_BYTES
+            stored += need if kept else 0
             # A cone beyond the budget stands alone, so one rebuilds at a time.
-            groups.setdefault(c.subgraph.n if c.cached else ("rebuilt", i), []).append(i)
+            groups.setdefault((kept, c.subgraph.n if kept else i, serves_all), []).append(i)
         self.stacks = []
-        for at in groups.values():
+        for (kept, _, serves_all), at in groups.items():
             members = [cones[i] for i in at]
-            blocks = _blocks(members) if members[0].cached else None
-            self.stacks.append((np.array(at), members, blocks))
+            blocks = _blocks(members, serves_all) if kept else None
+            self.stacks.append((np.array(at), members, blocks, serves_all))
 
     def energies(self, points: list[QaoaParams]) -> list[float]:
         """<H_C> at each of ``points``, all of one depth.
@@ -210,8 +207,8 @@ class _ConeStacks:
         for start in range(0, len(points), rows):
             chunk = points[start:start + rows]
             per_cone = np.empty((len(chunk), self.size))
-            for at, members, blocks in self.stacks:
-                per_cone[:, at] = _stack_energies(*(blocks or _blocks(members)), chunk)
+            for at, members, blocks, serves_all in self.stacks:
+                per_cone[:, at] = _stack_energies(*(blocks or _blocks(members, serves_all)), chunk)
             out += [float(sum(energies)) for energies in per_cone.tolist()]
         return out
 
@@ -309,8 +306,9 @@ def _grid_search(obj: _Objective, grid_size: int) -> bool:
     return left >= grid_size * grid_size
 
 
-def _simplex(obj: _Objective, start: QaoaParams) -> tuple[bool, QaoaParams]:
-    """Nelder-Mead from ``start``, capped at the evaluations left in the budget."""
+def _simplex(obj: _Objective, start: QaoaParams) -> bool:
+    """Nelder-Mead from ``start``, capped at the evaluations left in the
+    budget; True if it converged.  Its best point is ``obj.best``."""
     from scipy.optimize import minimize  # here, so importing quchain loads no SciPy
 
     def f(x):
@@ -328,7 +326,7 @@ def _simplex(obj: _Objective, start: QaoaParams) -> tuple[bool, QaoaParams]:
             "maxiter": 10 * budget,
         },
     )
-    return bool(res.success), QaoaParams.from_flat(res.x)
+    return bool(res.success)
 
 
 def optimize(
@@ -346,7 +344,8 @@ def optimize(
     applies at p=1 (64x64 over [0,pi) x [0,pi/2) by default).  ``init`` may
     be explicit :class:`QaoaParams` of depth p, the string "random" (seeded
     draw at depth p), or None: at p>1 this chains upward from the p=1
-    optimum, interpolating and simplex-refining at every depth.  The run
+    optimum, interpolating from the best point of the depth below and
+    simplex-refining at every depth.  The run
     is deterministic for a fixed seed.  All stages share one budget of
     ``max_evals`` evaluations; if it runs out, the remaining stages are
     skipped and the best depth-p parameters so far are returned flagged as
@@ -378,7 +377,6 @@ def optimize(
 
     obj = _Objective(g, max_evals)
     converged = True
-    refined = None  # simplex result at the current depth
     for stage in stages:
         if obj.exhausted():
             converged = False
@@ -389,13 +387,10 @@ def optimize(
             converged &= _grid_search(obj, grid_size)
         elif stage == "simplex":
             origin = obj.best[0] if obj.best is not None else random_params(depth, seed)
-            ok, refined = _simplex(obj, origin)
-            converged &= ok
-        else:  # "interp"
-            # Depth 1 hands on its best point, deeper depths their simplex result.
-            source = refined if depth > 1 and refined is not None else obj.best[0]
-            depth, refined = depth + 1, None
-            obj(interp_initialize(source))
+            converged &= _simplex(obj, origin)
+        else:  # "interp": every depth hands on its best point
+            depth += 1
+            obj(interp_initialize(obj.best[0]))
     if obj.best is None or obj.best[0].p != p:
         raise ValueError("optimizer made no depth-p evaluations; increase max_evals")
     best_params, best_energy = obj.best

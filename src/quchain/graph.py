@@ -30,9 +30,9 @@ def _fmt_real(x: float) -> str:
 
 
 class _GraphError(ParseError, ValueError):
-    """A fault in a graph's nodes or in one edge, located at ``nodes`` or
-    ``edges[k]``: a document's row, or the position in the constructor's
-    list."""
+    """A fault in a graph's nodes or in one edge, located at ``nodes``,
+    ``edges[k]`` or one of its endpoints: a document's row, or the position
+    in the constructor's list."""
 
 
 @dataclass
@@ -42,9 +42,11 @@ class WeightGraph:
     ``nodes`` is a list of ``(id, weight)`` and ``edges`` a list of
     ``(u, v, weight)``.  The constructor canonicalizes: nodes are sorted by
     id, edges by ``(u, v)`` with ``u < v``.  Zero-weight nodes are retained;
-    self loops and duplicate edges are rejected.  Each fault raises a
-    :class:`ValueError` that is also a :class:`ParseError` located at
-    ``nodes`` or at the edge's ``edges[k]``, the later row of a duplicate.
+    undeclared endpoints, self loops and duplicate edges are rejected.  Each
+    fault raises a :class:`ValueError` that is also a :class:`ParseError`
+    located at ``nodes``, at the endpoint's ``edges[k].u`` or ``.v``, or at
+    the edge's ``edges[k]``, the later row of a duplicate.  This is the one
+    judge of a graph's structure; :func:`loads_graph` only decodes rows.
     """
 
     nodes: list[tuple[int, float]]
@@ -61,15 +63,16 @@ class WeightGraph:
         edges = []
         seen = set()
         for k, (u, v, w) in enumerate(self.edges):
+            where = f"edges[{k}]"
             u, v = int(u), int(v)
+            for name, i in (("u", u), ("v", v)):
+                if not 0 <= i < len(ids):
+                    raise _GraphError(f"endpoint {i} is not a declared node", f"{where}.{name}")
             if u == v:
-                raise _GraphError(f"self loop on node {u}", f"edges[{k}]")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u < len(ids) and 0 <= v < len(ids)):
-                raise _GraphError(f"edge ({u},{v}) references a missing node", f"edges[{k}]")
+                raise _GraphError(f"self loop on node {u}", where)
+            u, v = min(u, v), max(u, v)
             if (u, v) in seen:
-                raise _GraphError(f"duplicate edge ({u},{v})", f"edges[{k}]")
+                raise _GraphError(f"duplicate edge ({u},{v})", where)
             seen.add((u, v))
             edges.append((u, v, float(w)))
         self.nodes = nodes
@@ -128,10 +131,11 @@ def loads_graph(text: str) -> WeightGraph:
     """Parse the JSON interchange format; errors carry a field location.
 
     The first fault found is reported, checking in this order: the top-level
-    fields, every node row, duplicate node ids, then every edge row, whose
-    endpoints must be declared nodes, and last the graph itself, which
-    locates its faults (see :class:`WeightGraph`): node ids other than
-    0..n-1 at ``nodes``, then each self loop or duplicate edge at its row.
+    fields, every node row, then every edge row, and last the graph itself,
+    which judges its structure (see :class:`WeightGraph`): node ids other
+    than 0..n-1, a duplicate among them included, at ``nodes``, then each
+    edge's undeclared endpoint at ``edges[k].u`` or ``.v``, self loop or
+    duplicate at its row.
     """
     doc = json_object(text)
     only_fields(doc, ("offset", "nodes", "edges"), "$")
@@ -139,17 +143,7 @@ def loads_graph(text: str) -> WeightGraph:
     raw_nodes = required(doc, "nodes", "$")
     raw_edges = required(doc, "edges", "$")
     nodes = records(raw_nodes, "nodes", {"id": integer, "w": real}, closed=True, nonempty=True)
-    known = {i for i, _ in nodes}
-    if len(known) != len(nodes):
-        raise ParseError("duplicate node id", "nodes")
-
-    def endpoint(value, where):
-        i = integer(value, where)
-        if i not in known:
-            raise ParseError(f"endpoint {i} is not a declared node", where)
-        return i
-
-    edges = records(raw_edges, "edges", {"u": endpoint, "v": endpoint, "w": real}, closed=True)
+    edges = records(raw_edges, "edges", {"u": integer, "v": integer, "w": real}, closed=True)
     return WeightGraph(nodes=nodes, edges=edges, offset=offset)
 
 

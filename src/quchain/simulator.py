@@ -130,7 +130,12 @@ def qaoa_state(tables: np.ndarray, params) -> np.ndarray:
     k = tables.shape[-1].bit_length() - 1
     single = isinstance(params, QaoaParams)
     points = [params] if single else params
-    if len(points) == 1:  # scalar angles: no broadcast overhead
+    # One point keeps scalar angles.  Sending it through the batched branch
+    # is bit-equal on every golden but slower: perfbench ``solve`` at seed 7
+    # (2-core Xeon, Python 3.11, NumPy 2.4), 4 of 4 alternating pairs,
+    # batch_s 0.205-0.211 s -> 0.217-0.229 s, latency_p50_s 0.018 s ->
+    # 0.020-0.022 s.
+    if len(points) == 1:
         layers = zip(points[0].gamma, points[0].beta)
         rows = ()
     else:

@@ -105,6 +105,18 @@ def _ring(n: int) -> WeightGraph:
                        edges=[(i, (i + 1) % n, 1.0 + 0.01 * i) for i in range(n)])
 
 
+def _kept(cones) -> list[bool]:
+    """Per cone, whether the evaluator keeps its arrays: a cone in a stack
+    with no blocks rebuilds them on every evaluation."""
+    import quchain.engine as engine
+
+    kept = [False] * len(cones)
+    for stack in engine._ConeStacks(cones).stacks:
+        for i in stack[0]:
+            kept[i] = stack[2] is not None
+    return kept
+
+
 class TestDecomposition:
     def test_path_one_hop_closure(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0), (2, 0.0)], edges=[(0, 1, 1.0), (1, 2, 1.0)])
@@ -221,7 +233,7 @@ class TestDecomposition:
         budget = 5 * 16 * (1 << 8)  # five 8-qubit cones
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", budget)
         cones = decompose(ring, 3)
-        kept = [c for c in cones if c.cached]
+        kept = [c for c, k in zip(cones, _kept(cones)) if k]
         assert len(kept) == 5 < len(cones)
         assert sum(16 << c.subgraph.n for c in kept) <= budget
         assert expectation_decomposed(ring, params) == cached  # same arithmetic
@@ -247,9 +259,9 @@ class TestWholeGraphRule:
         (cone,) = decompose(g, 1)
         assert cone.index_map == tuple(range(6))
         assert list(cone.terms) == engine._terms(g)
-        assert cone.subgraph == g and cone.cached
+        assert cone.subgraph == g and _kept([cone]) == [True]
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 0)
-        assert not decompose(g, 1)[0].cached  # the cache rule still decides
+        assert _kept(decompose(g, 1)) == [False]  # the cache rule still decides
 
     def test_whole_graph_observable_is_its_cost_diagonal(self):
         import quchain.engine as engine
@@ -263,9 +275,28 @@ class TestWholeGraphRule:
         import quchain.engine as engine
 
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 8 << 6)
-        assert decompose(_ring(6), 1)[0].cached
+        assert _kept(decompose(_ring(6), 1)) == [True]
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", (8 << 6) - 1)
-        assert not decompose(_ring(6), 1)[0].cached
+        assert _kept(decompose(_ring(6), 1)) == [False]
+
+    def test_budget_counts_what_the_stacks_store(self, monkeypatch):
+        import quchain.engine as engine
+
+        # Five disjoint K4s at p=1: each is one cone serving every term of
+        # its subgraph, so it stores its cost diagonal alone, 8 << 4 bytes.
+        k4s = WeightGraph(
+            nodes=[(i, 0.1 * i) for i in range(20)],
+            edges=[(4 * c + u, 4 * c + v, 1.0 + 0.1 * c + 0.01 * (u + v))
+                   for c in range(5) for u in range(4) for v in range(u + 1, 4)],
+        )
+        points = [QaoaParams(gamma=(0.4,), beta=(0.3,)), QaoaParams(gamma=(1.1,), beta=(0.2,))]
+        at_default = engine._Objective(k4s, 2).batch(points)
+        cones = decompose(k4s, 1)
+        assert len(cones) == 5
+        for budget, kept in ((5 * (8 << 4), [True] * 5), (5 * (8 << 4) - 1, [True] * 4 + [False])):
+            monkeypatch.setattr(engine, "CONE_CACHE_BYTES", budget)
+            assert _kept(cones) == kept
+            assert engine._Objective(k4s, 2).batch(points) == at_default
 
     def test_three_regular_graph_keeps_its_cones(self):
         import networkx as nx
@@ -555,10 +586,13 @@ class TestBatchedEvaluation:
         rng = np.random.default_rng(77)
         for g in _mixed_width_graphs():
             cones = decompose(g, 2)
-            total = sum(16 << c.subgraph.n for c in cones)
+            # What the stacks store: one array for a cone serving every term
+            # of its subgraph, two for any other.
+            serves_all = [len(c.terms) == len(engine._terms(c.subgraph)) for c in cones]
+            total = sum((8 if s else 16) << c.subgraph.n for c, s in zip(cones, serves_all))
             monkeypatch.setattr(engine, "CONE_CACHE_BYTES", total // 2)
-            cached = [c.cached for c in decompose(g, 2)]
-            assert any(cached) and not all(cached)
+            kept = _kept(cones)
+            assert any(kept) and not all(kept)
             points = [random_qaoa_params(rng, 2) for _ in range(11)]  # several chunks
             reference = [_cone_by_cone(g, pt) for pt in points]
             assert engine._Objective(g, len(points)).batch(points) == reference
@@ -574,7 +608,7 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(engine, "CONE_CACHE_BYTES", 0)
         cones = decompose(ring, 5)
         assert len(cones) == 40 and {c.subgraph.n for c in cones} == {12}
-        assert not any(c.cached for c in cones)
+        assert not any(_kept(cones))
         tracemalloc.start()
         try:
             expectation_decomposed(ring, params)

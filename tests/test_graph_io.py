@@ -89,7 +89,7 @@ def test_non_contiguous_ids_rejected():
 @pytest.mark.parametrize("nodes, edges, location", [
     ([(0, 0.0), (2, 0.0)], [], "nodes"),
     ([(0, 0.0), (1, 0.0)], [(0, 1, 1.0), (1, 1, 1.0)], "edges[1]"),
-    ([(0, 0.0), (1, 0.0)], [(0, 1, 1.0), (0, 5, 1.0)], "edges[1]"),
+    ([(0, 0.0), (1, 0.0)], [(0, 1, 1.0), (0, 5, 1.0)], "edges[1].v"),
     ([(0, 0.0), (1, 0.0)], [(0, 1, 1.0), (1, 0, 2.0)], "edges[1]"),
 ])
 def test_constructor_fault_is_a_located_value_error(nodes, edges, location):

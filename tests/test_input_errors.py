@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from quchain import ParseError, loads_calibration, loads_graph, parse
+from quchain import ParseError, WeightGraph, loads_calibration, loads_graph, parse
 
 LONG = "9" * 5000  # past Python's integer-conversion digit limit
 
@@ -151,7 +151,8 @@ GRAPH_CASES = {
     "node-id-float": (graph(nodes=node(id=0.5)), "expected an integer, got 0.5", "nodes[0].id"),
     "node-id-bool": (graph(nodes=node(id=False)), "expected an integer, got False", "nodes[0].id"),
     "node-w-str": (graph(nodes=node(w="a")), "expected a real number, got 'a'", "nodes[0].w"),
-    "duplicate-node": (graph(nodes=[NODES[0], NODES[0]]), "duplicate node id", "nodes"),
+    "duplicate-node": (graph(nodes=[NODES[0], NODES[0]]),
+                       "node ids must be exactly 0..1, got [0, 0]", "nodes"),
     "edges-not-list": (graph(edges={}), "edges must be a list", "edges"),
     "edge-not-object": (graph(edges=[None]), "edge entry must be an object", "edges[0]"),
     "edge-unknown-field": (graph(edges=edge(kind="zz")), "unknown field 'kind'", "edges[0]"),
@@ -173,16 +174,16 @@ GRAPH_CASES = {
 # Documents with two faults, and the one reported.
 GRAPH_ORDER_CASES = {
     "no-edges-and-bad-node-row": (graph(nodes=[1], edges=DROP), "missing field 'edges'", "$"),
-    "undeclared-u-and-bad-w": (graph(edges=edge(u=7, w="x")), "endpoint 7 is not a declared node",
-                               "edges[0].u"),
-    "undeclared-v-and-bad-w": (graph(edges=edge(v=7, w="x")), "endpoint 7 is not a declared node",
-                               "edges[0].v"),
+    "undeclared-u-and-bad-w": (graph(edges=edge(u=7, w="x")), "expected a real number, got 'x'",
+                               "edges[0].w"),
+    "undeclared-v-and-bad-w": (graph(edges=edge(v=7, w="x")), "expected a real number, got 'x'",
+                               "edges[0].w"),
     "unknown-and-missing-field": (graph(nodes=node(w=DROP, color=1)), "unknown field 'color'",
                                   "nodes[0]"),
     "bad-node-row-and-bad-edges": (graph(nodes=node(w="a"), edges={}),
                                    "expected a real number, got 'a'", "nodes[0].w"),
     "duplicate-node-and-bad-edges": (graph(nodes=[NODES[0], NODES[0]], edges={}),
-                                     "duplicate node id", "nodes"),
+                                     "edges must be a list", "edges"),
     "bad-id-and-bad-w": (graph(nodes=node(id="0", w="a")), "expected an integer, got '0'",
                          "nodes[0].id"),
     "bad-row-then-bad-row": (graph(edges=edge(w="a") + [3]), "expected a real number, got 'a'",
@@ -203,6 +204,30 @@ def test_graph_error_is_located(text, message, location):
                          ids=GRAPH_ORDER_CASES)
 def test_graph_first_of_two_faults(text, message, location):
     check(loads_graph, text, message, location)
+
+
+# Structure faults, as (nodes, edges) rows: the document and the constructor
+# given the same rows report one message at one location.
+STRUCTURE_CASES = {
+    "ids-not-contiguous": ([(0, 0), (2, 0)], [(0, 2, 1)]),
+    "duplicate-id": ([(0, 0), (0, 0)], []),
+    "undeclared-u": ([(0, 0), (1, 0)], [(0, 1, 1), (5, 1, 1)]),
+    "undeclared-v": ([(0, 0), (1, 0)], [(0, 1, 1), (0, 5, 1)]),
+    "negative-endpoint": ([(0, 0), (1, 0)], [(-1, 0, 1)]),
+    "self-loop": ([(0, 0), (1, 0)], [(0, 1, 1), (1, 1, 1)]),
+    "duplicate-edge": ([(0, 0), (1, 0)], [(0, 1, 1), (1, 0, 2)]),
+}
+
+
+@pytest.mark.parametrize("nodes, edges", STRUCTURE_CASES.values(), ids=STRUCTURE_CASES)
+def test_graph_fault_has_one_message(nodes, edges):
+    text = json.dumps({"offset": 0, "nodes": [{"id": i, "w": w} for i, w in nodes],
+                       "edges": [{"u": u, "v": v, "w": w} for u, v, w in edges]})
+    from_document = error(loads_graph, text)
+    with pytest.raises(ParseError) as err:
+        WeightGraph(nodes=nodes, edges=edges)
+    from_rows = err.value
+    assert (str(from_rows), from_rows.location) == (str(from_document), from_document.location)
 
 
 @pytest.mark.parametrize("text, prefix", [
