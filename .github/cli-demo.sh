@@ -40,6 +40,17 @@ quchain --store st result "$id" --problem maxcut --graph maxcut7.json \
   --dot solution7.dot > result7.txt
 grep -qx '  6 \[style=filled, fillcolor=white\];' solution7.dot
 
+# A max cut whose only edge weighs 0: the estimate is -0.0, printed as 0.
+cat > zero2.json <<'JSON'
+{
+  "offset": 0,
+  "nodes": [{"id": 0, "w": 0}, {"id": 1, "w": 0}],
+  "edges": [{"u": 0, "v": 1, "w": 0}]
+}
+JSON
+quchain solve --problem maxcut --graph zero2.json --grid-size 2 > zero2.txt
+grep -qx 'objective estimate (max) = 0' zero2.txt
+
 # Graph coloring of a triangle in three colors: nine one-hot qubits, sampled
 # with submit --wait, and the DOT file drawn from the best row.
 cat > triangle.json <<'JSON'

@@ -147,10 +147,7 @@ def cmd_solve(args) -> int:
     print("gamma =", " ".join(f"{x:.10g}" for x in result.params.gamma))
     print("beta  =", " ".join(f"{x:.10g}" for x in result.params.beta))
     print(f"E_p = {result.energy:.12g}")
-    objective = result.energy + g.offset
-    if sense == "max":
-        objective = -objective
-    print(f"objective estimate ({sense}) = {objective:.12g}")
+    print(f"objective estimate ({sense}) = {g.objective(result.energy, sense):.12g}")
     print(f"evaluations = {result.evaluations}  converged = {result.converged}")
     if args.out:
         doc = {

@@ -7,11 +7,16 @@ A :class:`WeightGraph` stores one spin Hamiltonian
 as a graph: vertex ``i`` carries the bias ``h_i``, edge ``(u, v)`` carries
 the coupling ``J_uv``.  A constant ``offset`` is kept alongside so that
 energies can be reported in the units of the original objective function.
+The graph owns the scoring rules: :meth:`WeightGraph.energies` scores sampled
+spin rows, :meth:`WeightGraph.energy` one assignment through it, and
+:meth:`WeightGraph.objective` turns an energy back into the objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ParseError
 from .validate import integer, json_object, only_fields, real, records, required
@@ -91,15 +96,36 @@ class WeightGraph:
         return adj
 
     def energy(self, spins) -> float:
-        """Hamiltonian value for a +/-1 assignment, offset excluded."""
-        if len(spins) != self.n:
-            raise ValueError(f"expected {self.n} spins, got {len(spins)}")
+        """Hamiltonian value for a +/-1 assignment of the ``n`` nodes, offset
+        excluded, as :meth:`energies` scores it."""
         for s in spins:
             if s not in (-1, 1):
                 raise ValueError(f"spins must be +/-1, got {s}")
-        e = sum(w * spins[u] * spins[v] for u, v, w in self.edges)
-        e += sum(w * spins[i] for i, w in self.nodes)
-        return float(e)
+        return float(self.energies([spins])[0])
+
+    def energies(self, spins) -> np.ndarray:
+        """Hamiltonian value of each row of an (m, n) array of +/-1 spins,
+        offset excluded: the edge terms in ``edges`` order, then the node sum.
+        A width other than ``n`` raises ``ValueError``."""
+        cols = np.asarray(spins, dtype=float).T  # one row per qubit
+        if cols.ndim != 2 or len(cols) != self.n:
+            raise ValueError(f"expected rows of {self.n} spins, got shape {cols.T.shape}")
+        energy = np.zeros(cols.shape[1])
+        for u, v, w in self.edges:
+            energy += w * cols[u] * cols[v]
+        node_sum = np.zeros(cols.shape[1])
+        for i, w in self.nodes:
+            node_sum += w * cols[i]
+        return energy + node_sum
+
+    def objective(self, energy, sense: str):
+        """The original objective for ``energy``, a float or an array: plus
+        ``offset``, negated when ``sense`` is "max", with -0.0 folded into 0.0.
+        A ``sense`` other than "min" or "max" raises ``ValueError``."""
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+        value = energy + self.offset
+        return (-value if sense == "max" else value) + 0.0  # -0.0 + 0.0 is 0.0
 
     def induced_subgraph(self, keep: set[int]) -> tuple["WeightGraph", list[int]]:
         """Induced subgraph on ``keep``, relabeled to 0..k-1.

@@ -11,8 +11,12 @@ it.  A crash mid-append leaves a torn final line without its newline: readers
 skip it, and the next writer cuts it off after a clean read.  Any other bad
 line, a non-UTF-8 byte or a later line for an id with no earlier one included,
 is a located ``ParseError``; a writer that refuses a store writes nothing to
-it.  The built-in backend samples exact simulator probabilities with a seeded
-generator; a remote backend can be slotted in by implementing ``run``.
+it.  A job is submitted as QASM text, the form the store keeps and a backend
+runs; a compiled circuit goes through ``qasm.emit`` first.  The built-in
+backend samples exact simulator probabilities with a seeded generator; a
+remote backend can be slotted in by implementing ``run``.  Sampled counts
+are ranked by :func:`process_results`, which scores them through the
+weight graph.
 
 Bit convention: measured bit b maps to spin z = 1 - 2b (bit 0 is the +1
 eigenstate of Pauli Z).  Count keys are bitstrings in logical order:
@@ -33,10 +37,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .circuits import Gate
-from .compiler import PhysicalCircuit
 from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph
-from .qasm import emit, parse
+from .qasm import parse
 from .simulator import sample_counts, simulate_gates
 from .validate import is_integer, is_real
 
@@ -243,6 +246,12 @@ class TaskService:
     loading, held until :meth:`close` has waited out the running task, so no
     other writer sees that task as interrupted.  A second writer, and
     ``submit`` on a closed or read-only service, raise :class:`QuchainError`.
+
+    The worker is a daemon thread, not a ``ThreadPoolExecutor``.  Executor
+    workers are joined at interpreter exit, so a process that exits without
+    :meth:`close` would first run every queued job (four queued 0.3 s jobs
+    held a bare executor's exit for 1.3 s).  The daemon worker stops with the
+    process and leaves those jobs ``queued`` for the next writer to re-enqueue.
     """
 
     def __init__(self, store_path, backend=None, read_only: bool = False):
@@ -324,15 +333,16 @@ class TaskService:
             with self._cond:
                 self._append(done)
 
-    def submit(self, circuit, shots: int, name: str = "", wait: bool = False, seed=None):
-        """Enqueue a sampling job; returns the task id, or the terminal record
-        when ``wait`` is set.  ``shots`` must be a positive int, ``name`` a str
-        and ``seed`` an int or None; otherwise ``ValueError``, nothing written."""
-        qasm_text = emit(circuit) if isinstance(circuit, PhysicalCircuit) else str(circuit)
+    def submit(self, qasm: str, shots: int, name: str = "", wait: bool = False, seed=None):
+        """Enqueue a sampling job for the QASM text ``qasm``; returns the task
+        id, or the terminal record when ``wait`` is set.  ``qasm`` must be a
+        str that parses, ``shots`` a positive int, ``name`` a str and ``seed``
+        an int or None; otherwise ``ValueError`` or ``ParseError``, nothing
+        written."""
         now = time.time()
-        rec = TaskRecord(id=secrets.token_hex(16), name=name, qasm=qasm_text, shots=shots,
+        rec = TaskRecord(id=secrets.token_hex(16), name=name, qasm=qasm, shots=shots,
                          status="queued", seed=seed, created_at=now, updated_at=now)
-        parse(qasm_text)  # reject invalid circuits before enqueueing
+        parse(qasm)  # reject invalid circuits before enqueueing
         with self._cond:
             self._append(rec)
             self._pending.append(rec.id)
@@ -392,19 +402,15 @@ def process_results(
 ) -> RankedSolutions:
     """Score every sampled bitstring by C(z) with z = 1 - 2*bit, all at once.
 
-    The keys are decoded once into an (m, n) array of spins.  Energies add
-    the edge terms in ``g.edges`` order and then the node sum, the order
-    :meth:`WeightGraph.energy` adds in, so they equal it bit for bit.
-    ``objective`` restores the original problem value: energy plus the
-    graph's offset, re-negated for maximization problems, with -0.0 folded
-    into 0.0.  Rows are sorted stably by (energy, -count); the first ``top``
-    rows are flagged as solutions.  A key that is not ``g.n`` characters of
-    0 and 1 raises ``ValueError``.
+    The keys are decoded once into an (m, n) array of spins, which
+    :meth:`WeightGraph.energies` scores; :meth:`WeightGraph.objective` turns
+    each energy back into the original problem's value and checks ``sense``.
+    Rows are sorted stably by (energy, -count); the first ``top`` rows are
+    flagged as solutions.  A key that is not ``g.n`` characters of 0 and 1
+    raises ``ValueError``, before a bad ``sense`` does.
     """
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     keys = list(counts)
     for key in keys:
         if len(key) != g.n:
@@ -415,18 +421,8 @@ def process_results(
     bad = (bits > 1).any(axis=1)
     if bad.any():
         raise ValueError(f"bitstring {keys[int(bad.argmax())]!r} is not made of 0s and 1s")
-    spins = (1.0 - 2.0 * bits).T  # one row per qubit
-    energy = np.zeros(len(keys))
-    for u, v, w in g.edges:
-        energy += w * spins[u] * spins[v]
-    node_sum = np.zeros(len(keys))
-    for i, w in g.nodes:
-        node_sum += w * spins[i]
-    energy += node_sum
-    objective = energy + g.offset
-    if sense == "max":
-        objective = -objective
-    objective += 0.0  # -0.0 + 0.0 is 0.0
+    energy = g.energies(1.0 - 2.0 * bits)
+    objective = g.objective(energy, sense)
     hits = np.array(list(counts.values()), dtype=np.int64)
     order = np.lexsort((-hits, energy))
     rows = [

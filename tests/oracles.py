@@ -104,3 +104,19 @@ def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
     phase = a[k] / b[k]
     phase /= abs(phase)
     return bool(np.max(np.abs(a - phase * b)) < tol)
+
+
+def row_energies(g: WeightGraph, spins) -> list[float]:
+    """Each row's Hamiltonian value, offset excluded, one row at a time in
+    Python floats: the edge terms in ``g.edges`` order from 0.0, then the
+    node terms from 0.0, then their sum."""
+    out = []
+    for row in spins:
+        edge_sum = 0.0
+        for u, v, w in g.edges:
+            edge_sum += w * row[u] * row[v]
+        node_sum = 0.0
+        for i, w in g.nodes:
+            node_sum += w * row[i]
+        out.append(float(edge_sum + node_sum))
+    return out

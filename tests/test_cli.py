@@ -75,6 +75,14 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "E_p" in out and "(min)" in out
 
+    def test_zero_max_cut_objective_estimate_prints_as_zero(self, tmp_path, capsys):
+        # The only edge weighs 0, so the estimate is -(0.0 + 0.0): -0.0 folded.
+        path = tmp_path / "zero.json"
+        write_graph(WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 0.0)]), path)
+        code = run(["solve", "--problem", "maxcut", "--graph", str(path), "--grid-size", "2"])
+        assert code == 0
+        assert "objective estimate (max) = 0" in capsys.readouterr().out.splitlines()
+
     def test_interp_chained_depth_two(self, demo6_file, tmp_path):
         out = tmp_path / "p2.json"
         code = run(

@@ -26,7 +26,7 @@ from conftest import (
     random_graph,
     random_qaoa_params,
 )
-from oracles import expectation_full
+from oracles import expectation_full, row_energies
 
 
 def edge_expectation_oracle(gamma, beta, j):
@@ -51,6 +51,54 @@ class TestEnergyOfBitstring:
     def test_length_mismatch(self, demo6_graph):
         with pytest.raises(ValueError):
             demo6_graph.energy([1, -1])
+
+
+class TestScoring:
+    """``WeightGraph.energies`` and ``WeightGraph.objective``, the one copy of
+    each scoring rule that ``energy``, ``process_results`` and ``solve`` use."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_energies_equal_the_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+
+        def draw():
+            return float(rng.choice([0.1, 0.3, 1 / 3, -0.7]) if seed % 2 else rng.normal())
+
+        edges = [(u, v, draw()) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        nodes = [(i, draw() if rng.random() < 0.5 else 0.0) for i in range(n)]
+        g = WeightGraph(nodes=nodes, edges=edges, offset=float(rng.normal()))
+        spins = 1 - 2 * rng.integers(0, 2, size=(int(rng.integers(1, 40)), n))
+        assert repr(g.energies(spins).tolist()) == repr(row_energies(g, spins.tolist()))
+
+    def test_edgeless_graph_energies_are_the_node_sums(self):
+        g = WeightGraph(nodes=[(0, 0.1), (1, 0.0), (2, -1 / 3)])
+        spins = [[1, 1, 1], [-1, 1, 1], [1, -1, -1], [-1, -1, -1]]
+        assert repr(g.energies(spins).tolist()) == repr(row_energies(g, spins))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 7), (6,)])
+    def test_energies_reject_a_width_other_than_n(self, demo6_graph, shape):
+        with pytest.raises(ValueError, match="6 spins"):
+            demo6_graph.energies(np.ones(shape))
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_objective_folds_negative_zero(self, sense):
+        g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 0.0)])
+        for energy in (0.0, -0.0):
+            value = g.objective(energy, sense)
+            assert value == 0.0 and not np.signbit(value)
+        values = g.objective(np.array([0.0, -0.0]), sense)
+        assert values.tolist() == [0.0, 0.0] and not np.signbit(values).any()
+
+    def test_objective_adds_offset_and_negates_max(self):
+        g = WeightGraph(nodes=[(0, 0.0)], offset=2.5)
+        assert g.objective(1.0, "min") == 3.5
+        assert g.objective(1.0, "max") == -3.5
+        assert g.objective(np.array([1.0, -2.5]), "max").tolist() == [-3.5, 0.0]
+
+    def test_objective_rejects_an_unknown_sense(self, k2_graph):
+        with pytest.raises(ValueError, match=r"^sense must be 'min' or 'max', got 'maximize'$"):
+            k2_graph.objective(0.0, "maximize")
 
 
 class TestExpectationFull:

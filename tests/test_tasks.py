@@ -28,6 +28,7 @@ from quchain import (
 )
 
 from conftest import random_graph, random_qaoa_params
+from oracles import row_energies
 
 
 @pytest.fixture
@@ -46,8 +47,8 @@ class TestLifecycle:
     def test_submit_returns_fresh_id(self, store, k2_graph):
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
         with TaskService(store) as svc:
-            a = svc.submit(pc, shots=100, name="a")
-            b = svc.submit(pc, shots=100, name="b")
+            a = svc.submit(emit(pc), shots=100, name="a")
+            b = svc.submit(emit(pc), shots=100, name="b")
             assert a != b
             assert len(a) == 32 and all(c in "0123456789abcdef" for c in a)
             assert svc.status(a) in ("queued", "running", "completed")
@@ -57,7 +58,7 @@ class TestLifecycle:
     def test_wait_completes_with_conserved_counts(self, store, k2_graph):
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
         with TaskService(store) as svc:
-            rec = svc.submit(pc, shots=100, wait=True, seed=4)
+            rec = svc.submit(emit(pc), shots=100, wait=True, seed=4)
             assert rec.status == "completed"
             assert sum(rec.counts.values()) == 100
 
@@ -95,15 +96,26 @@ class TestLifecycle:
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
         with TaskService(store) as svc:
             with pytest.raises(ValueError):
-                svc.submit(pc, shots=0)
+                svc.submit(emit(pc), shots=0)
 
     @pytest.mark.parametrize("shots", [2.7, True])
     def test_non_int_shots_rejected(self, store, k2_graph, shots):
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
         with TaskService(store) as svc:
             with pytest.raises(ValueError, match="shots"):
-                svc.submit(pc, shots=shots)
+                svc.submit(emit(pc), shots=shots)
         assert store.read_bytes() == b""
+
+    def test_circuit_object_rejected(self, store, k2_graph):
+        # submit takes QASM text only; a PhysicalCircuit is refused by the
+        # record's type check and nothing is written.
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        with TaskService(store) as svc:
+            svc.submit(single_qubit_plus_qasm(), shots=5, wait=True, seed=0)
+            before = store.read_bytes()
+            with pytest.raises(ValueError, match="id, name and qasm must be str"):
+                svc.submit(pc, shots=5)
+        assert store.read_bytes() == before
 
 
 class TestConcurrency:
@@ -115,7 +127,7 @@ class TestConcurrency:
         lock = threading.Lock()
 
         def job(svc, i):
-            task_id = svc.submit(pc, shots=20, name=f"job-{i}", seed=i)
+            task_id = svc.submit(emit(pc), shots=20, name=f"job-{i}", seed=i)
             with lock:
                 ids.append(task_id)
 
@@ -182,7 +194,7 @@ class TestPersistence:
     def test_terminal_records_survive_restart(self, store, k2_graph):
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
         with TaskService(store) as svc:
-            rec = svc.submit(pc, shots=50, wait=True, seed=1)
+            rec = svc.submit(emit(pc), shots=50, wait=True, seed=1)
         reloaded = TaskService(store, read_only=True)
         assert reloaded.status(rec.id) == "completed"
         assert reloaded.result(rec.id) == rec.counts
@@ -190,7 +202,7 @@ class TestPersistence:
     def test_last_line_wins(self, store, k2_graph):
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
         with TaskService(store) as svc:
-            rec = svc.submit(pc, shots=50, wait=True, seed=1)
+            rec = svc.submit(emit(pc), shots=50, wait=True, seed=1)
         lines = store.read_text().strip().split("\n")
         assert len(lines) == 3  # queued, running, completed
         assert '"status": "completed"' in lines[-1]
@@ -235,7 +247,7 @@ class TestTornTail:
     def _completed_store(self, store, k2_graph):
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
         with TaskService(store) as svc:
-            rec = svc.submit(pc, shots=50, wait=True, seed=1)
+            rec = svc.submit(emit(pc), shots=50, wait=True, seed=1)
         text = store.read_text()
         store.write_text(text + text.splitlines()[-1][:40])  # torn copy of the last record
         return rec
@@ -250,7 +262,7 @@ class TestTornTail:
         rec = self._completed_store(store, k2_graph)
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.5,), beta=(0.1,)))
         with TaskService(store) as svc:
-            new = svc.submit(pc, shots=30, wait=True, seed=2)
+            new = svc.submit(emit(pc), shots=30, wait=True, seed=2)
         lines = store.read_text().split("\n")
         assert lines[-1] == ""
         assert len(lines) == 7  # 3 records per task, then the final newline
@@ -264,7 +276,7 @@ class TestTornTail:
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.5,), beta=(0.1,)))
         with TaskService(store) as svc:
             assert svc.status(rec.id) == "completed"
-            new = svc.submit(pc, shots=30, wait=True, seed=2)
+            new = svc.submit(emit(pc), shots=30, wait=True, seed=2)
         reloaded = TaskService(store, read_only=True)
         assert reloaded.status(rec.id) == "completed"
         assert reloaded.status(new.id) == "completed"
@@ -614,6 +626,11 @@ class TestProcessResults:
         with pytest.raises(ValueError, match="sense"):
             process_results({"01": 1}, k2_graph, sense="maximize")
 
+    def test_bad_key_is_reported_before_a_bad_sense(self, k2_graph):
+        # The sense is checked where it is used, once the keys are scored.
+        with pytest.raises(ValueError, match="does not cover"):
+            process_results({"0": 1}, k2_graph, sense="maximize")
+
     def test_decoding_matches_uncompiled_simulation(self):
         # ranked energies from compiled-samples equal those of the logical circuit
         rng = np.random.default_rng(64)
@@ -658,11 +675,11 @@ class TestMaxcutDemoFlow:
 
 
 def _ranked_by_loop(counts, g, sense):
-    """The per-bitstring ranking through ``WeightGraph.energy``: rows as
+    """The per-bitstring ranking through the ``row_energies`` oracle: rows as
     (bitstring, count, energy, objective), sorted stably by (energy, -count)."""
     rows = []
-    for bits, count in counts.items():
-        energy = g.energy([1 - 2 * int(b) for b in bits])
+    spins = [[1 - 2 * int(b) for b in bits] for bits in counts]
+    for (bits, count), energy in zip(counts.items(), row_energies(g, spins)):
         objective = energy + g.offset
         rows.append((bits, int(count), energy, -objective if sense == "max" else objective))
     return sorted(rows, key=lambda r: (r[2], -r[1]))
