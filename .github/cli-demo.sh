@@ -33,12 +33,28 @@ quchain --store st result "$id" --problem maxcut --graph maxcut6.json \
   --top 2 --dot solution.dot --hist histogram.csv > result.txt
 sed -n 2p result.txt | grep -q ' \*$'  # the best row is flagged
 
-# Node 6 has no edge, so the max-cut model is the same six qubits and the
-# bitstring does not cover node 6: it is drawn unfilled.
+# Node 6 has no edge, yet the max-cut model holds one qubit per declared
+# node: seven qubits end to end, and node 6 is filled from its own bit.
 sed 's/{"id": 5, "w": 1}/{"id": 5, "w": 1}, {"id": 6, "w": 1}/' maxcut6.json > maxcut7.json
-quchain --store st result "$id" --problem maxcut --graph maxcut7.json \
-  --dot solution7.dot > result7.txt
-grep -qx '  6 \[style=filled, fillcolor=white\];' solution7.dot
+maxcut7=(--problem maxcut --graph maxcut7.json)
+quchain solve "${maxcut7[@]}" --p 1 --out params7.json
+quchain compile "${maxcut7[@]}" --params params7.json --out circuit7.qasm
+id7=$(quchain --store st submit --qasm circuit7.qasm --shots 100)
+quchain --store st result "$id7" "${maxcut7[@]}" --dot solution7.dot > result7.txt
+test "$(sed -n 2p result7.txt | cut -d' ' -f1 | tr -d '\n' | wc -c)" -eq 7
+grep -qxE '  6 \[style=filled, fillcolor=(lightblue|salmon)\];' solution7.dot
+
+# A 5-node max cut whose middle node 2 has no edge: its labels are 0..4, so
+# the five-qubit model builds and solves.
+cat > gap5.json <<'JSON'
+{
+  "offset": 0,
+  "nodes": [{"id": 0, "w": 0}, {"id": 1, "w": 0}, {"id": 2, "w": 0},
+            {"id": 3, "w": 0}, {"id": 4, "w": 0}],
+  "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 3, "v": 4, "w": 1}]
+}
+JSON
+quchain solve --problem maxcut --graph gap5.json --grid-size 8 > gap5.txt
 
 # A max cut whose only edge weighs 0: the estimate is -0.0, printed as 0.
 cat > zero2.json <<'JSON'

@@ -2,11 +2,9 @@
 
 from .circuits import Gate, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from .compiler import (
-    ExeRTable,
     PhysicalCircuit,
     ScheduledCircuit,
     Template,
-    build_exer_table,
     build_template,
     compile_graph,
     decompose_gates,

@@ -28,14 +28,16 @@ CSV_COLUMNS = ("n", "d", "p", "rep", "compile_ms", "depth_pre", "depth_post", "c
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One compile of one cell, or with ``rep="mean"`` the cell's mean."""
+
     n: int
     d: float
     p: int
-    rep: int
+    rep: int | str
     compile_ms: float
-    depth_pre: int
-    depth_post: int
-    cnot_count: int
+    depth_pre: float
+    depth_post: float
+    cnot_count: float
 
 
 def random_weight_graph(n: int, density: float, seed) -> WeightGraph:
@@ -81,26 +83,15 @@ def run_bench(sizes, densities, p_list, reps: int = 20, seed: int = 0) -> list[B
     return rows
 
 
-def cell_means(rows) -> list[tuple]:
-    """One aggregate row per (n, d, p), rep column set to "mean"."""
+def cell_means(rows) -> list[BenchRow]:
+    """One mean row per (n, d, p), its rep set to "mean"."""
     cells: dict[tuple, list[BenchRow]] = {}
     for r in rows:
         cells.setdefault((r.n, r.d, r.p), []).append(r)
     means = []
     for (n, d, p), group in sorted(cells.items()):
-        k = len(group)
-        means.append(
-            (
-                n,
-                d,
-                p,
-                "mean",
-                sum(r.compile_ms for r in group) / k,
-                sum(r.depth_pre for r in group) / k,
-                sum(r.depth_post for r in group) / k,
-                sum(r.cnot_count for r in group) / k,
-            )
-        )
+        totals = [sum(getattr(r, f) for r in group) for f in CSV_COLUMNS[4:]]
+        means.append(BenchRow(n, d, p, "mean", *(t / len(group) for t in totals)))
     return means
 
 
@@ -110,9 +101,7 @@ def write_csv(rows, path):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
-        for r in ordered:
-            writer.writerow(
-                [r.n, r.d, r.p, r.rep, f"{r.compile_ms:.3f}", r.depth_pre, r.depth_post, r.cnot_count]
-            )
-        for m in cell_means(ordered):
-            writer.writerow([m[0], m[1], m[2], m[3], f"{m[4]:.3f}", m[5], m[6], m[7]])
+        writer.writerows(
+            [r.n, r.d, r.p, r.rep, f"{r.compile_ms:.3f}", r.depth_pre, r.depth_post, r.cnot_count]
+            for r in ordered + cell_means(ordered)
+        )

@@ -50,24 +50,33 @@ def _parse_number_list(text: str, flag: str, cast=float) -> list:
     return values
 
 
-def _load_problem(args) -> tuple[WeightGraph, str]:
-    """Build the weight graph and the original optimization sense."""
+def _nx_graph(g: WeightGraph):
+    """``g`` as a networkx graph of every declared node, edge weights as ``weight``."""
+    import networkx as nx  # only graph problems and DOT files need it
+
+    graph = nx.Graph()
+    graph.add_nodes_from(i for i, _ in g.nodes)
+    graph.add_weighted_edges_from(g.edges)
+    return graph
+
+
+def _load_problem(args):
+    """Build the weight graph, the original optimization sense and, for a
+    problem posed on ``--graph``, that graph in networkx form (else None)."""
     problem = getattr(args, "problem", None)
     if problem is None:
         if not args.graph:
             raise QuchainError("either --graph or --problem is required")
-        return read_graph(args.graph), "min"
-    if problem == "maxcut":
-        src = read_graph(args.graph)
-        qubo = qubo_from_maxcut([(u, v, w) for u, v, w in src.edges])
-    elif problem == "coloring":
-        src = read_graph(args.graph)
-        import networkx as nx
-
-        pg = nx.Graph()
-        pg.add_nodes_from(i for i, _ in src.nodes)
-        pg.add_edges_from((u, v) for u, v, _ in src.edges)
-        qubo = qubo_from_graph_coloring(pg, args.colors)
+        return read_graph(args.graph), "min", None
+    graph = None
+    if problem in ("maxcut", "coloring"):
+        if not args.graph:
+            raise QuchainError(f"--graph is required for the {problem} problem")
+        graph = _nx_graph(read_graph(args.graph))
+        if problem == "maxcut":
+            qubo = qubo_from_maxcut(graph)
+        else:
+            qubo = qubo_from_graph_coloring(graph, args.colors)
     elif problem == "partition":
         if not args.numbers:
             raise QuchainError("--numbers is required for the partition problem")
@@ -79,7 +88,7 @@ def _load_problem(args) -> tuple[WeightGraph, str]:
         qubo = qubo_from_set_packing(sets, args.penalty)
     else:
         raise QuchainError(f"unknown problem {problem!r}")
-    return weight_graph_from_qubo(qubo), qubo.sense
+    return weight_graph_from_qubo(qubo), qubo.sense, graph
 
 
 def _add_problem_flags(sub):
@@ -133,7 +142,7 @@ def cmd_solve(args) -> int:
                         ("--max-evals", args.max_evals)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
-    g, sense = _load_problem(args)
+    g, sense, _ = _load_problem(args)
     result = optimize(
         g,
         p=args.p,
@@ -169,14 +178,16 @@ def cmd_solve(args) -> int:
                 + [f"beta_{i + 1}" for i in range(args.p)]
                 + ["energy"]
             )
-            for row in result.trace_rows():
-                if (len(row) - 2) // 2 == args.p:
-                    writer.writerow(row)
+            writer.writerows(
+                (i, *params.flat(), e)
+                for i, (params, e) in enumerate(result.trace)
+                if params.p == args.p
+            )
     return 0
 
 
 def cmd_compile(args) -> int:
-    g, _ = _load_problem(args)
+    g, _, _ = _load_problem(args)
     params = _load_params(args)
     chain = _pick_chain(args, g.n)
     pc = compile_graph(g, params, chain=chain)
@@ -224,7 +235,7 @@ def cmd_status(args) -> int:
 def cmd_result(args) -> int:
     service = TaskService(_store_path(args), read_only=True)
     counts = service.result(args.id)
-    g, sense = _load_problem(args)
+    g, sense, graph = _load_problem(args)
     ranked = process_results(counts, g, top=args.top, sense=sense)
     print("bitstring count energy objective")
     for k, row in enumerate(ranked.rows):
@@ -237,28 +248,23 @@ def cmd_result(args) -> int:
             for row in ranked.rows:
                 writer.writerow([row.bitstring, row.count, row.energy, row.objective])
     if args.dot:
-        _write_dot(args, g, ranked)
+        _write_dot(args, _nx_graph(g) if graph is None else graph, ranked)
     return 0
 
 
-def _write_dot(args, g: WeightGraph, ranked) -> None:
+def _write_dot(args, graph, ranked) -> None:
+    """Draw ``graph`` (networkx) with its nodes filled from the best row."""
     best = ranked.rows[0].bitstring
-    problem = getattr(args, "problem", None)
-    src = read_graph(args.graph) if args.graph else g
     lines = ["graph solution {"]
-    if problem == "coloring":
-        k = args.colors
-        for v, _ in src.nodes:
+    k = args.colors
+    for v in graph.nodes:
+        if args.problem == "coloring":
             chosen = [c for c in range(k) if best[v * k + c] == "0"]
             color = PALETTE[chosen[0] % len(PALETTE)] if chosen else "white"
-            lines.append(f'  {v} [style=filled, fillcolor={color}];')
-    else:
-        # A max-cut model sized from the edges covers no trailing edgeless node.
-        for v, _ in src.nodes:
-            color = PALETTE[int(best[v])] if v < len(best) else "white"
-            lines.append(f'  {v} [style=filled, fillcolor={color}];')
-    for u, v, _ in src.edges:
-        lines.append(f"  {u} -- {v};")
+        else:
+            color = PALETTE[int(best[v])]
+        lines.append(f'  {v} [style=filled, fillcolor={color}];')
+    lines.extend(f"  {u} -- {v};" for u, v in graph.edges)
     lines.append("}")
     with open(args.dot, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -282,8 +288,8 @@ def cmd_bench(args) -> int:
     print(f"wrote {args.out} ({len(rows)} rows)")
     for m in bench_mod.cell_means(rows):
         print(
-            f"n={m[0]} d={m[1]} p={m[2]}: compile_ms={m[4]:.1f} "
-            f"depth_pre={m[5]:.1f} depth_post={m[6]:.1f} cnots={m[7]:.1f}"
+            f"n={m.n} d={m.d} p={m.p}: compile_ms={m.compile_ms:.1f} "
+            f"depth_pre={m.depth_pre:.1f} depth_post={m.depth_post:.1f} cnots={m.cnot_count:.1f}"
         )
     return 0
 

@@ -12,9 +12,10 @@ Repeating the block brings every pair of initially-placed qubits adjacent in
 exactly one RZZ layer; the full pattern takes 2n-2 cycles for even n and
 2n-1 for odd n.  Because the pattern is fixed, where any two initial
 positions meet, cycle and chain pair, is a pure function of n (the ExeR
-table).  Mapping selection searches it so that the last graph edge meets as
-early as possible, and one walk of the template reads every edge's RZZ slot
-from it and yields the scheduled layers as (chain positions, angle) rows.
+table, which ``Template`` holds beside its layers).  Mapping selection
+searches it so that the last graph edge meets as early as possible, and one
+walk of the template reads every edge's RZZ slot from it and yields the
+scheduled layers as (chain positions, angle) rows.
 
 ``compile_graph`` expands those rows in one pass into native CNOT/RZ gates
 on the chain's wires, merging an RZZ and a SWAP on one pair into three
@@ -45,10 +46,20 @@ class TemplateLayer:
     pairs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Template:
+    """The template's layers and where every two initial positions meet.
+
+    ``table[i, j]`` is the (1-based) cycle and ``where[i, j]`` the lower
+    chain position of the template pair on which positions i and j meet
+    for their RZZ (the ExeR table).  Both arrays are read-only:
+    ``build_template`` hands one instance to every caller in the process.
+    """
+
     n: int
     layers: tuple[TemplateLayer, ...]
+    table: np.ndarray  # (n, n) int64, symmetric, zero diagonal
+    where: np.ndarray  # (n, n) int64, symmetric, zero diagonal
 
 
 @lru_cache(maxsize=256)
@@ -57,7 +68,8 @@ def build_template(n: int) -> Template:
 
     Even n runs n/2 four-step blocks with the two trailing SWAP layers
     trimmed (they carry no further meetings); odd n runs floor(n/2) blocks
-    plus one closing RZZ layer.  Total cycles: 2n-2 / 2n-1.
+    plus one closing RZZ layer.  Total cycles: 2n-2 / 2n-1.  One walk of
+    the layers records every meeting.
     """
     if n < 2:
         raise ValueError(f"template needs at least 2 positions, got {n}")
@@ -76,31 +88,11 @@ def build_template(n: int) -> Template:
         layers = layers[:-2]
     else:
         layers.append(TemplateLayer("rzz", even_pairs))
-    return Template(n=n, layers=tuple(layers))
 
-
-@dataclass(frozen=True, eq=False)
-class ExeRTable:
-    """Where two initial positions meet for their RZZ.
-
-    ``table[i, j]`` is the (1-based) cycle and ``where[i, j]`` the lower
-    chain position of the template pair on which positions i and j meet.
-    Both arrays are read-only: ``build_exer_table`` hands one instance to
-    every caller in the process.
-    """
-
-    n: int
-    table: np.ndarray  # (n, n) int64, symmetric, zero diagonal
-    where: np.ndarray  # (n, n) int64, symmetric, zero diagonal
-
-
-@lru_cache(maxsize=256)
-def build_exer_table(n: int) -> ExeRTable:
-    """Simulate the template layer by layer and record every meeting."""
     table = np.zeros((n, n), dtype=np.int64)
     where = np.zeros((n, n), dtype=np.int64)
     item = list(range(n))  # position -> initially-placed index
-    for cycle, layer in enumerate(build_template(n).layers, start=1):
+    for cycle, layer in enumerate(layers, start=1):
         for a, b in layer.pairs:
             i, j = item[a], item[b]
             if layer.kind == "rzz":
@@ -110,7 +102,7 @@ def build_exer_table(n: int) -> ExeRTable:
                 item[a], item[b] = j, i
     table.setflags(write=False)
     where.setflags(write=False)
-    return ExeRTable(n=n, table=table, where=where)
+    return Template(n=n, layers=tuple(layers), table=table, where=where)
 
 
 def _cost_dtype(n: int):
@@ -152,7 +144,7 @@ def search_initial_mapping(
     if n == 1:
         return (0,), 0
     dtype = _cost_dtype(n)
-    exer = build_exer_table(n).table.astype(dtype)
+    exer = build_template(n).table.astype(dtype)
     sentinel = dtype(10 * n + 7)
 
     adj = g.adjacency()
@@ -204,17 +196,16 @@ def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int
     k = g.n
     meet: dict[int, list[tuple[int, float]]] = {}  # cycle -> [(position, J)]
     if g.edges:
-        exer = build_exer_table(n)
+        t = build_template(n)
         us, vs, ws = zip(*g.edges)
         ends = np.take(mapping, us), np.take(mapping, vs)
-        for cycle, pos, w in zip(exer.table[ends].tolist(), exer.where[ends].tolist(), ws):
+        for cycle, pos, w in zip(t.table[ends].tolist(), t.where[ends].tolist(), ws):
             meet.setdefault(cycle, []).append((pos, w))
     last_rzz = max(meet, default=0)
 
     retained: list[tuple[str, list]] = []
     item = list(range(n))  # chain position -> the initial position it holds
-    template = build_template(n).layers[:last_rzz] if last_rzz else ()
-    for cycle, layer in enumerate(template, start=1):
+    for cycle, layer in enumerate(t.layers[:last_rzz] if g.edges else (), start=1):
         if layer.kind == "swap":
             retained.append(("swap", [(pair, None) for pair in layer.pairs]))
             for a, b in layer.pairs:

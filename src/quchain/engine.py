@@ -244,10 +244,6 @@ class OptimizationResult:
     evaluations: int
     trace: list[tuple] = field(default_factory=list)
 
-    def trace_rows(self) -> list[tuple]:
-        """CSV-ready rows: (eval index, gamma..., beta..., energy)."""
-        return [(i, *p.flat(), e) for i, (p, e) in enumerate(self.trace)]
-
 
 def random_params(p: int, seed) -> QaoaParams:
     """Seeded draw from the optimizer's search box [0,pi) x [0,pi/2)."""

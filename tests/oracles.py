@@ -16,8 +16,8 @@ from quchain import (
     CapacityError,
     QaoaParams,
     WeightGraph,
-    build_exer_table,
     build_qaoa_circuit,
+    build_template,
     energy_table,
     probabilities,
     simulate,
@@ -36,7 +36,7 @@ def exhaustive_best_mapping(
         raise ValueError("exhaustive mapping search is limited to n <= 9")
     if n == 1:
         return (0,), 0
-    exer = build_exer_table(n).table
+    exer = build_template(n).table
     best_map, best_cost = None, None
     for perm in itertools.permutations(range(n), k):
         c = max((exer[perm[u], perm[v]] for u, v, _ in g.edges), default=0)

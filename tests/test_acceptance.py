@@ -15,7 +15,6 @@ from quchain import (
     LocalSampler,
     QaoaParams,
     WeightGraph,
-    build_exer_table,
     build_qaoa_circuit,
     build_template,
     compile_graph,
@@ -215,7 +214,7 @@ def test_criterion_07_mapping_cost_fidelity():
         g = random_graph(rng, 2, 7, weighted=False, with_bias=False)
         n = g.n
         _, found = search_initial_mapping(g, n, b_max=5)
-        exer = build_exer_table(n).table if n >= 2 else None
+        exer = build_template(n).table if n >= 2 else None
         best = min(
             max((exer[p[u], p[v]] for u, v, _ in g.edges), default=0)
             for p in itertools.permutations(range(n))
@@ -278,7 +277,7 @@ def test_criterion_09_benchmark_trends():
     t0 = time.perf_counter()
     # linear growth of mean depth_pre with n at d=0.8
     rows = run_bench([10, 20, 30, 40], [0.8], [1], reps=20, seed=0)
-    means = {m[0]: m[5] for m in cell_means(rows)}
+    means = {m.n: m.depth_pre for m in cell_means(rows)}
     ns = np.array(sorted(means), dtype=float)
     ys = np.array([means[n] for n in sorted(means)])
     design = np.vstack([ns, np.ones_like(ns)]).T
@@ -289,7 +288,7 @@ def test_criterion_09_benchmark_trends():
 
     # monotone depth_post in density at n=100; complete-graph law at d=1
     rows2 = run_bench([100], [0.2, 0.4, 0.6, 0.8, 1.0], [1], reps=20, seed=0)
-    cells = {m[1]: (m[5], m[6]) for m in cell_means(rows2)}
+    cells = {m.d: (m.depth_pre, m.depth_post) for m in cell_means(rows2)}
     posts = [cells[d][1] for d in sorted(cells)]
     assert all(a <= b + 1e-9 for a, b in zip(posts, posts[1:])), posts
     kn = random_weight_graph(100, 1.0, 0)

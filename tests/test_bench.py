@@ -48,8 +48,8 @@ def test_cell_means_aggregate_per_cell():
         BenchRow(5, 0.5, 1, 1, 3.0, 6, 14, 16),
     ]
     (mean,) = cell_means(rows)
-    assert mean[:4] == (5, 0.5, 1, "mean")
-    assert mean[4:] == (2.0, 5.0, 12.0, 14.0)
+    assert mean == BenchRow(5, 0.5, 1, "mean", 2.0, 5.0, 12.0, 14.0)
+    assert {type(x) for x in (mean.depth_pre, mean.depth_post, mean.cnot_count)} == {float}
 
 
 @pytest.mark.parametrize("density", [-0.1, 1.5, float("nan")])

@@ -93,6 +93,31 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert len(doc["gamma"]) == 2 and len(doc["beta"]) == 2
 
+    def test_trace_holds_only_the_requested_depth(self, demo6_file, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code = run(["solve", "--problem", "maxcut", "--graph", demo6_file, "--p", "2",
+                    "--grid-size", "8", "--trace", str(trace)])
+        assert code == 0
+        with open(trace) as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["eval", "gamma_1", "gamma_2", "beta_1", "beta_2", "energy"]
+        # The depth-1 stages spend evaluations 0..172; the depth-2 ones follow.
+        assert [int(r[0]) for r in rows] == list(range(173, 466))
+        assert {len(r) for r in rows} == {6}
+
+    @pytest.mark.parametrize("problem, qubits", [("maxcut", 5), ("coloring", 15)])
+    def test_graph_problems_keep_an_edgeless_middle_node(self, tmp_path, capsys, problem,
+                                                         qubits):
+        graph = tmp_path / "g5.json"
+        write_graph(WeightGraph(nodes=[(i, 0.0) for i in range(5)],
+                                edges=[(0, 1, 1.0), (3, 4, 1.0)]), graph)
+        args = ["--problem", problem, "--graph", str(graph)]
+        params = tmp_path / "params.json"
+        assert run(["solve", *args, "--grid-size", "4", "--out", str(params)]) == 0
+        qasm = tmp_path / "c.qasm"
+        assert run(["compile", *args, "--params", str(params), "--out", str(qasm)]) == 0
+        assert parse(qasm.read_text()).n_logical == qubits
+
     @pytest.mark.parametrize("flag,value", [
         ("--p", "0"), ("--p", "-2"), ("--grid-size", "0"), ("--grid-size", "-3"),
         ("--max-evals", "0"),
@@ -340,25 +365,32 @@ class TestTaskFlow:
         assert message in capsys.readouterr().err
         assert not store.exists()
 
-    def test_dot_draws_a_node_the_bitstring_does_not_cover_unfilled(self, tmp_path, capsys):
-        # The max-cut model is sized from the edges, so edgeless node 3 has no bit.
+    def test_dot_fills_an_edgeless_node_from_its_bit(self, tmp_path, capsys):
+        # The max-cut model has one qubit per declared node, edgeless node 3 too.
         store = tmp_path / "store"
         store.mkdir()
         graph = tmp_path / "g4.json"
         write_graph(WeightGraph(nodes=[(i, 1.0) for i in range(4)],
                                 edges=[(0, 1, 1.0), (1, 2, 1.0)]), graph)
-        qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\nrx(3.141592653589793) q[1];\n'
-                + "".join(f"measure q[{i}] -> c[{i}];\n" for i in range(3)))
+        qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\ncreg c[4];\n'
+                "rx(3.141592653589793) q[1];\nrx(3.141592653589793) q[3];\n"
+                + "".join(f"measure q[{i}] -> c[{i}];\n" for i in range(4)))
         with TaskService(store / "tasks.jsonl") as service:
             task_id = service.submit(qasm, shots=5, seed=1, wait=True).id
         dot = tmp_path / "out.dot"
         code = run(["--store", str(store), "result", task_id, "--problem", "maxcut",
                     "--graph", str(graph), "--dot", str(dot)])
         assert code == 0
-        assert capsys.readouterr().out.splitlines()[1] == "010 5 -1 2 *"
-        lines = dot.read_text().splitlines()
-        assert lines[2] == "  1 [style=filled, fillcolor=salmon];"
-        assert lines[4] == "  3 [style=filled, fillcolor=white];"
+        assert capsys.readouterr().out.splitlines()[1] == "0101 5 -1 2 *"
+        assert dot.read_text().splitlines() == [
+            "graph solution {",
+            "  0 [style=filled, fillcolor=lightblue];",
+            "  1 [style=filled, fillcolor=salmon];",
+            "  2 [style=filled, fillcolor=lightblue];",
+            "  3 [style=filled, fillcolor=salmon];",
+            "  0 -- 1;", "  1 -- 2;",
+            "}",
+        ]
 
     def test_zero_max_cut_objective_prints_as_zero(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -483,11 +515,12 @@ class TestColoringFlow:
 class TestMissingInputs:
     @pytest.mark.parametrize("argv, message", [
         (["solve"], "either --graph or --problem is required"),
+        (["solve", "--problem", "maxcut"], "--graph is required for the maxcut problem"),
         (["solve", "--problem", "partition"], "--numbers is required for the partition problem"),
         (["solve", "--problem", "setpack"], "--sets is required for set packing"),
         (["compile", "--problem", "partition", "--numbers", "1,2", "--gamma", "0.1",
           "--out", "c.qasm"], "provide --params FILE or both --gamma and --beta"),
-    ], ids=["graph-or-problem", "numbers", "sets", "params"])
+    ], ids=["graph-or-problem", "graph", "numbers", "sets", "params"])
     def test_missing_input_exits_one_with_its_message(self, tmp_path, capsys, monkeypatch,
                                                       argv, message):
         monkeypatch.chdir(tmp_path)

@@ -12,7 +12,6 @@ from quchain import (
     PhysicalCircuit,
     QaoaParams,
     WeightGraph,
-    build_exer_table,
     build_qaoa_circuit,
     build_template,
     compile_graph,
@@ -105,10 +104,10 @@ class TestTemplate:
 class TestExeRTable:
     def test_first_cycle_pair(self):
         for n in (2, 4, 7):
-            assert build_exer_table(n).table[0, 1] == 1
+            assert build_template(n).table[0, 1] == 1
 
     def test_hand_simulated_n4(self):
-        ex = build_exer_table(4)
+        ex = build_template(4)
         assert ex.table[0, 2] == 5
         assert ex.table[1, 3] == 5
         assert ex.table[0, 3] == 6
@@ -116,7 +115,7 @@ class TestExeRTable:
 
     def test_symmetry_and_range(self):
         for n in (3, 6, 9):
-            ex = build_exer_table(n)
+            ex = build_template(n)
             bound = len(build_template(n).layers)
             for a in range(n):
                 for b in range(n):
@@ -128,14 +127,14 @@ class TestExeRTable:
     def test_matches_independent_simulation(self):
         for n in range(2, 13):
             met = rzz_meetings(build_template(n))
-            ex = build_exer_table(n)
+            ex = build_template(n)
             assert (ex.where == ex.where.T).all()
             for (a, b), (cycle, pos) in met.items():
                 assert ex.table[a, b] == cycle
                 assert ex.where[a, b] == pos
 
     def test_cached_arrays_are_read_only(self):
-        ex = build_exer_table(3)
+        ex = build_template(3)
         for arr in (ex.table, ex.where):
             with pytest.raises(ValueError):
                 arr[0, 2] = 1
@@ -162,7 +161,7 @@ class TestMappingSearch:
         for n in range(2, 7):
             edges = [(u, v, 1.0) for u, v in itertools.combinations(range(n), 2)]
             g = WeightGraph(nodes=[(i, 0.0) for i in range(n)], edges=edges)
-            exer = build_exer_table(n).table
+            exer = build_template(n).table
             costs = {
                 max(exer[p[u], p[v]] for u, v, _ in g.edges)
                 for p in itertools.permutations(range(n))
@@ -231,7 +230,7 @@ class TestSchedule:
         sched = schedule(
             demo6_graph, mapping, QaoaParams(gamma=(0.4,), beta=(0.3,)), n_positions=6
         )
-        exer = build_exer_table(6)
+        template = build_template(6)
         # count rzz gates and verify each lands at the cycle the table predicts
         placed = 0
         cycle = 0
@@ -244,7 +243,7 @@ class TestSchedule:
                 for gate in layer:
                     a, b = gate.qubits
                     u, v = log_at[a], log_at[b]
-                    assert exer.table[mapping[u], mapping[v]] == cycle
+                    assert template.table[mapping[u], mapping[v]] == cycle
                     placed += 1
             elif kinds == {"swap"}:
                 for gate in layer:

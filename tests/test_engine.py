@@ -576,13 +576,6 @@ class TestOptimize:
         with pytest.raises(ValueError, match=f"^{name} angles must be finite"):
             QaoaParams(gamma=gamma, beta=beta)
 
-    def test_trace_rows_shape(self, k2_graph):
-        res = optimize(k2_graph, p=1, method="grid", grid_size=8)
-        rows = res.trace_rows()
-        assert len(rows) == 64
-        assert all(len(r) == 4 for r in rows)  # index, gamma, beta, energy
-        assert rows[0][0] == 0
-
 
 def _cone_by_cone(g: WeightGraph, params: QaoaParams) -> float:
     """The light-cone energy one point and one cone at a time: a 1-D kernel

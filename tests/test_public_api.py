@@ -11,13 +11,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # Adding a name here is a decision: references that only tests call belong in
 # tests/oracles.py, not in the package.
 PUBLIC_NAMES = {
-    "CapacityError", "ChipModel", "ConfigError", "Coupler", "ExeRTable", "Gate",
+    "CapacityError", "ChipModel", "ConfigError", "Coupler", "Gate",
     "LightCone", "LocalSampler", "LogicalCircuit", "ModelError", "OptimizationResult",
     "ParseError", "PhysicalCircuit", "QUBIT_LIMIT", "QaoaParams", "Qubit", "QuboMatrix",
     "QuchainError", "RankedSolutions", "ResultUnavailableError", "ScheduledCircuit",
     "SolutionRow", "SubchainLibrary", "TaskNotFoundError", "TaskRecord", "TaskService",
-    "Template", "WeightGraph", "build_exer_table", "build_qaoa_circuit",
-    "build_subchain_library", "build_template", "compile_graph", "decompose",
+    "Template", "WeightGraph", "build_qaoa_circuit", "build_subchain_library",
+    "build_template", "compile_graph", "decompose",
     "decompose_gates", "dumps_graph", "emit", "energy_table", "expectation_decomposed",
     "interp_initialize", "layout_document", "load_calibration", "loads_calibration",
     "loads_graph", "optimize", "optimize_circuit", "parse", "probabilities",
