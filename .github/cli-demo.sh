@@ -32,6 +32,21 @@ test "$(quchain --store st status "$id")" = completed
 quchain --store st result "$id" --problem maxcut --graph maxcut6.json \
   --top 2 --dot solution.dot --hist histogram.csv > result.txt
 sed -n 2p result.txt | grep -q ' \*$'  # the best row is flagged
+# The completed line holds its counts as one packed "bits:count,..." string.
+grep -qE '"counts": "[01]+:[0-9]+' st/tasks.jsonl
+
+# A store as older versions wrote it, counts as a JSON object, still reads.
+mkdir old
+qasm6='OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[6];\nmeasure q[0] -> c[0];\n'
+cat > old/tasks.jsonl <<JSON
+{"counts": null, "created_at": 1792388888.5, "error": null, "id": "00112233445566778899aabbccddeeff", "name": "old", "qasm": "$qasm6", "seed": 3, "shots": 10, "status": "queued", "updated_at": 1792388888.5}
+{"counts": {"000000": 3, "010101": 7}, "created_at": 1792388888.5, "error": null, "id": "00112233445566778899aabbccddeeff", "name": "old", "qasm": "$qasm6", "seed": 3, "shots": 10, "status": "completed", "updated_at": 1792388889.5}
+JSON
+test "$(quchain --store old status 00112233445566778899aabbccddeeff)" = completed
+quchain --store old result 00112233445566778899aabbccddeeff \
+  --problem maxcut --graph maxcut6.json > old-result.txt
+sed -n 2p old-result.txt | grep -qE '^010101 7 .* 5 \*$'  # five of seven edges cut
+sed -n 3p old-result.txt | grep -qE '^000000 3 .* 0 \*$'
 
 # Node 6 has no edge, yet the max-cut model holds one qubit per declared
 # node: seven qubits end to end, and node 6 is filled from its own bit.

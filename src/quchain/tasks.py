@@ -4,7 +4,12 @@ Tasks move queued -> running -> completed | failed, one JSON line per state,
 so the log is diffable.  The queued line holds the whole record; each later
 line holds only the id, the status, both timestamps and the counts or error.
 On reload lines merge per id in order; QASM is written once.  A full line from
-an older store merges the same way.  One reader parses the lines for readers
+an older store merges the same way.  A ``completed`` line holds its counts as
+one packed string of ``bitstring:count`` pairs in key order, ``"00:3,01:12"``;
+a reader checks each string with one regular expression on load and decodes
+it only when the counts are asked for, so a read that returns one task's
+counts does not build every task's.  A line from an older store holds them as
+a JSON object, which loads as well.  One reader parses the lines for readers
 and writers.  One writer at a time holds the store: it ``flock``-s the file
 once, reads the records through that handle and appends every record through
 it.  A crash mid-append leaves a torn final line without its newline: readers
@@ -29,10 +34,12 @@ import collections
 import fcntl
 import json
 import os
+import re
 import secrets
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +58,64 @@ _TRANSITIONS = {
 }
 
 
+_COUNT = "(?:0|[1-9][0-9]*)"
+# Packed counts: "" or "bits:count" pairs joined by commas, each bitstring
+# non-empty and of 0s and 1s, each count a JSON integer of at least 0.
+_PACKED = re.compile(f"(?:[01]+:{_COUNT}(?:,[01]+:{_COUNT})*)?")
+_BAD_COUNTS = "counts must map bitstrings of 0s and 1s to non-negative ints"
+
+
+def _pack_counts(counts) -> str | None:
+    """``counts`` as its packed string: None stays None, a dict is packed in
+    key order, and a packed string is kept as it is.  Raise ValueError unless
+    every key is a non-empty string of 0s and 1s and every value an int of at
+    least 0.
+
+    A stored string is checked by one regular-expression match, because every
+    read checks every completed record.  A dict is checked before it is
+    packed, since packing drops the quotes round a str value and would write
+    an int key as if it were quoted; a bool value packs as ``true`` and fails
+    the match.
+    """
+    if isinstance(counts, dict):
+        if not (all(isinstance(k, str) for k in counts)
+                and all(isinstance(v, int) for v in counts.values())):
+            raise ValueError(_BAD_COUNTS)
+        counts = json.dumps(counts, sort_keys=True, separators=(",", ":"))[1:-1].replace('"', "")
+    if not (counts is None or (isinstance(counts, str) and _PACKED.fullmatch(counts))):
+        raise ValueError(_BAD_COUNTS)
+    return counts
+
+
+def _unpack_counts(packed: str, task_id: str) -> dict[str, int]:
+    """The dict that checked ``packed`` holds, built by ``json.loads``.  A
+    bitstring that occurs twice, or a count past ``int``'s digit limit,
+    raises ``ParseError`` naming the task."""
+    if not packed:
+        return {}
+    try:
+        counts = json.loads('{"' + packed.replace(":", '":').replace(",", ',"') + "}")
+    except ValueError as exc:
+        raise ParseError(f"task {task_id!r}: malformed counts: {exc}") from None
+    if len(counts) != packed.count(",") + 1:
+        raise ParseError(f"task {task_id!r}: a bitstring occurs twice in its counts")
+    return counts
+
+
+class _PackedCounts:
+    """The ``counts`` field of :class:`TaskRecord`: set from a dict or a packed
+    string, checked either way and kept packed in ``_packed``; each read
+    decodes a new dict.  Records compare by their decoded counts."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return None  # the field's default
+        return None if rec._packed is None else _unpack_counts(rec._packed, rec.id)
+
+    def __set__(self, rec, counts):
+        rec._packed = _pack_counts(counts)
+
+
 @dataclass
 class TaskRecord:
     id: str
@@ -59,7 +124,7 @@ class TaskRecord:
     shots: int
     status: str
     seed: int | None = None
-    counts: dict[str, int] | None = None
+    counts: dict[str, int] | None = _PackedCounts()  # kept packed, read decoded
     error: str | None = None
     created_at: float = 0.0
     updated_at: float = 0.0
@@ -74,8 +139,6 @@ class TaskRecord:
             raise ValueError(f"shots must be an int of at least 1, got {self.shots!r}")
         if self.seed is not None and not is_integer(self.seed):
             raise ValueError(f"seed must be an int or None, got {self.seed!r}")
-        if self.counts is not None:
-            _check_counts(self.counts)
         if self.error is not None and not isinstance(self.error, str):
             raise ValueError(f"error must be a str or None, got {type(self.error).__name__}")
         if not (is_real(self.created_at) and is_real(self.updated_at)):
@@ -85,7 +148,10 @@ class TaskRecord:
             )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """The whole record as one JSON object, its counts packed."""
+        fields = dict(vars(self))  # holds the packed counts as "_packed"
+        fields["counts"] = fields.pop("_packed")
+        return json.dumps(fields, sort_keys=True)
 
     def log_line(self) -> str:
         """The store line for this state: the whole record when queued, else
@@ -95,8 +161,8 @@ class TaskRecord:
             return self.to_json()
         fields = {"id": self.id, "status": self.status,
                   "created_at": self.created_at, "updated_at": self.updated_at}
-        if self.counts is not None:
-            fields["counts"] = self.counts
+        if self._packed is not None:
+            fields["counts"] = self._packed
         if self.error is not None:
             fields["error"] = self.error
         return json.dumps(fields, sort_keys=True)
@@ -118,26 +184,6 @@ class TaskRecord:
             return cls(**fields)
         except (ValueError, TypeError, RecursionError) as exc:
             raise ParseError(f"malformed task record: {exc}") from exc
-
-
-def _check_counts(counts) -> None:
-    """Raise ValueError unless ``counts`` is a dict of non-negative ints.
-
-    Keys go unchecked: a stored record's keys are JSON object keys, always
-    str.  The values take two C-level passes because every read reloads
-    every record: ``sum``, whose result is a float if any value is one (a
-    non-number raises), and ``min``.  A ``bool`` passes as 0 or 1.
-    """
-    try:
-        ok = (
-            isinstance(counts, dict)
-            and type(sum(counts.values())) is int
-            and min(counts.values(), default=0) >= 0
-        )
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError("counts must map bitstrings to non-negative ints")
 
 
 def _moved(rec: TaskRecord, status: str, counts=None, error=None) -> TaskRecord:
@@ -360,7 +406,7 @@ class TaskService:
     def result(self, task_id: str) -> dict[str, int]:
         rec = self.record(task_id)
         if rec.status == "completed":
-            return dict(rec.counts)
+            return rec.counts  # decoded now, a new dict
         if rec.status == "failed":
             raise ResultUnavailableError(
                 f"task failed: {rec.error}", status=rec.status
@@ -377,8 +423,7 @@ class TaskService:
             return self._records[task_id]
 
 
-@dataclass(frozen=True)
-class SolutionRow:
+class SolutionRow(NamedTuple):
     bitstring: str
     count: int
     energy: float
@@ -425,11 +470,8 @@ def process_results(
     objective = g.objective(energy, sense)
     hits = np.array(list(counts.values()), dtype=np.int64)
     order = np.lexsort((-hits, energy))
-    rows = [
-        SolutionRow(keys[k], c, e, o)
-        for k, c, e, o in zip(
-            order.tolist(), hits[order].tolist(),
-            energy[order].tolist(), objective[order].tolist(),
-        )
-    ]
+    rows = list(map(SolutionRow._make, zip(
+        map(keys.__getitem__, order.tolist()), hits[order].tolist(),
+        energy[order].tolist(), objective[order].tolist(),
+    )))
     return RankedSolutions(rows=rows, top=top)

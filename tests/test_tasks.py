@@ -596,6 +596,12 @@ class TestProcessResults:
         assert ranked.rows[0].energy == -1.0
         assert ranked.rows[-1].energy == 1.0
 
+    def test_rows_are_named_tuples_with_the_same_fields_and_repr(self, k2_graph):
+        row = process_results({"01": 3}, k2_graph).rows[0]
+        assert row == ("01", 3, -1.0, -1.0) and isinstance(row, tuple)
+        assert row._fields == ("bitstring", "count", "energy", "objective")
+        assert repr(row) == "SolutionRow(bitstring='01', count=3, energy=-1.0, objective=-1.0)"
+
     def test_sort_secondary_key_is_count(self, k2_graph):
         counts = {"01": 5, "10": 50}
         ranked = process_results(counts, k2_graph, top=1)
@@ -811,3 +817,174 @@ class TestTransitionLines:
         for read_only in (True, False):
             with pytest.raises(ParseError, match=re.escape(f"{store}, line 3")):
                 TaskService(store, read_only=read_only)
+
+
+class _IntKeySampler(LocalSampler):
+    """Returns an int key beside a str one, as a careless remote backend might."""
+
+    def run(self, qasm_text, shots, seed=None):
+        return {0: 1, "1": shots - 1}
+
+
+class _IntKeysOnlySampler(LocalSampler):
+    """Returns every shot under the int key 0."""
+
+    def run(self, qasm_text, shots, seed=None):
+        return {0: shots}
+
+
+class _ReversedSampler(LocalSampler):
+    """Returns the exact counts with their keys in descending order."""
+
+    def run(self, qasm_text, shots, seed=None):
+        counts = super().run(qasm_text, shots, seed)
+        return {k: counts[k] for k in sorted(counts, reverse=True)}
+
+
+def _completed_line(counts) -> str:
+    return json.dumps({"id": _VALID_RECORD["id"], "status": "completed", "counts": counts,
+                       "created_at": 1.5e9, "updated_at": 1.5e9})
+
+
+def _queued_line() -> str:
+    return json.dumps({**_VALID_RECORD, "status": "queued", "counts": None})
+
+
+class TestCountKeys:
+    """Count keys are strings of 0s and 1s, for writers and readers alike."""
+
+    @pytest.mark.parametrize("backend", [_IntKeySampler, _IntKeysOnlySampler])
+    def test_int_keys_fail_the_task_and_the_worker_lives_on(self, store, backend):
+        with TaskService(store, backend=backend()) as svc:
+            task_id = svc.submit(single_qubit_plus_qasm(), shots=10)
+            rec = svc.wait(task_id, timeout=10.0)
+            assert rec.status == "failed"
+            assert "counts" in rec.error
+            svc.backend = _CountingSampler()
+            assert svc.submit(single_qubit_plus_qasm(), shots=10, wait=True).counts == {"0": 10}
+        assert TaskService(store, read_only=True).status(task_id) == "failed"
+
+    @pytest.mark.parametrize("counts", [{"ab": 10}, {"": 10}, {"0": True, "1": 9}])
+    def test_stored_dict_that_is_not_bitstrings_to_ints_is_located_parse_error(self, store, counts):
+        lines = [json.dumps(_VALID_RECORD), json.dumps({**_VALID_RECORD, "counts": counts})]
+        store.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 2")):
+            TaskService(store, read_only=True)
+
+
+class TestPackedCounts:
+    """A completed line holds its counts as one packed string, checked on load
+    and decoded when the counts are read."""
+
+    @pytest.mark.parametrize(
+        "counts", ["01::3", "0a:1", "01:-1", "01:1.5", "01:1,", ":4", "01:007", "01:1 ", 5, [4, 6]],
+    )
+    def test_malformed_counts_are_located_parse_error(self, store, counts):
+        store.write_text(_queued_line() + "\n" + _completed_line(counts) + "\n")
+        for read_only in (True, False):
+            with pytest.raises(ParseError, match=re.escape(f"{store}, line 2") + ".*counts"):
+                TaskService(store, read_only=read_only)
+
+    @pytest.mark.parametrize("counts, message", [
+        ("01:1,01:2", "occurs twice"),
+        pytest.param("01:" + "1" * 5000, "malformed counts", id="past-the-int-digit-limit"),
+    ])
+    def test_counts_that_do_not_decode_are_parse_error_when_read(self, store, counts, message):
+        store.write_text(_queued_line() + "\n" + _completed_line(counts) + "\n")
+        reader = TaskService(store, read_only=True)
+        assert reader.status(_VALID_RECORD["id"]) == "completed"
+        for read in (reader.result, lambda i: reader.record(i).counts):
+            with pytest.raises(ParseError, match=re.escape(repr(_VALID_RECORD["id"])) + ".*" + message):
+                read(_VALID_RECORD["id"])
+
+    def test_empty_string_decodes_to_no_counts(self, store):
+        store.write_text(_queued_line() + "\n" + _completed_line("") + "\n")
+        reader = TaskService(store, read_only=True)
+        assert reader.result(_VALID_RECORD["id"]) == {}
+        assert reader.record(_VALID_RECORD["id"]).counts == {}
+
+    def test_writer_packs_keys_in_order_and_reader_decodes_them(self, store, k2_graph):
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        with TaskService(store, backend=_ReversedSampler()) as svc:
+            rec = svc.submit(emit(pc), shots=200, wait=True, seed=4)
+        packed = json.loads(store.read_text().splitlines()[-1])["counts"]
+        assert isinstance(packed, str)
+        assert packed == ",".join(f"{k}:{v}" for k, v in sorted(rec.counts.items()))
+        reader = TaskService(store, read_only=True)
+        assert list(reader.result(rec.id).items()) == sorted(rec.counts.items())
+        assert list(rec.counts) == sorted(rec.counts)  # the writer's record decodes alike
+
+    def test_each_read_returns_a_new_dict(self, store):
+        store.write_text(_queued_line() + "\n" + _completed_line("0:4,1:6") + "\n")
+        reader = TaskService(store, read_only=True)
+        reader.result(_VALID_RECORD["id"])["0"] = 99
+        assert reader.result(_VALID_RECORD["id"]) == {"0": 4, "1": 6}
+
+    def test_dict_lines_then_packed_lines_load_and_agree(self, store, k2_graph):
+        store.write_text(_OLD_STORE)
+        pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
+        with TaskService(store) as svc:
+            new = [svc.submit(emit(pc), shots=50, seed=s, wait=True).id for s in (1, 2)]
+            written = {i: svc.record(i).counts for i in new}
+        text = store.read_text()
+        assert '"counts": {"0": 9, "1": 1}' in text
+        assert text.count('"counts": "') == 2
+        reader = TaskService(store, read_only=True)
+        assert reader.result("de2c8b44d013f332f0e946d0688fe992") == {"0": 9, "1": 1}
+        for i in new:
+            assert reader.result(i) == written[i]
+            assert sum(written[i].values()) == 50
+
+
+_KILLED_WRITER = """
+import sys, threading
+from quchain import LocalSampler, TaskService
+
+class Hang(LocalSampler):
+    def run(self, qasm_text, shots, seed=None):
+        threading.Event().wait()
+
+svc = TaskService(sys.argv[1])
+svc.submit(sys.argv[2], shots=20, seed=1, wait=True)
+svc.backend = Hang()
+svc.submit(sys.argv[2], shots=20, seed=2)
+threading.Event().wait()
+"""
+
+
+class TestKilledWriter:
+    def test_writer_killed_mid_run_leaves_a_store_the_next_writer_mends(self, store):
+        import signal
+        import time
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_WRITER, str(store), single_qubit_plus_qasm()],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        def running_lines():
+            return store.read_text().count('"status": "running"') if store.exists() else 0
+
+        try:
+            deadline = time.monotonic() + 120.0
+            while running_lines() < 2:  # the second task is inside the backend
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "the writer never started its second task"
+                time.sleep(0.05)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(30.0)
+            proc.stderr.close()
+        assert proc.returncode == -signal.SIGKILL
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        done, hung = dict.fromkeys(r["id"] for r in records)
+        with TaskService(store) as svc:  # the killed writer's lock went with it
+            assert svc.status(hung) == "failed"
+            assert svc.record(hung).error == "interrupted by restart"
+            written = svc.record(done).counts
+        reader = TaskService(store, read_only=True)
+        assert reader.status(done) == "completed"
+        assert reader.result(done) == written and sum(written.values()) == 20
+        assert reader.status(hung) == "failed"
