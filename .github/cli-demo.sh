@@ -24,9 +24,14 @@ cat > maxcut6.json <<'JSON'
 }
 JSON
 quchain solve --problem maxcut --graph maxcut6.json --p 1 --out params.json
-quchain --calib "$repo/src/quchain/data/chain18.json" \
-  compile --problem maxcut --graph maxcut6.json \
-  --params params.json --out circuit.qasm --layout layout.json
+compile6=(--calib "$repo/src/quchain/data/chain18.json"
+  compile --problem maxcut --graph maxcut6.json --params params.json)
+quchain "${compile6[@]}" --out circuit.qasm --layout layout.json > compile.txt
+# The printed CNOT count is the number of cx lines written, and compiling
+# again writes the same bytes.
+test "$(sed -n 's/^cnot_count = //p' compile.txt)" -eq "$(grep -c '^cx ' circuit.qasm)"
+quchain "${compile6[@]}" --out circuit-again.qasm > /dev/null
+cmp circuit.qasm circuit-again.qasm
 id=$(quchain --store st submit --qasm circuit.qasm --shots 100)
 test "$(quchain --store st status "$id")" = completed
 quchain --store st result "$id" --problem maxcut --graph maxcut6.json \

@@ -15,27 +15,29 @@ positions meet, cycle and chain pair, is a pure function of n (the ExeR
 table, which ``Template`` holds beside its layers).  Mapping selection
 searches it so that the last graph edge meets as early as possible, and one
 walk of the template reads every edge's RZZ slot from it and yields the
-scheduled layers as (chain positions, angle) rows.
+scheduled layers as arrays of chain positions and angles.
 
-``compile_graph`` expands those rows in one pass into native CNOT/RZ gates
-on the chain's wires, merging an RZZ and a SWAP on one pair into three
-CNOTs (Jin et al., "A structured method for compilation of QAOA circuits in
-quantum computing", arXiv:2112.06143).  ``schedule`` wraps the same rows
-into RZZ/SWAP gates for the tested reference, ``decompose_gates`` followed
-by the ``optimize_circuit`` peephole pass; one as-soon-as-possible placer
-packs the gates of both routes into cycles.
+``compile_graph`` expands those layers, all at once in whole-array steps,
+into native CNOT/RZ gates on the chain's wires, merging an RZZ and a SWAP on
+one pair into three CNOTs (Jin et al., "A structured method for compilation
+of QAOA circuits in quantum computing", arXiv:2112.06143), and places them
+as soon as possible one sub-layer of disjoint gates at a time.  The circuit
+it returns, a ``PhysicalCircuit``, holds its gates as parallel arrays.
+``schedule`` wraps the same layers into RZZ/SWAP gates for the tested
+reference, ``decompose_gates`` followed by the ``optimize_circuit`` peephole
+pass, which places gate by gate with ``_asap``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Gate, QaoaParams
+from .circuits import TWO_QUBIT_KINDS, Gate, QaoaParams
 from .errors import CapacityError
 from .graph import WeightGraph
 
@@ -190,44 +192,57 @@ class ScheduledCircuit:
 def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int):
     """The walk behind ``schedule`` and ``compile_graph``.
 
-    Returns the scheduled layers as ``(kind, rows)`` with each row
-    ``(chain positions, angle)``, the final layout and the last RZZ cycle.
+    Returns the scheduled layers as ``(kind, positions, angles)`` arrays, the
+    final layout and the last RZZ cycle.  A two-qubit layer's positions are
+    the lower ends ``a`` of its chain pairs ``(a, a + 1)``, in position
+    order; ``angles`` is None for ``h`` and ``swap`` layers.
     """
     k = g.n
-    meet: dict[int, list[tuple[int, float]]] = {}  # cycle -> [(position, J)]
+    start = np.asarray(mapping, dtype=np.intp)
+    retained: list[tuple[str, np.ndarray, np.ndarray | None]] = []  # (kind, lows, J)
+    item = np.arange(n)  # chain position -> the initial position it holds
+    last_rzz = 0
     if g.edges:
         t = build_template(n)
-        us, vs, ws = zip(*g.edges)
-        ends = np.take(mapping, us), np.take(mapping, vs)
-        for cycle, pos, w in zip(t.table[ends].tolist(), t.where[ends].tolist(), ws):
-            meet.setdefault(cycle, []).append((pos, w))
-    last_rzz = max(meet, default=0)
+        us, vs, ws = (np.array(col) for col in zip(*g.edges))
+        ends = start[us], start[vs]
+        cycles, lows = t.table[ends], t.where[ends]
+        order = np.lexsort((lows, cycles))
+        cycles, lows, ws = cycles[order], lows[order], ws[order]
+        last_rzz = int(cycles[-1])
+        meet = cycles.searchsorted(np.arange(last_rzz + 2)).tolist()  # cycle c: meet[c]:meet[c + 1]
+        for cycle, layer in enumerate(t.layers[:last_rzz], start=1):
+            s, e = meet[cycle], meet[cycle + 1]
+            if layer.kind == "swap":
+                lo = np.arange(layer.pairs[0][0], n - 1, 2)  # pairs (a, a + 1), a = lo
+                retained.append(("swap", lo, None))
+                item[lo], item[lo + 1] = item[lo + 1], item[lo]
+            elif s < e:
+                retained.append(("rzz", lows[s:e], ws[s:e]))
+    moved = np.argsort(item)[start]  # where each initial position ends up
 
-    retained: list[tuple[str, list]] = []
-    item = list(range(n))  # chain position -> the initial position it holds
-    for cycle, layer in enumerate(t.layers[:last_rzz] if g.edges else (), start=1):
-        if layer.kind == "swap":
-            retained.append(("swap", [(pair, None) for pair in layer.pairs]))
-            for a, b in layer.pairs:
-                item[a], item[b] = item[b], item[a]
-        elif cycle in meet:
-            retained.append(("rzz", sorted(meet[cycle])))
-    moved_to = {i: pos for pos, i in enumerate(item)}
-    moved = tuple(moved_to[m] for m in mapping)
-
-    layers: list[tuple[str, list]] = [("h", [((mapping[l],), None) for l in range(k)])]
-    biased = [(i, w) for i, w in g.nodes if w != 0.0]
+    layers = [("h", start, None)]
+    biased = np.array([i for i, w in g.nodes if w != 0.0], dtype=np.intp)
+    fields = np.array([w for _, w in g.nodes if w != 0.0])
     for block in range(1, params.p + 1):
         gamma, beta = params.gamma[block - 1], params.beta[block - 1]
-        start, end = (mapping, moved) if block % 2 == 1 else (moved, mapping)
-        if biased:
-            layers.append(("rz", [((start[i],), 2.0 * gamma * w) for i, w in biased]))
-        for kind, items in retained if block % 2 == 1 else reversed(retained):
-            if kind == "rzz":
-                items = [((a, a + 1), 2.0 * gamma * w) for a, w in items]
-            layers.append((kind, items))
-        layers.append(("rx", [((end[l],), 2.0 * beta) for l in range(k)]))
-    return layers, end, last_rzz
+        first, end = (start, moved) if block % 2 == 1 else (moved, start)
+        if len(biased):
+            layers.append(("rz", first[biased], 2.0 * gamma * fields))
+        for kind, lo, w in retained if block % 2 == 1 else reversed(retained):
+            layers.append((kind, lo, None if w is None else 2.0 * gamma * w))
+        layers.append(("rx", end, np.full(k, 2.0 * beta)))
+    return layers, tuple(end.tolist()), last_rzz
+
+
+def _gates(kind: str, positions: np.ndarray, angles: np.ndarray | None) -> list[Gate]:
+    """One layer of ``_layers`` as ``Gate``s."""
+    lo = positions.tolist()
+    qubits = [(a, a + 1) for a in lo] if kind in TWO_QUBIT_KINDS else [(a,) for a in lo]
+    return [
+        Gate(kind, qs, angle)
+        for qs, angle in zip(qubits, [None] * len(lo) if angles is None else angles.tolist())
+    ]
 
 
 def schedule(
@@ -256,74 +271,213 @@ def schedule(
     layers, end, last_rzz = _layers(g, mapping, params, n)
     return ScheduledCircuit(
         n=n,
-        layers=[[Gate(kind, qs, angle) for qs, angle in rows] for kind, rows in layers],
+        layers=[_gates(*layer) for layer in layers],
         final_layout=end,
         cost_cycles=params.p * last_rzz,
     )
 
 
-@dataclass
+#: Gate kind codes of ``PhysicalCircuit``'s ``kind`` array.  A physical
+#: circuit holds the first four; the others name a rejected kind.
+KINDS = ("h", "rx", "rz", "cnot", "rzz", "swap")
+H, RX, RZ, CNOT = range(4)
+#: The most wires, and cycles, a circuit may have, so that the one-integer
+#: keys of a gate's wires and kind, and of a wire in a cycle, fit in int64.
+WIRE_LIMIT = 2**30
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def _ints(x) -> np.ndarray:
+    """``x`` as a 1-D integer array, copied only if it is not one."""
+    x = np.asarray(x).reshape(-1)
+    return x if x.dtype.kind in "iu" else x.astype(np.intp)
+
+
 class PhysicalCircuit:
     """Cycle-scheduled gates over chain wires plus the measurement layout.
+
+    The gates are parallel read-only arrays, one entry per gate in
+    cycle-major order (stream order within a cycle): ``kind`` (a code into
+    :data:`KINDS`), wires ``a`` and ``b`` (``b == a`` for a one-qubit gate,
+    the target of a CNOT otherwise), ``angle`` (NaN for ``h`` and ``cnot``)
+    and ``cycle``.  ``PhysicalCircuit(n, cycles, final_layout)`` packs lists
+    of ``Gate``s into them and :meth:`from_arrays` takes them as they are;
+    both run one whole-array check of every kind, angle and wire, and of
+    every cycle for a wire used twice, and report the first fault in gate
+    order.  ``compile_graph`` and ``parse`` build theirs from input they
+    have already checked, and skip it.  ``cycles`` and ``gates()`` are views
+    that build one ``Gate`` per distinct row (see :meth:`rows`) on each call
+    and share it wherever that row recurs.  To change the gates, build a new
+    circuit.
 
     ``final_layout[l]`` is the wire that holds logical qubit ``l`` after all
     SWAP permutations; measuring it into classical bit ``l`` hides the chain
     permutation from downstream decoders.  ``depth`` is dependency-DAG depth
-    with unit gate cost, independent of how cycles happen to be packed.
-
-    Gates are frozen, so one ``Gate`` may sit in many cycles.  Construction
-    checks every gate's kind and wires and every cycle for a wire used twice;
-    a circuit from the ASAP placer also records its depth then.  To change
-    the cycles, build a new circuit.
+    with unit gate cost, independent of how cycles happen to be packed; a
+    circuit packed as soon as possible records it as its cycle count.
     """
 
-    n: int
-    cycles: list[list[Gate]]
-    final_layout: tuple[int, ...]
-    scheduled_cost_cycles: int | None = None
-    # set by ``_asap``, whose packing has the dependency depth as its cycle count
-    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, n: int, cycles, final_layout, scheduled_cost_cycles: int | None = None):
+        flat = [gate for cycle in cycles for gate in cycle]
+        self._take(
+            n,
+            [_CODE[gate.kind] for gate in flat],
+            [gate.qubits[0] for gate in flat],
+            [gate.qubits[-1] for gate in flat],
+            [np.nan if gate.angle is None else gate.angle for gate in flat],
+            np.repeat(np.arange(len(cycles)), [len(cycle) for cycle in cycles]),
+            final_layout,
+            scheduled_cost_cycles,
+            n_cycles=len(cycles),
+        )
 
-    def __post_init__(self):
-        self.final_layout = tuple(int(x) for x in self.final_layout)
-        for c, cycle in enumerate(self.cycles):
-            # a Gate's own operands are distinct, so a one-gate cycle reuses none
-            seen: set[int] | None = set() if len(cycle) > 1 else None
-            for gate in cycle:
-                if gate.kind not in ("h", "rx", "rz", "cnot"):
-                    raise ValueError(f"physical circuits cannot hold {gate.kind!r}")
-                for q in gate.qubits:
-                    if not 0 <= q < self.n:
-                        raise ValueError(f"wire {q} outside register of {self.n}")
-                    if seen is not None:
-                        if q in seen:
-                            raise ValueError(f"wire {q} used twice in cycle {c}")
-                        seen.add(q)
+    @classmethod
+    def from_arrays(
+        cls, n: int, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles: int | None = None,
+    ) -> "PhysicalCircuit":
+        """A circuit over per-gate arrays in cycle-major order.
+
+        An array that already has the circuit's dtype (int8 kinds, int32
+        wires and cycles, float64 angles) becomes the circuit's own and is
+        made read-only; any other is copied.
+        """
+        pc = cls.__new__(cls)
+        pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles)
+        return pc
+
+    @classmethod
+    def _built(cls, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles=None,
+               rows=None, depth=None) -> "PhysicalCircuit":
+        """A circuit over arrays that the package built from checked input
+        (``compile_graph``, ``parse``), taken without the check.  ``rows``
+        and ``depth``, when given, are :meth:`rows` and ``depth``."""
+        pc = cls.__new__(cls)
+        pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, checked=True)
+        pc._rows, pc._depth = rows, depth
+        return pc
+
+    def _take(self, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles,
+              n_cycles=None, checked=False):
+        self.n = n
+        self.kind, self.a, self.b, self.cycle = (_ints(x) for x in (kind, a, b, cycle))
+        self.angle = np.asarray(angle, dtype=float).reshape(-1)
+        self.final_layout = tuple(int(x) for x in final_layout)
+        self.scheduled_cost_cycles = scheduled_cost_cycles
+        if n_cycles is None:
+            n_cycles = int(self.cycle[-1]) + 1 if len(self.cycle) else 0
+        self._n_cycles = n_cycles
+        self._depth: int | None = None  # set where the packing is as-soon-as-possible
+        self._rows = None
+        if not checked:
+            if not len(self.kind) == len(self.a) == len(self.b) == len(self.angle) == len(self.cycle):
+                raise ValueError("gate arrays must have equal lengths")
+            if np.any(self.cycle[1:] < self.cycle[:-1]) or (len(self.cycle) and self.cycle[0] < 0):
+                raise ValueError("gates must be in cycle order")
+            if not 0 <= n <= WIRE_LIMIT or n_cycles > WIRE_LIMIT:
+                raise ValueError(f"circuits hold at most {WIRE_LIMIT} wires and cycles")
+            self._check()
+        # Checked, every value fits the narrow types that the circuit keeps.
+        self.kind = self.kind.astype(np.int8, copy=False)
+        self.a, self.b, self.cycle = (x.astype(np.int32, copy=False) for x in (self.a, self.b, self.cycle))
+        for x in (self.kind, self.a, self.b, self.angle, self.cycle):
+            x.setflags(write=False)
+
+    def _check(self):
+        """Raise for the first bad gate in gate order: its kind or angle,
+        then each wire in turn, out of range or used earlier in its cycle."""
+        kind, a, b, angle, cycle, n = self.kind, self.a, self.b, self.angle, self.cycle, self.n
+        rot = (kind == RX) | (kind == RZ)
+        two = kind >= CNOT
+        bad = (kind < H) | (kind > CNOT) | np.where(rot, ~np.isfinite(angle), ~np.isnan(angle))
+        bad |= ~two & (a != b)
+        # One key per use of a wire: its cycle, then the wire.  A wire past
+        # the register only shares its clipped key with a wire used after
+        # its own range fault, which is then reported first.
+        key = np.concatenate((cycle, cycle[two])).astype(np.int64)
+        key *= n + 1
+        key[: len(a)] += np.clip(a, 0, n)
+        key[len(a):] += np.clip(b[two], 0, n)
+        key.sort(kind="stable")
+        if not (bad.any() or (a < 0).any() or (a >= n).any() or (b < 0).any()
+                or (b >= n).any() or (key[1:] == key[:-1]).any()):
+            return
+        # The first fault, in check order: 3i for gate i itself, then 3i + 1
+        # and 3i + 2 for its wires a and b.
+        i = np.arange(len(kind))
+        pos = np.concatenate((3 * i + 1, 3 * i[two] + 2))
+        wire = np.concatenate((a, b[two]))
+        key = np.concatenate((cycle, cycle[two])).astype(np.int64) * (n + 1) + np.clip(wire, 0, n)
+        order = np.lexsort((pos, key))
+        again = pos[order][1:][key[order][1:] == key[order][:-1]]  # later uses in a cycle
+        outside = pos[(wire < 0) | (wire >= n)]
+        g, part = divmod(int(min(np.concatenate((3 * np.flatnonzero(bad), outside, again)))), 3)
+        code = int(kind[g])
+        if part == 0:
+            name = KINDS[code] if 0 <= code < len(KINDS) else f"kind code {code}"
+            if not H <= code <= CNOT:
+                raise ValueError(f"physical circuits cannot hold {name!r}")
+            if a[g] != b[g] and code != CNOT:
+                raise ValueError(f"{name} acts on one wire, got a={a[g]}, b={b[g]}")
+            if code in (RX, RZ):
+                raise ValueError(f"{name} angle must be finite, got {angle[g]}")
+            raise ValueError(f"{name} angle mismatch: {angle[g]}")
+        q = int(a[g] if part == 1 else b[g])
+        if not 0 <= q < n:
+            raise ValueError(f"wire {q} outside register of {n}")
+        raise ValueError(f"wire {q} used twice in cycle {int(cycle[g])}")
 
     @property
     def n_logical(self) -> int:
         return len(self.final_layout)
 
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, first)``: each gate's distinct-row index, and for each
+        distinct row the index of a gate that has it."""
+        if self._rows is None:
+            key = (self.a.astype(np.int64) * (self.n + 1) + self.b) * len(KINDS) + self.kind
+            order = np.lexsort((self.angle.view(np.int64), key))
+            sk, sa = key[order], self.angle.view(np.int64)[order]
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = (sk[1:] != sk[:-1]) | (sa[1:] != sa[:-1])
+            row = np.empty(len(order), dtype=np.int32)
+            row[order] = np.cumsum(new) - 1
+            self._rows = row, order[new]
+        return self._rows
+
+    def _views(self) -> list[Gate]:
+        """One new ``Gate`` per distinct row, listed once per gate."""
+        row, first = self.rows()
+        made = np.empty(len(first), dtype=object)
+        made[:] = [
+            Gate(KINDS[k], (x,) if k != CNOT else (x, y), None if k in (H, CNOT) else t)
+            for k, x, y, t in zip(
+                self.kind[first].tolist(), self.a[first].tolist(),
+                self.b[first].tolist(), self.angle[first].tolist(),
+            )
+        ]
+        return made[row].tolist()
+
+    @property
+    def cycles(self) -> list[list[Gate]]:
+        gates = self._views()
+        bounds = np.searchsorted(self.cycle, np.arange(self._n_cycles + 1)).tolist()
+        return [gates[s:e] for s, e in zip(bounds, bounds[1:])]
+
     def gates(self):
-        for cycle in self.cycles:
-            yield from cycle
+        return iter(self._views())
 
     @property
     def cnot_count(self) -> int:
-        return sum(1 for g in self.gates() if g.kind == "cnot")
+        return int(np.count_nonzero(self.kind == CNOT))
 
     @property
     def depth(self) -> int:
         if self._depth is not None:
             return self._depth
-        front: dict[int, int] = {}
-        depth = 0
-        for gate in self.gates():
-            c = 1 + max((front.get(q, 0) for q in gate.qubits), default=0)
-            for q in gate.qubits:
-                front[q] = c
-            depth = max(depth, c)
-        return depth
+        front: dict[int, int] = {}  # per wire: the depth of its latest gate
+        for a, b in zip(self.a.tolist(), self.b.tolist()):
+            front[a] = front[b] = max(front.get(a, 0), front.get(b, 0)) + 1
+        return max(front.values(), default=0)
 
 
 def decompose_gates(sched: ScheduledCircuit) -> PhysicalCircuit:
@@ -393,7 +547,8 @@ def _asap(n: int, gates, **fields) -> PhysicalCircuit:
     """Place each gate, in order, in the first cycle after its wires' latest gate.
 
     A gate then lands in the cycle of its dependency depth, so the circuit's
-    depth is its cycle count and is recorded instead of walked.
+    depth is its cycle count and is recorded instead of walked.  This is the
+    reference route's placer; ``compile_graph`` places with ``_place``.
     """
     cycles: list[list[Gate]] = []
     front = [0] * n  # per wire: the cycle after its latest gate
@@ -409,8 +564,64 @@ def _asap(n: int, gates, **fields) -> PhysicalCircuit:
     return pc
 
 
+def _stream(layers, n: int) -> tuple[np.ndarray, ...]:
+    """The native gates of ``_layers``' layers over chain positions, in order.
+
+    Returns the kind codes, wires a and b, angles and the bounds of the
+    sub-layers: ``bounds[j]:bounds[j + 1]`` is sub-layer j, whose gates act
+    on disjoint positions.  Layer i owns sub-layers 3i to 3i + 2.  A
+    one-qubit layer fills only 3i + 1.  An RZZ or SWAP layer on pairs
+    (a, a + 1) puts CNOT(a, a + 1) in 3i, RZ(a + 1) or CNOT(a + 1, a) in
+    3i + 1 and CNOT(a, a + 1) in 3i + 2, leaving out a first (last) CNOT
+    whose pair is also in the layer before (after).  Every row of every
+    layer is expanded at once; one stable sort by sub-layer gives the order.
+    """
+    sizes = [len(pos) for _, pos, _ in layers]
+    layer = np.repeat(np.arange(len(layers)), sizes)
+    pos = np.concatenate([pos for _, pos, _ in layers])
+    angle = np.concatenate([np.full(len(pos), np.nan) if x is None else x for _, pos, x in layers])
+    code = np.repeat([_CODE[kind] for kind, _, _ in layers], sizes)
+    rzz, swap = code == _CODE["rzz"], code == _CODE["swap"]
+    pair = rzz | swap
+    key = layer * n + pos
+    held = np.zeros((len(layers) + 2) * n, dtype=bool)  # (i + 1) n + a: layer i holds (a, a + 1)
+    held[key[pair] + n] = True
+    opens = np.flatnonzero(pair & ~held[key])  # not in the layer before
+    closes = np.flatnonzero(pair & ~held[key + 2 * n])  # nor in the layer after
+    # Sub-layer 3i opens pairs, 3i + 1 holds the layer's one-qubit gate, the
+    # RZ(a + 1) of an RZZ or the CNOT(a + 1, a) of a SWAP, and 3i + 2 closes pairs.
+    mid_a = pos + pair
+    sub = np.concatenate((3 * layer[opens], 3 * layer + 1, 3 * layer[closes] + 2))
+    kind = np.concatenate((np.full(len(opens), CNOT), np.where(rzz, RZ, np.where(swap, CNOT, code)),
+                           np.full(len(closes), CNOT)))
+    a = np.concatenate((pos[opens], mid_a, pos[closes]))
+    b = np.concatenate((pos[opens] + 1, np.where(swap, pos, mid_a), pos[closes] + 1))
+    angle = np.concatenate((np.full(len(opens), np.nan), angle, np.full(len(closes), np.nan)))
+    order = np.argsort(sub, kind="stable")
+    sub = sub[order]
+    bounds = np.concatenate(([0], np.flatnonzero(sub[1:] != sub[:-1]) + 1, [len(sub)]))
+    return kind[order], a[order], b[order], angle[order], bounds
+
+
+def _place(a: np.ndarray, b: np.ndarray, bounds: np.ndarray, n: int) -> np.ndarray:
+    """Each gate's as-soon-as-possible cycle, one sub-layer at a time.
+
+    The gates of ``a[s:e]``, ``b[s:e]`` for consecutive ``bounds`` s, e act
+    on disjoint wires, so each lands in the cycle after the later of its
+    wires' latest gates, as ``_asap`` places the same gates one by one.
+    """
+    front = np.zeros(n, dtype=np.intp)  # per wire: the cycle after its latest gate
+    cycle = np.empty(len(a), dtype=np.intp)
+    for s, e in zip(bounds.tolist(), bounds[1:].tolist()):
+        wa, wb = a[s:e], b[s:e]
+        c = np.maximum(front[wa], front[wb])
+        cycle[s:e] = c
+        front[wa] = front[wb] = c + 1
+    return cycle
+
+
 def _chain_wires(chain, k: int) -> tuple[int, ...]:
-    """The first ``k`` wires of ``chain``, each a distinct non-negative int."""
+    """The first ``k`` wires of ``chain``, distinct non-negative ints below ``WIRE_LIMIT``."""
     if chain is None:
         return tuple(range(k))
     wires = []
@@ -419,8 +630,8 @@ def _chain_wires(chain, k: int) -> tuple[int, ...]:
             q = -1 if isinstance(c, bool) else operator.index(c)
         except TypeError:
             q = -1
-        if q < 0:
-            raise ValueError(f"chain entries must be non-negative ints, got {c!r}")
+        if not 0 <= q < WIRE_LIMIT:
+            raise ValueError(f"chain entries must be non-negative ints below {WIRE_LIMIT}, got {c!r}")
         wires.append(q)
     if len(set(wires)) != len(wires):
         raise ValueError(f"chain repeats a qubit: {tuple(wires)}")
@@ -443,52 +654,35 @@ def compile_graph(
     first ``g.n`` entries are used); default is the identity chain 0..n-1.
     Entries must be distinct non-negative ints (NumPy ints included).
 
-    The rows of each layer of the walk ``schedule`` wraps expand in one pass
-    into CNOT/RZ on the chain wires, with no RZZ or SWAP gate built: RZZ(a,b)
-    -> CNOT(a,b) RZ(b) CNOT(a,b) and SWAP(a,b) -> CNOT(a,b) CNOT(b,a)
-    CNOT(a,b), sub-cycle by sub-cycle.  Where consecutive layers share a pair
-    (an RZZ and the SWAP after it, or a SWAP and the RZZ after it), the
-    CNOT(a,b) that ends the first and the one that starts the second are left
-    out, so RZZ+SWAP costs three CNOTs.  These are exactly the pairs
-    ``optimize_circuit`` cancels on ``decompose_gates``' output: every block
-    ends with an RX on every wire, and the schedule never puts a pair into two
-    consecutive layers of one kind.  The placer ``optimize_circuit`` also uses
-    packs the stream: each gate, in order, goes in the first cycle after its
-    wires' latest gate.  Each distinct CNOT is built once and shared.
+    The layers of the walk ``schedule`` wraps become CNOT/RZ on the chain
+    wires, with no RZZ or SWAP gate built: RZZ(a,b) -> CNOT(a,b) RZ(b)
+    CNOT(a,b) and SWAP(a,b) -> CNOT(a,b) CNOT(b,a) CNOT(a,b), three
+    sub-layers of gates on disjoint wires, all expanded in whole-array steps.
+    Where consecutive layers share a pair (an RZZ and the SWAP after it, or a
+    SWAP and the RZZ after it), the CNOT(a,b) that ends the first and the one
+    that starts the second are left out, so RZZ+SWAP costs three CNOTs.
+    These are exactly the pairs ``optimize_circuit`` cancels on
+    ``decompose_gates``' output: every block ends with an RX on every wire,
+    and the schedule never puts a pair into two consecutive layers of one
+    kind.  Placement is as soon as possible, one sub-layer at a time: each
+    gate's cycle is the later of its wires' fronts, read by fancy indexing,
+    and one stable sort by cycle gives the circuit's order.  That is the
+    placement ``_asap``, the reference route's placer, gives the same stream
+    gate by gate, so the circuit's depth is its cycle count.
     """
-    wires = _chain_wires(chain, g.n)
+    wires = np.array(_chain_wires(chain, g.n))
     mapping, _ = search_initial_mapping(g, g.n)
     layers, end, last_rzz = _layers(g, mapping, params, g.n)
-
-    cnots: dict[tuple[int, int], Gate] = {}
-
-    def cnot(a, b):
-        gate = cnots.get((a, b))
-        if gate is None:
-            gate = cnots[a, b] = Gate("cnot", (wires[a], wires[b]))
-        return gate
-
-    stream: list[Gate] = []
-    pairs = [
-        {qs for qs, _ in rows} if kind in ("rzz", "swap") else set() for kind, rows in layers
-    ]
-    pairs.append(set())  # also pairs[-1], the first layer's empty predecessor
-    for i, (kind, rows) in enumerate(layers):
-        if not pairs[i]:
-            stream.extend(Gate(kind, (wires[q],), angle) for (q,), angle in rows)
-            continue
-        before, after = pairs[i] & pairs[i - 1], pairs[i] & pairs[i + 1]
-        stream.extend(cnot(*qs) for qs, _ in rows if qs not in before)
-        if kind == "rzz":
-            stream.extend(Gate("rz", (wires[b],), angle) for (_, b), angle in rows)
-        else:
-            stream.extend(cnot(b, a) for (a, b), _ in rows)
-        stream.extend(cnot(*qs) for qs, _ in rows if qs not in after)
-    return _asap(
-        max(wires) + 1,
-        stream,
-        final_layout=tuple(wires[p_] for p_ in end),
+    kind, a, b, angle, bounds = _stream(layers, g.n)
+    del layers
+    cycle = _place(a, b, bounds, g.n)
+    order = np.argsort(cycle, kind="stable")
+    kind, a, b, angle, cycle = kind[order], wires[a[order]], wires[b[order]], angle[order], cycle[order]
+    return PhysicalCircuit._built(
+        int(wires.max()) + 1, kind, a, b, angle, cycle,
+        final_layout=wires[list(end)],
         scheduled_cost_cycles=params.p * last_rzz,
+        depth=int(cycle[-1]) + 1,
     )
 
 

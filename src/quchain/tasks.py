@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import Gate
+from .compiler import PhysicalCircuit
 from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph
 from .qasm import parse
@@ -261,20 +261,16 @@ class LocalSampler:
 
     def run(self, qasm_text: str, shots: int, seed=None) -> dict[str, int]:
         pc = parse(qasm_text)
-        used = sorted(
-            {q for g in pc.gates() for q in g.qubits} | set(pc.final_layout)
+        used = np.unique(np.concatenate((pc.a, pc.b, pc.final_layout)))
+        index = used.searchsorted  # wire -> simulated qubit
+        small = PhysicalCircuit._built(
+            len(used), pc.kind, index(pc.a), index(pc.b), pc.angle, pc.cycle,
+            final_layout=index(pc.final_layout), rows=pc.rows(),
         )
-        index = {q: i for i, q in enumerate(used)}
-        gates = [
-            Gate(g.kind, tuple(index[q] for q in g.qubits), g.angle)
-            for g in pc.gates()
-        ]
-        state = simulate_gates(len(used), gates)
+        state = simulate_gates(len(used), small.gates())
         counts: dict[str, int] = {}
         for basis, c in sample_counts(state, shots, seed).items():
-            bits = "".join(
-                str((basis >> index[phys]) & 1) for phys in pc.final_layout
-            )
+            bits = "".join(str((basis >> q) & 1) for q in small.final_layout)
             counts[bits] = counts.get(bits, 0) + c
         return counts
 

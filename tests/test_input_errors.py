@@ -61,7 +61,7 @@ QASM_CASES = {
                   "classical register must be named 'c', got 'd'", "line 4, col 1"),
     "creg-too-long": (HEAD + f"qreg q[2];\ncreg c[{LONG}];\n",
                       "integer of 5000 digits is too long", "line 4, col 1"),
-    "empty-qreg": (HEAD + "qreg q[0];\ncreg c[1];\n", "registers must be non-empty", "line 4, col 1"),
+    "empty-qreg": (HEAD + "qreg q[0];\ncreg c[1];\n", "registers must be non-empty", "line 3, col 1"),
     "empty-creg": (HEAD + "qreg q[1];\n  creg c[0];\n", "registers must be non-empty", "line 4, col 3"),
     # any statement
     "missing-semicolon": (body("  h q[0]"), "missing ';'", "line 5, col 9"),
