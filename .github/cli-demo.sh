@@ -40,6 +40,14 @@ sed -n 2p result.txt | grep -q ' \*$'  # the best row is flagged
 # The completed line holds its counts as one packed "bits:count,..." string.
 grep -qE '"counts": "[01]+:[0-9]+' st/tasks.jsonl
 
+# A malformed QASM file is rejected with exit code 1 before any store exists.
+printf 'not qasm\n' > bad.qasm
+code=0
+quchain --store fresh submit --qasm bad.qasm --shots 10 2> bad.txt || code=$?
+test "$code" -eq 1
+grep -q 'document must start with' bad.txt
+test ! -e fresh
+
 # A store as older versions wrote it, counts as a JSON object, still reads.
 mkdir old
 qasm6='OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[6];\nmeasure q[0] -> c[0];\n'

@@ -23,8 +23,8 @@ from .problems import (
     qubo_from_set_packing,
     weight_graph_from_qubo,
 )
-from .qasm import emit, parse
-from .tasks import TaskRecord, TaskService, process_results
+from .qasm import emit
+from .tasks import TaskService, _queued, process_results
 from .validate import json_object, real, required
 
 PALETTE = [
@@ -207,14 +207,10 @@ def cmd_submit(args) -> int:
     with open(args.qasm, encoding="utf-8") as f:
         text = f.read()
     # The checks submit makes, before the store directory or file exists.
-    TaskRecord(id="", name=args.name, qasm=text, shots=args.shots, status="queued",
-               seed=args.seed)
-    parse(text)
+    rec = _queued(text, args.shots, args.name, args.seed)
     os.makedirs(args.store, exist_ok=True)  # only a writer creates the store
     with TaskService(_store_path(args)) as service:
-        out = service.submit(
-            text, shots=args.shots, name=args.name, wait=args.wait, seed=args.seed
-        )
+        out = service._enqueue(rec, args.wait)
         if args.wait:
             print(f"task {out.id}: {out.status}")
             if out.status == "completed":

@@ -287,10 +287,21 @@ WIRE_LIMIT = 2**30
 _CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 
-def _ints(x) -> np.ndarray:
-    """``x`` as a 1-D integer array, copied only if it is not one."""
-    x = np.asarray(x).reshape(-1)
-    return x if x.dtype.kind in "iu" else x.astype(np.intp)
+def _first_fault(n: int, cycles) -> None:
+    """Raise for the first gate of ``cycles``, in gate order, that is not
+    native, or that has a wire outside the register or used earlier in its
+    cycle."""
+    for c, cycle in enumerate(cycles):
+        seen: set[int] = set()
+        for gate in cycle:
+            if gate.kind not in KINDS[: CNOT + 1]:
+                raise ValueError(f"physical circuits cannot hold {gate.kind!r}")
+            for q in gate.qubits:
+                if not 0 <= q < n:
+                    raise ValueError(f"wire {q} outside register of {n}")
+                if q in seen:
+                    raise ValueError(f"wire {q} used twice in cycle {c}")
+                seen.add(q)
 
 
 class PhysicalCircuit:
@@ -301,14 +312,15 @@ class PhysicalCircuit:
     :data:`KINDS`), wires ``a`` and ``b`` (``b == a`` for a one-qubit gate,
     the target of a CNOT otherwise), ``angle`` (NaN for ``h`` and ``cnot``)
     and ``cycle``.  ``PhysicalCircuit(n, cycles, final_layout)`` packs lists
-    of ``Gate``s into them and :meth:`from_arrays` takes them as they are;
-    both run one whole-array check of every kind, angle and wire, and of
-    every cycle for a wire used twice, and report the first fault in gate
-    order.  ``compile_graph`` and ``parse`` build theirs from input they
-    have already checked, and skip it.  ``cycles`` and ``gates()`` are views
-    that build one ``Gate`` per distinct row (see :meth:`rows`) on each call
-    and share it wherever that row recurs.  To change the gates, build a new
-    circuit.
+    of ``Gate``s into them.  Each ``Gate`` has checked its own kind, arity,
+    operands and angle, so construction checks only the placing: a kind the
+    chain cannot run (``rzz``, ``swap``), a wire outside the register, and a
+    wire used twice in one cycle, reported for the first faulty gate in gate
+    order.  ``compile_graph``, ``parse`` and ``LocalSampler`` build theirs
+    from arrays of checked input, and skip the check.  ``cycles`` and
+    ``gates()`` are views that build one ``Gate`` per distinct row (see
+    :meth:`rows`) on each call and share it wherever that row recurs.  To
+    change the gates, build a new circuit.
 
     ``final_layout[l]`` is the wire that holds logical qubit ``l`` after all
     SWAP permutations; measuring it into classical bit ``l`` hides the chain
@@ -318,113 +330,47 @@ class PhysicalCircuit:
     """
 
     def __init__(self, n: int, cycles, final_layout, scheduled_cost_cycles: int | None = None):
+        if not 0 <= n <= WIRE_LIMIT or len(cycles) > WIRE_LIMIT:
+            raise ValueError(f"circuits hold at most {WIRE_LIMIT} wires and cycles")
         flat = [gate for cycle in cycles for gate in cycle]
-        self._take(
-            n,
-            [_CODE[gate.kind] for gate in flat],
-            [gate.qubits[0] for gate in flat],
-            [gate.qubits[-1] for gate in flat],
-            [np.nan if gate.angle is None else gate.angle for gate in flat],
-            np.repeat(np.arange(len(cycles)), [len(cycle) for cycle in cycles]),
-            final_layout,
-            scheduled_cost_cycles,
-            n_cycles=len(cycles),
-        )
-
-    @classmethod
-    def from_arrays(
-        cls, n: int, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles: int | None = None,
-    ) -> "PhysicalCircuit":
-        """A circuit over per-gate arrays in cycle-major order.
-
-        An array that already has the circuit's dtype (int8 kinds, int32
-        wires and cycles, float64 angles) becomes the circuit's own and is
-        made read-only; any other is copied.
-        """
-        pc = cls.__new__(cls)
-        pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles)
-        return pc
+        kind = np.array([_CODE[gate.kind] for gate in flat], dtype=np.int8)
+        a = np.array([gate.qubits[0] for gate in flat], dtype=np.int64)
+        b = np.array([gate.qubits[-1] for gate in flat], dtype=np.int64)
+        cycle = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
+        two = a != b
+        uses = np.concatenate((cycle * n + a, cycle[two] * n + b[two]))  # (cycle, wire) keys
+        uses.sort()
+        if ((kind > CNOT).any() or (a < 0).any() or (a >= n).any() or (b < 0).any()
+                or (b >= n).any() or (uses[1:] == uses[:-1]).any()):
+            _first_fault(n, cycles)
+        angle = [np.nan if gate.angle is None else gate.angle for gate in flat]
+        self._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, len(cycles))
 
     @classmethod
     def _built(cls, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles=None,
                rows=None, depth=None) -> "PhysicalCircuit":
         """A circuit over arrays that the package built from checked input
-        (``compile_graph``, ``parse``), taken without the check.  ``rows``
-        and ``depth``, when given, are :meth:`rows` and ``depth``."""
+        (``compile_graph``, ``parse``, ``LocalSampler``), taken without the
+        check.  ``rows`` and ``depth``, when given, are :meth:`rows` and
+        ``depth``."""
         pc = cls.__new__(cls)
-        pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, checked=True)
+        n_cycles = int(cycle[-1]) + 1 if len(cycle) else 0
+        pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, n_cycles)
         pc._rows, pc._depth = rows, depth
         return pc
 
-    def _take(self, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles,
-              n_cycles=None, checked=False):
+    def _take(self, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, n_cycles):
         self.n = n
-        self.kind, self.a, self.b, self.cycle = (_ints(x) for x in (kind, a, b, cycle))
-        self.angle = np.asarray(angle, dtype=float).reshape(-1)
+        self.kind = np.asarray(kind).astype(np.int8, copy=False)
+        self.a, self.b, self.cycle = (np.asarray(x).astype(np.int32, copy=False) for x in (a, b, cycle))
+        self.angle = np.asarray(angle, dtype=float)
         self.final_layout = tuple(int(x) for x in final_layout)
         self.scheduled_cost_cycles = scheduled_cost_cycles
-        if n_cycles is None:
-            n_cycles = int(self.cycle[-1]) + 1 if len(self.cycle) else 0
         self._n_cycles = n_cycles
         self._depth: int | None = None  # set where the packing is as-soon-as-possible
         self._rows = None
-        if not checked:
-            if not len(self.kind) == len(self.a) == len(self.b) == len(self.angle) == len(self.cycle):
-                raise ValueError("gate arrays must have equal lengths")
-            if np.any(self.cycle[1:] < self.cycle[:-1]) or (len(self.cycle) and self.cycle[0] < 0):
-                raise ValueError("gates must be in cycle order")
-            if not 0 <= n <= WIRE_LIMIT or n_cycles > WIRE_LIMIT:
-                raise ValueError(f"circuits hold at most {WIRE_LIMIT} wires and cycles")
-            self._check()
-        # Checked, every value fits the narrow types that the circuit keeps.
-        self.kind = self.kind.astype(np.int8, copy=False)
-        self.a, self.b, self.cycle = (x.astype(np.int32, copy=False) for x in (self.a, self.b, self.cycle))
         for x in (self.kind, self.a, self.b, self.angle, self.cycle):
             x.setflags(write=False)
-
-    def _check(self):
-        """Raise for the first bad gate in gate order: its kind or angle,
-        then each wire in turn, out of range or used earlier in its cycle."""
-        kind, a, b, angle, cycle, n = self.kind, self.a, self.b, self.angle, self.cycle, self.n
-        rot = (kind == RX) | (kind == RZ)
-        two = kind >= CNOT
-        bad = (kind < H) | (kind > CNOT) | np.where(rot, ~np.isfinite(angle), ~np.isnan(angle))
-        bad |= ~two & (a != b)
-        # One key per use of a wire: its cycle, then the wire.  A wire past
-        # the register only shares its clipped key with a wire used after
-        # its own range fault, which is then reported first.
-        key = np.concatenate((cycle, cycle[two])).astype(np.int64)
-        key *= n + 1
-        key[: len(a)] += np.clip(a, 0, n)
-        key[len(a):] += np.clip(b[two], 0, n)
-        key.sort(kind="stable")
-        if not (bad.any() or (a < 0).any() or (a >= n).any() or (b < 0).any()
-                or (b >= n).any() or (key[1:] == key[:-1]).any()):
-            return
-        # The first fault, in check order: 3i for gate i itself, then 3i + 1
-        # and 3i + 2 for its wires a and b.
-        i = np.arange(len(kind))
-        pos = np.concatenate((3 * i + 1, 3 * i[two] + 2))
-        wire = np.concatenate((a, b[two]))
-        key = np.concatenate((cycle, cycle[two])).astype(np.int64) * (n + 1) + np.clip(wire, 0, n)
-        order = np.lexsort((pos, key))
-        again = pos[order][1:][key[order][1:] == key[order][:-1]]  # later uses in a cycle
-        outside = pos[(wire < 0) | (wire >= n)]
-        g, part = divmod(int(min(np.concatenate((3 * np.flatnonzero(bad), outside, again)))), 3)
-        code = int(kind[g])
-        if part == 0:
-            name = KINDS[code] if 0 <= code < len(KINDS) else f"kind code {code}"
-            if not H <= code <= CNOT:
-                raise ValueError(f"physical circuits cannot hold {name!r}")
-            if a[g] != b[g] and code != CNOT:
-                raise ValueError(f"{name} acts on one wire, got a={a[g]}, b={b[g]}")
-            if code in (RX, RZ):
-                raise ValueError(f"{name} angle must be finite, got {angle[g]}")
-            raise ValueError(f"{name} angle mismatch: {angle[g]}")
-        q = int(a[g] if part == 1 else b[g])
-        if not 0 <= q < n:
-            raise ValueError(f"wire {q} outside register of {n}")
-        raise ValueError(f"wire {q} used twice in cycle {int(cycle[g])}")
 
     @property
     def n_logical(self) -> int:

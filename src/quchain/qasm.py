@@ -13,6 +13,7 @@ work per distinct line: ``emit`` formats each distinct gate once, and
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -88,8 +89,9 @@ def parse(text: str) -> PhysicalCircuit:
     the include and the two register declarations.  Every later statement
     is looked up by its first word in one table of full-statement patterns.
     Each gate lands in its own cycle, preserving the textual order; the
-    measurement map is rebuilt into ``final_layout``, and a classical bit
-    left unmeasured is reported at the last statement.  Errors carry the
+    measurement map is rebuilt into ``final_layout``, and classical bits
+    left unmeasured are reported at the last statement (the first eight,
+    and their count when there are more).  Errors carry the
     line and column of the offending token; the first fault in document
     order is the one reported.
 
@@ -227,9 +229,12 @@ def parse(text: str) -> PhysicalCircuit:
         raise fault
     last = next((start + p + 1 for p in reversed(range(len(lines))) if lines[p].strip()), header[-1][0])
     del lines, index, rows  # the document's lines, the largest objects here, freed early
-    missing = [b for b in range(nc) if b not in layout]
-    if missing:
-        fail(f"classical bits never assigned: {missing}", last)
+    unset = nc - len(layout)
+    if unset:  # the first 8 are found within len(layout) + 8 lookups
+        first = [str(b) for b in itertools.islice((b for b in range(nc) if b not in layout), 8)]
+        listed = ", ".join(first + ["..."] * (unset > 8))
+        more = f" ({unset} in all)" if unset > 8 else ""
+        fail(f"classical bits never assigned: [{listed}]{more}", last)
     is_gate = codes >= H
     gates = at[is_gate]
     # One row per distinct gate line: its index among them, and where it first occurs.

@@ -251,6 +251,16 @@ def _load_log(path) -> dict[str, TaskRecord]:
         return {}
 
 
+def _queued(qasm, shots, name, seed) -> TaskRecord:
+    """A new queued record, after the checks ``TaskService.submit`` makes:
+    the record's fields, then a parse of ``qasm``."""
+    now = time.time()
+    rec = TaskRecord(id=secrets.token_hex(16), name=name, qasm=qasm, shots=shots,
+                     status="queued", seed=seed, created_at=now, updated_at=now)
+    parse(qasm)  # reject invalid circuits before enqueueing
+    return rec
+
+
 class LocalSampler:
     """Samples the exact output distribution of a parsed QASM circuit.
 
@@ -381,10 +391,10 @@ class TaskService:
         str that parses, ``shots`` a positive int, ``name`` a str and ``seed``
         an int or None; otherwise ``ValueError`` or ``ParseError``, nothing
         written."""
-        now = time.time()
-        rec = TaskRecord(id=secrets.token_hex(16), name=name, qasm=qasm, shots=shots,
-                         status="queued", seed=seed, created_at=now, updated_at=now)
-        parse(qasm)  # reject invalid circuits before enqueueing
+        return self._enqueue(_queued(qasm, shots, name, seed), wait)
+
+    def _enqueue(self, rec: TaskRecord, wait: bool):
+        """Append and queue the record :func:`_queued` built."""
         with self._cond:
             self._append(rec)
             self._pending.append(rec.id)

@@ -1,5 +1,5 @@
 """The array form of circuits: the sub-layer placer against the gate-by-gate
-one, the one check both constructors share, shared ``Gate`` views, and
+one, the Gate-list constructor's check, shared ``Gate`` views, and
 ``parse``'s per-distinct-line reading."""
 
 import math
@@ -53,18 +53,6 @@ class TestPlacer:
             assert s < e and len(set(wires.tolist())) == len(wires)
 
 
-def _arrays(cycles):
-    """The per-gate arrays ``PhysicalCircuit`` packs a list of cycles into."""
-    flat = [(c, gate) for c, cycle in enumerate(cycles) for gate in cycle]
-    return (
-        [compiler.KINDS.index(gate.kind) for _, gate in flat],
-        [gate.qubits[0] for _, gate in flat],
-        [gate.qubits[-1] for _, gate in flat],
-        [math.nan if gate.angle is None else gate.angle for _, gate in flat],
-        [c for c, _ in flat],
-    )
-
-
 H0, H1, CX01 = Gate("h", (0,)), Gate("h", (1,)), Gate("cnot", (0, 1))
 FAULTS = {
     "bad-kind": ([[H0], [Gate("swap", (0, 1))]], "physical circuits cannot hold 'swap'"),
@@ -76,6 +64,7 @@ FAULTS = {
     "twice-before-outside": ([[H0, H0], [Gate("h", (5,))]], "wire 0 used twice in cycle 0"),
     "outside-before-twice": ([[Gate("h", (5,))], [H0, H0]], "wire 5 outside register of 2"),
     "kind-before-wire": ([[Gate("swap", (0, 7))]], "physical circuits cannot hold 'swap'"),
+    "wire-negative": ([[H0], [Gate("h", (-1,))]], "wire -1 outside register of 2"),
 }
 
 
@@ -84,40 +73,21 @@ class TestOneCheck:
     def test_both_constructors_reject_alike(self, cycles, message):
         with pytest.raises(ValueError) as from_gates:
             PhysicalCircuit(n=2, cycles=cycles, final_layout=(0, 1))
-        with pytest.raises(ValueError) as from_arrays:
-            PhysicalCircuit.from_arrays(2, *_arrays(cycles), final_layout=(0, 1))
-        assert str(from_gates.value) == str(from_arrays.value) == message
+        assert str(from_gates.value) == message
 
-    @pytest.mark.parametrize(
-        "change,message",
-        [
-            (dict(kind=[9]), "physical circuits cannot hold 'kind code 9'"),
-            (dict(angle=[0.5]), "h angle mismatch: 0.5"),
-            (dict(kind=[compiler.RZ], angle=[math.inf]), "rz angle must be finite, got inf"),
-            (dict(b=[1]), "h acts on one wire, got a=0, b=1"),
-            (dict(a=[-1], b=[-1]), "wire -1 outside register of 2"),
-        ],
-    )
-    def test_array_only_faults(self, change, message):
-        fields = dict(kind=[compiler.H], a=[0], b=[0], angle=[math.nan], cycle=[0])
-        fields.update(change)
-        with pytest.raises(ValueError, match=message):
-            PhysicalCircuit.from_arrays(2, final_layout=(0, 1), **fields)
-
-    def test_arrays_must_be_in_cycle_order(self):
-        with pytest.raises(ValueError, match="cycle order"):
-            PhysicalCircuit.from_arrays(2, [0, 0], [0, 1], [0, 1], [math.nan] * 2, [1, 0], (0, 1))
+    @pytest.mark.parametrize("n", [-1, compiler.WIRE_LIMIT + 1])
+    def test_register_size_is_bounded(self, n):
+        with pytest.raises(ValueError, match=f"circuits hold at most {compiler.WIRE_LIMIT} wires"):
+            PhysicalCircuit(n=n, cycles=[[H0]], final_layout=(0,))
 
     def test_gate_lists_and_arrays_build_equal_circuits(self):
         rng = np.random.default_rng(2401)
         pc = compile_graph(random_graph(rng, 8, 8), random_qaoa_params(rng, 2), chain=range(3, 11))
-        again = PhysicalCircuit.from_arrays(pc.n, pc.kind, pc.a, pc.b, pc.angle, pc.cycle, pc.final_layout)
         listed = PhysicalCircuit(n=pc.n, cycles=pc.cycles, final_layout=pc.final_layout)
-        for other in (again, listed):
-            for name in ("kind", "a", "b", "cycle"):
-                assert np.array_equal(getattr(other, name), getattr(pc, name))
-            assert np.array_equal(other.angle, pc.angle, equal_nan=True)
-            assert other.depth == pc.depth
+        for name in ("kind", "a", "b", "cycle"):
+            assert np.array_equal(getattr(listed, name), getattr(pc, name))
+        assert np.array_equal(listed.angle, pc.angle, equal_nan=True)
+        assert listed.depth == pc.depth
 
 
 def test_chain_wires_stay_below_the_limit():

@@ -365,6 +365,27 @@ class TestTaskFlow:
         assert message in capsys.readouterr().err
         assert not store.exists()
 
+    def test_submit_parses_its_qasm_once(self, tmp_path, monkeypatch):
+        import quchain.cli
+        import quchain.tasks
+
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(quchain.cli, "parse", counted, raising=False)
+        monkeypatch.setattr(quchain.tasks, "parse", counted)
+        # a sampler that does not parse, so every counted parse is a check
+        monkeypatch.setattr(quchain.tasks.LocalSampler, "run",
+                            lambda self, text, shots, seed=None: {"0": shots})
+        qasm = tmp_path / "c.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\n'
+                        "h q[0];\nmeasure q[0] -> c[0];\n")
+        assert run(["--store", str(tmp_path / "store"), "submit", "--qasm", str(qasm), "--shots", "10"]) == 0
+        assert calls == [qasm.read_text()]
+
     def test_dot_fills_an_edgeless_node_from_its_bit(self, tmp_path, capsys):
         # The max-cut model has one qubit per declared node, edgeless node 3 too.
         store = tmp_path / "store"

@@ -1,6 +1,7 @@
 """QASM emission format and parser behavior."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_incomplete_measure_map_rejected():
         parse(text)
     assert "never assigned" in str(err.value)
 
+
+
+def test_unassigned_bits_cost_follows_the_measures():
+    # Ten million classical bits and one measure: the message names the first
+    # eight missing bits and the count, and is found without walking them all.
+    text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[10000000];\nmeasure q[0] -> c[3];\n'
+    start = time.process_time()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert time.process_time() - start < 0.5
+    message = str(err.value)
+    assert message == ("line 5, col 1: classical bits never assigned: "
+                       "[0, 1, 2, 4, 5, 6, 7, 8, ...] (9999999 in all)")
+    assert len(message.encode()) < 200
 
 def test_header_required():
     with pytest.raises(ParseError):
