@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .graph import WeightGraph
@@ -12,9 +13,25 @@ TWO_QUBIT_KINDS = frozenset({"rzz", "swap", "cnot"})
 GATE_KINDS = frozenset({"h", "rx", "rz", "rzz", "swap", "cnot"})
 
 
+def qubit_index(x, limit=None) -> int | None:
+    """``x`` as an int in ``[0, limit)``, or None when it is not one.
+
+    NumPy ints count and bools do not; without ``limit`` any non-negative
+    int counts.
+    """
+    if isinstance(x, bool):
+        return None
+    try:
+        q = operator.index(x)
+    except TypeError:
+        return None
+    return q if q >= 0 and (limit is None or q < limit) else None
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One gate application: kind, operand qubits, optional angle (radians)."""
+    """One gate application: kind, operand qubits (non-negative ints, kept as
+    Python ints), optional angle (radians)."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -26,6 +43,10 @@ class Gate:
         want = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.qubits) != want:
             raise ValueError(f"{self.kind} takes {want} qubits, got {self.qubits}")
+        qubits = tuple(qubit_index(q) for q in self.qubits)
+        if None in qubits:
+            raise ValueError(f"{self.kind} qubits must be non-negative ints, got {self.qubits}")
+        object.__setattr__(self, "qubits", qubits)
         if want == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.kind} operands must be distinct, got {self.qubits}")
         if (self.angle is not None) != (self.kind in ANGLED_KINDS):

@@ -31,13 +31,12 @@ pass, which places gate by gate with ``_asap``.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import TWO_QUBIT_KINDS, Gate, QaoaParams
+from .circuits import TWO_QUBIT_KINDS, Gate, QaoaParams, qubit_index
 from .errors import CapacityError
 from .graph import WeightGraph
 
@@ -297,7 +296,7 @@ def _first_fault(n: int, cycles) -> None:
             if gate.kind not in KINDS[: CNOT + 1]:
                 raise ValueError(f"physical circuits cannot hold {gate.kind!r}")
             for q in gate.qubits:
-                if not 0 <= q < n:
+                if q >= n:  # a Gate's qubits are non-negative
                     raise ValueError(f"wire {q} outside register of {n}")
                 if q in seen:
                     raise ValueError(f"wire {q} used twice in cycle {c}")
@@ -316,8 +315,9 @@ class PhysicalCircuit:
     operands and angle, so construction checks only the placing: a kind the
     chain cannot run (``rzz``, ``swap``), a wire outside the register, and a
     wire used twice in one cycle, reported for the first faulty gate in gate
-    order.  ``compile_graph``, ``parse`` and ``LocalSampler`` build theirs
-    from arrays of checked input, and skip the check.  ``cycles`` and
+    order, and then a ``final_layout`` entry that is not an int naming a wire
+    of the register.  ``compile_graph`` and ``parse`` build theirs from
+    arrays of checked input, and skip the check.  ``cycles`` and
     ``gates()`` are views that build one ``Gate`` per distinct row (see
     :meth:`rows`) on each call and share it wherever that row recurs.  To
     change the gates, build a new circuit.
@@ -340,19 +340,21 @@ class PhysicalCircuit:
         two = a != b
         uses = np.concatenate((cycle * n + a, cycle[two] * n + b[two]))  # (cycle, wire) keys
         uses.sort()
-        if ((kind > CNOT).any() or (a < 0).any() or (a >= n).any() or (b < 0).any()
-                or (b >= n).any() or (uses[1:] == uses[:-1]).any()):
+        if (kind > CNOT).any() or (a >= n).any() or (b >= n).any() or (uses[1:] == uses[:-1]).any():
             _first_fault(n, cycles)
+        layout = [qubit_index(x, n) for x in final_layout]
+        if None in layout:
+            bad = list(final_layout)[layout.index(None)]
+            raise ValueError(f"final_layout entries must be wires of the register of {n}, got {bad!r}")
         angle = [np.nan if gate.angle is None else gate.angle for gate in flat]
-        self._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, len(cycles))
+        self._take(n, kind, a, b, angle, cycle, layout, scheduled_cost_cycles, len(cycles))
 
     @classmethod
     def _built(cls, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles=None,
                rows=None, depth=None) -> "PhysicalCircuit":
         """A circuit over arrays that the package built from checked input
-        (``compile_graph``, ``parse``, ``LocalSampler``), taken without the
-        check.  ``rows`` and ``depth``, when given, are :meth:`rows` and
-        ``depth``."""
+        (``compile_graph``, ``parse``), taken without the check.  ``rows``
+        and ``depth``, when given, are :meth:`rows` and ``depth``."""
         pc = cls.__new__(cls)
         n_cycles = int(cycle[-1]) + 1 if len(cycle) else 0
         pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, n_cycles)
@@ -572,11 +574,8 @@ def _chain_wires(chain, k: int) -> tuple[int, ...]:
         return tuple(range(k))
     wires = []
     for c in chain:
-        try:
-            q = -1 if isinstance(c, bool) else operator.index(c)
-        except TypeError:
-            q = -1
-        if not 0 <= q < WIRE_LIMIT:
+        q = qubit_index(c, WIRE_LIMIT)
+        if q is None:
             raise ValueError(f"chain entries must be non-negative ints below {WIRE_LIMIT}, got {c!r}")
         wires.append(q)
     if len(set(wires)) != len(wires):

@@ -33,7 +33,7 @@ import numpy as np
 from .circuits import QaoaParams
 from .errors import CapacityError
 from .graph import WeightGraph
-from .simulator import QUBIT_LIMIT, qaoa_state, spin_product
+from .simulator import QUBIT_LIMIT, diagonal, qaoa_state
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MAX_EVALS = 20000
@@ -51,21 +51,9 @@ def _terms(g: WeightGraph) -> list[tuple[tuple[int, ...], float]]:
     return [((u, v), w) for u, v, w in g.edges] + [((i,), w) for i, w in g.nodes if w != 0.0]
 
 
-def _diagonal(n: int, terms) -> np.ndarray:
-    """Sum over ``terms`` of weight * prod_{q in support} z_q for every basis state.
-
-    Each term is one broadcast add over the ``[2] * n`` view of the result.
-    """
-    diag = np.zeros(1 << n)
-    view = diag.reshape([2] * n)
-    for support, w in terms:
-        view += w * spin_product(n, support)
-    return diag
-
-
 def energy_table(g: WeightGraph) -> np.ndarray:
     """C(z) for every basis state (offset excluded), little-endian indexing."""
-    return _diagonal(g.n, _terms(g))
+    return diagonal(g.n, _terms(g))
 
 
 class LightCone:
@@ -140,11 +128,11 @@ def _blocks(cones: list[LightCone], serves_all: bool) -> tuple[np.ndarray, np.nd
     tables = np.zeros((len(cones), 1 << n))
     observables = tables if serves_all else np.zeros((len(cones), 1 << n))
     for row, cone in enumerate(cones):
-        tables[row] = _diagonal(n, _terms(cone.subgraph))
+        tables[row] = diagonal(n, _terms(cone.subgraph))
         if not serves_all:
             pos = {orig: i for i, orig in enumerate(cone.index_map)}
             local = [(tuple(pos[s] for s in support), w) for support, w in cone.terms]
-            observables[row] = _diagonal(n, local)
+            observables[row] = diagonal(n, local)
     return tables, observables.reshape(len(cones), 1 << n, 1)
 
 

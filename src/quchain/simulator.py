@@ -9,6 +9,13 @@ Amplitudes use little-endian qubit ordering: basis index ``z`` assigns qubit
 
 so the basis state with bits (b_a, b_b) picks up the RZZ phase
 ``exp(-i t z_a z_b / 2)`` with ``z = 1 - 2b``.
+
+The sampler runs parsed circuits through :func:`simulate_levels`, one mixer
+level at a time: each level's ``h`` and ``rx`` gates, then its CNOT and RZ
+gates as one diagonal phase and one linear map of the wires.  ``qaoa_state``
+serves the engine's cost diagonals, which :func:`diagonal` builds.
+:func:`apply_gate` and :func:`simulate_gates` apply one gate at a time to the
+whole state; they are the reference the other routes are tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Gate, LogicalCircuit, QaoaParams
+from .compiler import CNOT, H, RZ
 from .errors import CapacityError
 
 #: Hard cap on simulated register width (2**24 amplitudes ~ 256 MiB).
@@ -39,6 +47,18 @@ def spin_product(n: int, support) -> np.ndarray:
         shape[_axis(q, n)] = 2
         tensor = tensor * _SPIN.reshape(shape)
     return tensor
+
+
+def diagonal(n: int, terms) -> np.ndarray:
+    """Sum over ``terms`` of weight * prod_{q in support} z_q for every basis state.
+
+    Each term is one broadcast add over the ``[2] * n`` view of the result.
+    """
+    diag = np.zeros(1 << n)
+    view = diag.reshape([2] * n)
+    for support, w in terms:
+        view += w * spin_product(n, support)
+    return diag
 
 
 def phase(psi: np.ndarray, n: int, support, theta: float) -> None:
@@ -96,14 +116,20 @@ def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return state
 
 
-def simulate_gates(n: int, gates) -> np.ndarray:
-    """Exact statevector after applying ``gates`` to |0...0>."""
+def _zero_state(n: int) -> np.ndarray:
+    """|0...0> on ``n`` qubits, within the simulator's capacity."""
     if n > QUBIT_LIMIT:
         raise CapacityError(f"{n} qubits exceeds the simulator limit of {QUBIT_LIMIT}")
     if n < 1:
         raise ValueError("need at least one qubit")
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
+    return state
+
+
+def simulate_gates(n: int, gates) -> np.ndarray:
+    """Exact statevector after applying ``gates`` to |0...0>, one at a time."""
+    state = _zero_state(n)
     for g in gates:
         apply_gate(state, g, n)
     return state
@@ -111,6 +137,94 @@ def simulate_gates(n: int, gates) -> np.ndarray:
 
 def simulate(circuit: LogicalCircuit) -> np.ndarray:
     return simulate_gates(circuit.n, circuit.gates)
+
+
+def _level_keys(n: int, kind: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each gate's sort key: twice its mixer level, plus one for a CNOT or RZ.
+
+    One walk in gate order: ``h`` and ``rx`` raise their wire's level and
+    take the new value, a CNOT takes the higher level of its two wires and
+    sets both to it, and an RZ takes its wire's level.  Along a wire the keys
+    never fall, and a mixer's key is above that of every earlier gate on its
+    wire, so one stable sort by key keeps every wire's gates in order.
+    """
+    wire = [0] * n
+    keys = []
+    for k, x, y in zip(kind.tolist(), a.tolist(), b.tolist()):
+        if k == CNOT:
+            wire[x] = wire[y] = max(wire[x], wire[y])
+        elif k != RZ:
+            wire[x] += 1
+        keys.append(2 * wire[x] + (k == CNOT or k == RZ))
+    return np.array(keys, dtype=np.int64)
+
+
+def _phase_block(state: np.ndarray, n: int, gates) -> np.ndarray:
+    """``state`` after a block of CNOT and RZ ``(kind, a, b, angle)`` gates.
+
+    The block maps |x> to exp(-i/2 sum_M theta_M z_M(x)) |A x>.  Each wire's
+    parity mask (a row of A; bit q stands for the block's input qubit q)
+    follows the CNOTs, and each RZ adds its angle to its wire's current mask.
+    The columns of A^-1 follow the CNOTs too, so the gather index, x = A^-1 y,
+    is the XOR of the columns of y's set bits.  A permutation of the wires,
+    as in every compiled QAOA block, is one transpose of the ``[2] * n`` view.
+    """
+    masks = [1 << q for q in range(n)]
+    columns = masks.copy()
+    thetas: dict[int, float] = {}
+    for k, x, y, t in gates:
+        if k == CNOT:
+            masks[y] ^= masks[x]
+            columns[x] ^= columns[y]
+        else:
+            thetas[masks[x]] = thetas.get(masks[x], 0.0) + t
+    if thetas:
+        terms = [([q for q in range(n) if m >> q & 1], t) for m, t in thetas.items()]
+        factor = diagonal(n, terms) * -0.5j
+        state *= np.exp(factor, out=factor)
+        del factor
+    if all(m & (m - 1) == 0 for m in masks):
+        # Output qubit w holds input qubit src[w].
+        src = [m.bit_length() - 1 for m in masks]
+        if src == list(range(n)):
+            return state
+        axes = [_axis(src[_axis(i, n)], n) for i in range(n)]
+        return np.ascontiguousarray(state.reshape([2] * n).transpose(axes)).reshape(-1)
+    index = np.intp(0)
+    for c, column in enumerate(columns):
+        shape = [1] * n
+        shape[_axis(c, n)] = 2
+        index = index ^ np.array([0, column], dtype=np.intp).reshape(shape)
+    return state[index.reshape(-1)]
+
+
+def simulate_levels(n: int, kind: np.ndarray, a: np.ndarray, b: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Exact statevector of a circuit's gate arrays applied to |0...0>.
+
+    The arrays are those of :class:`~quchain.compiler.PhysicalCircuit` over
+    wires ``0..n-1``: codes of ``h``, ``rx``, ``rz`` and ``cnot``, wires ``a``
+    and ``b`` (``b`` the CNOT target) and angles.  One stable sort by
+    :func:`_level_keys` puts each mixer level's ``h`` and ``rx`` gates first,
+    applied through :func:`mix`, and then its CNOT and RZ gates, applied as
+    one block by :func:`_phase_block`.  Equals :func:`simulate_gates` on the
+    same gates to rounding.
+    """
+    state = _zero_state(n)
+    keys = _level_keys(n, kind, a, b)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    bounds = [*np.searchsorted(keys, np.unique(keys)).tolist(), len(keys)]
+    gates = list(zip(*(x[order].tolist() for x in (kind, a, b, angle))))
+    for s, e in zip(bounds, bounds[1:]):
+        if gates[s][0] in (CNOT, RZ):
+            state = _phase_block(state, n, gates[s:e])
+            continue
+        for k, q, _, t in gates[s:e]:
+            if k == H:
+                mix(state, q, _H_DIAG, 1.0 / np.sqrt(2.0))
+            else:
+                mix(state, q, np.cos(t / 2.0), -1j * np.sin(t / 2.0))
+    return state
 
 
 def qaoa_state(tables: np.ndarray, params) -> np.ndarray:
@@ -163,10 +277,16 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_counts(state: np.ndarray, shots: int, seed=None) -> dict[int, int]:
-    """Sample basis indices from |state|^2; deterministic for a fixed seed."""
+def sample_outcomes(state: np.ndarray, shots: int, seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct basis indices sampled from |state|^2, ascending, and their
+    counts; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(len(state), size=shots, p=probabilities(state))
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    return np.unique(outcomes, return_counts=True)
+
+
+def sample_counts(state: np.ndarray, shots: int, seed=None) -> dict[int, int]:
+    """Sample basis indices from |state|^2; deterministic for a fixed seed."""
+    values, counts = sample_outcomes(state, shots, seed)
+    return dict(zip(values.tolist(), counts.tolist()))
 

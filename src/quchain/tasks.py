@@ -43,11 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compiler import PhysicalCircuit
 from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFoundError
 from .graph import WeightGraph
 from .qasm import parse
-from .simulator import sample_counts, simulate_gates
+from .simulator import sample_outcomes, simulate_levels
 from .validate import is_integer, is_real
 
 _TRANSITIONS = {
@@ -264,25 +263,29 @@ def _queued(qasm, shots, name, seed) -> TaskRecord:
 class LocalSampler:
     """Samples the exact output distribution of a parsed QASM circuit.
 
-    Only the qubits that carry gates or measurements are simulated; sampled
-    basis states are decoded through the measure map so returned bitstrings
-    are already in logical order.  Deterministic for a fixed seed.
+    Only the qubits that carry gates or measurements are simulated, straight
+    from the parsed circuit's arrays by :func:`~quchain.simulator.simulate_levels`;
+    no ``Gate`` and no second circuit is built.  The sampled basis states are
+    decoded through the measure map in whole-array steps, so the returned
+    bitstrings are already in logical order.  States that differ only on
+    unmeasured qubits share a key, which keeps the place of the lowest of
+    them.  Deterministic for a fixed seed.
     """
 
     def run(self, qasm_text: str, shots: int, seed=None) -> dict[str, int]:
         pc = parse(qasm_text)
         used = np.unique(np.concatenate((pc.a, pc.b, pc.final_layout)))
         index = used.searchsorted  # wire -> simulated qubit
-        small = PhysicalCircuit._built(
-            len(used), pc.kind, index(pc.a), index(pc.b), pc.angle, pc.cycle,
-            final_layout=index(pc.final_layout), rows=pc.rows(),
-        )
-        state = simulate_gates(len(used), small.gates())
-        counts: dict[str, int] = {}
-        for basis, c in sample_counts(state, shots, seed).items():
-            bits = "".join(str((basis >> q) & 1) for q in small.final_layout)
-            counts[bits] = counts.get(bits, 0) + c
-        return counts
+        state = simulate_levels(len(used), pc.kind, index(pc.a), index(pc.b), pc.angle)
+        basis, counts = sample_outcomes(state, shots, seed)
+        layout = index(pc.final_layout)  # classical bit -> simulated qubit
+        measured = basis & np.bitwise_or.reduce(1 << layout)  # unmeasured qubits cleared
+        kept, first, group = np.unique(measured, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # each key where its lowest basis state was
+        totals = np.bincount(group, weights=counts).astype(np.int64)[order]
+        chars = ((kept[order, None] >> layout) & 1).astype(np.uint8) + ord("0")
+        keys = chars.view(f"S{len(layout)}")[:, 0].astype(str)
+        return dict(zip(keys.tolist(), totals.tolist()))
 
 
 class TaskService:

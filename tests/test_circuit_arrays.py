@@ -1,6 +1,7 @@
 """The array form of circuits: the sub-layer placer against the gate-by-gate
-one, the Gate-list constructor's check, shared ``Gate`` views, and
-``parse``'s per-distinct-line reading."""
+one, the Gate-list constructor's check, the qubit checks of ``Gate`` and
+``final_layout``, shared ``Gate`` views, and ``parse``'s per-distinct-line
+reading."""
 
 import math
 
@@ -64,7 +65,6 @@ FAULTS = {
     "twice-before-outside": ([[H0, H0], [Gate("h", (5,))]], "wire 0 used twice in cycle 0"),
     "outside-before-twice": ([[Gate("h", (5,))], [H0, H0]], "wire 5 outside register of 2"),
     "kind-before-wire": ([[Gate("swap", (0, 7))]], "physical circuits cannot hold 'swap'"),
-    "wire-negative": ([[H0], [Gate("h", (-1,))]], "wire -1 outside register of 2"),
 }
 
 
@@ -99,6 +99,32 @@ def test_chain_wires_stay_below_the_limit():
     text = emit(pc)
     assert f"cx q[0],q[{compiler.WIRE_LIMIT - 1}];" in text
     assert list(parse(text).gates()) == list(pc.gates())
+
+
+class TestQubitChecks:
+    """A qubit is a non-negative int (NumPy ints count, bools do not), and a
+    ``final_layout`` entry is one that names a wire of the register."""
+
+    @pytest.mark.parametrize("qubit", [0.5, -1, True], ids=["float", "negative", "bool"])
+    def test_gate_rejects_what_is_not_a_qubit(self, qubit):
+        with pytest.raises(ValueError, match=r"h qubits must be non-negative ints, got \("):
+            Gate("h", (qubit,))
+        with pytest.raises(ValueError, match="cnot qubits must be non-negative ints"):
+            Gate("cnot", (1, qubit))
+
+    def test_gate_keeps_numpy_ints_as_ints(self):
+        gate = Gate("cnot", (np.int64(3), np.uint8(1)))
+        assert gate.qubits == (3, 1) and all(type(q) is int for q in gate.qubits)
+
+    @pytest.mark.parametrize("layout, bad", [((0.5, 1), "0.5"), ((-1, 0), "-1"), ((0, 7), "7")],
+                             ids=["float", "negative", "outside"])
+    def test_final_layout_entries_are_wires(self, layout, bad):
+        with pytest.raises(ValueError, match=f"final_layout entries must be wires of the register of 2, got {bad}$"):
+            PhysicalCircuit(n=2, cycles=[[H0, H1]], final_layout=layout)
+
+    def test_final_layout_takes_numpy_ints(self):
+        pc = PhysicalCircuit(n=2, cycles=[[H0, H1]], final_layout=np.array([1, 0]))
+        assert pc.final_layout == (1, 0) and parse(emit(pc)).final_layout == (1, 0)
 
 
 class TestSharedViews:

@@ -19,7 +19,7 @@ from quchain import (
     optimize,
     simulate,
 )
-from quchain.simulator import qaoa_state
+from quchain.simulator import diagonal, qaoa_state
 
 from conftest import (
     graph_energy_min_max,
@@ -317,7 +317,7 @@ class TestWholeGraphRule:
         (stack,) = engine._ConeStacks(decompose(_ring(6), 1)).stacks
         tables, observables = stack[2]
         assert np.shares_memory(tables, observables)
-        assert np.array_equal(observables[0, :, 0], engine._diagonal(6, engine._terms(_ring(6))))
+        assert np.array_equal(observables[0, :, 0], diagonal(6, engine._terms(_ring(6))))
 
     def test_whole_graph_cone_counts_one_array_against_the_cache(self, monkeypatch):
         import quchain.engine as engine

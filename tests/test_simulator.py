@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quchain import (
     CapacityError,
@@ -19,7 +21,9 @@ from quchain import (
     simulate,
     simulate_gates,
 )
-from quchain.simulator import apply_gate
+import quchain.simulator as simulator
+from quchain.compiler import KINDS
+from quchain.simulator import apply_gate, simulate_levels
 
 from conftest import random_graph, random_qaoa_params
 from oracles import permute_qubits
@@ -212,6 +216,82 @@ def _sampler_digest(seed: int) -> str:
 @pytest.mark.parametrize("seed", list(SAMPLER_COUNTS))
 def test_sampler_counts_pinned(seed):
     assert _sampler_digest(seed) == SAMPLER_COUNTS[seed]
+
+
+def _level_state(n, gates):
+    """``simulate_levels`` on the arrays of ``gates`` (h, rx, rz, cnot)."""
+    kind = np.array([KINDS.index(g.kind) for g in gates], dtype=np.int8)
+    a = np.array([g.qubits[0] for g in gates], dtype=np.int32)
+    b = np.array([g.qubits[-1] for g in gates], dtype=np.int32)
+    angle = np.array([np.nan if g.angle is None else g.angle for g in gates])
+    return simulate_levels(n, kind, a, b, angle)
+
+
+@st.composite
+def _circuits(draw):
+    """``(n, gates)``: h, rx, rz and cnot on up to five wires, in any order."""
+    n = draw(st.integers(1, 5))
+    kinds = ("h", "rx", "rz", "cnot") if n > 1 else ("h", "rx", "rz")
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind, a = draw(st.sampled_from(kinds)), draw(st.integers(0, n - 1))
+        if kind == "cnot":
+            gates.append(Gate(kind, (a, (a + draw(st.integers(1, n - 1))) % n)))
+        else:
+            angle = None if kind == "h" else draw(st.floats(-7.0, 7.0))
+            gates.append(Gate(kind, (a,), angle))
+    return n, gates
+
+
+def _g(kind, *qubits, angle=None):
+    return Gate(kind, qubits, angle)
+
+
+# A level whose CNOTs map the wires by no permutation; a mixer on a wire
+# that holds a parity at the end of its level; CNOT and RZ gates before any
+# mixer; a CNOT that joins wires of different levels; and a block like a
+# compiled QAOA one, whose map permutes the wires.
+_NOT_A_PERMUTATION = (3, [_g("h", 0), _g("h", 1), _g("cnot", 0, 1), _g("rz", 1, angle=0.9),
+                          _g("cnot", 1, 2), _g("rz", 2, angle=-1.3), _g("rx", 2, angle=0.4)])
+_MIXER_ON_A_PARITY = (3, [_g("h", 0), _g("rx", 1, angle=1.1), _g("cnot", 0, 1), _g("rz", 1, angle=0.7),
+                          _g("h", 1), _g("cnot", 1, 2), _g("rx", 0, angle=0.5), _g("rz", 2, angle=2.1),
+                          _g("h", 2), _g("rx", 1, angle=-0.8)])
+_BEFORE_ANY_MIXER = (2, [_g("rz", 0, angle=0.3), _g("cnot", 0, 1), _g("rz", 1, angle=1.7),
+                         _g("h", 0), _g("rz", 0, angle=0.6), _g("cnot", 0, 1), _g("rx", 1, angle=0.2)])
+_UNEVEN_LEVELS = (3, [_g("h", 0), _g("rx", 0, angle=0.9), _g("h", 1), _g("cnot", 1, 2),
+                      _g("cnot", 0, 1), _g("rz", 1, angle=1.2), _g("rx", 2, angle=0.3)])
+_PERMUTING_BLOCK = (3, [_g("h", 0), _g("h", 1), _g("h", 2), _g("cnot", 0, 1), _g("rz", 1, angle=0.8),
+                        _g("cnot", 1, 0), _g("cnot", 0, 1), _g("cnot", 1, 2), _g("rz", 2, angle=-0.5),
+                        _g("cnot", 2, 1), _g("cnot", 1, 2), _g("rx", 0, angle=0.6),
+                        _g("rx", 1, angle=0.6), _g("rx", 2, angle=0.6)])
+
+
+@settings(max_examples=300)
+@given(_circuits())
+@example(_NOT_A_PERMUTATION)
+@example(_MIXER_ON_A_PARITY)
+@example(_BEFORE_ANY_MIXER)
+@example(_UNEVEN_LEVELS)
+@example(_PERMUTING_BLOCK)
+def test_levels_match_gate_by_gate(circuit):
+    n, gates = circuit
+    assert np.max(np.abs(_level_state(n, gates) - simulate_gates(n, gates))) <= 1e-12
+
+
+def test_a_wrong_level_order_is_caught(monkeypatch):
+    """Phase gates put before their level's mixers fail the differential test."""
+    right = simulator._level_keys
+    monkeypatch.setattr(simulator, "_level_keys", lambda *arrays: right(*arrays) ^ 1)
+    with pytest.raises(AssertionError):
+        test_levels_match_gate_by_gate()
+
+
+@pytest.mark.parametrize("n", [0, 25])
+def test_level_simulator_keeps_the_capacity_checks(n):
+    none = np.zeros(0, dtype=np.int32)
+    with pytest.raises(CapacityError if n else ValueError,
+                       match="25 qubits exceeds the simulator limit of 24" if n else "need at least one qubit"):
+        simulate_levels(n, none.astype(np.int8), none, none, none.astype(float))
 
 
 def test_gate_validation():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from quchain import (
+    Gate,
     LocalSampler,
     ParseError,
     QaoaParams,
@@ -23,8 +24,11 @@ from quchain import (
     compile_graph,
     emit,
     optimize,
+    parse,
     process_results,
+    sample_counts,
     simulate,
+    simulate_gates,
 )
 
 from conftest import random_graph, random_qaoa_params
@@ -586,6 +590,69 @@ class TestLocalSampler:
         counts = LocalSampler().run(emit(pc), 300, seed=9)
         assert sum(counts.values()) == 300
         assert all(len(k) == 2 for k in counts)
+
+
+def _counts_by_loop(text: str, shots: int, seed) -> dict[str, int]:
+    """The sampler's former route: the used wires simulated gate by gate, and
+    each sampled outcome decoded through the measure map in a Python loop."""
+    pc = parse(text)
+    used = sorted({*pc.a.tolist(), *pc.b.tolist(), *pc.final_layout})
+    index = {w: i for i, w in enumerate(used)}
+    gates = [Gate(g.kind, tuple(index[q] for q in g.qubits), g.angle) for g in pc.gates()]
+    counts: dict[str, int] = {}
+    for basis, c in sample_counts(simulate_gates(len(used), gates), shots, seed).items():
+        bits = "".join(str((basis >> index[q]) & 1) for q in pc.final_layout)
+        counts[bits] = counts.get(bits, 0) + c
+    return counts
+
+
+def _measured_qasm(nq: int, measures) -> str:
+    """A document over ``nq`` wires whose fixed body spreads wires 0..3 over
+    many outcomes, measured as ``measures`` lists: (wire, classical bit)."""
+    body = [
+        "h q[0];", "h q[1];", "rx(0.7) q[2];", "cx q[0],q[1];", "rz(1.1) q[1];",
+        "cx q[1],q[2];", "rx(0.4) q[0];", "h q[3];", "rz(0.3) q[3];", "cx q[2],q[3];",
+        "rx(1.3) q[1];", "rx(0.9) q[3];",
+    ]
+    return "\n".join([
+        'OPENQASM 2.0;\ninclude "qelib1.inc";', f"qreg q[{nq}];", f"creg c[{len(measures)}];",
+        *body, *(f"measure q[{q}] -> c[{c}];" for q, c in measures),
+    ]) + "\n"
+
+
+class TestSamplerDecode:
+    """Whole count dicts, key order included, against the per-outcome loop."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_unmeasured_gated_wires_merge_their_counts(self, seed):
+        # q[1] and q[3] carry gates but are not measured; q[4] is idle.
+        text = _measured_qasm(5, [(2, 0), (0, 1)])
+        counts = LocalSampler().run(text, 2000, seed)
+        assert list(counts.items()) == list(_counts_by_loop(text, 2000, seed).items())
+        assert len(counts) == 4 and sum(counts.values()) == 2000
+
+    def test_one_wire_measured_into_two_bits(self):
+        text = _measured_qasm(4, [(1, 0), (3, 1), (1, 2), (0, 3)])
+        counts = LocalSampler().run(text, 2000, 3)
+        assert list(counts.items()) == list(_counts_by_loop(text, 2000, 3).items())
+        assert all(k[0] == k[2] for k in counts)
+
+    def test_permuted_measure_map(self):
+        text = _measured_qasm(4, [(2, 0), (0, 1), (3, 2), (1, 3)])
+        counts = LocalSampler().run(text, 2000, 7)
+        assert list(counts.items()) == list(_counts_by_loop(text, 2000, 7).items())
+        assert len(counts) > 8
+
+    def test_too_many_used_wires_fail_the_task(self, store):
+        text = (
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[25];\ncreg c[1];\n'
+            + "".join(f"h q[{i}];\n" for i in range(25))
+            + "measure q[0] -> c[0];\n"
+        )
+        with TaskService(store) as svc:
+            rec = svc.submit(text, shots=10, wait=True)
+        assert rec.status == "failed"
+        assert rec.error == "25 qubits exceeds the simulator limit of 24"
 
 
 class TestProcessResults:
