@@ -1,8 +1,7 @@
 """QUBO modeling, QAOA parameter search and chain-targeted circuit compilation."""
 
-from .circuits import Gate, LogicalCircuit, QaoaParams, build_qaoa_circuit
+from .circuits import Gate, LogicalCircuit, PhysicalCircuit, QaoaParams, build_qaoa_circuit
 from .compiler import (
-    PhysicalCircuit,
     ScheduledCircuit,
     Template,
     build_template,
@@ -56,7 +55,6 @@ from .qasm import emit, parse
 from .simulator import (
     QUBIT_LIMIT,
     probabilities,
-    sample_counts,
     simulate,
     simulate_gates,
 )

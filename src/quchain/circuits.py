@@ -1,31 +1,27 @@
-"""Gate-list circuit representation and QAOA circuit construction."""
+"""Gate-list and physical circuit representations and QAOA circuit construction."""
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
-from .graph import WeightGraph
+import numpy as np
 
+from .graph import WeightGraph
+from .validate import as_index
+
+#: Gate kind codes of ``PhysicalCircuit``'s ``kind`` array.  A physical
+#: circuit holds the first four; the others name a rejected kind.
+KINDS = ("h", "rx", "rz", "cnot", "rzz", "swap")
+H, RX, RZ, CNOT, RZZ, SWAP = range(len(KINDS))
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+GATE_KINDS = frozenset(KINDS)
 ANGLED_KINDS = frozenset({"rx", "rz", "rzz"})
 TWO_QUBIT_KINDS = frozenset({"rzz", "swap", "cnot"})
-GATE_KINDS = frozenset({"h", "rx", "rz", "rzz", "swap", "cnot"})
-
-
-def qubit_index(x, limit=None) -> int | None:
-    """``x`` as an int in ``[0, limit)``, or None when it is not one.
-
-    NumPy ints count and bools do not; without ``limit`` any non-negative
-    int counts.
-    """
-    if isinstance(x, bool):
-        return None
-    try:
-        q = operator.index(x)
-    except TypeError:
-        return None
-    return q if q >= 0 and (limit is None or q < limit) else None
+#: The most wires, and cycles, a circuit may have, so that wires and cycles
+#: fit the int32 arrays and the one-integer key of a gate's wires and kind
+#: (:meth:`PhysicalCircuit.rows`) fits in int64.
+WIRE_LIMIT = 2**30
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class Gate:
         want = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.qubits) != want:
             raise ValueError(f"{self.kind} takes {want} qubits, got {self.qubits}")
-        qubits = tuple(qubit_index(q) for q in self.qubits)
+        qubits = tuple(as_index(q) for q in self.qubits)
         if None in qubits:
             raise ValueError(f"{self.kind} qubits must be non-negative ints, got {self.qubits}")
         object.__setattr__(self, "qubits", qubits)
@@ -71,6 +67,140 @@ class LogicalCircuit:
     def add(self, kind: str, *qubits: int, angle: float | None = None):
         self.gates.append(Gate(kind, tuple(qubits), angle))
         return self
+
+
+class PhysicalCircuit:
+    """Cycle-scheduled gates over chain wires plus the measurement layout.
+
+    The gates are parallel read-only arrays, one entry per gate in
+    cycle-major order (stream order within a cycle): ``kind`` (a code into
+    :data:`KINDS`), wires ``a`` and ``b`` (``b == a`` for a one-qubit gate,
+    the target of a CNOT otherwise), ``angle`` (NaN for ``h`` and ``cnot``)
+    and ``cycle``.  ``PhysicalCircuit(n, cycles, final_layout)`` packs lists
+    of ``Gate``s into them.  Each ``Gate`` has checked its own kind, arity,
+    operands and angle, so construction checks only the placing, in one walk
+    of the gates that reports the first faulty one in gate order: a kind the
+    chain cannot run (``rzz``, ``swap``), a wire outside the register, or a
+    wire used twice in one cycle.  Then it checks that every ``final_layout``
+    entry is an int naming a wire of the register.  ``compile_graph`` and
+    ``parse`` build theirs from arrays of checked input, and skip the check.
+    ``cycles`` and ``gates()`` are views that build one ``Gate`` per distinct
+    gate (see :meth:`rows`) on each call and share it wherever that gate
+    recurs.  To change the gates, build a new circuit.
+
+    ``final_layout[l]`` is the wire that holds logical qubit ``l`` after all
+    SWAP permutations; measuring it into classical bit ``l`` hides the chain
+    permutation from downstream decoders.  ``depth`` is dependency-DAG depth
+    with unit gate cost, independent of how cycles happen to be packed; a
+    circuit packed as soon as possible records it as its cycle count.
+    """
+
+    def __init__(self, n: int, cycles, final_layout, scheduled_cost_cycles: int | None = None):
+        if not 0 <= n <= WIRE_LIMIT or len(cycles) > WIRE_LIMIT:
+            raise ValueError(f"circuits hold at most {WIRE_LIMIT} wires and cycles")
+        native = KINDS[: CNOT + 1]
+        for c, cycle in enumerate(cycles):
+            seen: set[int] = set()
+            for gate in cycle:
+                if gate.kind not in native:
+                    raise ValueError(f"physical circuits cannot hold {gate.kind!r}")
+                for q in gate.qubits:
+                    if q >= n:  # a Gate's qubits are non-negative
+                        raise ValueError(f"wire {q} outside register of {n}")
+                    if q in seen:
+                        raise ValueError(f"wire {q} used twice in cycle {c}")
+                    seen.add(q)
+        layout = [as_index(x, n) for x in final_layout]
+        if None in layout:
+            bad = list(final_layout)[layout.index(None)]
+            raise ValueError(f"final_layout entries must be wires of the register of {n}, got {bad!r}")
+        flat = [gate for cycle in cycles for gate in cycle]
+        kind = [_CODE[gate.kind] for gate in flat]
+        a = [gate.qubits[0] for gate in flat]
+        b = [gate.qubits[-1] for gate in flat]
+        angle = [np.nan if gate.angle is None else gate.angle for gate in flat]
+        cycle = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
+        self._take(n, kind, a, b, angle, cycle, layout, scheduled_cost_cycles, len(cycles))
+
+    @classmethod
+    def _built(cls, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles=None,
+               depth=None) -> "PhysicalCircuit":
+        """A circuit over arrays that the package built from checked input
+        (``compile_graph``, ``parse``), taken without the check.  ``depth``,
+        when given, is recorded as the circuit's depth."""
+        pc = cls.__new__(cls)
+        n_cycles = int(cycle[-1]) + 1 if len(cycle) else 0
+        pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, n_cycles)
+        pc._depth = depth
+        return pc
+
+    def _take(self, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, n_cycles):
+        self.n = n
+        self.kind = np.asarray(kind).astype(np.int8, copy=False)
+        self.a, self.b, self.cycle = (np.asarray(x).astype(np.int32, copy=False) for x in (a, b, cycle))
+        self.angle = np.asarray(angle, dtype=float)
+        self.final_layout = tuple(int(x) for x in final_layout)
+        self.scheduled_cost_cycles = scheduled_cost_cycles
+        self._n_cycles = n_cycles
+        self._depth: int | None = None  # set where the packing is as-soon-as-possible
+        self._rows = None
+        for x in (self.kind, self.a, self.b, self.angle, self.cycle):
+            x.setflags(write=False)
+
+    @property
+    def n_logical(self) -> int:
+        return len(self.final_layout)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, first)``: each gate's distinct-row index, and for each
+        distinct row the index of a gate that has it.  A row is one distinct
+        gate (kind, wires and angle bits), the one numbering that ``emit``
+        and the ``Gate`` views share."""
+        if self._rows is None:
+            key = (self.a.astype(np.int64) * (self.n + 1) + self.b) * len(KINDS) + self.kind
+            order = np.lexsort((self.angle.view(np.int64), key))
+            sk, sa = key[order], self.angle.view(np.int64)[order]
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = (sk[1:] != sk[:-1]) | (sa[1:] != sa[:-1])
+            row = np.empty(len(order), dtype=np.int32)
+            row[order] = np.cumsum(new) - 1
+            self._rows = row, order[new]
+        return self._rows
+
+    def _views(self) -> list[Gate]:
+        """One new ``Gate`` per distinct row, listed once per gate."""
+        row, first = self.rows()
+        made = np.empty(len(first), dtype=object)
+        made[:] = [
+            Gate(KINDS[k], (x,) if k != CNOT else (x, y), None if k in (H, CNOT) else t)
+            for k, x, y, t in zip(
+                self.kind[first].tolist(), self.a[first].tolist(),
+                self.b[first].tolist(), self.angle[first].tolist(),
+            )
+        ]
+        return made[row].tolist()
+
+    @property
+    def cycles(self) -> list[list[Gate]]:
+        gates = self._views()
+        bounds = np.searchsorted(self.cycle, np.arange(self._n_cycles + 1)).tolist()
+        return [gates[s:e] for s, e in zip(bounds, bounds[1:])]
+
+    def gates(self):
+        return iter(self._views())
+
+    @property
+    def cnot_count(self) -> int:
+        return int(np.count_nonzero(self.kind == CNOT))
+
+    @property
+    def depth(self) -> int:
+        if self._depth is not None:
+            return self._depth
+        front: dict[int, int] = {}  # per wire: the depth of its latest gate
+        for a, b in zip(self.a.tolist(), self.b.tolist()):
+            front[a] = front[b] = max(front.get(a, 0), front.get(b, 0)) + 1
+        return max(front.values(), default=0)
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,11 @@ def _load_problem(args):
         if not args.numbers:
             raise QuchainError("--numbers is required for the partition problem")
         qubo = qubo_from_number_partition(_parse_number_list(args.numbers, "--numbers", int))
-    elif problem == "setpack":
+    else:  # "setpack": argparse's choices admit no other problem
         if not args.sets:
             raise QuchainError("--sets is required for set packing")
         sets = [set(_parse_number_list(group, "--sets", int)) for group in args.sets.split(";")]
         qubo = qubo_from_set_packing(sets, args.penalty)
-    else:
-        raise QuchainError(f"unknown problem {problem!r}")
     return weight_graph_from_qubo(qubo), qubo.sense, graph
 
 

@@ -22,10 +22,11 @@ into native CNOT/RZ gates on the chain's wires, merging an RZZ and a SWAP on
 one pair into three CNOTs (Jin et al., "A structured method for compilation
 of QAOA circuits in quantum computing", arXiv:2112.06143), and places them
 as soon as possible one sub-layer of disjoint gates at a time.  The circuit
-it returns, a ``PhysicalCircuit``, holds its gates as parallel arrays.
-``schedule`` wraps the same layers into RZZ/SWAP gates for the tested
-reference, ``decompose_gates`` followed by the ``optimize_circuit`` peephole
-pass, which places gate by gate with ``_asap``.
+it returns is a ``PhysicalCircuit``, the type :mod:`quchain.circuits` owns
+with its gate kind codes and placement check.  ``schedule`` wraps the same
+layers into RZZ/SWAP gates for the tested reference, ``decompose_gates``
+followed by the ``optimize_circuit`` peephole pass, which places gate by gate
+with ``_asap``.  This module holds only the compiler and that reference route.
 """
 
 from __future__ import annotations
@@ -36,9 +37,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import TWO_QUBIT_KINDS, Gate, QaoaParams, qubit_index
+from .circuits import (
+    CNOT, KINDS, RZ, RZZ, SWAP, TWO_QUBIT_KINDS, WIRE_LIMIT, Gate, PhysicalCircuit, QaoaParams,
+)
 from .errors import CapacityError
 from .graph import WeightGraph
+from .validate import as_index
 
 
 @dataclass(frozen=True)
@@ -276,158 +280,6 @@ def schedule(
     )
 
 
-#: Gate kind codes of ``PhysicalCircuit``'s ``kind`` array.  A physical
-#: circuit holds the first four; the others name a rejected kind.
-KINDS = ("h", "rx", "rz", "cnot", "rzz", "swap")
-H, RX, RZ, CNOT = range(4)
-#: The most wires, and cycles, a circuit may have, so that the one-integer
-#: keys of a gate's wires and kind, and of a wire in a cycle, fit in int64.
-WIRE_LIMIT = 2**30
-_CODE = {kind: code for code, kind in enumerate(KINDS)}
-
-
-def _first_fault(n: int, cycles) -> None:
-    """Raise for the first gate of ``cycles``, in gate order, that is not
-    native, or that has a wire outside the register or used earlier in its
-    cycle."""
-    for c, cycle in enumerate(cycles):
-        seen: set[int] = set()
-        for gate in cycle:
-            if gate.kind not in KINDS[: CNOT + 1]:
-                raise ValueError(f"physical circuits cannot hold {gate.kind!r}")
-            for q in gate.qubits:
-                if q >= n:  # a Gate's qubits are non-negative
-                    raise ValueError(f"wire {q} outside register of {n}")
-                if q in seen:
-                    raise ValueError(f"wire {q} used twice in cycle {c}")
-                seen.add(q)
-
-
-class PhysicalCircuit:
-    """Cycle-scheduled gates over chain wires plus the measurement layout.
-
-    The gates are parallel read-only arrays, one entry per gate in
-    cycle-major order (stream order within a cycle): ``kind`` (a code into
-    :data:`KINDS`), wires ``a`` and ``b`` (``b == a`` for a one-qubit gate,
-    the target of a CNOT otherwise), ``angle`` (NaN for ``h`` and ``cnot``)
-    and ``cycle``.  ``PhysicalCircuit(n, cycles, final_layout)`` packs lists
-    of ``Gate``s into them.  Each ``Gate`` has checked its own kind, arity,
-    operands and angle, so construction checks only the placing: a kind the
-    chain cannot run (``rzz``, ``swap``), a wire outside the register, and a
-    wire used twice in one cycle, reported for the first faulty gate in gate
-    order, and then a ``final_layout`` entry that is not an int naming a wire
-    of the register.  ``compile_graph`` and ``parse`` build theirs from
-    arrays of checked input, and skip the check.  ``cycles`` and
-    ``gates()`` are views that build one ``Gate`` per distinct row (see
-    :meth:`rows`) on each call and share it wherever that row recurs.  To
-    change the gates, build a new circuit.
-
-    ``final_layout[l]`` is the wire that holds logical qubit ``l`` after all
-    SWAP permutations; measuring it into classical bit ``l`` hides the chain
-    permutation from downstream decoders.  ``depth`` is dependency-DAG depth
-    with unit gate cost, independent of how cycles happen to be packed; a
-    circuit packed as soon as possible records it as its cycle count.
-    """
-
-    def __init__(self, n: int, cycles, final_layout, scheduled_cost_cycles: int | None = None):
-        if not 0 <= n <= WIRE_LIMIT or len(cycles) > WIRE_LIMIT:
-            raise ValueError(f"circuits hold at most {WIRE_LIMIT} wires and cycles")
-        flat = [gate for cycle in cycles for gate in cycle]
-        kind = np.array([_CODE[gate.kind] for gate in flat], dtype=np.int8)
-        a = np.array([gate.qubits[0] for gate in flat], dtype=np.int64)
-        b = np.array([gate.qubits[-1] for gate in flat], dtype=np.int64)
-        cycle = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
-        two = a != b
-        uses = np.concatenate((cycle * n + a, cycle[two] * n + b[two]))  # (cycle, wire) keys
-        uses.sort()
-        if (kind > CNOT).any() or (a >= n).any() or (b >= n).any() or (uses[1:] == uses[:-1]).any():
-            _first_fault(n, cycles)
-        layout = [qubit_index(x, n) for x in final_layout]
-        if None in layout:
-            bad = list(final_layout)[layout.index(None)]
-            raise ValueError(f"final_layout entries must be wires of the register of {n}, got {bad!r}")
-        angle = [np.nan if gate.angle is None else gate.angle for gate in flat]
-        self._take(n, kind, a, b, angle, cycle, layout, scheduled_cost_cycles, len(cycles))
-
-    @classmethod
-    def _built(cls, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles=None,
-               rows=None, depth=None) -> "PhysicalCircuit":
-        """A circuit over arrays that the package built from checked input
-        (``compile_graph``, ``parse``), taken without the check.  ``rows``
-        and ``depth``, when given, are :meth:`rows` and ``depth``."""
-        pc = cls.__new__(cls)
-        n_cycles = int(cycle[-1]) + 1 if len(cycle) else 0
-        pc._take(n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, n_cycles)
-        pc._rows, pc._depth = rows, depth
-        return pc
-
-    def _take(self, n, kind, a, b, angle, cycle, final_layout, scheduled_cost_cycles, n_cycles):
-        self.n = n
-        self.kind = np.asarray(kind).astype(np.int8, copy=False)
-        self.a, self.b, self.cycle = (np.asarray(x).astype(np.int32, copy=False) for x in (a, b, cycle))
-        self.angle = np.asarray(angle, dtype=float)
-        self.final_layout = tuple(int(x) for x in final_layout)
-        self.scheduled_cost_cycles = scheduled_cost_cycles
-        self._n_cycles = n_cycles
-        self._depth: int | None = None  # set where the packing is as-soon-as-possible
-        self._rows = None
-        for x in (self.kind, self.a, self.b, self.angle, self.cycle):
-            x.setflags(write=False)
-
-    @property
-    def n_logical(self) -> int:
-        return len(self.final_layout)
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(row, first)``: each gate's distinct-row index, and for each
-        distinct row the index of a gate that has it."""
-        if self._rows is None:
-            key = (self.a.astype(np.int64) * (self.n + 1) + self.b) * len(KINDS) + self.kind
-            order = np.lexsort((self.angle.view(np.int64), key))
-            sk, sa = key[order], self.angle.view(np.int64)[order]
-            new = np.ones(len(order), dtype=bool)
-            new[1:] = (sk[1:] != sk[:-1]) | (sa[1:] != sa[:-1])
-            row = np.empty(len(order), dtype=np.int32)
-            row[order] = np.cumsum(new) - 1
-            self._rows = row, order[new]
-        return self._rows
-
-    def _views(self) -> list[Gate]:
-        """One new ``Gate`` per distinct row, listed once per gate."""
-        row, first = self.rows()
-        made = np.empty(len(first), dtype=object)
-        made[:] = [
-            Gate(KINDS[k], (x,) if k != CNOT else (x, y), None if k in (H, CNOT) else t)
-            for k, x, y, t in zip(
-                self.kind[first].tolist(), self.a[first].tolist(),
-                self.b[first].tolist(), self.angle[first].tolist(),
-            )
-        ]
-        return made[row].tolist()
-
-    @property
-    def cycles(self) -> list[list[Gate]]:
-        gates = self._views()
-        bounds = np.searchsorted(self.cycle, np.arange(self._n_cycles + 1)).tolist()
-        return [gates[s:e] for s, e in zip(bounds, bounds[1:])]
-
-    def gates(self):
-        return iter(self._views())
-
-    @property
-    def cnot_count(self) -> int:
-        return int(np.count_nonzero(self.kind == CNOT))
-
-    @property
-    def depth(self) -> int:
-        if self._depth is not None:
-            return self._depth
-        front: dict[int, int] = {}  # per wire: the depth of its latest gate
-        for a, b in zip(self.a.tolist(), self.b.tolist()):
-            front[a] = front[b] = max(front.get(a, 0), front.get(b, 0)) + 1
-        return max(front.values(), default=0)
-
-
 def decompose_gates(sched: ScheduledCircuit) -> PhysicalCircuit:
     """Expand RZZ and SWAP layers into the native CNOT/RZ gate set.
 
@@ -528,8 +380,8 @@ def _stream(layers, n: int) -> tuple[np.ndarray, ...]:
     layer = np.repeat(np.arange(len(layers)), sizes)
     pos = np.concatenate([pos for _, pos, _ in layers])
     angle = np.concatenate([np.full(len(pos), np.nan) if x is None else x for _, pos, x in layers])
-    code = np.repeat([_CODE[kind] for kind, _, _ in layers], sizes)
-    rzz, swap = code == _CODE["rzz"], code == _CODE["swap"]
+    code = np.repeat([KINDS.index(kind) for kind, _, _ in layers], sizes)
+    rzz, swap = code == RZZ, code == SWAP
     pair = rzz | swap
     key = layer * n + pos
     held = np.zeros((len(layers) + 2) * n, dtype=bool)  # (i + 1) n + a: layer i holds (a, a + 1)
@@ -574,7 +426,7 @@ def _chain_wires(chain, k: int) -> tuple[int, ...]:
         return tuple(range(k))
     wires = []
     for c in chain:
-        q = qubit_index(c, WIRE_LIMIT)
+        q = as_index(c, WIRE_LIMIT)
         if q is None:
             raise ValueError(f"chain entries must be non-negative ints below {WIRE_LIMIT}, got {c!r}")
         wires.append(q)

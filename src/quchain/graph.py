@@ -14,12 +14,13 @@ spin rows, :meth:`WeightGraph.energy` one assignment through it, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError
-from .validate import integer, json_object, only_fields, real, records, required
+from .validate import as_index, integer, json_object, only_fields, real, records, required
 
 #: JSON layout, also the on-disk interchange format:
 #: {"offset": r, "nodes": [{"id": i, "w": r}...], "edges": [{"u": a, "v": b, "w": r}...]}
@@ -35,9 +36,17 @@ def _fmt_real(x: float) -> str:
 
 
 class _GraphError(ParseError, ValueError):
-    """A fault in a graph's nodes or in one edge, located at ``nodes``,
-    ``edges[k]`` or one of its endpoints: a document's row, or the position
-    in the constructor's list."""
+    """A fault in a graph's nodes, in one node or edge, or in its offset,
+    located at ``nodes``, ``nodes[k]``'s id or weight, ``edges[k]``, one of
+    its endpoints or its weight, or ``offset``: a document's row, or the
+    position in the constructor's list."""
+
+
+def _finite(w, where: str) -> float:
+    w = float(w)
+    if not math.isfinite(w):
+        raise _GraphError(f"expected a finite number, got {w}", where)
+    return w
 
 
 @dataclass
@@ -46,12 +55,17 @@ class WeightGraph:
 
     ``nodes`` is a list of ``(id, weight)`` and ``edges`` a list of
     ``(u, v, weight)``.  The constructor canonicalizes: nodes are sorted by
-    id, edges by ``(u, v)`` with ``u < v``.  Zero-weight nodes are retained;
-    undeclared endpoints, self loops and duplicate edges are rejected.  Each
-    fault raises a :class:`ValueError` that is also a :class:`ParseError`
-    located at ``nodes``, at the endpoint's ``edges[k].u`` or ``.v``, or at
-    the edge's ``edges[k]``, the later row of a duplicate.  This is the one
-    judge of a graph's structure; :func:`loads_graph` only decodes rows.
+    id, edges by ``(u, v)`` with ``u < v``, weights and ``offset`` become
+    floats.  Zero-weight nodes are retained.  A node id that is not a
+    non-negative int (:func:`~quchain.validate.as_index`; bools and floats
+    fail), ids other than 0..n-1, an endpoint that is not a declared node's
+    id, a self loop, a duplicate edge and a non-finite weight or offset are
+    rejected.  Each fault raises a :class:`ValueError` that is also a
+    :class:`ParseError` located at the node's ``nodes[k].id`` or ``.w``, at
+    ``nodes``, at the endpoint's ``edges[k].u`` or ``.v``, at the edge's
+    ``edges[k]`` (the later row of a duplicate) or ``.w``, or at
+    ``offset``.  This is the one judge of a graph's structure;
+    :func:`loads_graph` only decodes rows.
     """
 
     nodes: list[tuple[int, float]]
@@ -59,30 +73,36 @@ class WeightGraph:
     offset: float = 0.0
 
     def __post_init__(self):
-        nodes = sorted((int(i), float(w)) for i, w in self.nodes)
+        nodes = []
+        for k, (i, w) in enumerate(self.nodes):
+            node = as_index(i)
+            if node is None:
+                raise _GraphError(f"node id {i!r} is not a non-negative int", f"nodes[{k}].id")
+            nodes.append((node, _finite(w, f"nodes[{k}].w")))
         if not nodes:
             raise _GraphError("graph needs at least one node", "nodes")
+        nodes.sort()
         ids = [i for i, _ in nodes]
-        if ids != list(range(len(ids))):
-            raise _GraphError(f"node ids must be exactly 0..{len(ids) - 1}, got {ids}", "nodes")
+        n = len(ids)
+        if ids != list(range(n)):
+            raise _GraphError(f"node ids must be exactly 0..{n - 1}, got {ids}", "nodes")
         edges = []
         seen = set()
         for k, (u, v, w) in enumerate(self.edges):
-            where = f"edges[{k}]"
-            u, v = int(u), int(v)
-            for name, i in (("u", u), ("v", v)):
-                if not 0 <= i < len(ids):
-                    raise _GraphError(f"endpoint {i} is not a declared node", f"{where}.{name}")
-            if u == v:
-                raise _GraphError(f"self loop on node {u}", where)
-            u, v = min(u, v), max(u, v)
-            if (u, v) in seen:
-                raise _GraphError(f"duplicate edge ({u},{v})", where)
-            seen.add((u, v))
-            edges.append((u, v, float(w)))
+            a, b = as_index(u, n), as_index(v, n)
+            if a is None or b is None:
+                name, x = ("u", u) if a is None else ("v", v)
+                raise _GraphError(f"endpoint {x!r} is not a declared node", f"edges[{k}].{name}")
+            if a == b:
+                raise _GraphError(f"self loop on node {a}", f"edges[{k}]")
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
+                raise _GraphError(f"duplicate edge ({key[0]},{key[1]})", f"edges[{k}]")
+            seen.add(key)
+            edges.append((*key, _finite(w, f"edges[{k}].w")))
         self.nodes = nodes
         self.edges = sorted(edges)
-        self.offset = float(self.offset)
+        self.offset = _finite(self.offset, "offset")
 
     @property
     def n(self) -> int:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .graph import WeightGraph
+from .validate import as_index
 
 
 @dataclass
@@ -62,29 +63,25 @@ class QuboMatrix:
 
 
 def _as_edge_list(graph):
-    """Accept a networkx graph or an iterable of (u, v[, w]) tuples."""
+    """Accept a networkx graph or an iterable of (u, v[, w]) tuples.
+
+    Every label, a networkx node or a listed endpoint, must be a non-negative
+    int (:func:`~quchain.validate.as_index`: NumPy ints count, bools do not),
+    and the labels must be exactly 0..n-1.
+    """
     if hasattr(graph, "edges"):
-        nodes = sorted(graph.nodes)
-        edges = []
-        for u, v, data in graph.edges(data=True):
-            edges.append((u, v, float(data.get("weight", 1.0))))
+        labels = list(graph.nodes)
+        edges = [(u, v, float(data.get("weight", 1.0))) for u, v, data in graph.edges(data=True)]
     else:
-        edges = []
-        nodes_seen = set()
-        for e in graph:
-            if len(e) == 2:
-                u, v, w = e[0], e[1], 1.0
-            else:
-                u, v, w = e[0], e[1], float(e[2])
-            edges.append((u, v, w))
-            nodes_seen.update((u, v))
-        nodes = sorted(nodes_seen)
-    for u in nodes:
-        if not isinstance(u, (int, np.integer)):
-            raise ModelError(f"node labels must be integers, got {u!r}")
-    if nodes and nodes != list(range(len(nodes))):
+        edges = [(e[0], e[1], 1.0 if len(e) == 2 else float(e[2])) for e in graph]
+        labels = [x for u, v, _ in edges for x in (u, v)]
+    for x in labels:
+        if as_index(x) is None:
+            raise ModelError(f"node labels must be non-negative integers, got {x!r}")
+    nodes = sorted(set(labels))
+    if nodes != list(range(len(nodes))):
         raise ModelError(f"node labels must be 0..n-1, got {nodes}")
-    return len(nodes), edges
+    return len(nodes), [(int(u), int(v), w) for u, v, w in edges]
 
 
 def qubo_from_maxcut(graph) -> QuboMatrix:
@@ -119,7 +116,7 @@ def qubo_from_number_partition(numbers) -> QuboMatrix:
     if not numbers:
         raise ModelError("number partition needs a non-empty list")
     for v in numbers:
-        if not isinstance(v, (int, np.integer)) or v <= 0:
+        if as_index(v) in (None, 0):  # bools are not integers here
             raise ModelError(f"numbers must be positive integers, got {v!r}")
     numbers = [int(v) for v in numbers]
     exact = sum(numbers)
@@ -168,8 +165,8 @@ def qubo_from_set_packing(sets, penalty: float = 2.0) -> QuboMatrix:
     """Maximum set packing: ``-sum_i x_i + P * sum_{overlapping i<j} x_i x_j``.
 
     With ``penalty > 1`` the minimum selects a maximum pairwise-disjoint
-    subfamily.  Set elements must be non-negative integers; only which sets
-    share one matters, so no universe size is needed.
+    subfamily.  Set elements must be non-negative integers (bools are not);
+    only which sets share one matters, so no universe size is needed.
     """
     if not (math.isfinite(penalty) and penalty > 1):
         raise ConfigError(f"penalty must be finite and exceed 1 to dominate, got {penalty}")
@@ -178,7 +175,7 @@ def qubo_from_set_packing(sets, penalty: float = 2.0) -> QuboMatrix:
         raise ModelError("set packing needs at least one set")
     for s in sets:
         for e in s:
-            if not isinstance(e, (int, np.integer)) or e < 0:
+            if as_index(e) is None:
                 raise ModelError(f"element {e!r} is not a non-negative integer")
     n = len(sets)
     q = np.zeros((n, n))

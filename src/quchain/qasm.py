@@ -19,7 +19,7 @@ import re
 
 import numpy as np
 
-from .compiler import CNOT, H, KINDS, WIRE_LIMIT, PhysicalCircuit
+from .circuits import CNOT, H, KINDS, WIRE_LIMIT, PhysicalCircuit
 from .errors import ParseError
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
@@ -101,8 +101,9 @@ def parse(text: str) -> PhysicalCircuit:
     sizes are fixed for the document, so a repeat would pass the same checks.
     Only a measurement depends on the lines before it: every ``measure``
     line, repeats included, is checked in document order for a classical
-    bit measured twice.  The gates of one distinct line share one row of
-    the circuit (:meth:`PhysicalCircuit.rows`).
+    bit measured twice.  The circuit numbers its distinct gates itself
+    (:meth:`PhysicalCircuit.rows`), so lines that spell one gate apart, such
+    as ``h q[0];`` and ``  h q[0];``, share one row.
     """
 
     def fail(msg, lineno, col=1):
@@ -201,26 +202,22 @@ def parse(text: str) -> PhysicalCircuit:
     at = np.fromiter(map(index.__getitem__, lines), dtype=np.intp, count=len(lines))
     # The running maximum of ``at`` first reaches d at distinct line d's first occurrence.
     firsts = np.maximum.accumulate(at).searchsorted(np.arange(len(index)))
-    rows, measured, fault, checked = [], {}, None, len(lines)
+    rows, fault, checked = [], None, len(lines)
     for line, p in zip(index, firsts.tolist()):
         try:
-            row = statement(line, start + p + 1)
+            rows.append(statement(line, start + p + 1))
         except ParseError as err:
             fault, checked = err, p
             break
-        if row[0] == _MEASURE:  # a classical bit may exceed what a float holds
-            measured[len(rows)] = row[1:3]
-            row = (_MEASURE, 0, 0, math.nan)
-        rows.append(row)
-    # Wires are below the register limit, so the float table holds them exactly.
+    # Wires and classical bits are below WIRE_LIMIT: the float table holds them exactly.
     table = np.array(rows, dtype=float).reshape(-1, 4)
     code = table[:, 0].astype(np.int8)
     qa, qb = (table[:, j].astype(np.int32) for j in (1, 2))
     codes = code[at[:checked]]  # every line's code, up to the first faulty line
 
     layout: dict[int, int] = {}
-    for p in np.flatnonzero(codes == _MEASURE).tolist():
-        q, cbit = measured[int(at[p])]
+    measures = np.flatnonzero(codes == _MEASURE)
+    for p, q, cbit in zip(measures.tolist(), qa[at[measures]].tolist(), qb[at[measures]].tolist()):
         if cbit in layout:
             line = lines[p]
             fail(f"classical bit {cbit} measured twice", start + p + 1, line.index(line.strip()[0]) + 1)
@@ -235,14 +232,8 @@ def parse(text: str) -> PhysicalCircuit:
         listed = ", ".join(first + ["..."] * (unset > 8))
         more = f" ({unset} in all)" if unset > 8 else ""
         fail(f"classical bits never assigned: [{listed}]{more}", last)
-    is_gate = codes >= H
-    gates = at[is_gate]
-    # One row per distinct gate line: its index among them, and where it first occurs.
-    gate_line = code >= H
-    row = (np.cumsum(gate_line) - 1)[gates]
-    first = (np.cumsum(is_gate) - 1)[firsts[gate_line]]
+    gates = at[codes >= H]
     return PhysicalCircuit._built(
         nq, code[gates], qa[gates], qb[gates], table[gates, 3], np.arange(len(gates), dtype=np.int32),
         final_layout=[layout[b] for b in range(nc)],
-        rows=(row, first),
     )

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Gate, LogicalCircuit, QaoaParams
-from .compiler import CNOT, H, RZ
+from .circuits import CNOT, H, RZ, Gate, LogicalCircuit, QaoaParams
 from .errors import CapacityError
 
 #: Hard cap on simulated register width (2**24 amplitudes ~ 256 MiB).
@@ -109,10 +108,8 @@ def apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         mix(state, qubits[0], _H_DIAG, 1.0 / np.sqrt(2.0))
     elif kind == "cnot":
         _exchange(state, n, qubits, (1, 0), (1, 1))
-    elif kind == "swap":
+    else:  # "swap": a Gate's kind is one of GATE_KINDS
         _exchange(state, n, qubits, (0, 1), (1, 0))
-    else:
-        raise ValueError(f"cannot simulate gate kind {kind!r}")
     return state
 
 
@@ -201,7 +198,7 @@ def _phase_block(state: np.ndarray, n: int, gates) -> np.ndarray:
 def simulate_levels(n: int, kind: np.ndarray, a: np.ndarray, b: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Exact statevector of a circuit's gate arrays applied to |0...0>.
 
-    The arrays are those of :class:`~quchain.compiler.PhysicalCircuit` over
+    The arrays are those of :class:`~quchain.circuits.PhysicalCircuit` over
     wires ``0..n-1``: codes of ``h``, ``rx``, ``rz`` and ``cnot``, wires ``a``
     and ``b`` (``b`` the CNOT target) and angles.  One stable sort by
     :func:`_level_keys` puts each mixer level's ``h`` and ``rx`` gates first,
@@ -283,10 +280,3 @@ def sample_outcomes(state: np.ndarray, shots: int, seed=None) -> tuple[np.ndarra
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(len(state), size=shots, p=probabilities(state))
     return np.unique(outcomes, return_counts=True)
-
-
-def sample_counts(state: np.ndarray, shots: int, seed=None) -> dict[int, int]:
-    """Sample basis indices from |state|^2; deterministic for a fixed seed."""
-    values, counts = sample_outcomes(state, shots, seed)
-    return dict(zip(values.tolist(), counts.tolist()))
-

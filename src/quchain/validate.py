@@ -2,7 +2,8 @@
 
 Weight graphs, calibrations and QAOA parameter files all parse through these
 helpers, so a malformed, non-integer or non-finite value raises
-:class:`ParseError` naming the field it came from.  :func:`records` is the
+:class:`ParseError` naming the field it came from.  :func:`as_index` is the
+package's one rule for a non-negative index.  :func:`records` is the
 one walk over a list of JSON objects, the rows of graph ``nodes`` and
 ``edges`` and of calibration ``qubits`` and ``couplers``.
 """
@@ -10,6 +11,7 @@ one walk over a list of JSON objects, the rows of graph ``nodes`` and
 from __future__ import annotations
 
 import json
+import operator
 import sys
 
 from .errors import ParseError
@@ -88,6 +90,22 @@ def real(value, where: str) -> float:
     if not (isinstance(value, float) or is_integer(value)):
         raise ParseError(f"expected a real number, got {value!r}", where)
     raise ParseError(f"expected a finite number, got {value!r}", where)
+
+
+def as_index(x, limit=None) -> int | None:
+    """``x`` as an int in ``[0, limit)``, or None when it is not one.
+
+    The one rule for a non-negative index (a qubit, a wire, a node id or
+    label, a set element): NumPy ints count and bools do not; without
+    ``limit`` any non-negative int counts.
+    """
+    if isinstance(x, bool):
+        return None
+    try:
+        q = operator.index(x)
+    except TypeError:
+        return None
+    return q if q >= 0 and (limit is None or q < limit) else None
 
 
 def integer(value, where: str) -> int:

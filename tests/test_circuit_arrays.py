@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import quchain.circuits as circuits
 import quchain.compiler as compiler
 from quchain import Gate, ParseError, PhysicalCircuit, QaoaParams, WeightGraph, compile_graph, emit, parse
 from quchain.bench import random_weight_graph
@@ -35,7 +36,7 @@ class TestPlacer:
         layers, end, _ = compiler._layers(g, mapping, params, g.n)
         kind, a, b, angle, _ = compiler._stream(layers, g.n)
         stream = [
-            Gate(compiler.KINDS[k], (chain[x], chain[y]) if k == compiler.CNOT else (chain[x],),
+            Gate(circuits.KINDS[k], (chain[x], chain[y]) if k == circuits.CNOT else (chain[x],),
                  None if math.isnan(t) else t)
             for k, x, y, t in zip(kind.tolist(), a.tolist(), b.tolist(), angle.tolist())
         ]
@@ -49,7 +50,7 @@ class TestPlacer:
         layers, _, _ = compiler._layers(g, mapping, QaoaParams(gamma=(0.3, 0.4), beta=(0.2, 0.1)), g.n)
         kind, a, b, _, bounds = compiler._stream(layers, g.n)
         for s, e in zip(bounds.tolist(), bounds[1:].tolist()):
-            two = kind[s:e] == compiler.CNOT
+            two = kind[s:e] == circuits.CNOT
             wires = np.concatenate((a[s:e], b[s:e][two]))
             assert s < e and len(set(wires.tolist())) == len(wires)
 
@@ -75,9 +76,9 @@ class TestOneCheck:
             PhysicalCircuit(n=2, cycles=cycles, final_layout=(0, 1))
         assert str(from_gates.value) == message
 
-    @pytest.mark.parametrize("n", [-1, compiler.WIRE_LIMIT + 1])
+    @pytest.mark.parametrize("n", [-1, circuits.WIRE_LIMIT + 1])
     def test_register_size_is_bounded(self, n):
-        with pytest.raises(ValueError, match=f"circuits hold at most {compiler.WIRE_LIMIT} wires"):
+        with pytest.raises(ValueError, match=f"circuits hold at most {circuits.WIRE_LIMIT} wires"):
             PhysicalCircuit(n=n, cycles=[[H0]], final_layout=(0,))
 
     def test_gate_lists_and_arrays_build_equal_circuits(self):
@@ -93,11 +94,11 @@ class TestOneCheck:
 def test_chain_wires_stay_below_the_limit():
     g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)])
     with pytest.raises(ValueError, match="chain entries must be non-negative ints below"):
-        compile_graph(g, QaoaParams(gamma=(0.3,), beta=(0.2,)), chain=(0, compiler.WIRE_LIMIT))
-    pc = compile_graph(g, QaoaParams(gamma=(0.3,), beta=(0.2,)), chain=(0, compiler.WIRE_LIMIT - 1))
-    assert pc.n == compiler.WIRE_LIMIT and pc.final_layout == (0, compiler.WIRE_LIMIT - 1)
+        compile_graph(g, QaoaParams(gamma=(0.3,), beta=(0.2,)), chain=(0, circuits.WIRE_LIMIT))
+    pc = compile_graph(g, QaoaParams(gamma=(0.3,), beta=(0.2,)), chain=(0, circuits.WIRE_LIMIT - 1))
+    assert pc.n == circuits.WIRE_LIMIT and pc.final_layout == (0, circuits.WIRE_LIMIT - 1)
     text = emit(pc)
-    assert f"cx q[0],q[{compiler.WIRE_LIMIT - 1}];" in text
+    assert f"cx q[0],q[{circuits.WIRE_LIMIT - 1}];" in text
     assert list(parse(text).gates()) == list(pc.gates())
 
 
@@ -176,13 +177,15 @@ class TestParseFirstFault:
         assert self._located(text) == expected
 
     def test_register_limit(self):
-        text = _HEAD + f"qreg q[{compiler.WIRE_LIMIT + 1}];\ncreg c[1];\n"
-        assert self._located(text) == f"line 3, col 1: registers must be at most {compiler.WIRE_LIMIT} long"
+        text = _HEAD + f"qreg q[{circuits.WIRE_LIMIT + 1}];\ncreg c[1];\n"
+        assert self._located(text) == f"line 3, col 1: registers must be at most {circuits.WIRE_LIMIT} long"
 
-    def test_one_row_per_distinct_line(self):
+    def test_one_row_per_distinct_gate(self):
+        # Two spellings of one gate share its row; rows follow the gate, not the line.
         text = (_HEAD + "qreg q[2];\ncreg c[1];\n" + "h q[0];\n  h q[0];\ncx q[0],q[1];\n" * 3
                 + "measure q[1] -> c[0];\n")
         pc = parse(text)
         row, first = pc.rows()
-        assert row.tolist() == [0, 1, 2] * 3
-        assert first.tolist() == [0, 1, 2]
+        assert row.tolist() == [0, 0, 1] * 3
+        assert [row[i] for i in first.tolist()] == [0, 1]
+        assert np.array_equal(row, PhysicalCircuit(n=2, cycles=pc.cycles, final_layout=(1,)).rows()[0])

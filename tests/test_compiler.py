@@ -551,6 +551,7 @@ class TestCompile:
 
     def test_builds_one_circuit_without_reference_passes(self, demo6_graph, monkeypatch):
         import quchain.compiler as compiler
+        from quchain.circuits import KINDS
 
         def forbidden(*args, **kwargs):
             raise AssertionError("compile_graph must not call the reference passes")
@@ -570,7 +571,7 @@ class TestCompile:
         pc = compile_graph(demo6_graph, QaoaParams(gamma=(0.4, 0.5), beta=(0.3, 0.2)))
         assert len(built) == 1 and built[0] is pc
         assert pc.cnot_count > 0
-        assert {compiler.KINDS[k] for k in pc.kind.tolist()} == {"h", "rz", "cnot", "rx"}
+        assert {KINDS[k] for k in pc.kind.tolist()} == {"h", "rz", "cnot", "rx"}
 
     def test_layout_document(self, demo6_graph):
         import json

@@ -17,13 +17,12 @@ from quchain import (
     build_qaoa_circuit,
     compile_graph,
     emit,
-    sample_counts,
     simulate,
     simulate_gates,
 )
 import quchain.simulator as simulator
-from quchain.compiler import KINDS
-from quchain.simulator import apply_gate, simulate_levels
+from quchain.circuits import KINDS
+from quchain.simulator import apply_gate, sample_outcomes, simulate_levels
 
 from conftest import random_graph, random_qaoa_params
 from oracles import permute_qubits
@@ -182,11 +181,11 @@ def test_permutation_matches_swap_circuit():
 
 def test_sampling_deterministic_and_conserving():
     state = simulate_gates(2, [Gate("h", (0,)), Gate("cnot", (0, 1))])
-    a = sample_counts(state, 500, seed=3)
-    b = sample_counts(state, 500, seed=3)
-    assert a == b
-    assert sum(a.values()) == 500
-    assert set(a) <= {0b00, 0b11}
+    values, counts = sample_outcomes(state, 500, seed=3)
+    again_values, again_counts = sample_outcomes(state, 500, seed=3)
+    assert values.tolist() == again_values.tolist() and counts.tolist() == again_counts.tolist()
+    assert counts.sum() == 500
+    assert values.tolist() == sorted(set(values.tolist())) and set(values.tolist()) <= {0b00, 0b11}
 
 
 # seed -> digest of sorted LocalSampler counts (1000 shots at that seed) for a

@@ -26,10 +26,11 @@ from quchain import (
     optimize,
     parse,
     process_results,
-    sample_counts,
     simulate,
     simulate_gates,
 )
+
+from quchain.simulator import sample_outcomes
 
 from conftest import random_graph, random_qaoa_params
 from oracles import row_energies
@@ -600,7 +601,8 @@ def _counts_by_loop(text: str, shots: int, seed) -> dict[str, int]:
     index = {w: i for i, w in enumerate(used)}
     gates = [Gate(g.kind, tuple(index[q] for q in g.qubits), g.angle) for g in pc.gates()]
     counts: dict[str, int] = {}
-    for basis, c in sample_counts(simulate_gates(len(used), gates), shots, seed).items():
+    values, totals = sample_outcomes(simulate_gates(len(used), gates), shots, seed)
+    for basis, c in zip(values.tolist(), totals.tolist()):
         bits = "".join(str((basis >> index[q]) & 1) for q in pc.final_layout)
         counts[bits] = counts.get(bits, 0) + c
     return counts
