@@ -322,7 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimizer", default="grid+simplex", choices=["grid", "simplex", "grid+simplex"]
     )
     s.add_argument("--init", choices=["random"], default=None)
-    s.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    s.add_argument(
+        "--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+        help="p=1 lines of fixed gamma the grid stage scans, three evaluations each "
+             "(default %(default)s)")
     s.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS)
     s.add_argument("--out", help="write optimal parameters JSON")
     s.add_argument("--trace", help="write optimizer trace CSV")

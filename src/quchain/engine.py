@@ -16,9 +16,16 @@ serving every term of its subgraph counts one array against that budget,
 its cost diagonal doubling as its observable; any other cone counts two.
 :func:`~quchain.simulator.qaoa_state` runs once per stack and batch of
 points: one diagonal phase per cost layer and in-place 2x2 rotations for the
-mixer.  The p=1 grid is one gamma-major batch, cut into chunks whose states
-fit in ``CHUNK_BYTES``; simplex and interpolation steps are batches of one,
-and :func:`expectation_decomposed` is one too.
+mixer.  At p=1 the energy along a line of fixed gamma is exactly
+E = A sin 4b + B sin^2 2b + C sin 2b, fields included (Wang, Hadfield et
+al., arXiv:1706.02998), so three evaluations at b = pi/8, pi/4, 3pi/8 fix
+the whole line and its minimum over the full period b in [0, pi).  Half of
+it is not enough: b -> b + pi/2 flips the sign of C, the part linear in
+the fields.  :func:`optimize`'s p=1 scan evaluates the three points of all its
+lines as one batch, cut into chunks whose states fit in ``CHUNK_BYTES``;
+each step of the line search after it is a batch of three; simplex and
+interpolation steps are batches of one, and :func:`expectation_decomposed`
+is one too.
 Each (point, cone) energy is its own dot product and each point sums its
 cones in cone order, so a batched energy is bit-equal to the point alone.
 """
@@ -234,7 +241,7 @@ class OptimizationResult:
 
 
 def random_params(p: int, seed) -> QaoaParams:
-    """Seeded draw from the optimizer's search box [0,pi) x [0,pi/2)."""
+    """Seeded draw of gamma from [0,pi) and beta from [0,pi/2)."""
     rng = np.random.default_rng(seed)
     return QaoaParams(
         gamma=tuple(rng.uniform(0.0, np.pi, size=p)),
@@ -258,8 +265,11 @@ class _Objective:
         self.best: tuple[QaoaParams, float] | None = None
         self.cones: tuple[int, _ConeStacks] | None = None  # (depth, stacks)
 
+    def left(self) -> int:
+        return self.max_evals - len(self.trace)
+
     def exhausted(self) -> bool:
-        return len(self.trace) >= self.max_evals
+        return self.left() <= 0
 
     def batch(self, points: list[QaoaParams]) -> list[float]:
         """Evaluate ``points`` of one depth together, then record them in order."""
@@ -278,16 +288,102 @@ class _Objective:
         return self.batch([params])[0]
 
 
-def _grid_search(obj: _Objective, grid_size: int) -> bool:
-    """Evaluate the p=1 grid gamma-major as one batch, cut at the budget left;
-    False if the budget ran out before its end."""
-    gammas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
-    betas = np.linspace(0.0, np.pi / 2.0, grid_size, endpoint=False)
-    left = obj.max_evals - len(obj.trace)
-    points = [QaoaParams(gamma=(gammas[i // grid_size],), beta=(betas[i % grid_size],))
-              for i in range(min(left, grid_size * grid_size))]
-    obj.batch(points)
-    return left >= grid_size * grid_size
+def _line_basis(betas) -> np.ndarray:
+    """(sin 4b, sin^2 2b, sin 2b) at each of ``betas``, stacked on a last axis."""
+    t = 2.0 * np.asarray(betas, dtype=float)
+    return np.stack([np.sin(2.0 * t), np.sin(t) ** 2, np.sin(t)], axis=-1)
+
+
+#: The three beta that fix a p=1 line, and the inverse of their
+#: ``_line_basis`` rows, which maps a line's energies there, (E1, E2, E3), to
+#: its (A, B, C) in E = A sin 4b + B sin^2 2b + C sin 2b:
+#: E1 = A + B/2 + C/sqrt2, E2 = B + C and E3 = -A + B/2 + C/sqrt2.
+LINE_BETAS = (np.pi / 8, np.pi / 4, 3 * np.pi / 8)
+_R = 1.0 + np.sqrt(2.0)  # 1 / (sqrt2 - 1)
+_FIT = np.array([[0.5, 0.0, -0.5], [-_R, 1.0 + _R, -_R], [_R, -_R, _R]])
+#: The companion matrix of a monic quartic, less its first row.
+_SHIFT = np.eye(4, k=-1, dtype=complex)[None]
+
+
+def _fit_lines(obj: _Objective, gammas) -> np.ndarray:
+    """(A, B, C) of the p=1 line at each of ``gammas``, shape (L, 3): three
+    evaluations per line, all in one batch."""
+    points = [QaoaParams(gamma=(g,), beta=(b,)) for g in gammas for b in LINE_BETAS]
+    return np.reshape(obj.batch(points), (-1, 3)) @ _FIT.T
+
+
+def _line_minima(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimizing beta in [0, pi] of each line of ``coeffs``, rows of
+    (A, B, C), and the line's value there.
+
+    In t = 2 beta a line is A sin 2t + B sin^2 t + C sin t.  With z = e^(it),
+    z^2 dE/dt = (A - iB/2) z^4 + (C/2) z^3 + (C/2) z + (A + iB/2), so every
+    critical point is the argument of one of its roots, and each line takes
+    the root argument of lowest value.  Where A and B vanish (to 1e-12 of
+    the line's size) the line is C sin t, critical at t = pi/2 and 3pi/2,
+    and the roots of z^4 - 1 are tried instead.
+    """
+    a, b, c = coeffs.T[:, :, None]
+    lead = a - 0.5j * b
+    flat = np.abs(lead) <= 1e-12 * np.abs(coeffs).sum(axis=1, keepdims=True)
+    lead[flat] = 1.0
+    companion = np.repeat(_SHIFT, len(coeffs), axis=0)
+    companion[:, 0, 0::2] = -0.5 * c / lead
+    companion[:, 0, 3:] = -lead.conj() / lead
+    companion[flat[:, 0], 0] = (0.0, 0.0, 0.0, 1.0)
+    t = np.angle(np.linalg.eigvals(companion))
+    values = (_line_basis(t / 2.0) @ coeffs[:, :, None])[:, :, 0]
+    rows, best = np.arange(len(coeffs)), values.argmin(axis=1)
+    return np.mod(t[rows, best], 2.0 * np.pi) / 2.0, values[rows, best]
+
+
+def _scan(obj: _Objective, grid_size: int) -> tuple[bool, float | None]:
+    """Fit the p=1 lines at the ``grid_size`` gamma (k + 1/2) pi / grid_size,
+    as many whole lines as the budget holds with one evaluation to spare,
+    and evaluate the lowest line minimum.  Returns whether every line fit,
+    and the gamma of the best line (None when none fit)."""
+    gammas = (np.arange(min(grid_size, (obj.left() - 1) // 3)) + 0.5) * (np.pi / grid_size)
+    if not len(gammas):
+        return False, None
+    betas, values = _line_minima(_fit_lines(obj, gammas))
+    k = int(np.argmin(values))
+    obj(QaoaParams(gamma=(gammas[k],), beta=(betas[k],)))
+    return len(gammas) == grid_size, float(gammas[k])
+
+
+def _refine_line(obj: _Objective, center: float, width: float) -> bool:
+    """Bounded search over gamma in [center - width, center + width] for the
+    lowest line minimum, one line per step, then evaluate the best line's
+    minimizer; True if it converged within the budget.  A search that ends
+    at an edge of its bracket searches again around that edge, twice as wide,
+    until it ends inside or the budget runs out."""
+    from scipy.optimize import minimize_scalar  # here, so importing quchain loads no SciPy
+
+    best: list = []  # [gamma, beta, fitted value] of the lowest line minimum
+
+    def profile(offset):
+        # The search variable is the offset from the center: the search's
+        # tolerance grows with |x|, and the offset is the smaller number.
+        gamma = center + float(offset)
+        betas, values = _line_minima(_fit_lines(obj, [gamma]))
+        if not best or values[0] < best[2]:
+            best[:] = gamma, betas[0], values[0]
+        return values[0]
+
+    converged = False
+    # The bounded search evaluates two lines before it checks its limit.
+    while (steps := (obj.left() - 1) // 3) >= 2:
+        res = minimize_scalar(profile, bounds=(-width, width), method="bounded",
+                              options={"xatol": 1e-8, "maxiter": steps})
+        converged = bool(res.success)
+        if not converged or abs(best[0] - center) < (1.0 - 1e-3) * width:
+            break
+        # It ended within 0.1% of the width from an edge: search a bracket
+        # twice as wide around that edge.
+        center, width, converged = best[0], 2.0 * width, False
+    if best:
+        obj(QaoaParams(gamma=(best[0],), beta=(best[1],)))
+    return converged
 
 
 def _simplex(obj: _Objective, start: QaoaParams) -> bool:
@@ -298,7 +394,7 @@ def _simplex(obj: _Objective, start: QaoaParams) -> bool:
     def f(x):
         return obj(QaoaParams.from_flat(x))
 
-    budget = obj.max_evals - len(obj.trace)
+    budget = obj.left()
     res = minimize(
         f,
         np.asarray(start.flat()),
@@ -325,15 +421,30 @@ def optimize(
     """Minimize E_p over the variational angles.
 
     ``method`` is "grid", "simplex" or "grid+simplex".  The grid stage
-    applies at p=1 (64x64 over [0,pi) x [0,pi/2) by default).  ``init`` may
-    be explicit :class:`QaoaParams` of depth p, the string "random" (seeded
+    applies at p=1.  It scans ``grid_size`` lines of fixed gamma, at
+    (k + 1/2) pi / grid_size for k = 0..grid_size-1 (64 lines by default).
+    Each line costs three evaluations, is fitted exactly and minimized over
+    the full beta period [0, pi), and the lowest line minimum is evaluated.
+    The refinement after a scan is a bounded search over gamma within
+    pi/grid_size of the best line (:func:`scipy.optimize.minimize_scalar`),
+    each step one line with beta at that line's minimum; a search that ends
+    at an edge of its bracket searches again around that edge, twice as
+    wide, and the best point found is evaluated last.  Every other
+    refinement is Nelder-Mead: method "simplex" at p=1, after an explicit
+    or "random" ``init``, and at every depth above 1.  ``init`` may be
+    explicit :class:`QaoaParams` of depth p, the string "random" (seeded
     draw at depth p), or None: at p>1 this chains upward from the p=1
     optimum, interpolating from the best point of the depth below and
-    simplex-refining at every depth.  The run
-    is deterministic for a fixed seed.  All stages share one budget of
-    ``max_evals`` evaluations; if it runs out, the remaining stages are
-    skipped and the best depth-p parameters so far are returned flagged as
-    non-converged.
+    simplex-refining at every depth.  The run is deterministic for a fixed
+    seed.
+
+    ``evaluations`` and ``trace`` count kernel evaluations only: a fitted
+    line value is not an evaluation, and the returned energy always is one.
+    All stages share one budget of ``max_evals`` evaluations.  A line is
+    taken whole or not at all, and a line stage that cannot fit one more
+    line and the evaluation of its minimizer stops there.  If the budget
+    runs out, the remaining stages are skipped and the best depth-p
+    parameters so far are returned flagged as non-converged.
     """
     for name, value in (("p", p), ("grid_size", grid_size), ("max_evals", max_evals)):
         if not isinstance(value, Integral) or isinstance(value, bool):
@@ -352,12 +463,11 @@ def optimize(
         start = init if isinstance(init, QaoaParams) else random_params(p, seed)
     else:
         depth, start = 1, None
-    # start -> grid -> simplex, then [interp -> simplex] for each further depth.
-    stages = [] if start is None else ["start"]
-    if "grid" in method and depth == 1:
-        stages.append("grid")
+    # start -> grid -> line or simplex, then [interp -> simplex] for each further depth.
+    scan = "grid" in method and depth == 1
+    stages = ([] if start is None else ["start"]) + (["grid"] if scan else [])
     refine = ["simplex"] if "simplex" in method else []
-    stages += refine + (["interp"] + refine) * (p - depth)
+    stages += (["line"] if scan and refine else refine) + (["interp"] + refine) * (p - depth)
 
     obj = _Objective(g, max_evals)
     converged = True
@@ -368,7 +478,10 @@ def optimize(
         if stage == "start":
             obj(start)
         elif stage == "grid":
-            converged &= _grid_search(obj, grid_size)
+            lines_fit, center = _scan(obj, grid_size)
+            converged &= lines_fit
+        elif stage == "line":
+            converged &= center is not None and _refine_line(obj, center, np.pi / grid_size)
         elif stage == "simplex":
             origin = obj.best[0] if obj.best is not None else random_params(depth, seed)
             converged &= _simplex(obj, origin)

@@ -14,13 +14,13 @@ spin rows, :meth:`WeightGraph.energy` one assignment through it, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError
-from .validate import as_index, integer, json_object, only_fields, real, records, required
+from .validate import (as_index, integer, is_real, json_object, only_fields, real, records,
+                       required)
 
 #: JSON layout, also the on-disk interchange format:
 #: {"offset": r, "nodes": [{"id": i, "w": r}...], "edges": [{"u": a, "v": b, "w": r}...]}
@@ -42,11 +42,11 @@ class _GraphError(ParseError, ValueError):
     position in the constructor's list."""
 
 
-def _finite(w, where: str) -> float:
-    w = float(w)
-    if not math.isfinite(w):
-        raise _GraphError(f"expected a finite number, got {w}", where)
-    return w
+def _real(w, where: str, k: int = 0) -> float:
+    """``w`` as a float (:func:`~quchain.validate.real`), or the located
+    :class:`_GraphError`; ``where`` is formatted with ``k`` only on a fault,
+    as graphs of thousands of edges pass through here."""
+    return float(w) if is_real(w) else real(w, where.format(k), _GraphError)
 
 
 @dataclass
@@ -59,8 +59,9 @@ class WeightGraph:
     floats.  Zero-weight nodes are retained.  A node id that is not a
     non-negative int (:func:`~quchain.validate.as_index`; bools and floats
     fail), ids other than 0..n-1, an endpoint that is not a declared node's
-    id, a self loop, a duplicate edge and a non-finite weight or offset are
-    rejected.  Each fault raises a :class:`ValueError` that is also a
+    id, a self loop, a duplicate edge and a weight or offset that is not a
+    finite real number (:func:`~quchain.validate.is_real`; strings and bools
+    fail) are rejected.  Each fault raises a :class:`ValueError` that is also a
     :class:`ParseError` located at the node's ``nodes[k].id`` or ``.w``, at
     ``nodes``, at the endpoint's ``edges[k].u`` or ``.v``, at the edge's
     ``edges[k]`` (the later row of a duplicate) or ``.w``, or at
@@ -78,7 +79,7 @@ class WeightGraph:
             node = as_index(i)
             if node is None:
                 raise _GraphError(f"node id {i!r} is not a non-negative int", f"nodes[{k}].id")
-            nodes.append((node, _finite(w, f"nodes[{k}].w")))
+            nodes.append((node, _real(w, "nodes[{}].w", k)))
         if not nodes:
             raise _GraphError("graph needs at least one node", "nodes")
         nodes.sort()
@@ -99,10 +100,10 @@ class WeightGraph:
             if key in seen:
                 raise _GraphError(f"duplicate edge ({key[0]},{key[1]})", f"edges[{k}]")
             seen.add(key)
-            edges.append((*key, _finite(w, f"edges[{k}].w")))
+            edges.append((*key, _real(w, "edges[{}].w", k)))
         self.nodes = nodes
         self.edges = sorted(edges)
-        self.offset = _finite(self.offset, "offset")
+        self.offset = _real(self.offset, "offset")
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .graph import WeightGraph
-from .validate import as_index
+from .validate import as_index, is_real
 
 
 @dataclass
@@ -67,21 +67,26 @@ def _as_edge_list(graph):
 
     Every label, a networkx node or a listed endpoint, must be a non-negative
     int (:func:`~quchain.validate.as_index`: NumPy ints count, bools do not),
-    and the labels must be exactly 0..n-1.
+    and the labels must be exactly 0..n-1.  Every weight, 1.0 when absent,
+    must be a finite real number (:func:`~quchain.validate.is_real`: strings
+    and bools fail).
     """
     if hasattr(graph, "edges"):
         labels = list(graph.nodes)
-        edges = [(u, v, float(data.get("weight", 1.0))) for u, v, data in graph.edges(data=True)]
+        edges = [(u, v, data.get("weight", 1.0)) for u, v, data in graph.edges(data=True)]
     else:
-        edges = [(e[0], e[1], 1.0 if len(e) == 2 else float(e[2])) for e in graph]
+        edges = [(e[0], e[1], 1.0 if len(e) == 2 else e[2]) for e in graph]
         labels = [x for u, v, _ in edges for x in (u, v)]
     for x in labels:
         if as_index(x) is None:
             raise ModelError(f"node labels must be non-negative integers, got {x!r}")
+    for u, v, w in edges:
+        if not is_real(w):
+            raise ModelError(f"weight of edge ({u}, {v}) must be finite and real, got {w!r}")
     nodes = sorted(set(labels))
     if nodes != list(range(len(nodes))):
         raise ModelError(f"node labels must be 0..n-1, got {nodes}")
-    return len(nodes), [(int(u), int(v), w) for u, v, w in edges]
+    return len(nodes), [(int(u), int(v), float(w)) for u, v, w in edges]
 
 
 def qubo_from_maxcut(graph) -> QuboMatrix:

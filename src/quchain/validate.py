@@ -11,8 +11,9 @@ one walk over a list of JSON objects, the rows of graph ``nodes`` and
 from __future__ import annotations
 
 import json
+import math
 import operator
-import sys
+from numbers import Real
 
 from .errors import ParseError
 
@@ -67,29 +68,35 @@ def records(value, key: str, fields: dict, closed: bool = False, nonempty: bool 
     return rows
 
 
-_FLOAT_MAX = sys.float_info.max
-_FLOAT_MIN = -_FLOAT_MAX
-
-
 def is_integer(value) -> bool:
     """A JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_real(value) -> bool:
-    """A finite JSON number: a float or :func:`is_integer` value within the
-    float range; NaN, +/-Infinity and integers past the range fail.  Floats
-    are tested first: the task store checks two per record on every read."""
-    return (isinstance(value, float) or is_integer(value)) and _FLOAT_MIN <= value <= _FLOAT_MAX
+    """A finite real number: a float, or a :class:`numbers.Real` that is not
+    a bool (an int, a NumPy integer or float), within the float range.  NaN,
+    +/-Infinity, integers past the range, strings, bools and None fail; on
+    decoded JSON it passes exactly the finite numbers.  The package's one
+    rule for a real value, from a document or from a caller.  Floats are
+    tested first: the task store checks two per record on every read."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
-def real(value, where: str) -> float:
-    """A finite JSON number; NaN, +/-Infinity and overflowing literals fail."""
+def real(value, where: str, error: type[ParseError] = ParseError) -> float:
+    """``value`` as a float when :func:`is_real`; anything else raises
+    ``error`` located at ``where``."""
     if is_real(value):
         return float(value)
-    if not (isinstance(value, float) or is_integer(value)):
-        raise ParseError(f"expected a real number, got {value!r}", where)
-    raise ParseError(f"expected a finite number, got {value!r}", where)
+    kind = "finite" if isinstance(value, Real) and not isinstance(value, bool) else "real"
+    raise error(f"expected a {kind} number, got {value!r}", where)
 
 
 def as_index(x, limit=None) -> int | None:

@@ -117,6 +117,24 @@ class TestGraph:
         assert isinstance(err.value, ParseError)
         assert err.value.location == location and message in str(err.value)
 
+    @pytest.mark.parametrize("nodes, edges, offset, message, location", [
+        ([(0, "2"), (1, 0.0)], [], 0.0, "expected a real number, got '2'", "nodes[0].w"),
+        ([(0, 0.0), (1, True)], [], 0.0, "expected a real number, got True", "nodes[1].w"),
+        ([(0, 0.0), (1, 0.0)], [(0, 1, " 1e3 ")], 0.0, "expected a real number, got ' 1e3 '",
+         "edges[0].w"),
+        ([(0, 0.0), (1, 0.0)], [(0, 1, None)], 0.0, "expected a real number, got None",
+         "edges[0].w"),
+        ([(0, 0.0), (1, 0.0)], [], "0.5", "expected a real number, got '0.5'", "offset"),
+        ([(0, 0.0), (1, 0.0)], [], 10**400, "expected a finite number", "offset"),
+    ], ids=["node-w-str", "node-w-bool", "edge-w-str", "edge-w-none", "offset-str",
+            "offset-past-float"])
+    def test_weights_are_real_numbers_not_their_spellings(self, nodes, edges, offset, message,
+                                                          location):
+        with pytest.raises(ValueError) as err:
+            WeightGraph(nodes=nodes, edges=edges, offset=offset)
+        assert isinstance(err.value, ParseError)
+        assert err.value.location == location and message in str(err.value)
+
     def test_the_first_fault_in_list_order_is_reported(self):
         with pytest.raises(ParseError) as err:
             WeightGraph(nodes=[(0.7, math.nan), ("1", 2)], edges=[(0, 1.9, math.inf)])

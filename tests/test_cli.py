@@ -57,7 +57,7 @@ class TestSolve:
         with open(tmp_path / "trace.csv") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["eval", "gamma_1", "beta_1", "energy"]
-        assert len(rows) > 16 * 16
+        assert len(rows) > 3 * 16  # a header, three evaluations per line, then the search
 
     def test_missing_file_fails(self, capsys):
         code = run(["solve", "--problem", "maxcut", "--graph", "/nonexistent.json", "--p", "1"])
@@ -101,8 +101,8 @@ class TestSolve:
         with open(trace) as f:
             header, *rows = list(csv.reader(f))
         assert header == ["eval", "gamma_1", "gamma_2", "beta_1", "beta_2", "energy"]
-        # The depth-1 stages spend evaluations 0..172; the depth-2 ones follow.
-        assert [int(r[0]) for r in rows] == list(range(173, 466))
+        # The depth-1 stages spend evaluations 0..73; the depth-2 ones follow.
+        assert [int(r[0]) for r in rows] == list(range(74, 376))
         assert {len(r) for r in rows} == {6}
 
     @pytest.mark.parametrize("problem, qubits", [("maxcut", 5), ("coloring", 15)])

@@ -4,7 +4,8 @@ The values were recorded from the per-term decomposition with sign-vector
 observables that the cone-only engine replaced; every expectation and the
 optimizer trace must be reproduced exactly.  Cases whose cones cost more
 than the whole register (Σ 2**|cone| > 2**n) now evaluate one whole-graph
-cone and were re-recorded, each within 2e-15 of the old value.
+cone and were re-recorded, each within 2e-15 of the old value.  The
+optimizer trace was re-recorded when the p=1 grid became exact beta lines.
 """
 
 import numpy as np
@@ -79,7 +80,7 @@ EXPECTATIONS = {
 
 # optimize(demo6, p=2, grid_size=8): evaluations,
 # energy as float.hex, trace digest.
-OPTIMIZE_DEMO6_P2 = (466, '-0x1.e23de4152c687p+0', '8f78b3a2bdad3769')
+OPTIMIZE_DEMO6_P2 = (376, '-0x1.e23de4152c68ap+0', 'a07d5bdf85764e36')
 
 
 @pytest.mark.parametrize("name", list(CASES))

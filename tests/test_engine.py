@@ -478,11 +478,15 @@ class TestOptimize:
         assert all(isinstance(e, float) for _, e in res.trace)
 
     def test_large_grid_builds_only_the_points_in_budget(self, k2_graph):
+        import quchain.engine as engine
+
         res = optimize(k2_graph, p=1, method="grid", grid_size=20000, max_evals=100)
-        betas = np.linspace(0.0, np.pi / 2.0, 20000, endpoint=False)[:100]
+        # 33 whole lines and the evaluation of the lowest line minimum.
         assert res.evaluations == 100 and not res.converged
-        assert [params for params, _ in res.trace] == [
-            QaoaParams(gamma=(0.0,), beta=(bt,)) for bt in betas]
+        gammas = (np.arange(33) + 0.5) * (np.pi / 20000)
+        assert [params for params, _ in res.trace[:99]] == [
+            QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in engine.LINE_BETAS]
+        assert res.trace[99][0].gamma == (gammas[-1],)  # the lines deepen with gamma
 
     def test_deterministic_under_seed(self, k2_graph):
         a = optimize(k2_graph, p=1, method="grid+simplex", seed=5)
@@ -661,19 +665,22 @@ class TestBatchedEvaluation:
         assert peak < 1 << 20
 
     def test_budget_ending_mid_grid_matches_the_point_loop(self):
+        import quchain.engine as engine
+
         g = _mixed_width_graphs()[0]
-        res = optimize(g, p=1, method="grid+simplex", grid_size=8, max_evals=37)
-        gammas = np.linspace(0.0, np.pi, 8, endpoint=False)
-        betas = np.linspace(0.0, np.pi / 2.0, 8, endpoint=False)
-        trace, best = [], None
-        for params in [QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in betas][:37]:
-            e = _cone_by_cone(g, params)
-            trace.append((params, e))
-            if best is None or e < best[1]:
-                best = (params, e)
-        assert res.trace == trace
-        assert (res.params, res.energy) == best
-        assert not res.converged and res.evaluations == 37
+        # Six whole lines fit with one evaluation to spare, and no line search.
+        res = optimize(g, p=1, method="grid+simplex", grid_size=8, max_evals=20)
+        gammas = (np.arange(6) + 0.5) * (np.pi / 8)
+        points = [QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in engine.LINE_BETAS]
+        assert res.trace[:18] == [(params, _cone_by_cone(g, params)) for params in points]
+        last, e = res.trace[18]
+        assert e == _cone_by_cone(g, last)
+        assert (res.params, res.energy) == min(res.trace, key=lambda t: t[1])
+        assert not res.converged and res.evaluations == 19
+        # The last point is the lowest line minimum over the whole beta period.
+        dense = [QaoaParams(gamma=(gm,), beta=(bt,))
+                 for gm in gammas for bt in np.linspace(0.0, np.pi, 256, endpoint=False)]
+        assert e <= min(engine._Objective(g, len(dense)).batch(dense)) + 1e-12
 
     @pytest.mark.parametrize("cap", ["CONE_CACHE_BYTES", "CHUNK_BYTES"])
     def test_grid_state_stays_within_the_byte_bound(self, monkeypatch, cap):
@@ -694,10 +701,10 @@ class TestBatchedEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.evaluations == 64  # sixteen chunks of four rows
+        assert res.evaluations == 25  # eight lines in six chunks of four rows, then one point
         # The chunk's states and one temporary of their size (the phase factor
         # or mix's flipped copy), plus a fixed slack: the cone's table and
         # observable (one row), NumPy's iterator buffers (two operands of
         # 8192 complex elements, 256 KiB) and 128 KiB of trace and
-        # bookkeeping.  All 64 rows at once would hold 4 MiB of state.
+        # bookkeeping.  All 24 rows at once would hold 1.5 MiB of state.
         assert peak <= 2 * bound + row + (256 << 10) + (128 << 10)

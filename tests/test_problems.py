@@ -1,7 +1,9 @@
 """QUBO builders, Ising conversion and the exact energy identities."""
 
 import itertools
+import re
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,17 @@ def test_qubo_rejects_non_finite_entries_and_offset(bad):
 def test_maxcut_rejects_non_finite_weight():
     with pytest.raises(ModelError, match="must be finite"):
         qubo_from_maxcut([(0, 1, float("nan"))])
+
+
+@pytest.mark.parametrize("weight", ["3", " 1e3 ", True, None, 1j])
+def test_graph_problems_reject_weights_that_are_not_real(weight):
+    match = r"weight of edge \(0, 1\) must be finite and real, got " + re.escape(repr(weight))
+    with pytest.raises(ModelError, match=match):
+        qubo_from_maxcut([(0, 1, weight)])
+    g = nx.Graph()
+    g.add_edge(0, 1, weight=weight)
+    with pytest.raises(ModelError, match=match):
+        qubo_from_graph_coloring(g, 2)
 
 
 @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
