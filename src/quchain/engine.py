@@ -21,11 +21,11 @@ E = A sin 4b + B sin^2 2b + C sin 2b, fields included (Wang, Hadfield et
 al., arXiv:1706.02998), so three evaluations at b = pi/8, pi/4, 3pi/8 fix
 the whole line and its minimum over the full period b in [0, pi).  Half of
 it is not enough: b -> b + pi/2 flips the sign of C, the part linear in
-the fields.  :func:`optimize`'s p=1 scan evaluates the three points of all its
-lines as one batch, cut into chunks whose states fit in ``CHUNK_BYTES``;
-each step of the line search after it is a batch of three; simplex and
-interpolation steps are batches of one, and :func:`expectation_decomposed`
-is one too.
+the fields.  :func:`optimize`'s p=1 scan evaluates the three points of all
+its lines as one batch, cut into chunks whose states fit in
+``CHUNK_BYTES``; each step of the line searches after it is a batch of
+three; simplex and interpolation steps are batches of one, and
+:func:`expectation_decomposed` is one too.
 Each (point, cone) energy is its own dot product and each point sums its
 cones in cone order, so a batched energy is bit-equal to the point alone.
 """
@@ -337,18 +337,29 @@ def _line_minima(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.mod(t[rows, best], 2.0 * np.pi) / 2.0, values[rows, best]
 
 
-def _scan(obj: _Objective, grid_size: int) -> tuple[bool, float | None]:
+def _scan(obj: _Objective, grid_size: int) -> tuple[bool, list[float]]:
     """Fit the p=1 lines at the ``grid_size`` gamma (k + 1/2) pi / grid_size,
     as many whole lines as the budget holds with one evaluation to spare,
-    and evaluate the lowest line minimum.  Returns whether every line fit,
-    and the gamma of the best line (None when none fit)."""
+    and evaluate the lowest line minimum.
+
+    Returns whether every line fit, and the gamma the line searches start
+    from, lowest first: the two lowest local minima of the scanned line
+    minima, with a start point evaluated before the scan competing by its
+    energy.  The first and last lines count one neighbour each.
+    """
+    prior = obj.best  # the start point, if there is one
     gammas = (np.arange(min(grid_size, (obj.left() - 1) // 3)) + 0.5) * (np.pi / grid_size)
     if not len(gammas):
-        return False, None
+        return False, []
     betas, values = _line_minima(_fit_lines(obj, gammas))
     k = int(np.argmin(values))
     obj(QaoaParams(gamma=(gammas[k],), beta=(betas[k],)))
-    return len(gammas) == grid_size, float(gammas[k])
+    below_left = np.r_[True, values[1:] < values[:-1]]
+    below_right = np.r_[values[:-1] <= values[1:], True]
+    pool = [(values[i], gammas[i]) for i in np.flatnonzero(below_left & below_right)]
+    if prior is not None:
+        pool.append((prior[1], prior[0].gamma[0]))
+    return len(gammas) == grid_size, [float(gm) for _, gm in sorted(pool)[:2]]
 
 
 def _refine_line(obj: _Objective, center: float, width: float) -> bool:
@@ -422,27 +433,33 @@ def optimize(
 
     ``method`` is "grid", "simplex" or "grid+simplex".  The grid stage
     applies at p=1.  It scans ``grid_size`` lines of fixed gamma, at
-    (k + 1/2) pi / grid_size for k = 0..grid_size-1 (64 lines by default).
-    Each line costs three evaluations, is fitted exactly and minimized over
-    the full beta period [0, pi), and the lowest line minimum is evaluated.
-    The refinement after a scan is a bounded search over gamma within
-    pi/grid_size of the best line (:func:`scipy.optimize.minimize_scalar`),
-    each step one line with beta at that line's minimum; a search that ends
-    at an edge of its bracket searches again around that edge, twice as
-    wide, and the best point found is evaluated last.  Every other
-    refinement is Nelder-Mead: method "simplex" at p=1, after an explicit
-    or "random" ``init``, and at every depth above 1.  ``init`` may be
-    explicit :class:`QaoaParams` of depth p, the string "random" (seeded
-    draw at depth p), or None: at p>1 this chains upward from the p=1
-    optimum, interpolating from the best point of the depth below and
-    simplex-refining at every depth.  The run is deterministic for a fixed
-    seed.
+    (k + 1/2) pi / grid_size for k = 0..grid_size-1 (64 lines by default;
+    gamma = 0, where every energy is 0, is not a line).  Each line costs three
+    evaluations, is fitted exactly and minimized over the full beta period
+    [0, pi), and the lowest line minimum is evaluated.  With a grid stage,
+    the p=1 refinement is always a line search: a bounded search over gamma
+    (:func:`scipy.optimize.minimize_scalar`) within pi/grid_size of each of
+    the two lowest local minima of the scanned line minima, each step one
+    line with beta at that line's minimum.  A start point from ``init``
+    competes with those minima by its energy, so a start below both is
+    searched around first.  A search that ends at an edge of its bracket
+    searches again around that edge, twice as wide, and each search's best
+    point is evaluated last.  Nelder-Mead refines where no scan comes
+    first: method "simplex", an ``init`` at p>1, and every depth above 1.
+    ``init`` may be explicit :class:`QaoaParams` of depth p, the string
+    "random" (seeded draw at depth p), or None: at p>1 this chains upward
+    from the p=1 optimum, interpolating from the best point of the depth
+    below and simplex-refining at every depth.  The run is deterministic
+    for a fixed seed.
 
     ``evaluations`` and ``trace`` count kernel evaluations only: a fitted
     line value is not an evaluation, and the returned energy always is one.
     All stages share one budget of ``max_evals`` evaluations.  A line is
     taken whole or not at all, and a line stage that cannot fit one more
-    line and the evaluation of its minimizer stops there.  If the budget
+    line and the evaluation of its minimizer stops there; so a grid stage
+    needs at least four evaluations, and a run with a smaller budget and no
+    ``init`` at p=1 makes no evaluation and raises ``ValueError``, as any
+    run does whose budget ends before depth p.  Otherwise, if the budget
     runs out, the remaining stages are skipped and the best depth-p
     parameters so far are returned flagged as non-converged.
     """
@@ -478,10 +495,15 @@ def optimize(
         if stage == "start":
             obj(start)
         elif stage == "grid":
-            lines_fit, center = _scan(obj, grid_size)
+            lines_fit, centers = _scan(obj, grid_size)
             converged &= lines_fit
         elif stage == "line":
-            converged &= center is not None and _refine_line(obj, center, np.pi / grid_size)
+            converged &= bool(centers)
+            for center in centers:
+                if obj.exhausted():
+                    converged = False
+                    break
+                converged &= _refine_line(obj, center, np.pi / grid_size)
         elif stage == "simplex":
             origin = obj.best[0] if obj.best is not None else random_params(depth, seed)
             converged &= _simplex(obj, origin)

@@ -101,8 +101,8 @@ class TestSolve:
         with open(trace) as f:
             header, *rows = list(csv.reader(f))
         assert header == ["eval", "gamma_1", "gamma_2", "beta_1", "beta_2", "energy"]
-        # The depth-1 stages spend evaluations 0..73; the depth-2 ones follow.
-        assert [int(r[0]) for r in rows] == list(range(74, 376))
+        # The depth-1 stages spend evaluations 0..107; the depth-2 ones follow.
+        assert [int(r[0]) for r in rows] == list(range(108, 410))
         assert {len(r) for r in rows} == {6}
 
     @pytest.mark.parametrize("problem, qubits", [("maxcut", 5), ("coloring", 15)])

@@ -80,7 +80,7 @@ EXPECTATIONS = {
 
 # optimize(demo6, p=2, grid_size=8): evaluations,
 # energy as float.hex, trace digest.
-OPTIMIZE_DEMO6_P2 = (376, '-0x1.e23de4152c68ap+0', 'a07d5bdf85764e36')
+OPTIMIZE_DEMO6_P2 = (410, '-0x1.e23de4152c68ap+0', '2c9e263982527138')
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -621,6 +621,8 @@ class TestBatchedEvaluation:
         rng = np.random.default_rng(70 + p)
         for g in _mixed_width_graphs():
             points = [random_qaoa_params(rng, p) for _ in range(9)]
+            if p == 1:  # and the three points that fix a p=1 line
+                points += [QaoaParams(gamma=(0.7,), beta=(bt,)) for bt in engine.LINE_BETAS]
             reference = [_cone_by_cone(g, pt) for pt in points]
             assert engine._Objective(g, len(points)).batch(points) == reference
             assert [expectation_decomposed(g, pt) for pt in points] == reference

@@ -125,16 +125,6 @@ def test_line_minima_of_edge_case_lines(coeffs):
     assert abs(engine._line_basis(betas) @ np.array(coeffs) - values)[0] <= 1e-15
 
 
-@pytest.mark.parametrize("name", list(GRAPHS))
-def test_batched_and_single_line_energies_are_bit_equal(name):
-    g = GRAPHS[name]
-    points = [QaoaParams(gamma=(0.7,), beta=(b,)) for b in engine.LINE_BETAS]
-    batched = engine._Objective(g, 3).batch(points)
-    single = engine._Objective(g, 3)
-    assert batched == [single(pt) for pt in points]
-    assert batched == [expectation_decomposed(g, pt) for pt in points]
-
-
 def test_coloring_triangle_reaches_the_second_half_of_the_period():
     # A triangle, three colours, nine qubits: with beta confined to
     # [0, pi/2) the p=1 estimate was 4.72 against an optimum of 0.
@@ -154,6 +144,34 @@ def test_line_search_walks_past_its_bracket():
     assert res.converged
     assert res.energy == pytest.approx(-0.05, abs=1e-12)
     assert res.params.gamma[0] == pytest.approx(5.0 * np.pi, abs=1e-4)
+
+
+#: Unit edges, a field on every node, and node 3 isolated.  Its p=1
+#: landscape has two basins: one of -5.28 at gamma = 0.25 and one of -6.13
+#: at gamma = 3.18, just past the scanned [0, pi).
+TWO_BASINS = WeightGraph(
+    nodes=[(0, 1.15), (1, 0.13), (2, 1.67), (3, -1.8), (4, 0.42), (5, 1.6), (6, 1.83),
+           (7, -0.54)],
+    edges=[(u, v, 1.0) for u, v in [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5),
+                                    (4, 5), (4, 6), (4, 7), (5, 6), (5, 7)]],
+)
+
+
+def test_the_second_lowest_local_minimum_is_searched_too():
+    # Of the 8 lines the first (-5.11) is the lowest and leads to -5.28; the
+    # last (-3.72) is the second lowest local minimum and leads to -6.13.
+    res = optimize(TWO_BASINS, p=1, grid_size=8)
+    assert res.converged
+    assert res.energy < -6.12 and res.params.gamma[0] > np.pi
+
+
+def test_a_start_point_is_searched_around():
+    # Four lines miss the deeper basin; a start point in it competes with
+    # the scan's local minima, and the line search around it finds -6.13.
+    start = QaoaParams(gamma=(3.0,), beta=(0.7,))
+    assert optimize(TWO_BASINS, p=1, grid_size=4).energy > -5.3
+    res = optimize(TWO_BASINS, p=1, grid_size=4, init=start)
+    assert res.energy < -6.12
 
 
 @pytest.mark.parametrize("max_evals", [1, 2, 3])

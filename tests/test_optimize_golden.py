@@ -32,15 +32,15 @@ GOLDEN = {
     ('simplex', 'random', 1, 20000): (135, True, ('-0x1.4c6a329cf87ebp-1', '0x1.6f7fb92a656c4p-2'), '-0x1.4e58d4eb8b508p+0', 135, '166771786a260008'),
     ('simplex', 'random', 2, 20000): (322, True, ('0x1.2ea5394577f76p-1', '0x1.066370818a8d7p+0', '0x1.102a22d3479cap+0', '0x1.4588e04079751p+0'), '-0x1.e23de4152c67cp+0', 322, '624e43d371447a04'),
     ('simplex', 'random', 3, 20000): (1279, True, ('0x1.a9710789e02fcp-1', '-0x1.7a42b6f6ce430p-2', '0x1.64d5e64e1ad6dp+0', '0x1.d7cc633070b22p-2', '0x1.35f8bbdcd311ep-1', '-0x1.186fc7575d9fdp-2'), '-0x1.0d441fac03229p+1', 1279, '678e576ee925bb4b'),
-    ('grid+simplex', None, 1, 20000): (74, True, ('0x1.4c6a32a6a24f9p-1', '0x1.363fc6ea308aap+0'), '-0x1.4e58d4eb8b503p+0', 74, 'dca29f77629fbfa7'),
-    ('grid+simplex', None, 2, 20000): (376, True, ('0x1.2ea538f4f59dcp-1', '0x1.06637081f8c5cp+0', '0x1.102a232a19b46p+0', '0x1.4588e052fc286p+0'), '-0x1.e23de4152c68ap+0', 376, 'a07d5bdf85764e36'),
-    ('grid+simplex', None, 3, 20000): (903, True, ('0x1.f4f16b6724568p-2', '0x1.f07921379bcd4p-1', '0x1.0a18cd4489d2cp+0', '0x1.0a62f593495f2p+0', '0x1.2949d9331e44fp+0', '0x1.55ff375e8c5f9p+0'), '-0x1.1bbb8a6140fb8p+1', 903, 'fe2e945844a3b1ee'),
-    ('grid+simplex', 'random', 1, 20000): (75, True, ('0x1.4c6a32a6a24f9p-1', '0x1.363fc6ea308aap+0'), '-0x1.4e58d4eb8b503p+0', 75, '0c38d8d2f92f414b'),
+    ('grid+simplex', None, 1, 20000): (108, True, ('0x1.4c6a32a6a24f9p-1', '0x1.363fc6ea308aap+0'), '-0x1.4e58d4eb8b503p+0', 108, 'e255b9fac8e8fbaa'),
+    ('grid+simplex', None, 2, 20000): (410, True, ('0x1.2ea538f4f59dcp-1', '0x1.06637081f8c5cp+0', '0x1.102a232a19b46p+0', '0x1.4588e052fc286p+0'), '-0x1.e23de4152c68ap+0', 410, '2c9e263982527138'),
+    ('grid+simplex', None, 3, 20000): (937, True, ('0x1.f4f16b6724568p-2', '0x1.f07921379bcd4p-1', '0x1.0a18cd4489d2cp+0', '0x1.0a62f593495f2p+0', '0x1.2949d9331e44fp+0', '0x1.55ff375e8c5f9p+0'), '-0x1.1bbb8a6140fb8p+1', 937, 'c42a7ccd05cf253c'),
+    ('grid+simplex', 'random', 1, 20000): (109, True, ('0x1.4c6a32a6a24f9p-1', '0x1.363fc6ea308aap+0'), '-0x1.4e58d4eb8b503p+0', 109, '6c8423cbbbc13ce2'),
     ('grid+simplex', 'random', 2, 20000): (322, True, ('0x1.2ea5394577f76p-1', '0x1.066370818a8d7p+0', '0x1.102a22d3479cap+0', '0x1.4588e04079751p+0'), '-0x1.e23de4152c67cp+0', 322, '624e43d371447a04'),
     ('grid+simplex', 'random', 3, 20000): (1279, True, ('0x1.a9710789e02fcp-1', '-0x1.7a42b6f6ce430p-2', '0x1.64d5e64e1ad6dp+0', '0x1.d7cc633070b22p-2', '0x1.35f8bbdcd311ep-1', '-0x1.186fc7575d9fdp-2'), '-0x1.0d441fac03229p+1', 1279, '678e576ee925bb4b'),
     ('grid+simplex', None, 1, 50): (50, False, ('0x1.4c6a32a6a24f9p-1', '0x1.363fc6ea308aap+0'), '-0x1.4e58d4eb8b503p+0', 50, '3502327b6403a59f'),
-    ('grid+simplex', None, 2, 300): (300, False, ('0x1.2ea533d0e9d7cp-1', '0x1.0663794f132a0p+0', '0x1.102a2cca16dc8p+0', '0x1.4588e0c7f2d34p+0'), '-0x1.e23de4152844ep+0', 300, 'ed8aef22ad4167ea'),
-    ('grid+simplex', None, 3, 800): (800, False, ('0x1.f4f162de62444p-2', '0x1.f079169329e8cp-1', '0x1.0a18ce5b3d176p+0', '0x1.0a62f5316e0bcp+0', '0x1.2949dc2f350a0p+0', '0x1.55ff3a7187d49p+0'), '-0x1.1bbb8a61408b6p+1', 800, 'c3951e431d0373a4'),
+    ('grid+simplex', None, 2, 300): (300, False, ('0x1.2ea5026056cafp-1', '0x1.06626df3ee3f8p+0', '0x1.1029cf61f6af6p+0', '0x1.4588910c79bacp+0'), '-0x1.e23de4116747ap+0', 300, 'aba1a607c47c1f09'),
+    ('grid+simplex', None, 3, 800): (800, False, ('0x1.f4f18e9dda80cp-2', '0x1.f0792d05cee18p-1', '0x1.0a18cbed8d930p+0', '0x1.0a62f1c32b67cp+0', '0x1.2949dfc3bd750p+0', '0x1.55ff41c2776aep+0'), '-0x1.1bbb8a613e415p+1', 800, 'dc3475c19e4b36cd'),
     ('grid', None, 1, 64): (25, True, ('0x1.2d97c7f3321d2p-1', '0x1.357d1cfbc6e40p+0'), '-0x1.4b69f9a48b2fap+0', 25, '49990af6a009f259'),
     ('grid', None, 2, 64): (26, True, ('0x1.2d97c7f3321d2p-1', '0x1.2d97c7f3321d2p-1', '0x1.357d1cfbc6e40p+0', '0x1.357d1cfbc6e40p+0'), '-0x1.375a741a6fca0p+0', 26, 'ad7d32fbd99dd389'),
     ('grid', None, 2, 25): ('ValueError', 'optimizer made no depth-p evaluations; increase max_evals'),
