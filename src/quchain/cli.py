@@ -144,7 +144,6 @@ def cmd_solve(args) -> int:
     result = optimize(
         g,
         p=args.p,
-        method=args.optimizer,
         init=args.init,
         seed=args.seed,
         grid_size=args.grid_size,
@@ -231,6 +230,8 @@ def cmd_result(args) -> int:
     counts = service.result(args.id)
     g, sense, graph = _load_problem(args)
     ranked = process_results(counts, g, top=args.top, sense=sense)
+    if not ranked.rows:  # a completed task may hold no counts; --dot needs a row
+        raise ValueError("no sampled bitstrings to rank")
     print("bitstring count energy objective")
     for k, row in enumerate(ranked.rows):
         mark = " *" if k < ranked.top else ""
@@ -318,13 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="optimize QAOA angles for a problem")
     _add_problem_flags(s)
     s.add_argument("--p", type=int, default=1)
-    s.add_argument(
-        "--optimizer", default="grid+simplex", choices=["grid", "simplex", "grid+simplex"]
-    )
     s.add_argument("--init", choices=["random"], default=None)
     s.add_argument(
         "--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-        help="p=1 lines of fixed gamma the grid stage scans, three evaluations each "
+        help="p=1 lines of fixed gamma the scan fits, three evaluations each "
              "(default %(default)s)")
     s.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS)
     s.add_argument("--out", help="write optimal parameters JSON")

@@ -21,11 +21,13 @@ E = A sin 4b + B sin^2 2b + C sin 2b, fields included (Wang, Hadfield et
 al., arXiv:1706.02998), so three evaluations at b = pi/8, pi/4, 3pi/8 fix
 the whole line and its minimum over the full period b in [0, pi).  Half of
 it is not enough: b -> b + pi/2 flips the sign of C, the part linear in
-the fields.  :func:`optimize`'s p=1 scan evaluates the three points of all
-its lines as one batch, cut into chunks whose states fit in
-``CHUNK_BYTES``; each step of the line searches after it is a batch of
-three; simplex and interpolation steps are batches of one, and
-:func:`expectation_decomposed` is one too.
+the fields.  :func:`optimize` has one search route: a scan of such lines
+and line searches over gamma at p=1, then, at each deeper depth,
+interpolated angles (Zhou et al., arXiv:1812.01041) refined by Nelder-Mead.
+The scan evaluates the three points of all its lines as one batch, cut
+into chunks whose states fit in ``CHUNK_BYTES``; each step of the line
+searches after it is a batch of three; simplex and interpolation steps are
+batches of one, and :func:`expectation_decomposed` is one too.
 Each (point, cone) energy is its own dot product and each point sums its
 cones in cone order, so a batched energy is bit-equal to the point alone.
 """
@@ -337,31 +339,6 @@ def _line_minima(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.mod(t[rows, best], 2.0 * np.pi) / 2.0, values[rows, best]
 
 
-def _scan(obj: _Objective, grid_size: int) -> tuple[bool, list[float]]:
-    """Fit the p=1 lines at the ``grid_size`` gamma (k + 1/2) pi / grid_size,
-    as many whole lines as the budget holds with one evaluation to spare,
-    and evaluate the lowest line minimum.
-
-    Returns whether every line fit, and the gamma the line searches start
-    from, lowest first: the two lowest local minima of the scanned line
-    minima, with a start point evaluated before the scan competing by its
-    energy.  The first and last lines count one neighbour each.
-    """
-    prior = obj.best  # the start point, if there is one
-    gammas = (np.arange(min(grid_size, (obj.left() - 1) // 3)) + 0.5) * (np.pi / grid_size)
-    if not len(gammas):
-        return False, []
-    betas, values = _line_minima(_fit_lines(obj, gammas))
-    k = int(np.argmin(values))
-    obj(QaoaParams(gamma=(gammas[k],), beta=(betas[k],)))
-    below_left = np.r_[True, values[1:] < values[:-1]]
-    below_right = np.r_[values[:-1] <= values[1:], True]
-    pool = [(values[i], gammas[i]) for i in np.flatnonzero(below_left & below_right)]
-    if prior is not None:
-        pool.append((prior[1], prior[0].gamma[0]))
-    return len(gammas) == grid_size, [float(gm) for _, gm in sorted(pool)[:2]]
-
-
 def _refine_line(obj: _Objective, center: float, width: float) -> bool:
     """Bounded search over gamma in [center - width, center + width] for the
     lowest line minimum, one line per step, then evaluate the best line's
@@ -397,18 +374,51 @@ def _refine_line(obj: _Objective, center: float, width: float) -> bool:
     return converged
 
 
-def _simplex(obj: _Objective, start: QaoaParams) -> bool:
-    """Nelder-Mead from ``start``, capped at the evaluations left in the
-    budget; True if it converged.  Its best point is ``obj.best``."""
+def _depth_one(obj: _Objective, grid_size: int) -> bool:
+    """The p=1 stage: a scan, then line searches; True if every line fit and
+    every search converged within the budget.
+
+    The scan fits the p=1 lines at the ``grid_size`` gamma
+    (k + 1/2) pi / grid_size, as many whole lines as the budget holds with
+    one evaluation to spare, and evaluates the lowest line minimum.  A line
+    search (:func:`_refine_line`) within pi/grid_size follows around each of
+    the two lowest local minima of the scanned line minima, lowest first; a
+    start point evaluated before the scan competes with them by its energy.
+    The first and last lines count one neighbour each.
+    """
+    prior = obj.best  # the start point, if there is one
+    gammas = (np.arange(min(grid_size, (obj.left() - 1) // 3)) + 0.5) * (np.pi / grid_size)
+    if not len(gammas):
+        return False
+    betas, values = _line_minima(_fit_lines(obj, gammas))
+    k = int(np.argmin(values))
+    obj(QaoaParams(gamma=(gammas[k],), beta=(betas[k],)))
+    below_left = np.r_[True, values[1:] < values[:-1]]
+    below_right = np.r_[values[:-1] <= values[1:], True]
+    pool = [(values[i], gammas[i]) for i in np.flatnonzero(below_left & below_right)]
+    if prior is not None:
+        pool.append((prior[1], prior[0].gamma[0]))
+    converged = len(gammas) == grid_size
+    for _, center in sorted(pool)[:2]:
+        converged &= _refine_line(obj, float(center), np.pi / grid_size)
+    return converged
+
+
+def _simplex(obj: _Objective) -> bool:
+    """Nelder-Mead from ``obj.best``, capped at the evaluations left in the
+    budget; True if it converged, and False at once when none is left.  Its
+    best point is then ``obj.best``."""
     from scipy.optimize import minimize  # here, so importing quchain loads no SciPy
 
     def f(x):
         return obj(QaoaParams.from_flat(x))
 
+    if obj.exhausted():
+        return False
     budget = obj.left()
     res = minimize(
         f,
-        np.asarray(start.flat()),
+        np.asarray(obj.best[0].flat()),
         method="Nelder-Mead",
         options={
             "xatol": 1e-8,
@@ -431,85 +441,64 @@ def optimize(
 ) -> OptimizationResult:
     """Minimize E_p over the variational angles.
 
-    ``method`` is "grid", "simplex" or "grid+simplex".  The grid stage
-    applies at p=1.  It scans ``grid_size`` lines of fixed gamma, at
-    (k + 1/2) pi / grid_size for k = 0..grid_size-1 (64 lines by default;
-    gamma = 0, where every energy is 0, is not a line).  Each line costs three
-    evaluations, is fitted exactly and minimized over the full beta period
-    [0, pi), and the lowest line minimum is evaluated.  With a grid stage,
-    the p=1 refinement is always a line search: a bounded search over gamma
-    (:func:`scipy.optimize.minimize_scalar`) within pi/grid_size of each of
-    the two lowest local minima of the scanned line minima, each step one
-    line with beta at that line's minimum.  A start point from ``init``
-    competes with those minima by its energy, so a start below both is
-    searched around first.  A search that ends at an edge of its bracket
-    searches again around that edge, twice as wide, and each search's best
-    point is evaluated last.  Nelder-Mead refines where no scan comes
-    first: method "simplex", an ``init`` at p>1, and every depth above 1.
-    ``init`` may be explicit :class:`QaoaParams` of depth p, the string
-    "random" (seeded draw at depth p), or None: at p>1 this chains upward
-    from the p=1 optimum, interpolating from the best point of the depth
-    below and simplex-refining at every depth.  The run is deterministic
-    for a fixed seed.
+    One route, in this order:
+
+    * **Start point.** ``init`` may be explicit :class:`QaoaParams` of depth
+      p, the string "random" (a seeded draw at depth p, see
+      :func:`random_params`), or None for no start point.  A start point is
+      evaluated first.
+    * **Depth 1** (no start point, or p=1).  The scan fits ``grid_size``
+      lines of fixed gamma, at (k + 1/2) pi / grid_size for
+      k = 0..grid_size-1 (64 lines by default; gamma = 0, where every energy
+      is 0, is not a line).  Each line costs three evaluations, is fitted
+      exactly and minimized over the full beta period [0, pi), and the
+      lowest line minimum is evaluated.  A bounded search over gamma
+      (:func:`scipy.optimize.minimize_scalar`) follows within pi/grid_size
+      of each of the two lowest local minima of the scanned line minima,
+      each step one line with beta at that line's minimum.  A start point
+      competes with those minima by its energy, so a start below both is
+      searched around first.  A search that ends at an edge of its bracket
+      searches again around that edge, twice as wide, and each search's
+      best point is evaluated last.
+    * **A start point at p>1.**  Nelder-Mead runs from it at depth p.
+    * **Each further depth** up to p.  One evaluation at angles interpolated
+      from the best point of the depth below (:func:`interp_initialize`),
+      then Nelder-Mead from the best point so far.
+
+    ``method`` has one accepted value, "grid+simplex", the route above; any
+    other raises ``ValueError``.  The run is deterministic for a fixed seed.
 
     ``evaluations`` and ``trace`` count kernel evaluations only: a fitted
     line value is not an evaluation, and the returned energy always is one.
     All stages share one budget of ``max_evals`` evaluations.  A line is
     taken whole or not at all, and a line stage that cannot fit one more
-    line and the evaluation of its minimizer stops there; so a grid stage
-    needs at least four evaluations, and a run with a smaller budget and no
-    ``init`` at p=1 makes no evaluation and raises ``ValueError``, as any
-    run does whose budget ends before depth p.  Otherwise, if the budget
-    runs out, the remaining stages are skipped and the best depth-p
-    parameters so far are returned flagged as non-converged.
+    line and the evaluation of its minimizer stops there; so the scan needs
+    at least four evaluations, and a run with a smaller budget and no
+    ``init`` makes no evaluation and raises ``ValueError``, as any run does
+    whose budget ends before depth p.  Otherwise, once the budget is spent,
+    the remaining stages are skipped and the best depth-p parameters so far
+    are returned flagged as non-converged.
     """
     for name, value in (("p", p), ("grid_size", grid_size), ("max_evals", max_evals)):
         if not isinstance(value, Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if method not in ("grid", "simplex", "grid+simplex"):
+    if method != "grid+simplex":
         raise ValueError(f"unknown method {method!r}")
     if not (init is None or isinstance(init, QaoaParams)
             or isinstance(init, str) and init == "random"):
         raise ValueError(f"init must be None, 'random' or QaoaParams, got {init!r}")
     if isinstance(init, QaoaParams) and init.p != p:
         raise ValueError(f"init has depth {init.p}, requested p={p}")
-    if isinstance(init, QaoaParams) or init == "random":
-        depth = p
-        start = init if isinstance(init, QaoaParams) else random_params(p, seed)
-    else:
-        depth, start = 1, None
-    # start -> grid -> line or simplex, then [interp -> simplex] for each further depth.
-    scan = "grid" in method and depth == 1
-    stages = ([] if start is None else ["start"]) + (["grid"] if scan else [])
-    refine = ["simplex"] if "simplex" in method else []
-    stages += (["line"] if scan and refine else refine) + (["interp"] + refine) * (p - depth)
 
     obj = _Objective(g, max_evals)
-    converged = True
-    for stage in stages:
-        if obj.exhausted():
-            converged = False
-            break
-        if stage == "start":
-            obj(start)
-        elif stage == "grid":
-            lines_fit, centers = _scan(obj, grid_size)
-            converged &= lines_fit
-        elif stage == "line":
-            converged &= bool(centers)
-            for center in centers:
-                if obj.exhausted():
-                    converged = False
-                    break
-                converged &= _refine_line(obj, center, np.pi / grid_size)
-        elif stage == "simplex":
-            origin = obj.best[0] if obj.best is not None else random_params(depth, seed)
-            converged &= _simplex(obj, origin)
-        else:  # "interp": every depth hands on its best point
-            depth += 1
-            obj(interp_initialize(obj.best[0]))
+    if init is not None:
+        obj(init if isinstance(init, QaoaParams) else random_params(p, seed))
+    converged = _depth_one(obj, grid_size) if init is None or p == 1 else _simplex(obj)
+    while obj.best and obj.best[0].p < p and not obj.exhausted():  # each further depth
+        obj(interp_initialize(obj.best[0]))
+        converged &= _simplex(obj)
     if obj.best is None or obj.best[0].p != p:
         raise ValueError("optimizer made no depth-p evaluations; increase max_evals")
     best_params, best_energy = obj.best

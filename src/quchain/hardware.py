@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .circuits import WIRE_LIMIT
 from .errors import CapacityError, ConfigError, ParseError
-from .validate import integer, json_object, real, records, required
+from .validate import as_index, integer, json_object, real, records, required
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,13 @@ def _fidelity(value, where: str) -> float:
     return f
 
 
+def _qubit_id(value, where: str) -> int:
+    if as_index(integer(value, where), WIRE_LIMIT) is None:
+        raise ParseError(f"qubit id must be a non-negative int below {WIRE_LIMIT}, got {value}",
+                         where)
+    return value
+
+
 def loads_calibration(text: str) -> ChipModel:
     """Parse a calibration document; errors carry the offending field path.
 
@@ -84,7 +92,7 @@ def loads_calibration(text: str) -> ChipModel:
     """
     doc = json_object(text)
     qubits = records(required(doc, "qubits", "$"), "qubits",
-                     {"id": integer, "t1_us": real, "t2_us": real, "f1q": _fidelity},
+                     {"id": _qubit_id, "t1_us": real, "t2_us": real, "f1q": _fidelity},
                      nonempty=True)
     couplers = records(doc.get("couplers", []), "couplers",
                        {"a": integer, "b": integer, "f2q": _fidelity})

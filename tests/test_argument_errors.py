@@ -83,6 +83,7 @@ class TestEngine:
 
     def test_optimize_method_and_init(self):
         _raises(ValueError, "unknown method 'newton'", optimize, PAIR, method="newton")
+        _raises(ValueError, "unknown method 'simplex'", optimize, PAIR, method="simplex")
         _raises(ValueError, "init has depth 1, requested p=2", optimize, PAIR, p=2, init=P1)
 
 

@@ -482,6 +482,23 @@ class TestTaskFlow:
         assert code == 3
         assert capsys.readouterr().err == "error: task failed: device offline\n"
 
+    def test_result_of_a_completed_task_without_counts_exits_one(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        graph = tmp_path / "k2.json"
+        write_graph(WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)]), graph)
+        record = {"id": "ab" * 16, "name": "", "qasm": "", "shots": 10, "seed": None,
+                  "status": "completed", "counts": "", "error": None,
+                  "created_at": 1.5e9, "updated_at": 1.5e9}
+        (store / "tasks.jsonl").write_text(json.dumps(record) + "\n")
+        dot = tmp_path / "out.dot"
+        code = run(["--store", str(store), "result", "ab" * 16, "--problem", "maxcut",
+                    "--graph", str(graph), "--dot", str(dot)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no sampled bitstrings to rank\n"
+        assert captured.out == "" and not dot.exists()
+
 
 class _OfflineBackend:
     def run(self, qasm_text, shots, seed=None):
@@ -579,8 +596,9 @@ class TestRemovedFlags:
         (["result", "ab", "--graph", "g.json", "--universe", "3"], "--universe"),
         (["solve", "--graph", "g.json", "--init", "interp"], "'interp'"),
         (["chains", "--beam-width", "64"], "--beam-width"),
+        (["solve", "--graph", "g.json", "--optimizer", "grid"], "--optimizer"),
     ], ids=["compile-p", "bmax", "compile-universe", "solve-universe", "result-universe",
-            "init-interp", "beam-width"])
+            "init-interp", "beam-width", "optimizer"])
     def test_removed_flag_exits_two(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exc:
             run(argv)

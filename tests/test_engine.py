@@ -449,11 +449,6 @@ class TestOptimize:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    def test_grid_reaches_analytic_minimum(self):
-        g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 0.5)])
-        res = optimize(g, p=1, method="grid", seed=1)
-        assert res.energy == pytest.approx(-0.5, abs=0.02)
-
     def test_simplex_refines_to_tolerance(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 0.5)])
         res = optimize(g, p=1, method="grid+simplex", seed=1)
@@ -463,7 +458,7 @@ class TestOptimize:
     def test_zero_graph_returns_init(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 0.0)])
         init = QaoaParams(gamma=(0.4,), beta=(0.2,))
-        res = optimize(g, p=1, method="simplex", init=init)
+        res = optimize(g, p=1, init=init)
         assert res.energy == 0.0
         assert res.params.gamma == pytest.approx(init.gamma, abs=1e-9)
         assert res.params.beta == pytest.approx(init.beta, abs=1e-9)
@@ -480,13 +475,25 @@ class TestOptimize:
     def test_large_grid_builds_only_the_points_in_budget(self, k2_graph):
         import quchain.engine as engine
 
-        res = optimize(k2_graph, p=1, method="grid", grid_size=20000, max_evals=100)
-        # 33 whole lines and the evaluation of the lowest line minimum.
+        res = optimize(k2_graph, p=1, grid_size=20000, max_evals=100)
+        # 33 whole lines and the evaluation of the lowest line minimum: the scan
+        # spends the budget, so no line search runs.
         assert res.evaluations == 100 and not res.converged
         gammas = (np.arange(33) + 0.5) * (np.pi / 20000)
         assert [params for params, _ in res.trace[:99]] == [
             QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in engine.LINE_BETAS]
         assert res.trace[99][0].gamma == (gammas[-1],)  # the lines deepen with gamma
+
+    def test_start_point_at_depth_two_spends_a_budget_of_one(self, k2_graph):
+        init = QaoaParams(gamma=(0.3, 0.4), beta=(0.2, 0.1))
+        res = optimize(k2_graph, p=2, init=init, max_evals=1)
+        assert res.evaluations == 1 and not res.converged
+        assert res.params == init  # no Nelder-Mead with no evaluation left
+
+    @pytest.mark.parametrize("max_evals", [1, 2, 3])
+    def test_budget_below_one_line_at_depth_two_raises(self, k2_graph, max_evals):
+        with pytest.raises(ValueError, match="no depth-p evaluations"):
+            optimize(k2_graph, p=2, max_evals=max_evals)
 
     def test_deterministic_under_seed(self, k2_graph):
         a = optimize(k2_graph, p=1, method="grid+simplex", seed=5)
@@ -699,7 +706,7 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(engine, cap, bound)  # the smaller cap sets the chunk
         tracemalloc.start()
         try:
-            res = optimize(k12, p=1, method="grid", grid_size=8)
+            res = optimize(k12, p=1, grid_size=8, max_evals=25)  # the scan alone
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -274,6 +274,12 @@ CALIBRATION_CASES = {
     "qubit-no-f1q": (calibration(qubits=qubit(f1q=DROP)), "missing field 'f1q'", "qubits[0]"),
     "qubit-id-str": (calibration(qubits=qubit(id="0")), "expected an integer, got '0'",
                      "qubits[0].id"),
+    "qubit-id-negative": (calibration(qubits=qubit(id=-1), couplers=[]),
+                          "qubit id must be a non-negative int below 1073741824, got -1",
+                          "qubits[0].id"),
+    "qubit-id-past-wires": (calibration(qubits=qubit(id=2**30), couplers=[]),
+                            "qubit id must be a non-negative int below 1073741824, got 1073741824",
+                            "qubits[0].id"),
     "qubit-t1-list": (calibration(qubits=qubit(t1_us=[1])), "expected a real number, got [1]",
                       "qubits[0].t1_us"),
     "qubit-t2-bool": (calibration(qubits=qubit(t2_us=True)), "expected a real number, got True",
