@@ -50,19 +50,9 @@ def _parse_number_list(text: str, flag: str, cast=float) -> list:
     return values
 
 
-def _nx_graph(g: WeightGraph):
-    """``g`` as a networkx graph of every declared node, edge weights as ``weight``."""
-    import networkx as nx  # only graph problems and DOT files need it
-
-    graph = nx.Graph()
-    graph.add_nodes_from(i for i, _ in g.nodes)
-    graph.add_weighted_edges_from(g.edges)
-    return graph
-
-
 def _load_problem(args):
     """Build the weight graph, the original optimization sense and, for a
-    problem posed on ``--graph``, that graph in networkx form (else None)."""
+    problem posed on ``--graph``, that graph (else None)."""
     problem = getattr(args, "problem", None)
     if problem is None:
         if not args.graph:
@@ -72,7 +62,7 @@ def _load_problem(args):
     if problem in ("maxcut", "coloring"):
         if not args.graph:
             raise QuchainError(f"--graph is required for the {problem} problem")
-        graph = _nx_graph(read_graph(args.graph))
+        graph = read_graph(args.graph)
         if problem == "maxcut":
             qubo = qubo_from_maxcut(graph)
         else:
@@ -243,23 +233,23 @@ def cmd_result(args) -> int:
             for row in ranked.rows:
                 writer.writerow([row.bitstring, row.count, row.energy, row.objective])
     if args.dot:
-        _write_dot(args, _nx_graph(g) if graph is None else graph, ranked)
+        _write_dot(args, graph or g, ranked)
     return 0
 
 
-def _write_dot(args, graph, ranked) -> None:
-    """Draw ``graph`` (networkx) with its nodes filled from the best row."""
+def _write_dot(args, graph: WeightGraph, ranked) -> None:
+    """Draw ``graph`` with its nodes filled from the best row."""
     best = ranked.rows[0].bitstring
     lines = ["graph solution {"]
     k = args.colors
-    for v in graph.nodes:
+    for v, _ in graph.nodes:
         if args.problem == "coloring":
             chosen = [c for c in range(k) if best[v * k + c] == "0"]
             color = PALETTE[chosen[0] % len(PALETTE)] if chosen else "white"
         else:
             color = PALETTE[int(best[v])]
         lines.append(f'  {v} [style=filled, fillcolor={color}];')
-    lines.extend(f"  {u} -- {v};" for u, v in graph.edges)
+    lines.extend(f"  {u} -- {v};" for u, v, _ in graph.edges)
     lines.append("}")
     with open(args.dot, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

@@ -3,6 +3,8 @@
 Every builder returns a :class:`QuboMatrix` in *minimize* form; problems that
 are natively maximizations (max cut, set packing) are negated at build time
 and record ``sense="max"`` so reports can restore the original objective.
+The graph builders (max cut, coloring) take a :class:`WeightGraph`, a
+networkx graph or an edge list, and ``WeightGraph`` judges each of them.
 :func:`weight_graph_from_qubo` turns a QUBO into the Ising weight graph the
 rest of the pipeline consumes, keeping constant terms in ``offset``, so
 
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ModelError, ParseError
 from .graph import WeightGraph
-from .validate import as_index, is_real
+from .validate import as_index
 
 
 @dataclass
@@ -62,46 +64,43 @@ class QuboMatrix:
         return float(x @ self.q @ x) + self.offset
 
 
-def _as_edge_list(graph):
-    """Accept a networkx graph or an iterable of (u, v[, w]) tuples.
+def _problem_graph(graph) -> WeightGraph:
+    """``graph`` as the :class:`WeightGraph` that judges it.
 
-    Every label, a networkx node or a listed endpoint, must be a non-negative
-    int (:func:`~quchain.validate.as_index`: NumPy ints count, bools do not),
-    and the labels must be exactly 0..n-1.  Every weight, 1.0 when absent,
-    must be a finite real number (:func:`~quchain.validate.is_real`: strings
-    and bools fail).
+    A ``WeightGraph`` is returned as it is.  A networkx graph, or an iterable
+    of ``(u, v[, w])`` with ``w`` 1.0 when absent, becomes one with zero node
+    weights: its labels (a networkx graph's nodes, or the listed endpoints)
+    in first-seen order, its edges as given.  ``WeightGraph`` then rejects a
+    label that is not an int 0..n-1, a self loop, a duplicate edge and a
+    weight that is not a finite real, and its located ``ParseError`` is
+    raised again as :class:`ModelError`.
     """
+    if isinstance(graph, WeightGraph):
+        return graph
     if hasattr(graph, "edges"):
-        labels = list(graph.nodes)
+        labels = graph.nodes
         edges = [(u, v, data.get("weight", 1.0)) for u, v, data in graph.edges(data=True)]
     else:
         edges = [(e[0], e[1], 1.0 if len(e) == 2 else e[2]) for e in graph]
         labels = [x for u, v, _ in edges for x in (u, v)]
-    for x in labels:
-        if as_index(x) is None:
-            raise ModelError(f"node labels must be non-negative integers, got {x!r}")
-    for u, v, w in edges:
-        if not is_real(w):
-            raise ModelError(f"weight of edge ({u}, {v}) must be finite and real, got {w!r}")
-    nodes = sorted(set(labels))
-    if nodes != list(range(len(nodes))):
-        raise ModelError(f"node labels must be 0..n-1, got {nodes}")
-    return len(nodes), [(int(u), int(v), float(w)) for u, v, w in edges]
+    try:
+        return WeightGraph(nodes=[(x, 0.0) for x in dict.fromkeys(labels)], edges=edges)
+    except ParseError as exc:
+        raise ModelError(str(exc)) from None
 
 
 def qubo_from_maxcut(graph) -> QuboMatrix:
     """Max cut as a minimization: ``sum_(u,v) w_uv (2 x_u x_v - x_u - x_v)``.
 
-    For every assignment the objective equals minus the weight of the cut, so
-    minimizing recovers the maximum cut.
+    ``graph`` is a :class:`WeightGraph`, a networkx graph or an edge list
+    (see :func:`_problem_graph`).  For every assignment the objective equals
+    minus the weight of the cut, so minimizing recovers the maximum cut.
     """
-    n, edges = _as_edge_list(graph)
-    if not edges:
+    g = _problem_graph(graph)
+    if not g.edges:
         raise ModelError("max cut needs a graph with at least one edge")
-    q = np.zeros((n, n))
-    for u, v, w in edges:
-        if u == v:
-            raise ModelError(f"self loop on node {u}")
+    q = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
         q[u, v] += w
         q[v, u] += w
         q[u, u] -= w
@@ -145,12 +144,12 @@ def qubo_from_graph_coloring(graph, k: int) -> QuboMatrix:
     Objective: ``sum_v (1 - sum_c x_{v,c})^2 + sum_{(u,v) in E} sum_c
     x_{u,c} x_{v,c}``; the minimum (after offset) is 0 iff the graph is
     k-colorable.  Variable ``v*k + c`` means "vertex v gets color c".
+    ``graph`` is read as :func:`qubo_from_maxcut` reads it.
     """
     if k < 1:
         raise ModelError("color count must be at least 1")
-    nv, edges = _as_edge_list(graph)
-    if nv < 1:
-        raise ModelError("graph coloring needs at least one vertex")
+    g = _problem_graph(graph)
+    nv = g.n
     n = nv * k
     q = np.zeros((n, n))
     for v in range(nv):
@@ -159,7 +158,7 @@ def qubo_from_graph_coloring(graph, k: int) -> QuboMatrix:
             for c2 in range(c + 1, k):
                 q[v * k + c, v * k + c2] += 1.0
                 q[v * k + c2, v * k + c] += 1.0
-    for u, v, _ in edges:
+    for u, v, _ in g.edges:
         for c in range(k):
             q[u * k + c, v * k + c] += 0.5
             q[v * k + c, u * k + c] += 0.5

@@ -47,7 +47,7 @@ from .errors import ParseError, QuchainError, ResultUnavailableError, TaskNotFou
 from .graph import WeightGraph
 from .qasm import parse
 from .simulator import sample_outcomes, simulate_levels
-from .validate import is_integer, is_real
+from .validate import as_index, is_integer, is_real
 
 _TRANSITIONS = {
     "queued": {"running"},
@@ -252,10 +252,13 @@ def _load_log(path) -> dict[str, TaskRecord]:
 
 def _queued(qasm, shots, name, seed) -> TaskRecord:
     """A new queued record, after the checks ``TaskService.submit`` makes:
-    the record's fields, then a parse of ``qasm``."""
+    the record's fields, a ``seed`` of at least 0, then a parse of ``qasm``.
+    A stored record may hold a negative seed; only a new one is refused."""
     now = time.time()
     rec = TaskRecord(id=secrets.token_hex(16), name=name, qasm=qasm, shots=shots,
                      status="queued", seed=seed, created_at=now, updated_at=now)
+    if seed is not None and as_index(seed) is None:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     parse(qasm)  # reject invalid circuits before enqueueing
     return rec
 
@@ -460,8 +463,10 @@ def process_results(
     :meth:`WeightGraph.energies` scores; :meth:`WeightGraph.objective` turns
     each energy back into the original problem's value and checks ``sense``.
     Rows are sorted stably by (energy, -count); the first ``top`` rows are
-    flagged as solutions.  A key that is not ``g.n`` characters of 0 and 1
-    raises ``ValueError``, before a bad ``sense`` does.
+    flagged as solutions.  A key that is not ``g.n`` characters of 0 and 1,
+    then a count that is not an int in [0, 2**63) (a float, a str, a
+    negative int), raises ``ValueError`` naming the bitstring, before a bad
+    ``sense`` does.
     """
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
@@ -475,9 +480,15 @@ def process_results(
     bad = (bits > 1).any(axis=1)
     if bad.any():
         raise ValueError(f"bitstring {keys[int(bad.argmax())]!r} is not made of 0s and 1s")
+    hits = np.asarray(list(counts.values()) or np.zeros(0, np.int64))
+    if hits.dtype.kind != "i" or (hits < 0).any():
+        # The first count that is no index, or else the largest: every one is
+        # an int, and one is past int64.
+        key = ([k for k in keys if as_index(counts[k]) is None] or [max(keys, key=counts.get)])[0]
+        raise ValueError(f"count of bitstring {key!r} must be an int in [0, 2**63), "
+                         f"got {counts[key]!r}")
     energy = g.energies(1.0 - 2.0 * bits)
     objective = g.objective(energy, sense)
-    hits = np.array(list(counts.values()), dtype=np.int64)
     order = np.lexsort((-hits, energy))
     rows = list(map(SolutionRow._make, zip(
         map(keys.__getitem__, order.tolist()), hits[order].tolist(),

@@ -170,28 +170,29 @@ class TestProblems:
         _raises(ModelError, "QUBO needs at least one variable", QuboMatrix, np.zeros((0, 0)))
         _raises(ModelError, "sense must be 'min' or 'max', got 'up'", QuboMatrix, [[1.0]], "up")
 
-    @pytest.mark.parametrize("edges, label", [
-        ([(0, 1.5)], "1.5"), ([(0, True)], "True"), ([(-1, 0)], "-1"), ([("a", 0)], "'a'"),
+    @pytest.mark.parametrize("edges, node", [
+        ([(0, 1.5)], "nodes[1].id: node id 1.5"), ([(0, True)], "nodes[1].id: node id True"),
+        ([(-1, 0)], "nodes[0].id: node id -1"), ([("a", 0)], "nodes[0].id: node id 'a'"),
     ], ids=["float", "bool", "negative", "str"])
-    def test_labels_are_indices(self, edges, label):
-        _raises(ModelError, f"node labels must be non-negative integers, got {label}",
-                qubo_from_maxcut, edges)
+    def test_labels_are_indices(self, edges, node):
+        _raises(ModelError, f"{node} is not a non-negative int", qubo_from_maxcut, edges)
 
     def test_networkx_bool_labels_are_rejected(self):
         import networkx as nx
 
         graph = nx.Graph([(False, True)])
-        _raises(ModelError, "node labels must be non-negative integers, got False",
+        _raises(ModelError, "nodes[0].id: node id False is not a non-negative int",
                 qubo_from_maxcut, graph)
 
     def test_labels_run_from_zero(self):
-        _raises(ModelError, "node labels must be 0..n-1, got [0, 2]", qubo_from_maxcut, [(0, 2)])
+        _raises(ModelError, "nodes: node ids must be exactly 0..1, got [0, 2]",
+                qubo_from_maxcut, [(0, 2)])
 
     def test_self_loop(self):
         _raises(ModelError, "self loop on node 1", qubo_from_maxcut, [(0, 1), (1, 1)])
 
     def test_empty_inputs(self):
-        _raises(ModelError, "graph coloring needs at least one vertex", qubo_from_graph_coloring, [], 2)
+        _raises(ModelError, "nodes: graph needs at least one node", qubo_from_graph_coloring, [], 2)
         _raises(ModelError, "set packing needs at least one set", qubo_from_set_packing, [])
 
     @pytest.mark.parametrize("numbers, bad", [([True, 2], "True"), ([3, False], "False"),

@@ -3,7 +3,11 @@
 import csv
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
@@ -503,6 +507,54 @@ class TestTaskFlow:
 class _OfflineBackend:
     def run(self, qasm_text, shots, seed=None):
         raise RuntimeError("device offline")
+
+
+_WITHOUT_NETWORKX = """
+import sys
+blocked = sys.argv[1] == "blocked"
+if blocked:
+    sys.modules["networkx"] = None  # an import of networkx now raises ModuleNotFoundError
+from quchain.cli import main
+graph, store, dot = sys.argv[2:]
+codes = [
+    main(["solve", "--problem", "maxcut", "--graph", graph, "--grid-size", "4"]),
+    main(["solve", "--problem", "coloring", "--graph", graph, "--colors", "2",
+          "--grid-size", "4"]),
+    main(["--store", store, "result", "ab" * 16, "--problem", "maxcut", "--graph", graph,
+          "--dot", dot]),
+]
+assert codes == [0, 0, 0], codes
+assert sys.modules["networkx"] is None if blocked else "networkx" not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("mode", ["blocked", "free"])
+def test_graph_problems_run_without_networkx(tmp_path, mode):
+    """``solve`` and ``result --dot`` on graph problems import no networkx,
+    and run with it blocked."""
+    graph = tmp_path / "path3.json"
+    write_graph(WeightGraph(nodes=[(i, 0.0) for i in range(3)],
+                            edges=[(0, 1, 1.0), (1, 2, 1.0)]), graph)
+    store = tmp_path / "store"
+    store.mkdir()
+    record = {"id": "ab" * 16, "name": "", "qasm": "", "shots": 4, "seed": None,
+              "status": "completed", "counts": "010:3,101:1", "error": None,
+              "created_at": 1.5e9, "updated_at": 1.5e9}
+    (store / "tasks.jsonl").write_text(json.dumps(record) + "\n")
+    dot = tmp_path / "out.dot"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NETWORKX, mode, str(graph),
+                           str(store), str(dot)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "010 3 -1 2 *" in proc.stdout
+    assert dot.read_text() == ("graph solution {\n"
+                               f"  0 [style=filled, fillcolor={PALETTE[0]}];\n"
+                               f"  1 [style=filled, fillcolor={PALETTE[1]}];\n"
+                               f"  2 [style=filled, fillcolor={PALETTE[0]}];\n"
+                               "  0 -- 1;\n  1 -- 2;\n}\n")
 
 
 class TestColoringFlow:

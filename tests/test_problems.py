@@ -13,6 +13,7 @@ from quchain import (
     ConfigError,
     ModelError,
     QuboMatrix,
+    WeightGraph,
     qubo_from_graph_coloring,
     qubo_from_maxcut,
     qubo_from_number_partition,
@@ -41,13 +42,13 @@ def test_qubo_rejects_non_finite_entries_and_offset(bad):
 
 
 def test_maxcut_rejects_non_finite_weight():
-    with pytest.raises(ModelError, match="must be finite"):
+    with pytest.raises(ModelError, match=r"edges\[0\]\.w: expected a finite number, got nan"):
         qubo_from_maxcut([(0, 1, float("nan"))])
 
 
 @pytest.mark.parametrize("weight", ["3", " 1e3 ", True, None, 1j])
 def test_graph_problems_reject_weights_that_are_not_real(weight):
-    match = r"weight of edge \(0, 1\) must be finite and real, got " + re.escape(repr(weight))
+    match = r"edges\[0\]\.w: expected a real number, got " + re.escape(repr(weight))
     with pytest.raises(ModelError, match=match):
         qubo_from_maxcut([(0, 1, weight)])
     g = nx.Graph()
@@ -111,6 +112,41 @@ class TestMaxCut:
         pg.add_edges_from(DEMO6_EDGES)
         q = qubo_from_maxcut(pg)
         assert brute_force_qubo_min(q.q, q.offset) == -6
+
+
+class TestGraphInputs:
+    """``WeightGraph`` judges every graph a builder takes: an edge list, a
+    networkx graph or a ``WeightGraph`` itself."""
+
+    def test_duplicate_edge_is_rejected(self):
+        match = re.escape("edges[1]: duplicate edge (0,1)")
+        with pytest.raises(ModelError, match=match):
+            qubo_from_maxcut([(0, 1), (1, 0)])
+        with pytest.raises(ModelError, match=match):
+            qubo_from_maxcut(nx.MultiGraph([(0, 1), (0, 1)]))
+
+    def test_maxcut_of_an_edgeless_graph_is_rejected(self):
+        pg = nx.Graph()
+        pg.add_node(0)
+        for graph in (WeightGraph(nodes=[(0, 0.0), (1, 0.0)]), pg):
+            with pytest.raises(ModelError, match="max cut needs a graph with at least one edge"):
+                qubo_from_maxcut(graph)
+
+    def test_coloring_self_loop_is_rejected(self):
+        with pytest.raises(ModelError, match=re.escape("edges[0]: self loop on node 0")):
+            qubo_from_graph_coloring([(0, 0), (0, 1)], 2)
+
+    def test_weight_graph_list_and_networkx_inputs_build_equal_qubos(self):
+        edges = [(2, 3, 1.3), (0, 1, 0.1), (1, 2, 0.7), (0, 2, 0.3)]  # unsorted, non-dyadic
+        pg = nx.Graph()
+        pg.add_weighted_edges_from(edges)
+        g = WeightGraph(nodes=[(i, 0.5) for i in range(4)], edges=edges)  # node weights unread
+        for build in (qubo_from_maxcut, lambda graph: qubo_from_graph_coloring(graph, 2)):
+            want = build(g)
+            for graph in (edges, pg):
+                got = build(graph)
+                assert got.q.tobytes() == want.q.tobytes()
+                assert (got.sense, got.offset) == (want.sense, want.offset)
 
 
 class TestNumberPartition:

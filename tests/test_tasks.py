@@ -535,6 +535,18 @@ class TestRecordChecks:
                 svc.submit(single_qubit_plus_qasm(), shots=5, **kwargs)
         assert store.read_bytes() == b""
 
+    def test_submit_rejects_a_negative_seed_and_writes_nothing(self, store):
+        with TaskService(store) as svc:
+            svc.submit(single_qubit_plus_qasm(), shots=5, seed=3, wait=True)
+            before = store.read_bytes()
+            with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+                svc.submit(single_qubit_plus_qasm(), shots=5, seed=-1)
+            assert store.read_bytes() == before
+        # A stored record with a negative seed still loads.
+        from quchain.tasks import TaskRecord
+
+        assert TaskRecord.from_json(json.dumps({**_VALID_RECORD, "seed": -1})).seed == -1
+
     def test_negative_backend_counts_fail_the_task(self, store):
         with TaskService(store, backend=_NegativeCountsSampler()) as svc:
             rec = svc.submit(single_qubit_plus_qasm(), shots=10, wait=True)
@@ -800,6 +812,13 @@ class TestRankingDifferential:
     def test_bad_bitstrings_raise_value_error(self, k2_graph, key):
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             process_results({"01": 1, key: 1}, k2_graph)
+
+    @pytest.mark.parametrize("count", [2.7, "3", -3, 2**63],
+                             ids=["float", "str", "negative", "past-int64"])
+    def test_counts_must_be_non_negative_ints(self, k2_graph, count):
+        message = f"count of bitstring '00' must be an int in [0, 2**63), got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            process_results({"01": 1, "00": count}, k2_graph, sense="maximize")
 
     def test_empty_counts_give_no_rows(self, k2_graph):
         ranked = process_results({}, k2_graph, top=2)
