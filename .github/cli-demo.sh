@@ -25,13 +25,11 @@ cat > maxcut6.json <<'JSON'
 JSON
 quchain solve --problem maxcut --graph maxcut6.json --p 1 --out params.json > solve1.txt
 # Depth 2 interpolates from the p=1 optimum and refines by Nelder-Mead: its
-# energy is no higher.  A random start at depth 2 runs Nelder-Mead from it.
+# energy is no higher.
 quchain solve --problem maxcut --graph maxcut6.json --p 2 > solve2.txt
 e1=$(sed -n 's/^E_p = //p' solve1.txt)
 e2=$(sed -n 's/^E_p = //p' solve2.txt)
 awk -v a="$e1" -v b="$e2" 'BEGIN { exit !(a != "" && b != "" && b + 0 <= a + 0) }'
-quchain solve --problem maxcut --graph maxcut6.json --p 2 --init random > solve-random.txt
-grep -qE '^evaluations = [0-9]+  converged = True$' solve-random.txt
 compile6=(--calib "$repo/src/quchain/data/chain18.json"
   compile --problem maxcut --graph maxcut6.json --params params.json)
 quchain "${compile6[@]}" --out circuit.qasm --layout layout.json > compile.txt

@@ -20,7 +20,6 @@ from .engine import (
     expectation_decomposed,
     interp_initialize,
     optimize,
-    random_params,
 )
 from .errors import (
     CapacityError,

@@ -131,14 +131,7 @@ def cmd_solve(args) -> int:
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     g, sense, _ = _load_problem(args)
-    result = optimize(
-        g,
-        p=args.p,
-        init=args.init,
-        seed=args.seed,
-        grid_size=args.grid_size,
-        max_evals=args.max_evals,
-    )
+    result = optimize(g, p=args.p, grid_size=args.grid_size, max_evals=args.max_evals)
     print(f"p = {args.p}")
     print("gamma =", " ".join(f"{x:.10g}" for x in result.params.gamma))
     print("beta  =", " ".join(f"{x:.10g}" for x in result.params.beta))
@@ -309,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="optimize QAOA angles for a problem")
     _add_problem_flags(s)
     s.add_argument("--p", type=int, default=1)
-    s.add_argument("--init", choices=["random"], default=None)
     s.add_argument(
         "--grid-size", type=int, default=DEFAULT_GRID_SIZE,
         help="p=1 lines of fixed gamma the scan fits, three evaluations each "

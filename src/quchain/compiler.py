@@ -32,6 +32,7 @@ with ``_asap``.  This module holds only the compiler and that reference route.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,7 +199,9 @@ def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int
     Returns the scheduled layers as ``(kind, positions, angles)`` arrays, the
     final layout and the last RZZ cycle.  A two-qubit layer's positions are
     the lower ends ``a`` of its chain pairs ``(a, a + 1)``, in position
-    order; ``angles`` is None for ``h`` and ``swap`` layers.
+    order; ``angles`` is None for ``h`` and ``swap`` layers.  An angle
+    2 gamma w or 2 beta that overflows to infinity raises ``ValueError``:
+    :func:`~quchain.qasm.parse` rejects a non-finite angle.
     """
     k = g.n
     start = np.asarray(mapping, dtype=np.intp)
@@ -227,8 +230,12 @@ def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int
     layers = [("h", start, None)]
     biased = np.array([i for i, w in g.nodes if w != 0.0], dtype=np.intp)
     fields = np.array([w for _, w in g.nodes if w != 0.0])
+    # Some 2 gamma w overflows exactly when the one of the largest |w| does.
+    top = max(abs(row[-1]) for row in (*g.nodes, *g.edges))
     for block in range(1, params.p + 1):
         gamma, beta = params.gamma[block - 1], params.beta[block - 1]
+        if not (math.isfinite(2.0 * gamma * top) and math.isfinite(2.0 * beta)):
+            raise ValueError(f"layer {block}: an angle 2*gamma*w or 2*beta overflows")
         first, end = (start, moved) if block % 2 == 1 else (moved, start)
         if len(biased):
             layers.append(("rz", first[biased], 2.0 * gamma * fields))

@@ -242,15 +242,6 @@ class OptimizationResult:
     trace: list[tuple] = field(default_factory=list)
 
 
-def random_params(p: int, seed) -> QaoaParams:
-    """Seeded draw of gamma from [0,pi) and beta from [0,pi/2)."""
-    rng = np.random.default_rng(seed)
-    return QaoaParams(
-        gamma=tuple(rng.uniform(0.0, np.pi, size=p)),
-        beta=tuple(rng.uniform(0.0, np.pi / 2.0, size=p)),
-    )
-
-
 class _Objective:
     """Counts evaluations against the budget and keeps the trace.
 
@@ -382,11 +373,9 @@ def _depth_one(obj: _Objective, grid_size: int) -> bool:
     (k + 1/2) pi / grid_size, as many whole lines as the budget holds with
     one evaluation to spare, and evaluates the lowest line minimum.  A line
     search (:func:`_refine_line`) within pi/grid_size follows around each of
-    the two lowest local minima of the scanned line minima, lowest first; a
-    start point evaluated before the scan competes with them by its energy.
+    the two lowest local minima of the scanned line minima, lowest first.
     The first and last lines count one neighbour each.
     """
-    prior = obj.best  # the start point, if there is one
     gammas = (np.arange(min(grid_size, (obj.left() - 1) // 3)) + 0.5) * (np.pi / grid_size)
     if not len(gammas):
         return False
@@ -396,8 +385,6 @@ def _depth_one(obj: _Objective, grid_size: int) -> bool:
     below_left = np.r_[True, values[1:] < values[:-1]]
     below_right = np.r_[values[:-1] <= values[1:], True]
     pool = [(values[i], gammas[i]) for i in np.flatnonzero(below_left & below_right)]
-    if prior is not None:
-        pool.append((prior[1], prior[0].gamma[0]))
     converged = len(gammas) == grid_size
     for _, center in sorted(pool)[:2]:
         converged &= _refine_line(obj, float(center), np.pi / grid_size)
@@ -434,7 +421,6 @@ def optimize(
     g: WeightGraph,
     p: int = 1,
     method: str = "grid+simplex",
-    init: QaoaParams | str | None = None,
     seed=0,
     grid_size: int = DEFAULT_GRID_SIZE,
     max_evals: int = DEFAULT_MAX_EVALS,
@@ -443,41 +429,35 @@ def optimize(
 
     One route, in this order:
 
-    * **Start point.** ``init`` may be explicit :class:`QaoaParams` of depth
-      p, the string "random" (a seeded draw at depth p, see
-      :func:`random_params`), or None for no start point.  A start point is
-      evaluated first.
-    * **Depth 1** (no start point, or p=1).  The scan fits ``grid_size``
-      lines of fixed gamma, at (k + 1/2) pi / grid_size for
-      k = 0..grid_size-1 (64 lines by default; gamma = 0, where every energy
-      is 0, is not a line).  Each line costs three evaluations, is fitted
-      exactly and minimized over the full beta period [0, pi), and the
-      lowest line minimum is evaluated.  A bounded search over gamma
-      (:func:`scipy.optimize.minimize_scalar`) follows within pi/grid_size
-      of each of the two lowest local minima of the scanned line minima,
-      each step one line with beta at that line's minimum.  A start point
-      competes with those minima by its energy, so a start below both is
-      searched around first.  A search that ends at an edge of its bracket
-      searches again around that edge, twice as wide, and each search's
-      best point is evaluated last.
-    * **A start point at p>1.**  Nelder-Mead runs from it at depth p.
+    * **Depth 1.**  The scan fits ``grid_size`` lines of fixed gamma, at
+      (k + 1/2) pi / grid_size for k = 0..grid_size-1 (64 lines by default;
+      gamma = 0, where every energy is 0, is not a line).  Each line costs
+      three evaluations, is fitted exactly and minimized over the full beta
+      period [0, pi), and the lowest line minimum is evaluated.  A bounded
+      search over gamma (:func:`scipy.optimize.minimize_scalar`) follows
+      within pi/grid_size of each of the two lowest local minima of the
+      scanned line minima, each step one line with beta at that line's
+      minimum.  A search that ends at an edge of its bracket searches again
+      around that edge, twice as wide, and each search's best point is
+      evaluated last.
     * **Each further depth** up to p.  One evaluation at angles interpolated
       from the best point of the depth below (:func:`interp_initialize`),
       then Nelder-Mead from the best point so far.
 
     ``method`` has one accepted value, "grid+simplex", the route above; any
-    other raises ``ValueError``.  The run is deterministic for a fixed seed.
+    other raises ``ValueError``.  ``seed`` is accepted and unused: the route
+    draws nothing at random, so every run is deterministic.
 
     ``evaluations`` and ``trace`` count kernel evaluations only: a fitted
     line value is not an evaluation, and the returned energy always is one.
     All stages share one budget of ``max_evals`` evaluations.  A line is
     taken whole or not at all, and a line stage that cannot fit one more
     line and the evaluation of its minimizer stops there; so the scan needs
-    at least four evaluations, and a run with a smaller budget and no
-    ``init`` makes no evaluation and raises ``ValueError``, as any run does
-    whose budget ends before depth p.  Otherwise, once the budget is spent,
-    the remaining stages are skipped and the best depth-p parameters so far
-    are returned flagged as non-converged.
+    at least four evaluations, and a run with a smaller budget makes no
+    evaluation and raises ``ValueError``, as any run does whose budget ends
+    before depth p.  Otherwise, once the budget is spent, the remaining
+    stages are skipped and the best depth-p parameters so far are returned
+    flagged as non-converged.
     """
     for name, value in (("p", p), ("grid_size", grid_size), ("max_evals", max_evals)):
         if not isinstance(value, Integral) or isinstance(value, bool):
@@ -486,16 +466,9 @@ def optimize(
             raise ValueError(f"{name} must be at least 1, got {value}")
     if method != "grid+simplex":
         raise ValueError(f"unknown method {method!r}")
-    if not (init is None or isinstance(init, QaoaParams)
-            or isinstance(init, str) and init == "random"):
-        raise ValueError(f"init must be None, 'random' or QaoaParams, got {init!r}")
-    if isinstance(init, QaoaParams) and init.p != p:
-        raise ValueError(f"init has depth {init.p}, requested p={p}")
 
     obj = _Objective(g, max_evals)
-    if init is not None:
-        obj(init if isinstance(init, QaoaParams) else random_params(p, seed))
-    converged = _depth_one(obj, grid_size) if init is None or p == 1 else _simplex(obj)
+    converged = _depth_one(obj, grid_size)
     while obj.best and obj.best[0].p < p and not obj.exhausted():  # each further depth
         obj(interp_initialize(obj.best[0]))
         converged &= _simplex(obj)

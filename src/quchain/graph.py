@@ -27,6 +27,12 @@ from .validate import (as_index, integer, is_real, json_object, only_fields, rea
 #: nodes sorted by id, edges sorted by (u, v) with u < v, reals written with
 #: 17 significant digits.
 
+#: Largest sum of |w| over a graph's nodes and edges, plus |offset|.  Within it
+#: the cost phases gamma * C(z) and the fitted p=1 lines stay finite at every
+#: gamma the optimizer visits; one edge of 1e308 overflows gamma * C at gamma
+#: near pi, although its sum is finite.
+WEIGHT_LIMIT = 1e300
+
 
 def _fmt_real(x: float) -> str:
     x = float(x)
@@ -42,11 +48,15 @@ class _GraphError(ParseError, ValueError):
     position in the constructor's list."""
 
 
-def _real(w, where: str, k: int = 0) -> float:
-    """``w`` as a float (:func:`~quchain.validate.real`), or the located
-    :class:`_GraphError`; ``where`` is formatted with ``k`` only on a fault,
-    as graphs of thousands of edges pass through here."""
-    return float(w) if is_real(w) else real(w, where.format(k), _GraphError)
+def _weight(w, total: float, where: str, k: int = 0) -> tuple[float, float]:
+    """``w`` as a float (:func:`~quchain.validate.real`) and ``total`` plus
+    |w|, or the located :class:`_GraphError` when ``w`` is not a real or that
+    sum passes ``WEIGHT_LIMIT``; ``where`` is formatted with ``k`` only on a
+    fault, as graphs of thousands of edges pass through here."""
+    w = float(w) if is_real(w) else real(w, where.format(k), _GraphError)
+    if (total := total + abs(w)) > WEIGHT_LIMIT:
+        raise _GraphError(f"weights sum past the limit of {WEIGHT_LIMIT:g}", where.format(k))
+    return w, total
 
 
 @dataclass
@@ -65,7 +75,10 @@ class WeightGraph:
     :class:`ParseError` located at the node's ``nodes[k].id`` or ``.w``, at
     ``nodes``, at the endpoint's ``edges[k].u`` or ``.v``, at the edge's
     ``edges[k]`` (the later row of a duplicate) or ``.w``, or at
-    ``offset``.  This is the one judge of a graph's structure;
+    ``offset``.  A graph whose sum of |w| over nodes and edges plus |offset|
+    is above ``WEIGHT_LIMIT`` raises it too, located at the row (in the
+    order nodes, edges, offset) where the running sum passes the limit.
+    This is the one judge of a graph's structure;
     :func:`loads_graph` only decodes rows.
     """
 
@@ -75,11 +88,13 @@ class WeightGraph:
 
     def __post_init__(self):
         nodes = []
+        total = 0.0  # sum of |w| over the rows so far, in the caller's order
         for k, (i, w) in enumerate(self.nodes):
             node = as_index(i)
             if node is None:
                 raise _GraphError(f"node id {i!r} is not a non-negative int", f"nodes[{k}].id")
-            nodes.append((node, _real(w, "nodes[{}].w", k)))
+            w, total = _weight(w, total, "nodes[{}].w", k)
+            nodes.append((node, w))
         if not nodes:
             raise _GraphError("graph needs at least one node", "nodes")
         nodes.sort()
@@ -100,10 +115,11 @@ class WeightGraph:
             if key in seen:
                 raise _GraphError(f"duplicate edge ({key[0]},{key[1]})", f"edges[{k}]")
             seen.add(key)
-            edges.append((*key, _real(w, "edges[{}].w", k)))
+            w, total = _weight(w, total, "edges[{}].w", k)
+            edges.append((*key, w))
         self.nodes = nodes
         self.edges = sorted(edges)
-        self.offset = _real(self.offset, "offset")
+        self.offset, _ = _weight(self.offset, total, "offset")
 
     @property
     def n(self) -> int:

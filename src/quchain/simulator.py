@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CNOT, H, RZ, Gate, LogicalCircuit, QaoaParams
+from .circuits import CNOT, H, RZ, Gate, LogicalCircuit
 from .errors import CapacityError
 
 #: Hard cap on simulated register width (2**24 amplitudes ~ 256 MiB).
@@ -224,14 +224,13 @@ def simulate_levels(n: int, kind: np.ndarray, a: np.ndarray, b: np.ndarray, angl
     return state
 
 
-def qaoa_state(tables: np.ndarray, params) -> np.ndarray:
+def qaoa_state(tables: np.ndarray, points) -> np.ndarray:
     """QAOA statevectors from cost diagonals over 2**k basis states.
 
     ``tables`` is one diagonal of shape (2**k,) or a stack of them, shape
-    (C, 2**k); ``params`` is one :class:`QaoaParams`, giving a state of the
-    shape of ``tables``, or a sequence of B of one depth, giving states of
-    shape ``(B, *tables.shape)``.  For ``table = energy_table(g)``,
-    ``qaoa_state(table, params)`` equals
+    (C, 2**k); ``points`` is a sequence of B :class:`QaoaParams` of one
+    depth, giving states of shape ``(B, *tables.shape)``.  For
+    ``table = energy_table(g)``, ``qaoa_state(table, [params])[0]`` equals
     ``simulate(build_qaoa_circuit(g, params))``, global phase included: each
     cost layer is the diagonal phase exp(-i gamma C) and each mixer RX(2 beta)
     on every qubit, applied in place by :func:`mix`.  Every row gets the
@@ -239,8 +238,6 @@ def qaoa_state(tables: np.ndarray, params) -> np.ndarray:
     bit-equal.
     """
     k = tables.shape[-1].bit_length() - 1
-    single = isinstance(params, QaoaParams)
-    points = [params] if single else params
     # One point keeps scalar angles.  Sending it through the batched branch
     # is bit-equal on every golden but slower: perfbench ``solve`` at seed 7
     # (2-core Xeon, Python 3.11, NumPy 2.4), 4 of 4 alternating pairs,
@@ -266,7 +263,7 @@ def qaoa_state(tables: np.ndarray, params) -> np.ndarray:
         c, s = np.cos(beta), -1j * np.sin(beta)
         for q in range(k):
             mix(psi, q, c, s)
-    return psi.reshape(tables.shape if single else (len(points), *tables.shape))
+    return psi.reshape(len(points), *tables.shape)
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:

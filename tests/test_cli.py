@@ -622,7 +622,7 @@ class TestMissingInputs:
 class TestGlobalFlags:
     @pytest.mark.parametrize("verb", [
         ["submit", "--qasm", "c.qasm", "--shots", "10", "--wait"],
-        ["solve", "--graph", "g.json", "--init", "random", "--out", "params.json"],
+        ["solve", "--graph", "g.json", "--out", "params.json"],
         ["bench", "--sizes", "4", "--densities", "0.5", "--reps", "1", "--out", "bench.csv"],
     ])
     def test_negative_seed_exits_one_before_the_verb_runs(self, tmp_path, capsys,
@@ -646,11 +646,11 @@ class TestRemovedFlags:
         (["compile", "--graph", "g.json", "--out", "c.qasm", "--universe", "3"], "--universe"),
         (["solve", "--graph", "g.json", "--universe", "3"], "--universe"),
         (["result", "ab", "--graph", "g.json", "--universe", "3"], "--universe"),
-        (["solve", "--graph", "g.json", "--init", "interp"], "'interp'"),
+        (["solve", "--graph", "g.json", "--init", "random"], "--init"),
         (["chains", "--beam-width", "64"], "--beam-width"),
         (["solve", "--graph", "g.json", "--optimizer", "grid"], "--optimizer"),
     ], ids=["compile-p", "bmax", "compile-universe", "solve-universe", "result-universe",
-            "init-interp", "beam-width", "optimizer"])
+            "init", "beam-width", "optimizer"])
     def test_removed_flag_exits_two(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exc:
             run(argv)

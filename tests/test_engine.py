@@ -392,7 +392,7 @@ class TestQaoaStateKernel:
         for _ in range(20):
             g = random_graph(rng, 1, 7)
             params = random_qaoa_params(rng, p)
-            kernel = qaoa_state(energy_table(g), params)
+            kernel = qaoa_state(energy_table(g), [params])[0]
             reference = simulate(build_qaoa_circuit(g, params))
             assert np.max(np.abs(kernel - reference)) <= 1e-12  # no phase alignment
 
@@ -457,11 +457,8 @@ class TestOptimize:
 
     def test_zero_graph_returns_init(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 0.0)])
-        init = QaoaParams(gamma=(0.4,), beta=(0.2,))
-        res = optimize(g, p=1, init=init)
+        res = optimize(g, p=1)
         assert res.energy == 0.0
-        assert res.params.gamma == pytest.approx(init.gamma, abs=1e-9)
-        assert res.params.beta == pytest.approx(init.beta, abs=1e-9)
 
     def test_edgeless_zero_graph_has_no_cones_and_zero_energy(self):
         g = WeightGraph(nodes=[(0, 0.0)], edges=[])
@@ -484,12 +481,6 @@ class TestOptimize:
             QaoaParams(gamma=(gm,), beta=(bt,)) for gm in gammas for bt in engine.LINE_BETAS]
         assert res.trace[99][0].gamma == (gammas[-1],)  # the lines deepen with gamma
 
-    def test_start_point_at_depth_two_spends_a_budget_of_one(self, k2_graph):
-        init = QaoaParams(gamma=(0.3, 0.4), beta=(0.2, 0.1))
-        res = optimize(k2_graph, p=2, init=init, max_evals=1)
-        assert res.evaluations == 1 and not res.converged
-        assert res.params == init  # no Nelder-Mead with no evaluation left
-
     @pytest.mark.parametrize("max_evals", [1, 2, 3])
     def test_budget_below_one_line_at_depth_two_raises(self, k2_graph, max_evals):
         with pytest.raises(ValueError, match="no depth-p evaluations"):
@@ -508,9 +499,7 @@ class TestOptimize:
 
     def test_interp_chain_improves_depth_two(self, demo6_graph):
         res1 = optimize(demo6_graph, p=1, method="grid+simplex", seed=1, grid_size=16)
-        res2 = optimize(
-            demo6_graph, p=2, method="grid+simplex", init=None, seed=1, grid_size=16
-        )
+        res2 = optimize(demo6_graph, p=2, method="grid+simplex", seed=1, grid_size=16)
         assert res2.params.p == 2
         assert res2.energy <= res1.energy + 1e-9
 
@@ -567,7 +556,6 @@ class TestOptimize:
         ({"max_evals": float("nan")}, "max_evals"), ({"max_evals": 2.5}, "max_evals"),
         ({"max_evals": True}, "max_evals"),
         ({"p": "2"}, "p"), ({"grid_size": None}, "grid_size"), ({"max_evals": "100"}, "max_evals"),
-        ({"init": "bogus"}, "init"), ({"init": 3}, "init"),
     ])
     def test_rejects_malformed_arguments(self, k2_graph, monkeypatch, kwargs, name):
         import quchain.engine as engine
@@ -600,7 +588,7 @@ def _cone_by_cone(g: WeightGraph, params: QaoaParams) -> float:
             nodes=[(i, fields.get(i, 0.0)) for i in range(cone.subgraph.n)],
             edges=[(pos[s[0]], pos[s[1]], w) for s, w in cone.terms if len(s) == 2],
         )
-        state = qaoa_state(energy_table(cone.subgraph), params)
+        state = qaoa_state(energy_table(cone.subgraph), [params])[0]
         energies.append(float(np.abs(state) ** 2 @ energy_table(terms)))
     return sum(energies)
 

@@ -165,15 +165,6 @@ def test_the_second_lowest_local_minimum_is_searched_too():
     assert res.energy < -6.12 and res.params.gamma[0] > np.pi
 
 
-def test_a_start_point_is_searched_around():
-    # Four lines miss the deeper basin; a start point in it competes with
-    # the scan's local minima, and the line search around it finds -6.13.
-    start = QaoaParams(gamma=(3.0,), beta=(0.7,))
-    assert optimize(TWO_BASINS, p=1, grid_size=4).energy > -5.3
-    res = optimize(TWO_BASINS, p=1, grid_size=4, init=start)
-    assert res.energy < -6.12
-
-
 @pytest.mark.parametrize("max_evals", [1, 2, 3])
 def test_a_budget_without_room_for_one_line_and_its_minimum(k2_graph, max_evals):
     with pytest.raises(ValueError, match="no depth-p evaluations"):

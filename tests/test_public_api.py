@@ -22,7 +22,7 @@ PUBLIC_NAMES = {
     "interp_initialize", "layout_document", "load_calibration", "loads_calibration",
     "loads_graph", "optimize", "optimize_circuit", "parse", "probabilities",
     "process_results", "qubo_from_graph_coloring", "qubo_from_maxcut",
-    "qubo_from_number_partition", "qubo_from_set_packing", "random_params", "read_graph",
+    "qubo_from_number_partition", "qubo_from_set_packing", "read_graph",
     "refresh", "schedule", "search_initial_mapping", "select_subchain",
     "simulate", "simulate_gates", "weight_graph_from_qubo", "write_graph",
 }
