@@ -54,6 +54,16 @@ test "$code" -eq 1
 grep -q 'document must start with' bad.txt
 test ! -e fresh
 
+# A params file with an empty beta list is rejected with exit code 1, located
+# at beta, and no QASM file is written.
+printf '{"gamma": [0.5], "beta": []}\n' > short-beta.json
+code=0
+quchain compile --problem maxcut --graph maxcut6.json --params short-beta.json \
+  --out short-beta.qasm 2> short-beta.txt || code=$?
+test "$code" -eq 1
+grep -q '^error: beta: ' short-beta.txt
+test ! -e short-beta.qasm
+
 # A store as older versions wrote it, counts as a JSON object, still reads.
 mkdir old
 qasm6='OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[6];\nmeasure q[0] -> c[0];\n'

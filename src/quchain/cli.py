@@ -91,8 +91,20 @@ def _add_problem_flags(sub):
     sub.add_argument("--penalty", type=float, default=2.0, help="set-packing penalty")
 
 
+def _count_fault(gamma: list, beta: list) -> tuple[str, str] | None:
+    """The list at fault and why, when ``gamma`` is empty or ``beta`` is not
+    as long as ``gamma``; else None."""
+    if not gamma:
+        return "gamma", "expected at least 1 angle, got 0"
+    if len(beta) != len(gamma):
+        return "beta", f"expected as many angles as gamma ({len(gamma)}), got {len(beta)}"
+    return None
+
+
 def _load_params(args) -> QaoaParams:
-    """Angles from --params or --gamma/--beta."""
+    """Angles from --params or --gamma/--beta.  A wrong angle count raises
+    :class:`ParseError` located at the file's ``gamma`` or ``beta``, or
+    :class:`ConfigError` naming ``--gamma`` or ``--beta``."""
     if args.params:
         with open(args.params, encoding="utf-8") as f:
             doc = json_object(f.read())
@@ -102,12 +114,15 @@ def _load_params(args) -> QaoaParams:
             if not isinstance(values, list):
                 raise ParseError("expected a list of angles", key)
             angles[key] = [real(x, f"{key}[{k}]") for k, x in enumerate(values)]
+        if fault := _count_fault(**angles):
+            raise ParseError(fault[1], fault[0])
         return QaoaParams(**angles)
     if args.gamma and args.beta:
-        return QaoaParams(
-            gamma=_parse_number_list(args.gamma, "--gamma"),
-            beta=_parse_number_list(args.beta, "--beta"),
-        )
+        angles = {"gamma": _parse_number_list(args.gamma, "--gamma"),
+                  "beta": _parse_number_list(args.beta, "--beta")}
+        if fault := _count_fault(**angles):
+            raise ConfigError(f"--{fault[0]}: {fault[1]}")
+        return QaoaParams(**angles)
     raise QuchainError("provide --params FILE or both --gamma and --beta")
 
 

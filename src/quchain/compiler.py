@@ -10,12 +10,14 @@ four-step pattern (i = 0, 1, 2, ...):
 
 Repeating the block brings every pair of initially-placed qubits adjacent in
 exactly one RZZ layer; the full pattern takes 2n-2 cycles for even n and
-2n-1 for odd n.  Because the pattern is fixed, where any two initial
-positions meet, cycle and chain pair, is a pure function of n (the ExeR
-table, which ``Template`` holds beside its layers).  Mapping selection
-searches it so that the last graph edge meets as early as possible, and one
-walk of the template reads every edge's RZZ slot from it and yields the
-scheduled layers as arrays of chain positions and angles.
+2n-1 for odd n.  ``_step`` is the one statement of this rule: a cycle's kind
+and pairs follow from the cycle number alone.  Because the pattern is fixed,
+where any two initial positions meet, cycle and chain pair, is a pure
+function of n (the ExeR table), and so is which initial position each chain
+position holds after each cycle; ``Template`` holds these arrays.  Mapping
+selection searches the table so that the last graph edge meets as early as
+possible, and the schedule reads every edge's RZZ slot from it and yields
+the scheduled layers as arrays of chain positions and angles.
 
 ``compile_graph`` expands those layers, all at once in whole-array steps,
 into native CNOT/RZ gates on the chain's wires, merging an RZZ and a SWAP on
@@ -46,69 +48,66 @@ from .graph import WeightGraph
 from .validate import as_index
 
 
-@dataclass(frozen=True)
-class TemplateLayer:
-    kind: str  # "rzz" | "swap"
-    pairs: tuple[tuple[int, int], ...]
+def _step(cycle: int, n: int) -> tuple[str, np.ndarray]:
+    """Cycle ``cycle`` (1-based) of the four-step pattern on an n-position chain.
+
+    Returns its kind, ``"rzz"`` or ``"swap"``, and the lower ends ``a`` of
+    its chain pairs ``(a, a + 1)``.  The kind and the first pair depend only
+    on (cycle - 1) mod 4: RZZ from 0, RZZ from 1, SWAP from 1, SWAP from 0.
+    """
+    kind, first = (("rzz", 0), ("rzz", 1), ("swap", 1), ("swap", 0))[(cycle - 1) % 4]
+    return kind, np.arange(first, n - 1, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class Template:
-    """The template's layers and where every two initial positions meet.
+    """The template's length and where every two initial positions meet.
 
-    ``table[i, j]`` is the (1-based) cycle and ``where[i, j]`` the lower
-    chain position of the template pair on which positions i and j meet
-    for their RZZ (the ExeR table).  Both arrays are read-only:
+    ``cycles`` is the number of template cycles, whose kinds and pairs
+    ``_step`` gives.  ``table[i, j]`` is the (1-based) cycle and
+    ``where[i, j]`` the lower chain position of the template pair on which
+    positions i and j meet for their RZZ (the ExeR table).  ``order[c, a]``
+    is the initial position that chain position a holds after cycle c
+    (``order[0]`` is the identity).  The arrays are read-only:
     ``build_template`` hands one instance to every caller in the process.
     """
 
     n: int
-    layers: tuple[TemplateLayer, ...]
+    cycles: int
     table: np.ndarray  # (n, n) int64, symmetric, zero diagonal
     where: np.ndarray  # (n, n) int64, symmetric, zero diagonal
+    order: np.ndarray  # (cycles + 1, n) int32, each row a permutation
 
 
 @lru_cache(maxsize=256)
 def build_template(n: int) -> Template:
     """Fixed RZZ/SWAP interleaving for an n-position chain.
 
-    Even n runs n/2 four-step blocks with the two trailing SWAP layers
+    Even n runs n/2 four-step blocks with the two trailing SWAP cycles
     trimmed (they carry no further meetings); odd n runs floor(n/2) blocks
-    plus one closing RZZ layer.  Total cycles: 2n-2 / 2n-1.  One walk of
-    the layers records every meeting.
+    plus one closing RZZ cycle.  Total cycles: 2n-2 / 2n-1.  One walk of
+    the cycles, each a few whole-array steps, records every meeting.
     """
     if n < 2:
         raise ValueError(f"template needs at least 2 positions, got {n}")
-    even_pairs = tuple((i, i + 1) for i in range(0, n - 1, 2))
-    odd_pairs = tuple((i, i + 1) for i in range(1, n - 1, 2))
-    block = (
-        TemplateLayer("rzz", even_pairs),
-        TemplateLayer("rzz", odd_pairs),
-        TemplateLayer("swap", odd_pairs),
-        TemplateLayer("swap", even_pairs),
-    )
-    layers: list[TemplateLayer] = []
-    for _ in range(n // 2):
-        layers.extend(block)
-    if n % 2 == 0:
-        layers = layers[:-2]
-    else:
-        layers.append(TemplateLayer("rzz", even_pairs))
-
+    cycles = 2 * n - 2 + n % 2
     table = np.zeros((n, n), dtype=np.int64)
     where = np.zeros((n, n), dtype=np.int64)
-    item = list(range(n))  # position -> initially-placed index
-    for cycle, layer in enumerate(layers, start=1):
-        for a, b in layer.pairs:
-            i, j = item[a], item[b]
-            if layer.kind == "rzz":
-                table[i, j] = table[j, i] = cycle
-                where[i, j] = where[j, i] = a
-            else:
-                item[a], item[b] = j, i
-    table.setflags(write=False)
-    where.setflags(write=False)
-    return Template(n=n, layers=tuple(layers), table=table, where=where)
+    order = np.empty((cycles + 1, n), dtype=np.int32)
+    order[0] = np.arange(n)
+    for cycle in range(1, cycles + 1):
+        kind, lo = _step(cycle, n)
+        order[cycle] = order[cycle - 1]
+        item = order[cycle]
+        i, j = item[lo], item[lo + 1]
+        if kind == "rzz":
+            table[i, j] = table[j, i] = cycle
+            where[i, j] = where[j, i] = lo
+        else:
+            item[lo], item[lo + 1] = j, i
+    for arr in (table, where, order):
+        arr.setflags(write=False)
+    return Template(n=n, cycles=cycles, table=table, where=where, order=order)
 
 
 def _cost_dtype(n: int):
@@ -206,7 +205,7 @@ def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int
     k = g.n
     start = np.asarray(mapping, dtype=np.intp)
     retained: list[tuple[str, np.ndarray, np.ndarray | None]] = []  # (kind, lows, J)
-    item = np.arange(n)  # chain position -> the initial position it holds
+    moved = start  # where each initial position ends up
     last_rzz = 0
     if g.edges:
         t = build_template(n)
@@ -217,15 +216,14 @@ def _layers(g: WeightGraph, mapping: tuple[int, ...], params: QaoaParams, n: int
         cycles, lows, ws = cycles[order], lows[order], ws[order]
         last_rzz = int(cycles[-1])
         meet = cycles.searchsorted(np.arange(last_rzz + 2)).tolist()  # cycle c: meet[c]:meet[c + 1]
-        for cycle, layer in enumerate(t.layers[:last_rzz], start=1):
+        for cycle in range(1, last_rzz + 1):
+            kind, lo = _step(cycle, n)
             s, e = meet[cycle], meet[cycle + 1]
-            if layer.kind == "swap":
-                lo = np.arange(layer.pairs[0][0], n - 1, 2)  # pairs (a, a + 1), a = lo
+            if kind == "swap":
                 retained.append(("swap", lo, None))
-                item[lo], item[lo + 1] = item[lo + 1], item[lo]
             elif s < e:
                 retained.append(("rzz", lows[s:e], ws[s:e]))
-    moved = np.argsort(item)[start]  # where each initial position ends up
+        moved = np.argsort(t.order[last_rzz])[start]
 
     layers = [("h", start, None)]
     biased = np.array([i for i, w in g.nodes if w != 0.0], dtype=np.intp)

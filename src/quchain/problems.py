@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelError, ParseError
-from .graph import WeightGraph
+from .graph import WEIGHT_LIMIT, WeightGraph
 from .validate import as_index
 
 
@@ -114,7 +114,9 @@ def qubo_from_number_partition(numbers) -> QuboMatrix:
     The objective is ``(sum_i n_i s_i)^2`` with ``s = 2x - 1``; expanded over
     binary variables this gives diagonal ``4 n_i^2 - 4 S n_i``, pair
     coefficient ``8 n_i n_j`` and constant ``S^2`` (stored in ``offset``).
-    The minimum is 0 exactly when a perfect partition exists.
+    The minimum is 0 exactly when a perfect partition exists.  Its Ising
+    graph's sum of |w| plus |offset| is ``S^2``, so numbers whose sum squared
+    nears ``WEIGHT_LIMIT`` raise :class:`ModelError` naming the largest.
     """
     numbers = list(numbers)
     if not numbers:
@@ -124,9 +126,12 @@ def qubo_from_number_partition(numbers) -> QuboMatrix:
             raise ModelError(f"numbers must be positive integers, got {v!r}")
     numbers = [int(v) for v in numbers]
     exact = sum(numbers)
-    if 4 * exact * exact > sys.float_info.max:  # bounds every coefficient and the offset
+    # The Ising graph's sum of |w| plus |offset| is S^2 exactly; its float sum
+    # of about n^2/2 rounded terms stays within (n + 2)^2 eps of S^2.
+    if exact * exact > WEIGHT_LIMIT / (1 + (len(numbers) + 2) ** 2 * sys.float_info.epsilon):
         i = numbers.index(max(numbers))
-        raise ModelError(f"numbers[{i}] is too large: the QUBO coefficients overflow a float")
+        raise ModelError(f"numbers[{i}] is too large: the model's weights sum past "
+                         f"the limit of {WEIGHT_LIMIT:g}")
     n = len(numbers)
     total = float(exact)
     q = np.zeros((n, n))

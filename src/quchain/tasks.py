@@ -463,15 +463,17 @@ def process_results(
     :meth:`WeightGraph.energies` scores; :meth:`WeightGraph.objective` turns
     each energy back into the original problem's value and checks ``sense``.
     Rows are sorted stably by (energy, -count); the first ``top`` rows are
-    flagged as solutions.  A key that is not ``g.n`` characters of 0 and 1,
-    then a count that is not an int in [0, 2**63) (a float, a str, a
-    negative int), raises ``ValueError`` naming the bitstring, before a bad
+    flagged as solutions.  A key that is not a str of ``g.n`` characters of
+    0 and 1, then a count that is not an int in [0, 2**63) (a float, a str,
+    a negative int), raises ``ValueError`` naming the bitstring, before a bad
     ``sense`` does.
     """
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
     keys = list(counts)
     for key in keys:
+        if not isinstance(key, str):
+            raise ValueError(f"bitstring {key!r} is not a str")
         if len(key) != g.n:
             raise ValueError(f"bitstring {key!r} does not cover {g.n} qubits")
     # Each non-ASCII character becomes one b"?", so every key keeps n bytes.

@@ -45,6 +45,36 @@ def exhaustive_best_mapping(
     return tuple(best_map), best_cost
 
 
+def four_step_walk(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain template walked pair by pair from its four-step block.
+
+    The block is RZZ on (0, 1), (2, 3), ...; RZZ on (1, 2), (3, 4), ...;
+    SWAP on (1, 2), (3, 4), ...; SWAP on (0, 1), (2, 3), ....  Even n runs
+    n/2 blocks less the last two SWAP cycles, odd n floor(n/2) blocks and
+    one more RZZ on (0, 1), (2, 3), ....  Returns ``(table, where, order)``
+    as ``Template`` defines them; a pair that meets twice fails an assertion.
+    """
+    even = [(a, a + 1) for a in range(0, n - 1, 2)]
+    odd = [(a, a + 1) for a in range(1, n - 1, 2)]
+    steps = [("rzz", even), ("rzz", odd), ("swap", odd), ("swap", even)] * (n // 2)
+    steps = steps[:-2] if n % 2 == 0 else steps + [("rzz", even)]
+    item = list(range(n))  # chain position -> the initial position it holds
+    table = np.zeros((n, n), dtype=np.int64)
+    where = np.zeros((n, n), dtype=np.int64)
+    order = [list(item)]
+    for cycle, (kind, pairs) in enumerate(steps, start=1):
+        for a, b in pairs:
+            i, j = item[a], item[b]
+            if kind == "rzz":
+                assert table[i, j] == 0, f"positions {i} and {j} meet twice at n={n}"
+                table[i, j] = table[j, i] = cycle
+                where[i, j] = where[j, i] = a
+            else:
+                item[a], item[b] = j, i
+        order.append(list(item))
+    return table, where, np.array(order)
+
+
 def _canonical(path: tuple[int, ...]) -> tuple[int, ...]:
     return path if path[0] <= path[-1] else tuple(reversed(path))
 

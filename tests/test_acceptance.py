@@ -36,7 +36,7 @@ from quchain import (
 from quchain.bench import cell_means, random_weight_graph, run_bench
 
 from conftest import DEMO6_EDGES, random_graph, random_qaoa_params
-from oracles import expectation_full, permute_qubits, states_equal_up_to_phase
+from oracles import expectation_full, four_step_walk, permute_qubits, states_equal_up_to_phase
 
 
 def report(num, label, elapsed, budget):
@@ -48,7 +48,10 @@ def test_criterion_01_template_law():
     t0 = time.perf_counter()
     for n in range(2, 41):
         want = 2 * n - 2 if n % 2 == 0 else 2 * n - 1
-        assert len(build_template(n).layers) == want
+        t = build_template(n)
+        assert t.cycles == want
+        # the last cycle holds a meeting, except n=2's second RZZ, which has no pair
+        assert t.table.max() == (want if n > 2 else 1)
     report(1, "template cycle count is 2n-2 (even) / 2n-1 (odd) for n in [2,40]",
            time.perf_counter() - t0, 1.0)
 
@@ -56,18 +59,9 @@ def test_criterion_01_template_law():
 def test_criterion_02_pair_completeness():
     t0 = time.perf_counter()
     for n in range(2, 13):
-        item = list(range(n))
-        met = set()
-        for layer in build_template(n).layers:
-            if layer.kind == "rzz":
-                for a, b in layer.pairs:
-                    pair = (min(item[a], item[b]), max(item[a], item[b]))
-                    assert pair not in met, f"pair {pair} met twice at n={n}"
-                    met.add(pair)
-            else:
-                for a, b in layer.pairs:
-                    item[a], item[b] = item[b], item[a]
-        assert len(met) == n * (n - 1) // 2
+        table, _, _ = four_step_walk(n)  # asserts that no pair meets twice
+        assert (table + np.eye(n, dtype=int) > 0).all(), f"a pair never meets at n={n}"
+        assert (build_template(n).table == table).all()
     report(2, "template RZZ layers enumerate each pair exactly once (n <= 12)",
            time.perf_counter() - t0, 1.0)
 

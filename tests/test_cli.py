@@ -263,6 +263,48 @@ class TestCompile:
         assert code == 1
         assert f"error: {location}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"gamma": [], "beta": []}, "gamma: expected at least 1 angle, got 0"),
+            ({"gamma": [], "beta": [1.21]}, "gamma: expected at least 1 angle, got 0"),
+            ({"gamma": [0.65, 0.7], "beta": [1.21]},
+             "beta: expected as many angles as gamma (2), got 1"),
+            ({"gamma": [0.65], "beta": []}, "beta: expected as many angles as gamma (1), got 0"),
+            ({"gamma": [0.65], "beta": [1.21, 1.2]},
+             "beta: expected as many angles as gamma (1), got 2"),
+        ],
+        ids=["both-empty", "gamma-empty", "beta-short", "beta-empty", "beta-long"],
+    )
+    def test_params_file_angle_counts_are_located(self, demo6_file, tmp_path, capsys, doc,
+                                                  message):
+        params = tmp_path / "bad.json"
+        params.write_text(json.dumps(doc))
+        code = run(
+            ["compile", "--problem", "maxcut", "--graph", demo6_file,
+             "--params", str(params), "--out", str(tmp_path / "c.qasm")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.qasm").exists()
+
+    @pytest.mark.parametrize(
+        "gamma, beta, message",
+        [
+            (",", ",", "--gamma: expected at least 1 angle, got 0"),
+            (",", "0.3", "--gamma: expected at least 1 angle, got 0"),
+            ("0.5", ",", "--beta: expected as many angles as gamma (1), got 0"),
+            ("0.5,0.4", "0.3", "--beta: expected as many angles as gamma (2), got 1"),
+        ],
+        ids=["both-empty", "gamma-empty", "beta-empty", "beta-short"],
+    )
+    def test_angle_flag_counts_name_the_flag(self, demo6_file, tmp_path, capsys, gamma, beta,
+                                             message):
+        code = self._compile_with_flags(demo6_file, tmp_path, "--gamma", gamma, "--beta", beta)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.qasm").exists()
+
     def _compile_with_flags(self, demo6_file, tmp_path, *flags) -> int:
         return run(
             ["compile", "--problem", "maxcut", "--graph", demo6_file,

@@ -28,7 +28,9 @@ from quchain import compiler
 from quchain.bench import random_weight_graph
 
 from conftest import random_graph, random_qaoa_params
-from oracles import exhaustive_best_mapping, permute_qubits, states_equal_up_to_phase
+from oracles import (
+    exhaustive_best_mapping, four_step_walk, permute_qubits, states_equal_up_to_phase,
+)
 
 # seed -> digest of ``schedule`` on a seeded graph with fields, a chain of
 # g.n to g.n + 3 positions and a shuffled mapping (see TestSchedule)
@@ -52,39 +54,25 @@ WIDE_SCHEDULES = {
 }
 
 
-def rzz_meetings(template):
-    """Independent re-simulation of the pattern: pair -> (1-based cycle,
-    lower chain position of the template pair it meets on)."""
-    item = list(range(template.n))
-    met = {}
-    for cycle, layer in enumerate(template.layers, start=1):
-        if layer.kind == "rzz":
-            for a, b in layer.pairs:
-                key = (min(item[a], item[b]), max(item[a], item[b]))
-                assert key not in met, f"pair {key} met twice"
-                met[key] = (cycle, min(a, b))
-        else:
-            for a, b in layer.pairs:
-                item[a], item[b] = item[b], item[a]
-    return met
-
-
 class TestTemplate:
     def test_layer_counts_small(self):
-        t5 = build_template(5)
-        assert len(t5.layers) == 9
-        assert sum(1 for l in t5.layers if l.kind == "rzz") == 5
-        assert sum(1 for l in t5.layers if l.kind == "swap") == 4
-        t6 = build_template(6)
-        assert len(t6.layers) == 10
-        assert sum(1 for l in t6.layers if l.kind == "rzz") == 6
-        assert sum(1 for l in t6.layers if l.kind == "swap") == 4
+        for n, rzz, swap in ((5, 5, 4), (6, 6, 4)):
+            t = build_template(n)
+            assert t.cycles == rzz + swap
+            kinds = [compiler._step(c, n)[0] for c in range(1, t.cycles + 1)]
+            assert kinds.count("rzz") == rzz and kinds.count("swap") == swap
+            # every RZZ cycle holds a meeting, and only SWAP cycles move positions
+            met = {c for c, kind in enumerate(kinds, start=1) if kind == "rzz"}
+            assert set(np.unique(t.table).tolist()) == {0} | met
+            moved = {c for c in range(1, t.cycles + 1) if (t.order[c] != t.order[c - 1]).any()}
+            assert moved == set(range(1, t.cycles + 1)) - met
 
     def test_n2_single_meeting(self):
         t = build_template(2)
-        assert len(t.layers) == 2  # second rzz cycle is structurally empty
-        assert sum(1 for l in t.layers if l.kind == "swap" and l.pairs) == 0
-        assert sum(1 for l in t.layers if l.kind == "rzz" and l.pairs) == 1
+        assert t.cycles == 2
+        assert len(compiler._step(2, 2)[1]) == 0  # second rzz cycle is structurally empty
+        assert (t.order == [0, 1]).all()  # no SWAP moves a position
+        assert t.table.tolist() == [[0, 1], [1, 0]]  # the one pair meets in cycle 1
 
     def test_rejects_single_position(self):
         with pytest.raises(ValueError):
@@ -92,13 +80,16 @@ class TestTemplate:
 
     def test_pair_completeness(self):
         for n in range(2, 13):
-            met = rzz_meetings(build_template(n))
-            assert len(met) == n * (n - 1) // 2
+            table, _, _ = four_step_walk(n)  # asserts no pair meets twice
+            assert (table + np.eye(n, dtype=int) > 0).all()  # and every pair meets
+            assert (build_template(n).table == table).all()
 
     def test_four_step_structure(self):
         t = build_template(6)
-        kinds = [l.kind for l in t.layers]
-        assert kinds == ["rzz", "rzz", "swap", "swap"] * 2 + ["rzz", "rzz"]
+        steps = [compiler._step(c, 6) for c in range(1, t.cycles + 1)]
+        assert [kind for kind, _ in steps] == ["rzz", "rzz", "swap", "swap"] * 2 + ["rzz", "rzz"]
+        assert [lo.tolist() for _, lo in steps[:4]] == [[0, 2, 4], [1, 3], [1, 3], [0, 2, 4]]
+        assert all((lo == steps[c % 4][1]).all() for c, (_, lo) in enumerate(steps))
 
 
 class TestExeRTable:
@@ -116,7 +107,7 @@ class TestExeRTable:
     def test_symmetry_and_range(self):
         for n in (3, 6, 9):
             ex = build_template(n)
-            bound = len(build_template(n).layers)
+            bound = ex.cycles
             for a in range(n):
                 for b in range(n):
                     if a == b:
@@ -125,22 +116,25 @@ class TestExeRTable:
                     assert 1 <= ex.table[a, b] <= bound
 
     def test_matches_independent_simulation(self):
-        for n in range(2, 13):
-            met = rzz_meetings(build_template(n))
+        for n in range(2, 41):
+            table, where, order = four_step_walk(n)
             ex = build_template(n)
+            assert ex.n == n and ex.cycles == len(order) - 1
             assert (ex.where == ex.where.T).all()
-            for (a, b), (cycle, pos) in met.items():
-                assert ex.table[a, b] == cycle
-                assert ex.where[a, b] == pos
+            for got, want in ((ex.table, table), (ex.where, where), (ex.order, order)):
+                assert got.shape == want.shape and (got == want).all(), n
+            assert ex.order.dtype == np.int32
 
     def test_cached_arrays_are_read_only(self):
-        ex = build_template(3)
-        for arr in (ex.table, ex.where):
-            with pytest.raises(ValueError):
-                arr[0, 2] = 1
+        for n in range(2, 41):
+            ex = build_template(n)
+            for arr in (ex.table, ex.where, ex.order):
+                with pytest.raises(ValueError):
+                    arr[0, 1] = 1
         g = WeightGraph(nodes=[(i, 0.0) for i in range(3)], edges=[(0, 2, 1.0)])
         sched = schedule(g, (0, 1, 2), QaoaParams(gamma=(0.3,), beta=(0.2,)))
-        cycle, pos = rzz_meetings(build_template(3))[0, 2]
+        table, where, _ = four_step_walk(3)
+        cycle, pos = table[0, 2], where[0, 2]
         assert sched.cost_cycles == cycle == 5  # p=1: the last RZZ cycle
         rzz = [gt for layer in sched.layers for gt in layer if gt.kind == "rzz"]
         assert [gt.qubits for gt in rzz] == [(pos, pos + 1)]
@@ -170,7 +164,7 @@ class TestMappingSearch:
             _, found = search_initial_mapping(g, n)
             assert found == costs.pop() == int(exer.max())
             if n >= 3:
-                assert found == len(build_template(n).layers)
+                assert found == build_template(n).cycles
 
     def test_single_edge_identity(self):
         g = WeightGraph(nodes=[(0, 0.0), (1, 0.0)], edges=[(0, 1, 1.0)])

@@ -813,6 +813,13 @@ class TestRankingDifferential:
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             process_results({"01": 1, key: 1}, k2_graph)
 
+    @pytest.mark.parametrize("key", [1, b"01", None, ("0", "1")],
+                             ids=["int", "bytes", "none", "tuple"])
+    def test_keys_must_be_str(self, k2_graph, key):
+        message = f"bitstring {key!r} is not a str"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            process_results({"01": 1, key: 1}, k2_graph)
+
     @pytest.mark.parametrize("count", [2.7, "3", -3, 2**63],
                              ids=["float", "str", "negative", "past-int64"])
     def test_counts_must_be_non_negative_ints(self, k2_graph, count):

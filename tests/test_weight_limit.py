@@ -21,7 +21,9 @@ from quchain import (
     optimize,
     process_results,
     qubo_from_maxcut,
+    qubo_from_number_partition,
     schedule,
+    weight_graph_from_qubo,
 )
 from quchain.cli import main
 from quchain.graph import WEIGHT_LIMIT
@@ -63,6 +65,39 @@ class TestWeightLimit:
     def test_builders_raise_a_located_model_error(self):
         with pytest.raises(ModelError, match=r"^edges\[1\].w: weights sum past the limit"):
             qubo_from_maxcut([(0, 1, 1.0), (1, 2, 1e308)])
+
+    @pytest.mark.parametrize("numbers, i", [
+        ([10**150, 3], 0), ([3, 10**150], 1), ([2, 10**149, 9 * 10**149, 7], 2),
+        ([10**146] * 10**4 + [1], 0),
+    ], ids=["first", "second", "four", "many"])
+    def test_partition_past_the_limit_names_the_number(self, numbers, i):
+        with pytest.raises(ModelError, match=rf"^numbers\[{i}\] is too large: .* 1e\+300$"):
+            qubo_from_number_partition(numbers)
+
+    @pytest.mark.parametrize("shape", [
+        [1, 1], [1, 2], [1, 1, 1], [5, 3, 2, 1], [1] * 8, [1000, 1, 1, 1, 1], [3, 1, 4, 1, 5, 9, 2, 6],
+    ], ids=lambda shape: "-".join(map(str, shape)))
+    def test_partition_at_the_edge_builds_its_graph(self, shape):
+        # The largest sum the builder accepts for numbers in these proportions.
+        def split(total):
+            parts = [total * x // sum(shape) for x in shape[1:]]
+            return [total - sum(parts), *parts]
+
+        lo, hi = sum(shape), 10**151
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                qubo_from_number_partition(split(mid))
+                lo = mid
+            except ModelError:
+                hi = mid
+        assert 0.99 * WEIGHT_LIMIT < lo * lo <= WEIGHT_LIMIT
+        for total in (lo, lo - 1, lo - 12345):
+            g = weight_graph_from_qubo(qubo_from_number_partition(split(total)))
+            weights = [w for _, w in g.nodes] + [w for *_, w in g.edges] + [g.offset]
+            assert sum(map(abs, weights)) == pytest.approx(total * total, rel=1e-12)
+        with pytest.raises(ModelError, match=r"too large"):
+            qubo_from_number_partition(split(hi))
 
     @pytest.mark.parametrize("node_w, edges, offset", [
         ((0.0, 0.0), [(0, 1, 1e300)], 0.0),
