@@ -64,6 +64,31 @@ test "$code" -eq 1
 grep -q '^error: beta: ' short-beta.txt
 test ! -e short-beta.qasm
 
+# A params file whose gamma holds a bool is rejected with exit code 1, located
+# at the angle, and no QASM file is written.
+printf '{"gamma": [0.1, true], "beta": [0.3, 0.2]}\n' > bool-gamma.json
+code=0
+quchain compile --problem maxcut --graph maxcut6.json --params bool-gamma.json \
+  --out bool-gamma.qasm 2> bool-gamma.txt || code=$?
+test "$code" -eq 1
+grep -q '^error: gamma\[1\]: expected a real number' bool-gamma.txt
+test ! -e bool-gamma.qasm
+
+# A calibration whose coupler fidelity is 1.5 is rejected with exit code 1,
+# located at the coupler's f2q, and no output file is written.
+cat > f2q-above-one.json <<'JSON'
+{
+  "qubits": [{"id": 0, "t1_us": 50, "t2_us": 40, "f1q": 0.99},
+             {"id": 1, "t1_us": 60, "t2_us": 30, "f1q": 0.98}],
+  "couplers": [{"a": 0, "b": 1, "f2q": 1.5}]
+}
+JSON
+code=0
+quchain --calib f2q-above-one.json chains > f2q-above-one.out 2> f2q-above-one.txt || code=$?
+test "$code" -eq 1
+grep -q '^error: couplers\[0\]\.f2q: ' f2q-above-one.txt
+test ! -s f2q-above-one.out
+
 # A store as older versions wrote it, counts as a JSON object, still reads.
 mkdir old
 qasm6='OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[6];\nmeasure q[0] -> c[0];\n'

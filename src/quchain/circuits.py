@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParseError
 from .graph import WeightGraph
-from .validate import as_index
+from .validate import as_index, is_real, real
 
 #: Gate kind codes of ``PhysicalCircuit``'s ``kind`` array.  A physical
 #: circuit holds the first four; the others name a rejected kind.
@@ -203,21 +204,43 @@ class PhysicalCircuit:
         return max(front.values(), default=0)
 
 
+class _AngleError(ParseError, ValueError):
+    """A fault in QAOA angles, located at ``gamma`` or ``beta`` (not a list,
+    or a wrong count) or at the angle ``gamma[k]`` or ``beta[k]``: a params
+    document's entry, or the position in the constructor's sequence."""
+
+
 @dataclass(frozen=True)
 class QaoaParams:
-    """Variational angles, one (gamma, beta) pair per layer, all finite."""
+    """Variational angles, one (gamma, beta) pair per layer.
+
+    Each of ``gamma`` and ``beta`` must be a list, a tuple or a 1-D array of
+    finite reals (:func:`~quchain.validate.is_real`; strings and bools
+    fail), stored as a tuple of floats, and they must hold the same number
+    of angles, at least one.  This is the one judge of angles: the first
+    fault, in the order gamma, beta, their counts, raises a
+    :class:`ValueError` that is also a :class:`ParseError` located at
+    ``gamma[k]`` or ``beta[k]``, or at ``gamma`` or ``beta`` for a value that
+    is not a list or a wrong count.
+    """
 
     gamma: tuple[float, ...]
     beta: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.gamma) != len(self.beta) or not self.gamma:
-            raise ValueError("gamma and beta must have equal, nonzero length")
         for name in ("gamma", "beta"):
-            angles = tuple(float(x) for x in getattr(self, name))
-            if not all(map(math.isfinite, angles)):
-                raise ValueError(f"{name} angles must be finite, got {angles}")
-            object.__setattr__(self, name, angles)
+            values = getattr(self, name)
+            if getattr(values, "ndim", 1) != 1 or not isinstance(values, (tuple, list, np.ndarray)):
+                raise _AngleError("expected a list of angles", name)
+            for k, x in enumerate(values):
+                if not is_real(x):
+                    real(x, f"{name}[{k}]", _AngleError)  # raises
+            object.__setattr__(self, name, tuple(map(float, values)))
+        if not self.gamma:
+            raise _AngleError("expected at least 1 angle, got 0", "gamma")
+        if len(self.beta) != self.p:
+            raise _AngleError(f"expected as many angles as gamma ({self.p}), got {len(self.beta)}",
+                              "beta")
 
     @property
     def p(self) -> int:
@@ -228,7 +251,7 @@ class QaoaParams:
 
     @classmethod
     def from_flat(cls, values) -> "QaoaParams":
-        values = tuple(float(v) for v in values)
+        values = tuple(values)
         half = len(values) // 2
         return cls(gamma=values[:half], beta=values[half:])
 

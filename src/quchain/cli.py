@@ -25,7 +25,7 @@ from .problems import (
 )
 from .qasm import emit
 from .tasks import TaskService, _queued, process_results
-from .validate import json_object, real, required
+from .validate import json_object, required
 
 PALETTE = [
     "lightblue", "salmon", "palegreen", "khaki", "plum", "lightgray",
@@ -91,38 +91,21 @@ def _add_problem_flags(sub):
     sub.add_argument("--penalty", type=float, default=2.0, help="set-packing penalty")
 
 
-def _count_fault(gamma: list, beta: list) -> tuple[str, str] | None:
-    """The list at fault and why, when ``gamma`` is empty or ``beta`` is not
-    as long as ``gamma``; else None."""
-    if not gamma:
-        return "gamma", "expected at least 1 angle, got 0"
-    if len(beta) != len(gamma):
-        return "beta", f"expected as many angles as gamma ({len(gamma)}), got {len(beta)}"
-    return None
-
-
 def _load_params(args) -> QaoaParams:
-    """Angles from --params or --gamma/--beta.  A wrong angle count raises
-    :class:`ParseError` located at the file's ``gamma`` or ``beta``, or
-    :class:`ConfigError` naming ``--gamma`` or ``--beta``."""
+    """Angles from --params or --gamma/--beta, judged by :class:`QaoaParams`:
+    a fault in a file raises its :class:`ParseError` located at ``gamma``,
+    ``beta`` or one angle, and a wrong flag count a :class:`ConfigError`
+    naming ``--gamma`` or ``--beta``."""
     if args.params:
         with open(args.params, encoding="utf-8") as f:
             doc = json_object(f.read())
-        angles = {}
-        for key in ("gamma", "beta"):
-            values = required(doc, key, "$")
-            if not isinstance(values, list):
-                raise ParseError("expected a list of angles", key)
-            angles[key] = [real(x, f"{key}[{k}]") for k, x in enumerate(values)]
-        if fault := _count_fault(**angles):
-            raise ParseError(fault[1], fault[0])
-        return QaoaParams(**angles)
+        return QaoaParams(gamma=required(doc, "gamma", "$"), beta=required(doc, "beta", "$"))
     if args.gamma and args.beta:
-        angles = {"gamma": _parse_number_list(args.gamma, "--gamma"),
-                  "beta": _parse_number_list(args.beta, "--beta")}
-        if fault := _count_fault(**angles):
-            raise ConfigError(f"--{fault[0]}: {fault[1]}")
-        return QaoaParams(**angles)
+        try:
+            return QaoaParams(gamma=_parse_number_list(args.gamma, "--gamma"),
+                              beta=_parse_number_list(args.beta, "--beta"))
+        except ParseError as exc:
+            raise ConfigError(f"--{exc}") from None
     raise QuchainError("provide --params FILE or both --gamma and --beta")
 
 

@@ -7,7 +7,9 @@ search builds it: a sweep that keeps the best path per (vertex set, endpoint
 pair) state, exhaustive on small chips and cut to the best states per length
 on large ones, rerun from scratch on every calibration refresh.
 Single-qubit fidelity and T1/T2 are parsed and validated but enter neither
-the ranking nor any output.
+the ranking nor any output.  :class:`ChipModel` is the one judge of a chip's
+values and structure, so a chip built in code is checked as a calibration
+document is; :func:`loads_calibration` only decodes the rows.
 """
 
 from __future__ import annotations
@@ -34,23 +36,51 @@ class Coupler:
     f2q: float
 
 
+def _fidelity(value, where: str) -> float:
+    f = real(value, where)
+    if not 0.0 <= f <= 1.0:
+        raise ParseError(f"fidelity {f} outside [0, 1]", where)
+    return f
+
+
 @dataclass(frozen=True, eq=False)
 class ChipModel:
+    """A chip's qubits and couplers, judged on construction.
+
+    Every row's values come first, qubits then couplers, row by row in field
+    order: a qubit id must be a non-negative int below ``WIRE_LIMIT``
+    (bools fail), T1 and T2 finite reals, ``f1q`` and ``f2q`` reals in
+    [0, 1], and a coupler endpoint an int.  Then the structure: a duplicate
+    qubit id, and for each coupler an endpoint that is not a declared qubit,
+    equal endpoints and a duplicate coupler.  The first fault raises
+    :class:`ParseError` located as in a calibration document
+    (``qubits[k].id``, ``couplers[k].f2q``, ``qubits``, ...).  This is the
+    one judge of a chip; :func:`loads_calibration` only decodes rows.
+    """
+
     qubits: tuple[Qubit, ...]
     couplers: tuple[Coupler, ...]
 
     def __post_init__(self):
+        for k, q in enumerate(self.qubits):
+            where = f"qubits[{k}]."
+            if as_index(integer(q.id, where + "id"), WIRE_LIMIT) is None:
+                raise ParseError(f"qubit id must be a non-negative int below {WIRE_LIMIT}, "
+                                 f"got {q.id}", where + "id")
+            for name, judge in (("t1_us", real), ("t2_us", real), ("f1q", _fidelity)):
+                judge(getattr(q, name), where + name)
+        for k, c in enumerate(self.couplers):
+            for name, judge in (("a", integer), ("b", integer), ("f2q", _fidelity)):
+                judge(getattr(c, name), f"couplers[{k}].{name}")
         ids = [q.id for q in self.qubits]
-        if len(set(ids)) != len(ids):
+        if len(known := set(ids)) != len(ids):
             raise ParseError("duplicate qubit id", "qubits")
-        known = set(ids)
         seen = set()
         for k, c in enumerate(self.couplers):
             where = f"couplers[{k}]"
-            if c.a not in known:
-                raise ParseError(f"endpoint {c.a} is not a declared qubit", where + ".a")
-            if c.b not in known:
-                raise ParseError(f"endpoint {c.b} is not a declared qubit", where + ".b")
+            for end, x in (("a", c.a), ("b", c.b)):
+                if x not in known:
+                    raise ParseError(f"endpoint {x} is not a declared qubit", f"{where}.{end}")
             if c.a == c.b:
                 raise ParseError("coupler endpoints must differ", where)
             key = (min(c.a, c.b), max(c.a, c.b))
@@ -70,32 +100,19 @@ class ChipModel:
         return adj
 
 
-def _fidelity(value, where: str) -> float:
-    f = real(value, where)
-    if not 0.0 <= f <= 1.0:
-        raise ParseError(f"fidelity {f} outside [0, 1]", where)
-    return f
-
-
-def _qubit_id(value, where: str) -> int:
-    if as_index(integer(value, where), WIRE_LIMIT) is None:
-        raise ParseError(f"qubit id must be a non-negative int below {WIRE_LIMIT}, got {value}",
-                         where)
-    return value
-
-
 def loads_calibration(text: str) -> ChipModel:
     """Parse a calibration document; errors carry the offending field path.
 
+    The rows are only decoded here (ids and endpoints as integers, the rest
+    as reals); :class:`ChipModel` judges their values and the structure.
     Fields beyond the ones read here are ignored, and ``couplers`` may be
     left out.
     """
     doc = json_object(text)
     qubits = records(required(doc, "qubits", "$"), "qubits",
-                     {"id": _qubit_id, "t1_us": real, "t2_us": real, "f1q": _fidelity},
-                     nonempty=True)
+                     {"id": integer, "t1_us": real, "t2_us": real, "f1q": real}, nonempty=True)
     couplers = records(doc.get("couplers", []), "couplers",
-                       {"a": integer, "b": integer, "f2q": _fidelity})
+                       {"a": integer, "b": integer, "f2q": real})
     return ChipModel(qubits=tuple(Qubit(*row) for row in qubits),
                      couplers=tuple(Coupler(*row) for row in couplers))
 
@@ -191,8 +208,12 @@ def build_subchain_library(chip: ChipModel, max_len: int | None = None) -> Subch
     On chips of at most :data:`EXACT_SEARCH_LIMIT` qubits every state is
     extended, so the head of every entry is the true fidelity argmax; on
     larger chips only the stored states are, which scales but may miss the
-    optimum.  Lengths the sweep cannot reach map to empty lists.
+    optimum.  Lengths the sweep cannot reach map to empty lists.  A chip of
+    fewer than 2 qubits holds no chain and raises :class:`CapacityError`.
     """
+    if chip.n < 2:
+        raise CapacityError(f"the chip has {chip.n} qubit{'' if chip.n == 1 else 's'}; "
+                            "a chain needs at least 2")
     requested = chip.n if max_len is None else max_len
     if requested > chip.n:
         raise ConfigError(f"max_len {requested} exceeds the {chip.n}-qubit chip")

@@ -205,10 +205,15 @@ def weight_graph_from_qubo(qubo: QuboMatrix) -> WeightGraph:
     column sums of ``J`` become node weights (zero-weight nodes retained),
     and ``offset = qubo.offset + tr(Q)/2 + sum(J)``.  Then
     ``energy(2x - 1) + offset == qubo.value(x)`` for every binary ``x``.
+    A bias within the rounding of the terms summed into it, |h_i| at most
+    ``4 n eps`` times the sum of their magnitudes, is set to 0.0: it is
+    exactly 0 in a number partition, whose terms cancel.
     """
     q = qubo.q
     j = np.triu(q + q.T, 1) / 4.0
     h = np.diag(q) / 2.0 + j.sum(axis=0) + j.sum(axis=1)
+    scale = np.abs(np.diag(q)) / 2.0 + np.abs(j).sum(axis=0) + np.abs(j).sum(axis=1)
+    h[np.abs(h) <= 4 * len(h) * sys.float_info.epsilon * scale] = 0.0
     offset = qubo.offset + np.trace(q) / 2.0 + j.sum()
     u, v = np.nonzero(j)
     return WeightGraph(

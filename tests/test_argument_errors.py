@@ -57,9 +57,33 @@ class TestCircuits:
         _raises(ValueError, "cnot takes 2 qubits, got (0,)", Gate, "cnot", (0,))
 
     def test_qaoa_params_lengths(self):
-        _raises(ValueError, "gamma and beta must have equal, nonzero length",
+        _raises(ValueError, "beta: expected as many angles as gamma (2), got 1",
                 QaoaParams, gamma=(0.1, 0.2), beta=(0.3,))
-        _raises(ValueError, "gamma and beta must have equal, nonzero length", QaoaParams, (), ())
+        _raises(ValueError, "gamma: expected at least 1 angle, got 0", QaoaParams, (), ())
+
+    @pytest.mark.parametrize("gamma, beta, location, message", [
+        ("12", "34", "gamma", "expected a list of angles"),
+        ((0.5,), "3", "beta", "expected a list of angles"),
+        (("0.5",), (0.3,), "gamma[0]", "expected a real number, got '0.5'"),
+        ((0.5, True), (0.3, 0.2), "gamma[1]", "expected a real number, got True"),
+        (None, (0.3,), "gamma", "expected a list of angles"),
+        ((0.5,), 0.3, "beta", "expected a list of angles"),
+        ((10**400,), (0.3,), "gamma[0]", f"expected a finite number, got {10**400}"),
+        ((0.5,), (1j,), "beta[0]", "expected a real number, got 1j"),
+        (np.array([[0.5]]), (0.3,), "gamma", "expected a list of angles"),
+        (np.float64(0.5), (0.3,), "gamma", "expected a list of angles"),
+    ], ids=["str", "beta-str", "str-angle", "bool-angle", "none", "scalar", "huge-int",
+            "complex", "2-d-array", "0-d-array"])
+    def test_qaoa_params_faults_are_located(self, gamma, beta, location, message):
+        with pytest.raises(ValueError) as err:
+            QaoaParams(gamma=gamma, beta=beta)
+        assert isinstance(err.value, ParseError) and err.value.location == location
+        assert str(err.value) == f"{location}: {message}"
+
+    def test_qaoa_params_take_1d_arrays(self):
+        params = QaoaParams(gamma=np.array([0.5, 0.25]), beta=np.array([1, 2]))
+        assert params == QaoaParams(gamma=(0.5, 0.25), beta=(1.0, 2.0))
+        assert all(type(x) is float for x in params.flat())
 
 
 class TestCompiler:
@@ -157,6 +181,27 @@ class TestHardware:
     def test_path_fidelity_needs_couplers(self):
         assert path_fidelity(self.CHIP, (0, 1, 2)) == pytest.approx(0.98 * 0.97)
         _raises(ValueError, "(0,2) is not a coupler", path_fidelity, self.CHIP, (0, 2))
+
+    @pytest.mark.parametrize("qubit, coupler, location, message", [
+        ({}, {"f2q": math.nan}, "couplers[0].f2q", "expected a finite number, got nan"),
+        ({}, {"f2q": 1.5}, "couplers[0].f2q", "fidelity 1.5 outside [0, 1]"),
+        ({}, {"f2q": "0.9"}, "couplers[0].f2q", "expected a real number, got '0.9'"),
+        ({"f1q": 2}, {}, "qubits[0].f1q", "fidelity 2.0 outside [0, 1]"),
+        ({"t1_us": math.nan}, {}, "qubits[0].t1_us", "expected a finite number, got nan"),
+        ({"t2_us": math.inf}, {}, "qubits[0].t2_us", "expected a finite number, got inf"),
+        ({"id": -1}, {}, "qubits[0].id",
+         "qubit id must be a non-negative int below 1073741824, got -1"),
+        ({"id": True}, {}, "qubits[0].id", "expected an integer, got True"),
+        ({"id": "0"}, {}, "qubits[0].id", "expected an integer, got '0'"),
+        ({}, {"b": 1.0}, "couplers[0].b", "expected an integer, got 1.0"),
+    ], ids=["f2q-nan", "f2q-above-one", "f2q-str", "f1q-above-one", "t1-nan", "t2-inf",
+            "id-negative", "id-bool", "id-str", "endpoint-float"])
+    def test_chip_built_in_code_is_judged(self, qubit, coupler, location, message):
+        fields = {"id": 0, "t1_us": 30.0, "t2_us": 3.0, "f1q": 0.999}
+        with pytest.raises(ParseError) as err:
+            ChipModel(qubits=(Qubit(**{**fields, **qubit}), Qubit(1, 30.0, 3.0, 0.999)),
+                      couplers=(Coupler(**{"a": 0, "b": 1, "f2q": 0.98, **coupler}),))
+        assert err.value.location == location and str(err.value) == f"{location}: {message}"
 
     def test_library_and_selection_lengths(self):
         _raises(ConfigError, "max_len must be at least 2", build_subchain_library, self.CHIP, 1)

@@ -45,6 +45,12 @@ def run(args) -> int:
     return main(args)
 
 
+def one_qubit_calibration(tmp_path) -> str:
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"qubits": [{"id": 0, "t1_us": 50, "t2_us": 40, "f1q": 0.99}]}))
+    return str(path)
+
+
 class TestSolve:
     def test_maxcut_reports_negative_energy(self, demo6_file, tmp_path, capsys):
         out = tmp_path / "params.json"
@@ -225,6 +231,17 @@ class TestCompile:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", [1, 6])
+    def test_one_qubit_chip_names_its_size(self, tmp_path, capsys, nodes):
+        graph = tmp_path / "g.json"
+        write_graph(WeightGraph(nodes=[(i, 1.0) for i in range(nodes)]), graph)
+        qasm = tmp_path / "c.qasm"
+        code = run(["--calib", one_qubit_calibration(tmp_path), "compile", "--graph", str(graph),
+                    "--gamma", "0.5", "--beta", "0.3", "--out", str(qasm)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the chip has 1 qubit; a chain needs at least 2\n"
+        assert not qasm.exists()
 
     def test_even_depth_layout_equals_initial_mapping(self, demo6_file, tmp_path):
         qasm_out = tmp_path / "c2.qasm"
@@ -790,6 +807,12 @@ class TestChains:
             "k=3: 1-0-2 (0.810000), 1-0-3 (0.810000), 2-0-3 (0.810000)",
             "k=4: (none)",
         ]
+
+    @pytest.mark.parametrize("max_len", [[], ["--max-len", "2"]], ids=["whole-chip", "max-len"])
+    def test_one_qubit_chip_names_its_size(self, tmp_path, capsys, max_len):
+        code = run(["--calib", one_qubit_calibration(tmp_path), "chains", *max_len])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: the chip has 1 qubit; a chain needs at least 2\n")
 
     def test_requires_calibration(self, capsys):
         code = run(["chains"])

@@ -572,7 +572,8 @@ class TestOptimize:
         ((0.2, float("-inf")), (0.1, 0.3), "gamma"),
     ])
     def test_params_reject_non_finite_angles(self, gamma, beta, name):
-        with pytest.raises(ValueError, match=f"^{name} angles must be finite"):
+        k = len(gamma) - 1  # the bad angle is last, and gamma and beta are as long
+        with pytest.raises(ValueError, match=rf"^{name}\[{k}\]: expected a finite number"):
             QaoaParams(gamma=gamma, beta=beta)
 
 

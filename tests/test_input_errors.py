@@ -9,7 +9,16 @@ import json
 
 import pytest
 
-from quchain import ParseError, WeightGraph, loads_calibration, loads_graph, parse
+from quchain import (
+    ChipModel,
+    Coupler,
+    ParseError,
+    Qubit,
+    WeightGraph,
+    loads_calibration,
+    loads_graph,
+    parse,
+)
 
 LONG = "9" * 5000  # past Python's integer-conversion digit limit
 
@@ -313,7 +322,7 @@ CALIBRATION_CASES = {
 # Documents with two faults, and the one reported.
 CALIBRATION_ORDER_CASES = {
     "bad-qubit-row-and-bad-couplers": (calibration(qubits=qubit(f1q=2), couplers=5),
-                                       "fidelity 2.0 outside [0, 1]", "qubits[0].f1q"),
+                                       "couplers must be a list", "couplers"),
     "undeclared-a-and-bad-f2q": (calibration(couplers=coupler(a=9, f2q=2)),
                                  "fidelity 2.0 outside [0, 1]", "couplers[0].f2q"),
     "duplicate-qubit-and-bad-coupler-row": (calibration(qubits=[QUBITS[0], QUBITS[0]],
@@ -332,6 +341,39 @@ def test_calibration_error_is_located(text, message, location):
                          ids=CALIBRATION_ORDER_CASES)
 def test_calibration_first_of_two_faults(text, message, location):
     check(loads_calibration, text, message, location)
+
+
+def code_rows(text):
+    """A calibration document's rows as code would build them, ``Qubit`` and
+    ``Coupler`` tuples of the decoded values unchecked, or None when its fault
+    lies in its shape (not an object, a missing or extra field, an entry that
+    is not an object, a list that is not one or is empty), which a chip built
+    in code cannot hold."""
+    doc = json.loads(text)
+    try:
+        qubits = tuple(Qubit(**row) for row in doc["qubits"])
+        couplers = tuple(Coupler(**row) for row in doc.get("couplers", []))
+    except (TypeError, KeyError):
+        return None
+    return (qubits, couplers) if qubits else None
+
+
+HELD_CASES = {name: case for name, case in {**CALIBRATION_CASES, **CALIBRATION_ORDER_CASES}.items()
+              if code_rows(case[0]) is not None}
+
+
+def test_code_built_chips_hold_every_value_and_structure_fault():
+    assert sorted(HELD_CASES) == sorted([
+        "qubit-id-str", "qubit-id-negative", "qubit-id-past-wires", "qubit-t1-list",
+        "qubit-t2-bool", "qubit-f1q-above-one", "coupler-a-float", "coupler-b-null",
+        "coupler-f2q-below-zero", "duplicate-qubit", "coupler-a-undeclared",
+        "coupler-b-undeclared", "coupler-loop", "duplicate-coupler",
+        "undeclared-a-and-bad-f2q", "duplicate-qubit-and-bad-coupler-row"])
+
+
+@pytest.mark.parametrize("text, message, location", HELD_CASES.values(), ids=HELD_CASES)
+def test_code_built_chip_fault_matches_its_document(text, message, location):
+    check(lambda rows: ChipModel(*rows), code_rows(text), message, location)
 
 
 def test_calibration_ignores_unknown_fields_and_missing_couplers():

@@ -185,6 +185,14 @@ class TestNumberPartition:
         exact = qubo_from_number_partition([10**10, 3])
         assert np.array_equal(wide.q, exact.q) and wide.offset == exact.offset
 
+    @pytest.mark.parametrize("numbers", [[10**12 + 7, 3 * 10**12 + 1, 5],
+                                         [123456789, 987654321, 55555, 77777777]])
+    def test_ising_graph_has_no_node_fields(self, numbers):
+        # Each field is 2 n_i^2 - 2 S n_i + 2 n_i (S - n_i), exactly 0; past
+        # 2^53 its float sum kept a residue of up to 1.4e9.
+        g = weight_graph_from_qubo(qubo_from_number_partition(numbers))
+        assert [w for _, w in g.nodes] == [0.0] * len(numbers)
+
 
 class TestGraphColoring:
     def test_triangle_three_colors(self):
@@ -270,6 +278,13 @@ class TestIsingConversion:
         assert g.offset == pytest.approx(0.5)
         assert g.energy([-1]) + g.offset == pytest.approx(0.0)
         assert g.energy([1]) + g.offset == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("field", [1.0, 2.0**-10])
+    def test_small_field_beside_large_couplings_survives(self, field):
+        # h_0 = q_00/2 + J_01 with J_01 = 1e9, exact in floats.
+        q = np.array([[2.0 * (field - 1e9), 2e9], [2e9, -2e9]])
+        g = weight_graph_from_qubo(QuboMatrix(q=q))
+        assert g.nodes == [(0, field), (1, 0.0)] and g.edges == [(0, 1, 1e9)]
 
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=60)
