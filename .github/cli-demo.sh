@@ -74,6 +74,21 @@ test "$code" -eq 1
 grep -q '^error: gamma\[1\]: expected a real number' bool-gamma.txt
 test ! -e bool-gamma.qasm
 
+# Non-finite numbers on the command line are judged by the value's owner,
+# which names the flag: each exits 1 and writes no output file.
+code=0
+quchain bench --sizes 4 --densities 0.5,nan --p-list 1 --reps 1 --out nan-density.csv \
+  2> nan-density.txt || code=$?
+test "$code" -eq 1
+grep -qF -- '--densities: density must be in [0, 1], got nan' nan-density.txt
+test ! -e nan-density.csv
+code=0
+quchain compile --problem maxcut --graph maxcut6.json --gamma 0.5,-inf --beta 0.3,0.2 \
+  --out inf-gamma.qasm 2> inf-gamma.txt || code=$?
+test "$code" -eq 1
+grep -qF -- '--gamma[1]: expected a finite number, got -inf' inf-gamma.txt
+test ! -e inf-gamma.qasm
+
 # A calibration whose coupler fidelity is 1.5 is rejected with exit code 1,
 # located at the coupler's f2q, and no output file is written.
 cat > f2q-above-one.json <<'JSON'

@@ -204,12 +204,6 @@ class PhysicalCircuit:
         return max(front.values(), default=0)
 
 
-class _AngleError(ParseError, ValueError):
-    """A fault in QAOA angles, located at ``gamma`` or ``beta`` (not a list,
-    or a wrong count) or at the angle ``gamma[k]`` or ``beta[k]``: a params
-    document's entry, or the position in the constructor's sequence."""
-
-
 @dataclass(frozen=True)
 class QaoaParams:
     """Variational angles, one (gamma, beta) pair per layer.
@@ -219,7 +213,7 @@ class QaoaParams:
     fail), stored as a tuple of floats, and they must hold the same number
     of angles, at least one.  This is the one judge of angles: the first
     fault, in the order gamma, beta, their counts, raises a
-    :class:`ValueError` that is also a :class:`ParseError` located at
+    :class:`ParseError` (a :class:`ValueError`) located at
     ``gamma[k]`` or ``beta[k]``, or at ``gamma`` or ``beta`` for a value that
     is not a list or a wrong count.
     """
@@ -231,16 +225,16 @@ class QaoaParams:
         for name in ("gamma", "beta"):
             values = getattr(self, name)
             if getattr(values, "ndim", 1) != 1 or not isinstance(values, (tuple, list, np.ndarray)):
-                raise _AngleError("expected a list of angles", name)
+                raise ParseError("expected a list of angles", name)
             for k, x in enumerate(values):
                 if not is_real(x):
-                    real(x, f"{name}[{k}]", _AngleError)  # raises
+                    real(x, f"{name}[{k}]")  # raises
             object.__setattr__(self, name, tuple(map(float, values)))
         if not self.gamma:
-            raise _AngleError("expected at least 1 angle, got 0", "gamma")
+            raise ParseError("expected at least 1 angle, got 0", "gamma")
         if len(self.beta) != self.p:
-            raise _AngleError(f"expected as many angles as gamma ({self.p}), got {len(self.beta)}",
-                              "beta")
+            raise ParseError(f"expected as many angles as gamma ({self.p}), got {len(self.beta)}",
+                             "beta")
 
     @property
     def p(self) -> int:

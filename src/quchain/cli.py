@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -34,19 +33,17 @@ PALETTE = [
 
 
 def _parse_number_list(text: str, flag: str, cast=float) -> list:
-    """Comma-separated numbers; a malformed or non-finite entry raises
-    :class:`ConfigError` naming ``flag``."""
+    """Comma-separated numbers; a malformed entry raises :class:`ConfigError`
+    naming ``flag``.  A non-finite float is kept: each value's owner judges
+    it."""
     values = []
     for tok in text.split(","):
         if not tok.strip():
             continue
         try:
-            value = cast(tok)
+            values.append(cast(tok))
         except ValueError:
             raise ConfigError(f"{flag}: malformed number {tok!r} in {text!r}") from None
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{flag}: numbers must be finite, got {tok!r} in {text!r}")
-        values.append(value)
     return values
 
 
@@ -94,8 +91,8 @@ def _add_problem_flags(sub):
 def _load_params(args) -> QaoaParams:
     """Angles from --params or --gamma/--beta, judged by :class:`QaoaParams`:
     a fault in a file raises its :class:`ParseError` located at ``gamma``,
-    ``beta`` or one angle, and a wrong flag count a :class:`ConfigError`
-    naming ``--gamma`` or ``--beta``."""
+    ``beta`` or one angle, and a fault in the flags the same message as a
+    :class:`ConfigError` naming the flag (``--gamma[1]``, ``--beta``)."""
     if args.params:
         with open(args.params, encoding="utf-8") as f:
             doc = json_object(f.read())

@@ -35,7 +35,6 @@ cones in cone order, so a batched energy is bit-equal to the point alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .circuits import QaoaParams
 from .errors import CapacityError
 from .graph import WeightGraph
 from .simulator import QUBIT_LIMIT, diagonal, qaoa_state
+from .validate import is_integer
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MAX_EVALS = 20000
@@ -460,7 +460,7 @@ def optimize(
     flagged as non-converged.
     """
     for name, value in (("p", p), ("grid_size", grid_size), ("max_evals", max_evals)):
-        if not isinstance(value, Integral) or isinstance(value, bool):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")

@@ -19,9 +19,11 @@ class CapacityError(QuchainError):
     """A resource limit was exceeded (simulator size, chain length, ...)."""
 
 
-class ParseError(QuchainError):
-    """Malformed input document.
+class ParseError(QuchainError, ValueError):
+    """Malformed input: a document, or a value a model judges.
 
+    A :class:`ValueError` too, as :class:`json.JSONDecodeError` is, so a
+    caller's ``except ValueError`` catches every located fault.
     ``location`` is a human-readable pointer: ``"line 4, col 12"`` for
     textual formats, ``"nodes[2].w"`` for structured ones.
     """

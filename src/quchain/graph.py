@@ -41,21 +41,14 @@ def _fmt_real(x: float) -> str:
     return format(x, ".17g")
 
 
-class _GraphError(ParseError, ValueError):
-    """A fault in a graph's nodes, in one node or edge, or in its offset,
-    located at ``nodes``, ``nodes[k]``'s id or weight, ``edges[k]``, one of
-    its endpoints or its weight, or ``offset``: a document's row, or the
-    position in the constructor's list."""
-
-
 def _weight(w, total: float, where: str, k: int = 0) -> tuple[float, float]:
     """``w`` as a float (:func:`~quchain.validate.real`) and ``total`` plus
-    |w|, or the located :class:`_GraphError` when ``w`` is not a real or that
+    |w|, or the located :class:`ParseError` when ``w`` is not a real or that
     sum passes ``WEIGHT_LIMIT``; ``where`` is formatted with ``k`` only on a
     fault, as graphs of thousands of edges pass through here."""
-    w = float(w) if is_real(w) else real(w, where.format(k), _GraphError)
+    w = float(w) if is_real(w) else real(w, where.format(k))
     if (total := total + abs(w)) > WEIGHT_LIMIT:
-        raise _GraphError(f"weights sum past the limit of {WEIGHT_LIMIT:g}", where.format(k))
+        raise ParseError(f"weights sum past the limit of {WEIGHT_LIMIT:g}", where.format(k))
     return w, total
 
 
@@ -71,8 +64,8 @@ class WeightGraph:
     fail), ids other than 0..n-1, an endpoint that is not a declared node's
     id, a self loop, a duplicate edge and a weight or offset that is not a
     finite real number (:func:`~quchain.validate.is_real`; strings and bools
-    fail) are rejected.  Each fault raises a :class:`ValueError` that is also a
-    :class:`ParseError` located at the node's ``nodes[k].id`` or ``.w``, at
+    fail) are rejected.  Each fault raises a :class:`ParseError` (a
+    :class:`ValueError`) located at the node's ``nodes[k].id`` or ``.w``, at
     ``nodes``, at the endpoint's ``edges[k].u`` or ``.v``, at the edge's
     ``edges[k]`` (the later row of a duplicate) or ``.w``, or at
     ``offset``.  A graph whose sum of |w| over nodes and edges plus |offset|
@@ -92,28 +85,28 @@ class WeightGraph:
         for k, (i, w) in enumerate(self.nodes):
             node = as_index(i)
             if node is None:
-                raise _GraphError(f"node id {i!r} is not a non-negative int", f"nodes[{k}].id")
+                raise ParseError(f"node id {i!r} is not a non-negative int", f"nodes[{k}].id")
             w, total = _weight(w, total, "nodes[{}].w", k)
             nodes.append((node, w))
         if not nodes:
-            raise _GraphError("graph needs at least one node", "nodes")
+            raise ParseError("graph needs at least one node", "nodes")
         nodes.sort()
         ids = [i for i, _ in nodes]
         n = len(ids)
         if ids != list(range(n)):
-            raise _GraphError(f"node ids must be exactly 0..{n - 1}, got {ids}", "nodes")
+            raise ParseError(f"node ids must be exactly 0..{n - 1}, got {ids}", "nodes")
         edges = []
         seen = set()
         for k, (u, v, w) in enumerate(self.edges):
             a, b = as_index(u, n), as_index(v, n)
             if a is None or b is None:
                 name, x = ("u", u) if a is None else ("v", v)
-                raise _GraphError(f"endpoint {x!r} is not a declared node", f"edges[{k}].{name}")
+                raise ParseError(f"endpoint {x!r} is not a declared node", f"edges[{k}].{name}")
             if a == b:
-                raise _GraphError(f"self loop on node {a}", f"edges[{k}]")
+                raise ParseError(f"self loop on node {a}", f"edges[{k}]")
             key = (a, b) if a < b else (b, a)
             if key in seen:
-                raise _GraphError(f"duplicate edge ({key[0]},{key[1]})", f"edges[{k}]")
+                raise ParseError(f"duplicate edge ({key[0]},{key[1]})", f"edges[{k}]")
             seen.add(key)
             w, total = _weight(w, total, "edges[{}].w", k)
             edges.append((*key, w))

@@ -43,6 +43,24 @@ def _fidelity(value, where: str) -> float:
     return f
 
 
+def _qubit_id(value, where: str) -> int:
+    if (i := as_index(integer(value, where), WIRE_LIMIT)) is None:
+        raise ParseError(f"qubit id must be a non-negative int below {WIRE_LIMIT}, got {value}",
+                         where)
+    return i
+
+
+#: Each row's fields in order, with the judge of each value.
+_ROWS = {"qubits": (("id", _qubit_id), ("t1_us", real), ("t2_us", real), ("f1q", _fidelity)),
+         "couplers": (("a", integer), ("b", integer), ("f2q", _fidelity))}
+
+
+def _judged(row, where: str, fields):
+    """A new ``row`` whose field ``name`` holds ``judge(value, where +
+    name)``, for the (name, judge) pairs of ``fields`` in field order."""
+    return type(row)(*(judge(getattr(row, name), where + name) for name, judge in fields))
+
+
 @dataclass(frozen=True, eq=False)
 class ChipModel:
     """A chip's qubits and couplers, judged on construction.
@@ -53,25 +71,20 @@ class ChipModel:
     [0, 1], and a coupler endpoint an int.  Then the structure: a duplicate
     qubit id, and for each coupler an endpoint that is not a declared qubit,
     equal endpoints and a duplicate coupler.  The first fault raises
-    :class:`ParseError` located as in a calibration document
-    (``qubits[k].id``, ``couplers[k].f2q``, ``qubits``, ...).  This is the
-    one judge of a chip; :func:`loads_calibration` only decodes rows.
+    :class:`ParseError` (a :class:`ValueError`) located as in a calibration
+    document (``qubits[k].id``, ``couplers[k].f2q``, ``qubits``, ...).  The
+    chip stores the values it judged: ids and endpoints as ints (a NumPy
+    integer counts), T1, T2 and fidelities as floats.  This is the one judge
+    of a chip; :func:`loads_calibration` only decodes rows.
     """
 
     qubits: tuple[Qubit, ...]
     couplers: tuple[Coupler, ...]
 
     def __post_init__(self):
-        for k, q in enumerate(self.qubits):
-            where = f"qubits[{k}]."
-            if as_index(integer(q.id, where + "id"), WIRE_LIMIT) is None:
-                raise ParseError(f"qubit id must be a non-negative int below {WIRE_LIMIT}, "
-                                 f"got {q.id}", where + "id")
-            for name, judge in (("t1_us", real), ("t2_us", real), ("f1q", _fidelity)):
-                judge(getattr(q, name), where + name)
-        for k, c in enumerate(self.couplers):
-            for name, judge in (("a", integer), ("b", integer), ("f2q", _fidelity)):
-                judge(getattr(c, name), f"couplers[{k}].{name}")
+        for key, fields in _ROWS.items():
+            object.__setattr__(self, key, tuple(_judged(row, f"{key}[{k}].", fields)
+                                                for k, row in enumerate(getattr(self, key))))
         ids = [q.id for q in self.qubits]
         if len(known := set(ids)) != len(ids):
             raise ParseError("duplicate qubit id", "qubits")

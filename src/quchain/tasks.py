@@ -138,6 +138,7 @@ class TaskRecord:
             raise ValueError(f"shots must be an int of at least 1, got {self.shots!r}")
         if self.seed is not None and not is_integer(self.seed):
             raise ValueError(f"seed must be an int or None, got {self.seed!r}")
+        self.shots, self.seed = int(self.shots), None if self.seed is None else int(self.seed)
         if self.error is not None and not isinstance(self.error, str):
             raise ValueError(f"error must be a str or None, got {type(self.error).__name__}")
         if not (is_real(self.created_at) and is_real(self.updated_at)):
@@ -395,8 +396,8 @@ class TaskService:
         """Enqueue a sampling job for the QASM text ``qasm``; returns the task
         id, or the terminal record when ``wait`` is set.  ``qasm`` must be a
         str that parses, ``shots`` a positive int, ``name`` a str and ``seed``
-        an int or None; otherwise ``ValueError`` or ``ParseError``, nothing
-        written."""
+        an int or None (a NumPy integer counts, a bool does not); otherwise
+        ``ValueError``, nothing written."""
         return self._enqueue(_queued(qasm, shots, name, seed), wait)
 
     def _enqueue(self, rec: TaskRecord, wait: bool):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import ParseError
 
@@ -69,8 +69,11 @@ def records(value, key: str, fields: dict, closed: bool = False, nonempty: bool 
 
 
 def is_integer(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int or a NumPy integer, not a bool.  Plain ints are tested first:
+    the task store checks two per record on every read."""
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return isinstance(value, Integral)
 
 
 def is_real(value) -> bool:
@@ -90,13 +93,13 @@ def is_real(value) -> bool:
         return False
 
 
-def real(value, where: str, error: type[ParseError] = ParseError) -> float:
+def real(value, where: str) -> float:
     """``value`` as a float when :func:`is_real`; anything else raises
-    ``error`` located at ``where``."""
+    :class:`ParseError` located at ``where``."""
     if is_real(value):
         return float(value)
     kind = "finite" if isinstance(value, Real) and not isinstance(value, bool) else "real"
-    raise error(f"expected a {kind} number, got {value!r}", where)
+    raise ParseError(f"expected a {kind} number, got {value!r}", where)
 
 
 def as_index(x, limit=None) -> int | None:
@@ -116,6 +119,8 @@ def as_index(x, limit=None) -> int | None:
 
 
 def integer(value, where: str) -> int:
+    """``value`` as an int when :func:`is_integer`; anything else raises
+    :class:`ParseError` located at ``where``."""
     if not is_integer(value):
         raise ParseError(f"expected an integer, got {value!r}", where)
-    return value
+    return int(value)

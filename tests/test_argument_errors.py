@@ -203,6 +203,17 @@ class TestHardware:
                       couplers=(Coupler(**{"a": 0, "b": 1, "f2q": 0.98, **coupler}),))
         assert err.value.location == location and str(err.value) == f"{location}: {message}"
 
+    def test_numpy_and_int_values_are_kept_as_python_numbers(self):
+        chip = ChipModel(qubits=(Qubit(np.int64(1), 30, np.float32(3.5), np.float32(0.5)),
+                                 Qubit(np.uint8(0), 30.0, 3.0, 1)),
+                         couplers=(Coupler(np.int32(0), np.int64(1), np.float16(0.5)),))
+        assert chip.qubits == (Qubit(1, 30.0, 3.5, 0.5), Qubit(0, 30.0, 3.0, 1.0))
+        assert chip.couplers == (Coupler(0, 1, 0.5),)
+        assert all(type(q.id) is int and type(q.t1_us) is type(q.t2_us) is type(q.f1q) is float
+                   for q in chip.qubits)
+        c = chip.couplers[0]
+        assert type(c.a) is type(c.b) is int and type(c.f2q) is float
+
     def test_library_and_selection_lengths(self):
         _raises(ConfigError, "max_len must be at least 2", build_subchain_library, self.CHIP, 1)
         lib = build_subchain_library(self.CHIP)
@@ -272,6 +283,34 @@ class TestTasks:
         with TaskService(store, read_only=True) as reader:
             with pytest.raises(ResultUnavailableError, match="task is queued, result not ready"):
                 reader.result(rec.id)
+
+
+def _submitted(tmp_path, **kwargs):
+    with TaskService(tmp_path / "tasks.jsonl") as svc:
+        return svc.submit(emit(PhysicalCircuit(n=1, cycles=[[Gate("h", (0,))]], final_layout=(0,))),
+                          **{"shots": 10, **kwargs}, wait=True)
+
+
+def _chip(qubit_id=1, endpoint=1):
+    return ChipModel(qubits=(Qubit(qubit_id, 30.0, 3.0, 0.999), Qubit(0, 30.0, 3.0, 0.999)),
+                     couplers=(Coupler(0, endpoint, 0.98),))
+
+
+# Each integer slot, as value -> what is stored: NumPy integers count, bools do not.
+INTEGER_SLOTS = {
+    "submit-shots": lambda v, tmp_path: _submitted(tmp_path, shots=v).shots,
+    "submit-seed": lambda v, tmp_path: _submitted(tmp_path, seed=v).seed,
+    "chip-qubit-id": lambda v, tmp_path: _chip(qubit_id=v).qubits[0].id,
+    "chip-endpoint": lambda v, tmp_path: _chip(endpoint=v).couplers[0].b,
+}
+
+
+@pytest.mark.parametrize("stored", INTEGER_SLOTS.values(), ids=INTEGER_SLOTS)
+def test_numpy_integers_are_stored_as_ints(tmp_path, stored):
+    value = stored(np.int64(1), tmp_path)
+    assert value == 1 and type(value) is int
+    with pytest.raises(ValueError, match="got True"):
+        stored(True, tmp_path)
 
 
 def test_bench_needs_a_rep():

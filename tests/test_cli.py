@@ -329,16 +329,20 @@ class TestCompile:
         )
 
     @pytest.mark.parametrize(
-        "gamma, beta, flag",
-        [("nan", "0.3", "--gamma"), ("0.5", "inf", "--beta"),
-         ("0.5,-inf", "0.3,0.2", "--gamma"), ("0.5", "0.3x", "--beta")],
+        "gamma, beta, message",
+        [("nan", "0.3", "--gamma[0]: expected a finite number, got nan"),
+         ("0.5", "inf", "--beta[0]: expected a finite number, got inf"),
+         ("0.5,-inf", "0.3,0.2", "--gamma[1]: expected a finite number, got -inf"),
+         ("0.5", "0.3x", "--beta: malformed number '0.3x' in '0.3x'")],
+        # A non-finite angle is judged by QaoaParams, which locates it.
+        ids=["nan-0.3---gamma", "0.5-inf---beta", "0.5,-inf-0.3,0.2---gamma", "0.5-0.3x---beta"],
     )
-    def test_bad_angle_flags_exit_one(self, demo6_file, tmp_path, capsys, gamma, beta, flag):
+    def test_bad_angle_flags_exit_one(self, demo6_file, tmp_path, capsys, gamma, beta, message):
         code = self._compile_with_flags(
             demo6_file, tmp_path, "--gamma", gamma, "--beta", beta
         )
         assert code == 1
-        assert f"error: {flag}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "c.qasm").exists()
 
     def test_depth_defaults_to_the_angles(self, demo6_file, tmp_path):
@@ -721,8 +725,8 @@ class TestBench:
     @pytest.mark.parametrize("flag, value, message", [
         ("--sizes", "6,x", "malformed number"),
         ("--sizes", "6.5", "malformed number"),
-        ("--densities", "0.5,nan", "numbers must be finite"),
-        ("--densities", "inf", "numbers must be finite"),
+        ("--densities", "0.5,nan", "density must be in [0, 1], got nan"),
+        ("--densities", "inf", "density must be in [0, 1], got inf"),
         ("--densities", "0.5x", "malformed number"),
         ("--p-list", "one", "malformed number"),
         ("--sizes", "4,0", "must be at least 1, got 0"),

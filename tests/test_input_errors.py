@@ -2,10 +2,13 @@
 
 ``parse`` (QASM), ``loads_graph`` and ``loads_calibration`` each get one case
 per error path, asserting the whole message and its location; a few
-documents with two faults pin which one is reported first.
+documents with two faults pin which one is reported first.  Every located
+fault, from a reader or from a model built in code, is one type: a
+``ParseError``, which is a ``ValueError``.
 """
 
 import json
+import math
 
 import pytest
 
@@ -13,6 +16,7 @@ from quchain import (
     ChipModel,
     Coupler,
     ParseError,
+    QaoaParams,
     Qubit,
     WeightGraph,
     loads_calibration,
@@ -380,3 +384,45 @@ def test_calibration_ignores_unknown_fields_and_missing_couplers():
     text = json.dumps({"chip": "x", "qubits": [{**QUBITS[0], "note": "edge"}]})
     chip = loads_calibration(text)
     assert chip.n == 1 and chip.couplers == ()
+
+
+# --- one fault type -------------------------------------------------------
+
+# Per boundary, (read, value, location) for every located fault the tables
+# above hold, and a few from code for the models they do not reach.
+BOUNDARIES = {
+    "loads_graph": [(loads_graph, text, location) for text, _, location
+                    in (*GRAPH_CASES.values(), *GRAPH_ORDER_CASES.values())],
+    "loads_calibration": [(loads_calibration, text, location) for text, _, location
+                          in (*CALIBRATION_CASES.values(), *CALIBRATION_ORDER_CASES.values())],
+    "parse": [(parse, text, location) for text, _, location in QASM_CASES.values()],
+    "WeightGraph": [(lambda rows: WeightGraph(*rows), rows, location) for rows, location in [
+        (([("0", 0)], []), "nodes[0].id"),
+        (([(0, math.nan)], []), "nodes[0].w"),
+        (([(0, 0), (2, 0)], []), "nodes"),
+        (([(0, 0), (1, 0)], [(0, True, 1)]), "edges[0].v"),
+        (([(0, 0), (1, 0)], [(0, 1, 1), (1, 0, 1)]), "edges[1]"),
+        (([(0, 0)], [], math.inf), "offset"),
+    ]],
+    "QaoaParams": [(lambda angles: QaoaParams(*angles), angles, location)
+                   for angles, location in [
+        ((0.1, (0.2,)), "gamma"),
+        (((0.1, "0.2"), (0.3, 0.4)), "gamma[1]"),
+        (((0.1,), (math.inf,)), "beta[0]"),
+        (((), ()), "gamma"),
+        (((0.1,), (0.2, 0.3)), "beta"),
+    ]],
+    "ChipModel": [(lambda rows: ChipModel(*rows), code_rows(text), location)
+                  for text, _, location in HELD_CASES.values()],
+}
+
+
+@pytest.mark.parametrize("faults", BOUNDARIES.values(), ids=BOUNDARIES)
+def test_every_located_fault_is_a_value_error(faults):
+    for read, value, location in faults:
+        try:
+            read(value)
+        except ValueError as exc:
+            assert type(exc) is ParseError and exc.location == location, (value, exc)
+        else:
+            pytest.fail(f"accepted {value!r}")
