@@ -104,6 +104,25 @@ test "$code" -eq 1
 grep -q '^error: couplers\[0\]\.f2q: ' f2q-above-one.txt
 test ! -s f2q-above-one.out
 
+# The model judges every value and the readers only decode, so each fault
+# has one message: a node id of 0.5 in a graph file reads as it does in code,
+# and a calibration without qubits is refused as an empty chip.  Each exits
+# 1 and writes nothing.
+printf '{"offset": 0, "nodes": [{"id": 0.5, "w": 0}, {"id": 1, "w": 0}], "edges": []}\n' \
+  > float-id.json
+code=0
+quchain solve --graph float-id.json --p 1 --out float-id-params.json \
+  > float-id.out 2> float-id.txt || code=$?
+test "$code" -eq 1
+test "$(cat float-id.txt)" = 'error: nodes[0].id: node id 0.5 is not a non-negative int'
+test ! -s float-id.out && test ! -e float-id-params.json
+printf '{"qubits": []}\n' > no-qubits.json
+code=0
+quchain --calib no-qubits.json chains > no-qubits.out 2> no-qubits.txt || code=$?
+test "$code" -eq 1
+test "$(cat no-qubits.txt)" = 'error: qubits: a chip needs at least one qubit'
+test ! -s no-qubits.out
+
 # A store as older versions wrote it, counts as a JSON object, still reads.
 mkdir old
 qasm6='OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[6];\nmeasure q[0] -> c[0];\n'

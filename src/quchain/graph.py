@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .validate import (as_index, integer, is_real, json_object, only_fields, real, records,
-                       required)
+from .validate import as_index, is_real, json_object, only_fields, real, records, required
 
 #: JSON layout, also the on-disk interchange format:
 #: {"offset": r, "nodes": [{"id": i, "w": r}...], "edges": [{"u": a, "v": b, "w": r}...]}
@@ -58,21 +57,22 @@ class WeightGraph:
 
     ``nodes`` is a list of ``(id, weight)`` and ``edges`` a list of
     ``(u, v, weight)``.  The constructor canonicalizes: nodes are sorted by
-    id, edges by ``(u, v)`` with ``u < v``, weights and ``offset`` become
-    floats.  Zero-weight nodes are retained.  A node id that is not a
-    non-negative int (:func:`~quchain.validate.as_index`; bools and floats
-    fail), ids other than 0..n-1, an endpoint that is not a declared node's
-    id, a self loop, a duplicate edge and a weight or offset that is not a
-    finite real number (:func:`~quchain.validate.is_real`; strings and bools
-    fail) are rejected.  Each fault raises a :class:`ParseError` (a
-    :class:`ValueError`) located at the node's ``nodes[k].id`` or ``.w``, at
-    ``nodes``, at the endpoint's ``edges[k].u`` or ``.v``, at the edge's
-    ``edges[k]`` (the later row of a duplicate) or ``.w``, or at
-    ``offset``.  A graph whose sum of |w| over nodes and edges plus |offset|
-    is above ``WEIGHT_LIMIT`` raises it too, located at the row (in the
-    order nodes, edges, offset) where the running sum passes the limit.
-    This is the one judge of a graph's structure;
-    :func:`loads_graph` only decodes rows.
+    id, edges by ``(u, v)`` with ``u < v``, ids and endpoints become ints,
+    weights and ``offset`` floats.  Zero-weight nodes are retained.  The
+    first fault raises a :class:`ParseError` (a :class:`ValueError`),
+    checking in this order: node by node, an id that is not a non-negative
+    int (:func:`~quchain.validate.as_index`; bools and floats fail) at
+    ``nodes[k].id``, then a weight that is not a finite real number
+    (:func:`~quchain.validate.is_real`; strings and bools fail) at
+    ``nodes[k].w``; no node at all, and ids other than 0..n-1, at
+    ``nodes``; edge by edge, an endpoint that is not a declared node's id at
+    ``edges[k].u`` or ``.v``, a self loop or a duplicate (the later row) at
+    ``edges[k]``, a bad weight at ``edges[k].w``; last a bad ``offset``.  A
+    graph whose sum of |w| over nodes and edges plus |offset| is above
+    ``WEIGHT_LIMIT`` fails too, located at the row (in the order nodes,
+    edges, offset) where the running sum passes the limit.  This is the one
+    judge of a graph's values and structure; :func:`loads_graph` only
+    decodes rows, so a graph built in code fails as its document does.
     """
 
     nodes: list[tuple[int, float]]
@@ -186,21 +186,18 @@ def dumps_graph(g: WeightGraph) -> str:
 def loads_graph(text: str) -> WeightGraph:
     """Parse the JSON interchange format; errors carry a field location.
 
-    The first fault found is reported, checking in this order: the top-level
-    fields, every node row, then every edge row, and last the graph itself,
-    which judges its structure (see :class:`WeightGraph`): node ids other
-    than 0..n-1, a duplicate among them included, at ``nodes``, then each
-    edge's undeclared endpoint at ``edges[k].u`` or ``.v``, self loop or
-    duplicate at its row.
+    The reader only decodes the document's shape and hands the raw values to
+    :class:`WeightGraph`, which judges them.  The first fault found is
+    reported: first the shape, in this order: the top-level fields, the node
+    rows, the edge rows (see :func:`~quchain.validate.records`); then the
+    graph's values and structure, in the order :class:`WeightGraph` gives.
     """
     doc = json_object(text)
     only_fields(doc, ("offset", "nodes", "edges"), "$")
-    offset = real(required(doc, "offset", "$"), "offset")
-    raw_nodes = required(doc, "nodes", "$")
-    raw_edges = required(doc, "edges", "$")
-    nodes = records(raw_nodes, "nodes", {"id": integer, "w": real}, closed=True, nonempty=True)
-    edges = records(raw_edges, "edges", {"u": integer, "v": integer, "w": real}, closed=True)
-    return WeightGraph(nodes=nodes, edges=edges, offset=offset)
+    offset, nodes, edges = (required(doc, key, "$") for key in ("offset", "nodes", "edges"))
+    return WeightGraph(nodes=records(nodes, "nodes", ("id", "w"), closed=True),
+                       edges=records(edges, "edges", ("u", "v", "w"), closed=True),
+                       offset=offset)
 
 
 def write_graph(g: WeightGraph, path) -> None:

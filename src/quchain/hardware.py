@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .circuits import WIRE_LIMIT
 from .errors import CapacityError, ConfigError, ParseError
-from .validate import as_index, integer, json_object, real, records, required
+from .validate import as_index, is_integer, json_object, real, records, required
 
 
 @dataclass(frozen=True)
@@ -43,63 +43,57 @@ def _fidelity(value, where: str) -> float:
     return f
 
 
-def _qubit_id(value, where: str) -> int:
-    if (i := as_index(integer(value, where), WIRE_LIMIT)) is None:
-        raise ParseError(f"qubit id must be a non-negative int below {WIRE_LIMIT}, got {value}",
-                         where)
-    return i
-
-
-#: Each row's fields in order, with the judge of each value.
-_ROWS = {"qubits": (("id", _qubit_id), ("t1_us", real), ("t2_us", real), ("f1q", _fidelity)),
-         "couplers": (("a", integer), ("b", integer), ("f2q", _fidelity))}
-
-
-def _judged(row, where: str, fields):
-    """A new ``row`` whose field ``name`` holds ``judge(value, where +
-    name)``, for the (name, judge) pairs of ``fields`` in field order."""
-    return type(row)(*(judge(getattr(row, name), where + name) for name, judge in fields))
-
-
 @dataclass(frozen=True, eq=False)
 class ChipModel:
     """A chip's qubits and couplers, judged on construction.
 
-    Every row's values come first, qubits then couplers, row by row in field
-    order: a qubit id must be a non-negative int below ``WIRE_LIMIT``
-    (bools fail), T1 and T2 finite reals, ``f1q`` and ``f2q`` reals in
-    [0, 1], and a coupler endpoint an int.  Then the structure: a duplicate
-    qubit id, and for each coupler an endpoint that is not a declared qubit,
-    equal endpoints and a duplicate coupler.  The first fault raises
-    :class:`ParseError` (a :class:`ValueError`) located as in a calibration
-    document (``qubits[k].id``, ``couplers[k].f2q``, ``qubits``, ...).  The
-    chip stores the values it judged: ids and endpoints as ints (a NumPy
-    integer counts), T1, T2 and fidelities as floats.  This is the one judge
-    of a chip; :func:`loads_calibration` only decodes rows.
+    The first fault raises :class:`ParseError` (a :class:`ValueError`),
+    checking in this order: qubit by qubit, an id that is not a non-negative
+    int below ``WIRE_LIMIT`` (:func:`~quchain.validate.as_index`; bools and
+    floats fail), T1 and T2 that are not finite reals, an ``f1q`` outside
+    [0, 1], each at its field (``qubits[k].id``, ...); no qubit at all, and a
+    duplicate id, at ``qubits``; coupler by coupler, an endpoint that is not
+    a declared qubit's id at ``couplers[k].a`` or ``.b``, equal endpoints or
+    a duplicate (the later row) at ``couplers[k]``, an ``f2q`` outside
+    [0, 1] at ``couplers[k].f2q``.  The chip stores the values it judged:
+    ids and endpoints as ints (a NumPy integer counts), T1, T2 and
+    fidelities as floats.  This is the one judge of a chip's values and
+    structure; :func:`loads_calibration` only decodes rows, so a chip built
+    in code fails as its document does.
     """
 
     qubits: tuple[Qubit, ...]
     couplers: tuple[Coupler, ...]
 
     def __post_init__(self):
-        for key, fields in _ROWS.items():
-            object.__setattr__(self, key, tuple(_judged(row, f"{key}[{k}].", fields)
-                                                for k, row in enumerate(getattr(self, key))))
-        ids = [q.id for q in self.qubits]
-        if len(known := set(ids)) != len(ids):
+        qubits = []
+        for k, q in enumerate(self.qubits):
+            where = f"qubits[{k}]."
+            if (i := as_index(q.id, WIRE_LIMIT)) is None:
+                raise ParseError(f"qubit id must be a non-negative int below {WIRE_LIMIT}, "
+                                 f"got {q.id!r}", where + "id")
+            qubits.append(Qubit(i, real(q.t1_us, where + "t1_us"), real(q.t2_us, where + "t2_us"),
+                                _fidelity(q.f1q, where + "f1q")))
+        if not qubits:
+            raise ParseError("a chip needs at least one qubit", "qubits")
+        if len(known := {q.id for q in qubits}) != len(qubits):
             raise ParseError("duplicate qubit id", "qubits")
+        couplers = []
         seen = set()
         for k, c in enumerate(self.couplers):
             where = f"couplers[{k}]"
-            for end, x in (("a", c.a), ("b", c.b)):
-                if x not in known:
-                    raise ParseError(f"endpoint {x} is not a declared qubit", f"{where}.{end}")
-            if c.a == c.b:
+            a, b = as_index(c.a), as_index(c.b)
+            if a not in known or b not in known:
+                end, x = ("a", c.a) if a not in known else ("b", c.b)
+                raise ParseError(f"endpoint {x!r} is not a declared qubit", f"{where}.{end}")
+            if a == b:
                 raise ParseError("coupler endpoints must differ", where)
-            key = (min(c.a, c.b), max(c.a, c.b))
-            if key in seen:
+            if (key := (min(a, b), max(a, b))) in seen:
                 raise ParseError(f"duplicate coupler {key}", where)
             seen.add(key)
+            couplers.append(Coupler(a, b, _fidelity(c.f2q, where + ".f2q")))
+        object.__setattr__(self, "qubits", tuple(qubits))
+        object.__setattr__(self, "couplers", tuple(couplers))
 
     @property
     def n(self) -> int:
@@ -116,16 +110,17 @@ class ChipModel:
 def loads_calibration(text: str) -> ChipModel:
     """Parse a calibration document; errors carry the offending field path.
 
-    The rows are only decoded here (ids and endpoints as integers, the rest
-    as reals); :class:`ChipModel` judges their values and the structure.
+    The reader only decodes the document's shape and hands the raw values to
+    :class:`ChipModel`, which judges them.  The first fault found is
+    reported: first the shape, in this order: the top level, the qubit rows,
+    the coupler rows (see :func:`~quchain.validate.records`); then the
+    chip's values and structure, in the order :class:`ChipModel` gives.
     Fields beyond the ones read here are ignored, and ``couplers`` may be
     left out.
     """
     doc = json_object(text)
-    qubits = records(required(doc, "qubits", "$"), "qubits",
-                     {"id": integer, "t1_us": real, "t2_us": real, "f1q": real}, nonempty=True)
-    couplers = records(doc.get("couplers", []), "couplers",
-                       {"a": integer, "b": integer, "f2q": real})
+    qubits = records(required(doc, "qubits", "$"), "qubits", ("id", "t1_us", "t2_us", "f1q"))
+    couplers = records(doc.get("couplers", []), "couplers", ("a", "b", "f2q"))
     return ChipModel(qubits=tuple(Qubit(*row) for row in qubits),
                      couplers=tuple(Coupler(*row) for row in couplers))
 
@@ -144,7 +139,7 @@ def path_fidelity(chip: ChipModel, path) -> float:
     adj = chip.adjacency()
     f = 1.0
     for a, b in zip(path, path[1:]):
-        if b not in adj[a]:
+        if b not in adj.get(a, ()):
             raise ValueError(f"({a},{b}) is not a coupler")
         f *= adj[a][b]
     return f
@@ -221,13 +216,16 @@ def build_subchain_library(chip: ChipModel, max_len: int | None = None) -> Subch
     On chips of at most :data:`EXACT_SEARCH_LIMIT` qubits every state is
     extended, so the head of every entry is the true fidelity argmax; on
     larger chips only the stored states are, which scales but may miss the
-    optimum.  Lengths the sweep cannot reach map to empty lists.  A chip of
-    fewer than 2 qubits holds no chain and raises :class:`CapacityError`.
+    optimum.  Lengths the sweep cannot reach map to empty lists.  A
+    ``max_len`` that is not an int (:func:`~quchain.validate.is_integer`;
+    bools fail) raises :class:`ConfigError`, and a one-qubit chip holds no
+    chain and raises :class:`CapacityError`.
     """
+    if max_len is not None and not is_integer(max_len):
+        raise ConfigError(f"max_len must be an int, got {max_len!r}")
     if chip.n < 2:
-        raise CapacityError(f"the chip has {chip.n} qubit{'' if chip.n == 1 else 's'}; "
-                            "a chain needs at least 2")
-    requested = chip.n if max_len is None else max_len
+        raise CapacityError("the chip has 1 qubit; a chain needs at least 2")
+    requested = chip.n if max_len is None else int(max_len)
     if requested > chip.n:
         raise ConfigError(f"max_len {requested} exceeds the {chip.n}-qubit chip")
     if requested < 2:

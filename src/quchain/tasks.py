@@ -467,10 +467,11 @@ def process_results(
     flagged as solutions.  A key that is not a str of ``g.n`` characters of
     0 and 1, then a count that is not an int in [0, 2**63) (a float, a str,
     a negative int), raises ``ValueError`` naming the bitstring, before a bad
-    ``sense`` does.
+    ``sense`` does; a ``top`` that is not an int of at least 1 (bools fail)
+    raises it before any key is read.
     """
-    if top < 1:
-        raise ValueError(f"top must be at least 1, got {top}")
+    if not is_integer(top) or top < 1:
+        raise ValueError(f"top must be an int of at least 1, got {top!r}")
     keys = list(counts)
     for key in keys:
         if not isinstance(key, str):

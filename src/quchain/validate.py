@@ -1,9 +1,12 @@
-"""Located checks for values read from JSON documents.
+"""Located checks for JSON documents and the values read from them.
 
-Weight graphs, calibrations and QAOA parameter files all parse through these
-helpers, so a malformed, non-integer or non-finite value raises
-:class:`ParseError` naming the field it came from.  :func:`as_index` is the
-package's one rule for a non-negative index.  :func:`records` is the
+The readers of weight graphs, calibrations and QAOA parameter files decode
+a document's shape here (:func:`json_object`, :func:`only_fields`,
+:func:`required`, :func:`records`) and hand the raw values to the model
+that owns them, which judges them with the value rules: :func:`real` and
+:func:`is_real` for a finite real, :func:`is_integer` for an int and
+:func:`as_index` for a non-negative index.  Every fault raises a
+:class:`ParseError` naming the field it came from.  :func:`records` is the
 one walk over a list of JSON objects, the rows of graph ``nodes`` and
 ``edges`` and of calibration ``qubits`` and ``couplers``.
 """
@@ -44,27 +47,25 @@ def required(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def records(value, key: str, fields: dict, closed: bool = False, nonempty: bool = False) -> list:
+def records(value, key: str, names, closed: bool = False) -> list:
     """The list ``value`` found at ``key``, read as one tuple per entry.
 
-    Each entry must be an object holding every field in ``fields`` (name ->
-    reader); the tuple holds ``reader(entry[name], "key[k].name")`` in
-    ``fields`` order.  A ``closed`` entry may hold no other field, and a
-    ``nonempty`` list needs an entry.  The first fault raises
-    :class:`ParseError`: the list, then entry by entry, its unknown fields
-    before its missing or bad ones.
+    Only the shape is checked: each entry must be an object holding every
+    field in ``names``, and a ``closed`` entry no other field.  The tuple
+    holds the raw values in ``names`` order, for the model to judge.  The
+    first fault raises :class:`ParseError`: the list, then entry by entry,
+    its unknown fields before its missing ones.
     """
-    if not isinstance(value, list) or (nonempty and not value):
-        raise ParseError(f"{key} must be a {'non-empty ' if nonempty else ''}list", key)
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list", key)
     rows = []
     for k, entry in enumerate(value):
         where = f"{key}[{k}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{key[:-1]} entry must be an object", where)
         if closed:
-            only_fields(entry, fields, where)
-        rows.append(tuple(read(required(entry, name, where), f"{where}.{name}")
-                          for name, read in fields.items()))
+            only_fields(entry, names, where)
+        rows.append(tuple(required(entry, name, where) for name in names))
     return rows
 
 
@@ -117,10 +118,3 @@ def as_index(x, limit=None) -> int | None:
         return None
     return q if q >= 0 and (limit is None or q < limit) else None
 
-
-def integer(value, where: str) -> int:
-    """``value`` as an int when :func:`is_integer`; anything else raises
-    :class:`ParseError` located at ``where``."""
-    if not is_integer(value):
-        raise ParseError(f"expected an integer, got {value!r}", where)
-    return int(value)

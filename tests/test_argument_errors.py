@@ -182,6 +182,13 @@ class TestHardware:
         assert path_fidelity(self.CHIP, (0, 1, 2)) == pytest.approx(0.98 * 0.97)
         _raises(ValueError, "(0,2) is not a coupler", path_fidelity, self.CHIP, (0, 2))
 
+    @pytest.mark.parametrize("path", [(999, 0), (0, 999)], ids=["first", "second"])
+    def test_unknown_qubit_in_a_path_is_not_a_coupler(self, path):
+        lib = build_subchain_library(self.CHIP)
+        message = f"({path[0]},{path[1]}) is not a coupler"
+        _raises(ValueError, message, path_fidelity, self.CHIP, path)
+        _raises(ValueError, message, lib.fidelity, path)
+
     @pytest.mark.parametrize("qubit, coupler, location, message", [
         ({}, {"f2q": math.nan}, "couplers[0].f2q", "expected a finite number, got nan"),
         ({}, {"f2q": 1.5}, "couplers[0].f2q", "fidelity 1.5 outside [0, 1]"),
@@ -191,9 +198,11 @@ class TestHardware:
         ({"t2_us": math.inf}, {}, "qubits[0].t2_us", "expected a finite number, got inf"),
         ({"id": -1}, {}, "qubits[0].id",
          "qubit id must be a non-negative int below 1073741824, got -1"),
-        ({"id": True}, {}, "qubits[0].id", "expected an integer, got True"),
-        ({"id": "0"}, {}, "qubits[0].id", "expected an integer, got '0'"),
-        ({}, {"b": 1.0}, "couplers[0].b", "expected an integer, got 1.0"),
+        ({"id": True}, {}, "qubits[0].id",
+         "qubit id must be a non-negative int below 1073741824, got True"),
+        ({"id": "0"}, {}, "qubits[0].id",
+         "qubit id must be a non-negative int below 1073741824, got '0'"),
+        ({}, {"b": 1.0}, "couplers[0].b", "endpoint 1.0 is not a declared qubit"),
     ], ids=["f2q-nan", "f2q-above-one", "f2q-str", "f1q-above-one", "t1-nan", "t2-inf",
             "id-negative", "id-bool", "id-str", "endpoint-float"])
     def test_chip_built_in_code_is_judged(self, qubit, coupler, location, message):
@@ -216,6 +225,10 @@ class TestHardware:
 
     def test_library_and_selection_lengths(self):
         _raises(ConfigError, "max_len must be at least 2", build_subchain_library, self.CHIP, 1)
+        for max_len in (2.5, True, "3", 3.0):
+            _raises(ConfigError, f"max_len must be an int, got {max_len!r}",
+                    build_subchain_library, self.CHIP, max_len)
+        assert build_subchain_library(self.CHIP, np.int64(3)).max_len == 3
         lib = build_subchain_library(self.CHIP)
         _raises(ValueError, "subchain selection needs k >= 2", select_subchain, lib, 1)
 
@@ -309,7 +322,7 @@ INTEGER_SLOTS = {
 def test_numpy_integers_are_stored_as_ints(tmp_path, stored):
     value = stored(np.int64(1), tmp_path)
     assert value == 1 and type(value) is int
-    with pytest.raises(ValueError, match="got True"):
+    with pytest.raises(ValueError, match=r"\bTrue\b"):
         stored(True, tmp_path)
 
 

@@ -155,14 +155,16 @@ GRAPH_CASES = {
     "bad-offset": (graph(offset="0"), "expected a real number, got '0'", "offset"),
     "no-nodes": (graph(nodes=DROP), "missing field 'nodes'", "$"),
     "no-edges": (graph(edges=DROP), "missing field 'edges'", "$"),
-    "nodes-not-list": (graph(nodes={"0": 0}), "nodes must be a non-empty list", "nodes"),
-    "nodes-empty": (graph(nodes=[], edges=[]), "nodes must be a non-empty list", "nodes"),
+    "nodes-not-list": (graph(nodes={"0": 0}), "nodes must be a list", "nodes"),
+    "nodes-empty": (graph(nodes=[], edges=[]), "graph needs at least one node", "nodes"),
     "node-not-object": (graph(nodes=[NODES[0], [1, 0]]), "node entry must be an object", "nodes[1]"),
     "node-unknown-field": (graph(nodes=node(color=1)), "unknown field 'color'", "nodes[0]"),
     "node-no-id": (graph(nodes=node(id=DROP)), "missing field 'id'", "nodes[0]"),
     "node-no-w": (graph(nodes=node(w=DROP)), "missing field 'w'", "nodes[0]"),
-    "node-id-float": (graph(nodes=node(id=0.5)), "expected an integer, got 0.5", "nodes[0].id"),
-    "node-id-bool": (graph(nodes=node(id=False)), "expected an integer, got False", "nodes[0].id"),
+    "node-id-float": (graph(nodes=node(id=0.5)), "node id 0.5 is not a non-negative int",
+                      "nodes[0].id"),
+    "node-id-bool": (graph(nodes=node(id=False)), "node id False is not a non-negative int",
+                     "nodes[0].id"),
     "node-w-str": (graph(nodes=node(w="a")), "expected a real number, got 'a'", "nodes[0].w"),
     "duplicate-node": (graph(nodes=[NODES[0], NODES[0]]),
                        "node ids must be exactly 0..1, got [0, 0]", "nodes"),
@@ -172,8 +174,8 @@ GRAPH_CASES = {
     "edge-no-u": (graph(edges=edge(u=DROP)), "missing field 'u'", "edges[0]"),
     "edge-no-v": (graph(edges=edge(v=DROP)), "missing field 'v'", "edges[0]"),
     "edge-no-w": (graph(edges=edge(w=DROP)), "missing field 'w'", "edges[0]"),
-    "edge-u-float": (graph(edges=edge(u=0.0)), "expected an integer, got 0.0", "edges[0].u"),
-    "edge-v-str": (graph(edges=edge(v="1")), "expected an integer, got '1'", "edges[0].v"),
+    "edge-u-float": (graph(edges=edge(u=0.0)), "endpoint 0.0 is not a declared node", "edges[0].u"),
+    "edge-v-str": (graph(edges=edge(v="1")), "endpoint '1' is not a declared node", "edges[0].v"),
     "edge-u-undeclared": (graph(edges=edge(u=5)), "endpoint 5 is not a declared node", "edges[0].u"),
     "edge-v-undeclared": (graph(edges=edge(v=-1)), "endpoint -1 is not a declared node", "edges[0].v"),
     "edge-w-null": (graph(edges=edge(w=None)), "expected a real number, got None", "edges[0].w"),
@@ -184,23 +186,26 @@ GRAPH_CASES = {
                        "edges[1]"),
 }
 
-# Documents with two faults, and the one reported.
+# Documents with two faults, and the one reported: the whole shape first, then
+# the graph's values and structure in its own order.
 GRAPH_ORDER_CASES = {
     "no-edges-and-bad-node-row": (graph(nodes=[1], edges=DROP), "missing field 'edges'", "$"),
-    "undeclared-u-and-bad-w": (graph(edges=edge(u=7, w="x")), "expected a real number, got 'x'",
-                               "edges[0].w"),
-    "undeclared-v-and-bad-w": (graph(edges=edge(v=7, w="x")), "expected a real number, got 'x'",
-                               "edges[0].w"),
+    "bad-offset-and-bad-node-row": (graph(offset="0", nodes=[NODES[0], 3]),
+                                    "node entry must be an object", "nodes[1]"),
+    "undeclared-u-and-bad-w": (graph(edges=edge(u=7, w="x")), "endpoint 7 is not a declared node",
+                               "edges[0].u"),
+    "undeclared-v-and-bad-w": (graph(edges=edge(v=7, w="x")), "endpoint 7 is not a declared node",
+                               "edges[0].v"),
     "unknown-and-missing-field": (graph(nodes=node(w=DROP, color=1)), "unknown field 'color'",
                                   "nodes[0]"),
     "bad-node-row-and-bad-edges": (graph(nodes=node(w="a"), edges={}),
-                                   "expected a real number, got 'a'", "nodes[0].w"),
+                                   "edges must be a list", "edges"),
     "duplicate-node-and-bad-edges": (graph(nodes=[NODES[0], NODES[0]], edges={}),
                                      "edges must be a list", "edges"),
-    "bad-id-and-bad-w": (graph(nodes=node(id="0", w="a")), "expected an integer, got '0'",
+    "bad-id-and-bad-w": (graph(nodes=node(id="0", w="a")), "node id '0' is not a non-negative int",
                          "nodes[0].id"),
-    "bad-row-then-bad-row": (graph(edges=edge(w="a") + [3]), "expected a real number, got 'a'",
-                             "edges[0].w"),
+    "bad-row-then-bad-row": (graph(edges=edge(w="a") + [3]), "edge entry must be an object",
+                             "edges[1]"),
     "bad-ids-and-self-loop": (graph(nodes=[NODES[0], {"id": 2, "w": 0}], edges=edge(v=0)),
                               "node ids must be exactly 0..1, got [0, 2]", "nodes"),
     "duplicate-then-self-loop": (graph(edges=EDGES * 2 + edge(v=0)), "duplicate edge (0,1)",
@@ -243,6 +248,48 @@ def test_graph_fault_has_one_message(nodes, edges):
     assert (str(from_rows), from_rows.location) == (str(from_document), from_document.location)
 
 
+def graph_rows(text):
+    """A graph document's ``(nodes, edges, offset)`` as code would pass them,
+    row tuples of the decoded values unchecked, or None when its fault lies
+    in its shape (not JSON or not an object, a missing or extra field, an
+    entry that is not an object, a list that is not one), which a graph built
+    in code cannot hold."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict) or set(doc) != {"offset", "nodes", "edges"}:
+        return None
+    rows = []
+    for key, names in (("nodes", ("id", "w")), ("edges", ("u", "v", "w"))):
+        entries = doc[key]
+        if not (isinstance(entries, list)
+                and all(isinstance(e, dict) and set(e) == set(names) for e in entries)):
+            return None
+        rows.append([tuple(e[name] for name in names) for e in entries])
+    return (*rows, doc["offset"])
+
+
+GRAPH_HELD_CASES = {name: case for name, case in {**GRAPH_CASES, **GRAPH_ORDER_CASES}.items()
+                    if graph_rows(case[0]) is not None}
+
+
+def test_code_built_graphs_hold_every_value_and_structure_fault():
+    assert sorted(GRAPH_HELD_CASES) == sorted([
+        "bad-offset", "nodes-empty", "node-id-float", "node-id-bool", "node-w-str",
+        "duplicate-node", "edge-u-float", "edge-v-str", "edge-u-undeclared", "edge-v-undeclared",
+        "edge-w-null", "ids-not-contiguous", "self-loop", "duplicate-edge",
+        "undeclared-u-and-bad-w", "undeclared-v-and-bad-w", "bad-id-and-bad-w",
+        "bad-ids-and-self-loop", "duplicate-then-self-loop"])
+
+
+@pytest.mark.parametrize("text, message, location", GRAPH_HELD_CASES.values(),
+                         ids=GRAPH_HELD_CASES)
+def test_code_built_graph_fault_matches_its_document(text, message, location):
+    check(loads_graph, text, message, location)
+    check(lambda rows: WeightGraph(*rows), graph_rows(text), message, location)
+
+
 @pytest.mark.parametrize("text, prefix", [
     ('{"offset": ' + LONG + "}", "Exceeds the limit"),
     ("[" * 100_000, "maximum recursion depth exceeded"),
@@ -278,14 +325,15 @@ def coupler(**fields):
 CALIBRATION_CASES = {
     "not-object": ('"chip"', "top level must be an object", "$"),
     "no-qubits": (calibration(qubits=DROP), "missing field 'qubits'", "$"),
-    "qubits-not-list": (calibration(qubits="01"), "qubits must be a non-empty list", "qubits"),
-    "qubits-empty": (calibration(qubits=[], couplers=[]), "qubits must be a non-empty list", "qubits"),
+    "qubits-not-list": (calibration(qubits="01"), "qubits must be a list", "qubits"),
+    "qubits-empty": (calibration(qubits=[], couplers=[]), "a chip needs at least one qubit", "qubits"),
     "qubit-not-object": (calibration(qubits=[0, 1]), "qubit entry must be an object", "qubits[0]"),
     "qubit-no-id": (calibration(qubits=qubit(id=DROP)), "missing field 'id'", "qubits[0]"),
     "qubit-no-t1": (calibration(qubits=qubit(t1_us=DROP)), "missing field 't1_us'", "qubits[0]"),
     "qubit-no-t2": (calibration(qubits=qubit(t2_us=DROP)), "missing field 't2_us'", "qubits[0]"),
     "qubit-no-f1q": (calibration(qubits=qubit(f1q=DROP)), "missing field 'f1q'", "qubits[0]"),
-    "qubit-id-str": (calibration(qubits=qubit(id="0")), "expected an integer, got '0'",
+    "qubit-id-str": (calibration(qubits=qubit(id="0")),
+                     "qubit id must be a non-negative int below 1073741824, got '0'",
                      "qubits[0].id"),
     "qubit-id-negative": (calibration(qubits=qubit(id=-1), couplers=[]),
                           "qubit id must be a non-negative int below 1073741824, got -1",
@@ -305,9 +353,9 @@ CALIBRATION_CASES = {
     "coupler-no-a": (calibration(couplers=coupler(a=DROP)), "missing field 'a'", "couplers[0]"),
     "coupler-no-b": (calibration(couplers=coupler(b=DROP)), "missing field 'b'", "couplers[0]"),
     "coupler-no-f2q": (calibration(couplers=coupler(f2q=DROP)), "missing field 'f2q'", "couplers[0]"),
-    "coupler-a-float": (calibration(couplers=coupler(a=0.0)), "expected an integer, got 0.0",
+    "coupler-a-float": (calibration(couplers=coupler(a=0.0)), "endpoint 0.0 is not a declared qubit",
                         "couplers[0].a"),
-    "coupler-b-null": (calibration(couplers=coupler(b=None)), "expected an integer, got None",
+    "coupler-b-null": (calibration(couplers=coupler(b=None)), "endpoint None is not a declared qubit",
                        "couplers[0].b"),
     "coupler-f2q-below-zero": (calibration(couplers=coupler(f2q=-0.5)),
                                "fidelity -0.5 outside [0, 1]", "couplers[0].f2q"),
@@ -323,15 +371,18 @@ CALIBRATION_CASES = {
                           "duplicate coupler (0, 1)", "couplers[1]"),
 }
 
-# Documents with two faults, and the one reported.
+# Documents with two faults, and the one reported: the whole shape first, then
+# the chip's values and structure in its own order.
 CALIBRATION_ORDER_CASES = {
     "bad-qubit-row-and-bad-couplers": (calibration(qubits=qubit(f1q=2), couplers=5),
                                        "couplers must be a list", "couplers"),
+    "bad-qubit-id-and-bad-couplers": (calibration(qubits=qubit(id="0"), couplers={}),
+                                      "couplers must be a list", "couplers"),
     "undeclared-a-and-bad-f2q": (calibration(couplers=coupler(a=9, f2q=2)),
-                                 "fidelity 2.0 outside [0, 1]", "couplers[0].f2q"),
+                                 "endpoint 9 is not a declared qubit", "couplers[0].a"),
     "duplicate-qubit-and-bad-coupler-row": (calibration(qubits=[QUBITS[0], QUBITS[0]],
                                                         couplers=coupler(f2q="x")),
-                                            "expected a real number, got 'x'", "couplers[0].f2q"),
+                                            "duplicate qubit id", "qubits"),
 }
 
 
@@ -351,15 +402,16 @@ def code_rows(text):
     """A calibration document's rows as code would build them, ``Qubit`` and
     ``Coupler`` tuples of the decoded values unchecked, or None when its fault
     lies in its shape (not an object, a missing or extra field, an entry that
-    is not an object, a list that is not one or is empty), which a chip built
-    in code cannot hold."""
+    is not an object, a list that is not one), which a chip built in code
+    cannot hold."""
     doc = json.loads(text)
     try:
-        qubits = tuple(Qubit(**row) for row in doc["qubits"])
-        couplers = tuple(Coupler(**row) for row in doc.get("couplers", []))
+        qubits, couplers = doc["qubits"], doc.get("couplers", [])
+        if isinstance(qubits, list) and isinstance(couplers, list):
+            return tuple(Qubit(**row) for row in qubits), tuple(Coupler(**row) for row in couplers)
     except (TypeError, KeyError):
-        return None
-    return (qubits, couplers) if qubits else None
+        pass
+    return None
 
 
 HELD_CASES = {name: case for name, case in {**CALIBRATION_CASES, **CALIBRATION_ORDER_CASES}.items()
@@ -368,7 +420,7 @@ HELD_CASES = {name: case for name, case in {**CALIBRATION_CASES, **CALIBRATION_O
 
 def test_code_built_chips_hold_every_value_and_structure_fault():
     assert sorted(HELD_CASES) == sorted([
-        "qubit-id-str", "qubit-id-negative", "qubit-id-past-wires", "qubit-t1-list",
+        "qubits-empty", "qubit-id-str", "qubit-id-negative", "qubit-id-past-wires", "qubit-t1-list",
         "qubit-t2-bool", "qubit-f1q-above-one", "coupler-a-float", "coupler-b-null",
         "coupler-f2q-below-zero", "duplicate-qubit", "coupler-a-undeclared",
         "coupler-b-undeclared", "coupler-loop", "duplicate-coupler",
@@ -377,6 +429,7 @@ def test_code_built_chips_hold_every_value_and_structure_fault():
 
 @pytest.mark.parametrize("text, message, location", HELD_CASES.values(), ids=HELD_CASES)
 def test_code_built_chip_fault_matches_its_document(text, message, location):
+    check(loads_calibration, text, message, location)
     check(lambda rows: ChipModel(*rows), code_rows(text), message, location)
 
 

@@ -699,6 +699,13 @@ class TestProcessResults:
         with pytest.raises(ValueError, match="top"):
             process_results({"01": 1, "10": 1, "11": 1}, k2_graph, top=top)
 
+    @pytest.mark.parametrize("top", [1.5, "2", True, None])
+    def test_top_must_be_an_int(self, k2_graph, top):
+        # The key 7 is a fault too: top is judged before any key is read.
+        with pytest.raises(ValueError) as err:
+            process_results({7: 1}, k2_graph, top=top)
+        assert str(err.value) == f"top must be an int of at least 1, got {top!r}"
+
     def test_length_mismatch(self, k2_graph):
         with pytest.raises(ValueError):
             process_results({"0": 1}, k2_graph)
