@@ -46,6 +46,27 @@ sed -n 2p result.txt | grep -q ' \*$'  # the best row is flagged
 # The completed line holds its counts as one packed "bits:count,..." string.
 grep -qE '"counts": "[01]+:[0-9]+' st/tasks.jsonl
 
+# A read parses only the lines of the task it returns. In a store of two
+# completed tasks whose second has a bad inner line (line 5, its running
+# line), the first still reads; reading the second exits 1 naming the store
+# and line, and so does the next writer, which leaves the store as it was.
+good=$(quchain --store two submit --qasm circuit.qasm --shots 100)
+bad=$(quchain --store two submit --qasm circuit.qasm --shots 100)
+sed -i '5s/"status": "running"/"status": "bogus"/' two/tasks.jsonl
+grep -q '"status": "bogus"' two/tasks.jsonl
+cp two/tasks.jsonl two-before.jsonl
+test "$(quchain --store two status "$good")" = completed
+code=0
+quchain --store two status "$bad" > bad-status.out 2> bad-status.txt || code=$?
+test "$code" -eq 1
+grep -qF 'error: two/tasks.jsonl, line 5: ' bad-status.txt
+test ! -s bad-status.out
+code=0
+quchain --store two submit --qasm circuit.qasm --shots 100 2> bad-submit.txt || code=$?
+test "$code" -eq 1
+grep -qF 'error: two/tasks.jsonl, line 5: ' bad-submit.txt
+cmp two/tasks.jsonl two-before.jsonl
+
 # A malformed QASM file is rejected with exit code 1 before any store exists.
 printf 'not qasm\n' > bad.qasm
 code=0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError, ParseError
 from .graph import WEIGHT_LIMIT, WeightGraph
-from .validate import as_index
+from .validate import as_index, is_integer, is_real
 
 
 @dataclass
@@ -149,10 +149,11 @@ def qubo_from_graph_coloring(graph, k: int) -> QuboMatrix:
     Objective: ``sum_v (1 - sum_c x_{v,c})^2 + sum_{(u,v) in E} sum_c
     x_{u,c} x_{v,c}``; the minimum (after offset) is 0 iff the graph is
     k-colorable.  Variable ``v*k + c`` means "vertex v gets color c".
-    ``graph`` is read as :func:`qubo_from_maxcut` reads it.
+    ``graph`` is read as :func:`qubo_from_maxcut` reads it; ``k`` must be an
+    int of at least 1 (a NumPy integer counts, a bool does not).
     """
-    if k < 1:
-        raise ModelError("color count must be at least 1")
+    if not is_integer(k) or k < 1:
+        raise ModelError(f"k: color count must be an int of at least 1, got {k!r}")
     g = _problem_graph(graph)
     nv = g.n
     n = nv * k
@@ -175,9 +176,12 @@ def qubo_from_set_packing(sets, penalty: float = 2.0) -> QuboMatrix:
 
     With ``penalty > 1`` the minimum selects a maximum pairwise-disjoint
     subfamily.  Set elements must be non-negative integers (bools are not);
-    only which sets share one matters, so no universe size is needed.
+    only which sets share one matters, so no universe size is needed.  With
+    m overlapping pairs among n sets, the Ising graph's sum of |w| plus
+    |offset| is at most ``m * penalty + n``; a penalty that takes this past
+    ``WEIGHT_LIMIT`` raises :class:`ConfigError` naming ``penalty``.
     """
-    if not (math.isfinite(penalty) and penalty > 1):
+    if not (is_real(penalty) and penalty > 1):
         raise ConfigError(f"penalty must be finite and exceed 1 to dominate, got {penalty}")
     sets = [frozenset(s) for s in sets]
     if not sets:
@@ -194,6 +198,11 @@ def qubo_from_set_packing(sets, penalty: float = 2.0) -> QuboMatrix:
             if sets[i] & sets[jj]:
                 q[i, jj] = penalty / 2.0
                 q[jj, i] = penalty / 2.0
+    pairs = int(np.count_nonzero(np.triu(q, 1)))
+    # The bound's float sum of about n + 3m rounded terms, as for partition.
+    if pairs * penalty + n > WEIGHT_LIMIT / (1 + (n + 3 * pairs + 2) * sys.float_info.epsilon):
+        raise ConfigError(f"penalty {penalty:g} is too large: the model's weights sum past "
+                          f"the limit of {WEIGHT_LIMIT:g}")
     return QuboMatrix(q=q, sense="max")
 
 

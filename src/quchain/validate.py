@@ -71,7 +71,7 @@ def records(value, key: str, names, closed: bool = False) -> list:
 
 def is_integer(value) -> bool:
     """An int or a NumPy integer, not a bool.  Plain ints are tested first:
-    the task store checks two per record on every read."""
+    the task store checks two per record it parses."""
     if isinstance(value, int):
         return not isinstance(value, bool)
     return isinstance(value, Integral)
@@ -83,7 +83,7 @@ def is_real(value) -> bool:
     +/-Infinity, integers past the range, strings, bools and None fail; on
     decoded JSON it passes exactly the finite numbers.  The package's one
     rule for a real value, from a document or from a caller.  Floats are
-    tested first: the task store checks two per record on every read."""
+    tested first: the task store checks two per record it parses."""
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, Real):

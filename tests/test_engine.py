@@ -486,6 +486,16 @@ class TestOptimize:
         with pytest.raises(ValueError, match="no depth-p evaluations"):
             optimize(k2_graph, p=2, max_evals=max_evals)
 
+    def test_budget_spent_by_the_interpolated_point_runs_no_simplex(self):
+        # Depth 1 spends four evaluations (one line and its minimum) and depth
+        # 2 the fifth on the interpolated point; the simplex then has none
+        # left, so it evaluates nothing and the run is not converged.
+        path3 = WeightGraph(nodes=[(0, 0.0), (1, 0.0), (2, 0.0)],
+                            edges=[(0, 1, 1.0), (1, 2, 1.0)])
+        res = optimize(path3, p=2, grid_size=1, max_evals=5)
+        assert res.evaluations == len(res.trace) == 5 and not res.converged
+        assert [len(params.gamma) for params, _ in res.trace] == [1, 1, 1, 1, 2]
+
     def test_deterministic_under_seed(self, k2_graph):
         a = optimize(k2_graph, p=1, method="grid+simplex", seed=5)
         b = optimize(k2_graph, p=1, method="grid+simplex", seed=5)

@@ -224,6 +224,15 @@ class TestGraphColoring:
         with pytest.raises(ModelError):
             qubo_from_graph_coloring([(0, 1)], 0)
 
+    @pytest.mark.parametrize("k", [2.5, "3", True, None, 0, -1])
+    def test_color_count_must_be_an_int_of_at_least_one(self, k):
+        with pytest.raises(ModelError) as err:
+            qubo_from_graph_coloring([(0, 1)], k)
+        assert str(err.value) == f"k: color count must be an int of at least 1, got {k!r}"
+
+    def test_numpy_color_count_is_an_int(self):
+        assert qubo_from_graph_coloring([(0, 1)], np.int64(2)).q.shape == (4, 4)
+
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -246,10 +255,33 @@ class TestSetPacking:
         with pytest.raises(ConfigError):
             qubo_from_set_packing([{1}], penalty=1.0)
 
-    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("penalty", [
+        float("nan"), float("inf"), pytest.param(10**400, id="10**400"), "3", None,
+    ])
     def test_penalty_must_be_finite(self, penalty):
         with pytest.raises(ConfigError, match="penalty"):
             qubo_from_set_packing([{1}], penalty=penalty)
+
+    @pytest.mark.parametrize("sets, limit", [
+        ([{1}, {1}], 1e300), ([{1}, {1, 2}, {2}, {1, 2}], 1e300 / 5),
+        ([{i, i + 1} for i in range(50)], 1e300 / 49),
+    ], ids=["one-pair", "five-pairs", "path-of-50"])
+    def test_penalty_past_the_weight_limit_is_named(self, sets, limit):
+        # m overlapping pairs make a graph whose weights sum to about
+        # m * penalty: the limit is judged on the penalty, not on a row of
+        # the derived graph.
+        for penalty in (1e308, limit):
+            with pytest.raises(ConfigError) as err:
+                qubo_from_set_packing(sets, penalty=penalty)
+            assert str(err.value) == (f"penalty {penalty:g} is too large: the model's "
+                                      "weights sum past the limit of 1e+300")
+        g = weight_graph_from_qubo(qubo_from_set_packing(sets, penalty=limit * (1 - 1e-13)))
+        assert abs(g.offset) + sum(abs(w) for _, w in g.nodes) + sum(
+            abs(w) for *_, w in g.edges) <= 1e300
+
+    def test_penalty_of_disjoint_sets_is_not_bounded(self):
+        g = weight_graph_from_qubo(qubo_from_set_packing([{1}, {2}], penalty=1e308))
+        assert g.edges == [] and g.nodes == [(0, -0.5), (1, -0.5)]
 
     @pytest.mark.parametrize("element", [-1, 1.5])
     def test_element_must_be_a_non_negative_integer(self, element):

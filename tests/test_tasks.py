@@ -95,7 +95,7 @@ class TestLifecycle:
         with TaskService(store) as svc:
             with pytest.raises(ParseError):
                 svc.submit("not a circuit", shots=10)
-        assert TaskService(store, read_only=True)._records == {}
+        assert store.read_bytes() == b""
 
     def test_zero_shots_rejected(self, store, k2_graph):
         pc = compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,)))
@@ -287,12 +287,16 @@ class TestTornTail:
         assert reloaded.status(new.id) == "completed"
 
     def test_malformed_inner_line_is_located_parse_error(self, store, k2_graph):
-        self._completed_store(store, k2_graph)
+        rec = self._completed_store(store, k2_graph)
         lines = store.read_text().split("\n")
-        lines[1] = lines[1][:40]
+        lines[1] = lines[1][:40]  # cut before its id: the line is no task's
         store.write_text("\n".join(lines))
-        with pytest.raises(ParseError, match="line 2"):
-            TaskService(store, read_only=True)
+        before = store.read_bytes()
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 2")):
+            TaskService(store)
+        assert store.read_bytes() == before
+        # A reader parses only the lines of the task it reads.
+        assert TaskService(store, read_only=True).status(rec.id) == "completed"
 
     @pytest.mark.parametrize("tail", ["torn record", "unterminated record", "blank"])
     def test_writer_repairs_the_tail_byte_for_byte(self, store, k2_graph, tail):
@@ -308,9 +312,10 @@ class TestTornTail:
         line = json.dumps(_VALID_RECORD).encode().replace(b'"job"', b'"job\xe9"')
         store.write_bytes(line + b"\n" + json.dumps(_VALID_RECORD).encode() + b"\n")
         before = store.read_bytes()
-        for read_only in (True, False):
-            with pytest.raises(ParseError, match=re.escape(f"{store}, line 1")):
-                TaskService(store, read_only=read_only)
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 1")):
+            TaskService(store)
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 1")):
+            TaskService(store, read_only=True).record(_VALID_RECORD["id"])
         assert store.read_bytes() == before
 
     def test_refusing_writer_leaves_the_store_as_it_was(self, store, k2_graph):
@@ -423,7 +428,7 @@ class TestClosedWriter:
 
     def test_submit_after_close_raises_and_writes_nothing(self, store):
         svc = TaskService(store)
-        svc.submit(single_qubit_plus_qasm(), shots=5, wait=True, seed=0)
+        done = svc.submit(single_qubit_plus_qasm(), shots=5, wait=True, seed=0)
         svc.close()
         before = store.read_bytes()
         with pytest.raises(QuchainError, match=re.escape(str(store))):
@@ -433,7 +438,8 @@ class TestClosedWriter:
             with pytest.raises(QuchainError, match=re.escape(str(store))):
                 svc.submit(single_qubit_plus_qasm(), shots=5, seed=2)
             assert store.read_bytes() == before
-        assert len(TaskService(store, read_only=True)._records) == 1
+        assert {json.loads(line)["id"] for line in store.read_text().splitlines()} == {done.id}
+        assert TaskService(store, read_only=True).record(done.id) == done
 
     def test_submit_wait_after_close_raises_instead_of_blocking(self, store):
         svc = TaskService(store)
@@ -499,8 +505,8 @@ class _ShortCountsSampler(LocalSampler):
 
 
 class TestRecordChecks:
-    """Every stored field is checked on load; a writer cannot store a record
-    its readers would reject."""
+    """Every stored field is checked when its line is parsed; a writer cannot
+    store a record its readers would reject."""
 
     @pytest.mark.parametrize(
         "field, value",
@@ -526,7 +532,22 @@ class TestRecordChecks:
         lines = [json.dumps(_VALID_RECORD), json.dumps({**_VALID_RECORD, "status": "bogus"})]
         store.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 2"):
-            TaskService(store, read_only=True)
+            TaskService(store, read_only=True).record(_VALID_RECORD["id"])
+
+    def test_a_reader_reports_only_the_bad_lines_of_the_task_it_reads(self, store):
+        good = {**_VALID_RECORD, "id": "cd" * 16}
+        lines = [json.dumps(good), json.dumps(_VALID_RECORD),
+                 json.dumps({**_VALID_RECORD, "status": "bogus"})]
+        store.write_text("\n".join(lines) + "\n")
+        before = store.read_bytes()
+        reader = TaskService(store, read_only=True)
+        assert reader.result(good["id"]) == good["counts"]
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 3")):
+            reader.status(_VALID_RECORD["id"])
+        # The next writer still refuses the store, and writes nothing to it.
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 3")):
+            TaskService(store)
+        assert store.read_bytes() == before
 
     @pytest.mark.parametrize("kwargs", [{"name": 5}, {"seed": True}, {"seed": 2.5}])
     def test_submit_rejects_a_field_readers_would_reject(self, store, kwargs):
@@ -864,6 +885,7 @@ _OLD_STORE = (
     '"0123456789abcdef0123456789abcdef", "name": "stale", "qasm": ' + _OLD_QASM + ', '
     '"seed": null, "shots": 5, "status": "running", "updated_at": 1792388890.5}\n'
 )
+_OLD_IDS = ("de2c8b44d013f332f0e946d0688fe992", "0123456789abcdef0123456789abcdef")
 
 
 class TestTransitionLines:
@@ -873,8 +895,8 @@ class TestTransitionLines:
         from quchain.tasks import TaskRecord
 
         store.write_text(_OLD_STORE)
-        records = TaskService(store, read_only=True)._records
-        assert records == {
+        reader = TaskService(store, read_only=True)
+        assert {i: reader.record(i) for i in _OLD_IDS} == {
             "de2c8b44d013f332f0e946d0688fe992": TaskRecord(
                 id="de2c8b44d013f332f0e946d0688fe992", name="old",
                 qasm=single_qubit_plus_qasm(), shots=10, status="completed", seed=3,
@@ -893,7 +915,8 @@ class TestTransitionLines:
             written = dict(svc._records)
         assert written["0123456789abcdef0123456789abcdef"].status == "failed"
         assert written[new.id].counts == {"0": 4}
-        assert TaskService(store, read_only=True)._records == written
+        reader = TaskService(store, read_only=True)
+        assert {i: reader.record(i) for i in written} == written
         added = store.read_text()[len(_OLD_STORE):].splitlines()
         assert len(added) == 4  # failed, then queued, running, completed
         assert ['"qasm"' in line for line in added] == [False, True, False, False]
@@ -906,7 +929,8 @@ class TestTransitionLines:
             written = dict(svc._records)
         assert written[failed.id].status == "failed"
         assert written[done.id].status == "completed"
-        assert TaskService(store, read_only=True)._records == written
+        reader = TaskService(store, read_only=True)
+        assert {i: reader.record(i) for i in written} == written
         text = store.read_text()
         assert text.count(json.dumps(single_qubit_plus_qasm())) == 2  # once per task
         for line in text.splitlines():
@@ -916,9 +940,10 @@ class TestTransitionLines:
         line = json.dumps({"id": "cd" * 16, "status": "running",
                            "created_at": 1.5e9, "updated_at": 1.5e9})
         store.write_text(json.dumps(_VALID_RECORD) + "\n\n" + line + "\n")
-        for read_only in (True, False):
-            with pytest.raises(ParseError, match=re.escape(f"{store}, line 3")):
-                TaskService(store, read_only=read_only)
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 3")):
+            TaskService(store)
+        with pytest.raises(ParseError, match=re.escape(f"{store}, line 3")):
+            TaskService(store, read_only=True).record("cd" * 16)
 
 
 class _IntKeySampler(LocalSampler):
@@ -971,21 +996,23 @@ class TestCountKeys:
         lines = [json.dumps(_VALID_RECORD), json.dumps({**_VALID_RECORD, "counts": counts})]
         store.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=re.escape(f"{store}, line 2")):
-            TaskService(store, read_only=True)
+            TaskService(store, read_only=True).record(_VALID_RECORD["id"])
 
 
 class TestPackedCounts:
-    """A completed line holds its counts as one packed string, checked on load
-    and decoded when the counts are read."""
+    """A completed line holds its counts as one packed string, checked when
+    the line is parsed and decoded when the counts are read."""
 
     @pytest.mark.parametrize(
         "counts", ["01::3", "0a:1", "01:-1", "01:1.5", "01:1,", ":4", "01:007", "01:1 ", 5, [4, 6]],
     )
     def test_malformed_counts_are_located_parse_error(self, store, counts):
         store.write_text(_queued_line() + "\n" + _completed_line(counts) + "\n")
-        for read_only in (True, False):
-            with pytest.raises(ParseError, match=re.escape(f"{store}, line 2") + ".*counts"):
-                TaskService(store, read_only=read_only)
+        where = re.escape(f"{store}, line 2") + ".*counts"
+        with pytest.raises(ParseError, match=where):
+            TaskService(store)
+        with pytest.raises(ParseError, match=where):
+            TaskService(store, read_only=True).record(_VALID_RECORD["id"])
 
     @pytest.mark.parametrize("counts, message", [
         ("01:1,01:2", "occurs twice"),
@@ -1090,3 +1117,77 @@ class TestKilledWriter:
         assert reader.status(done) == "completed"
         assert reader.result(done) == written and sum(written.values()) == 20
         assert reader.status(hung) == "failed"
+
+
+def _full_load(store):
+    """The writer's load: every line of the store parsed, checked and merged."""
+    from quchain.tasks import _read_log
+
+    with open(store, "rb") as f:
+        return _read_log(f, store)[0]
+
+
+class TestReaderDifferential:
+    """A reader parses only the lines of the task it reads; for every id its
+    record equals the one the writer's full load merges from every line."""
+
+    def _assert_reader_agrees(self, store, ids=None):
+        full = _full_load(store)
+        assert full and (ids is None or set(full) == set(ids))
+        reader = TaskService(store, read_only=True)
+        for task_id, rec in full.items():
+            assert reader.record(task_id) == rec
+            if rec.status == "completed":
+                assert reader.result(task_id) == rec.counts
+            else:
+                with pytest.raises(ResultUnavailableError):
+                    reader.result(task_id)
+        return full
+
+    def test_stores_built_by_submit_in_every_state(self, store, k2_graph):
+        qasm = emit(compile_graph(k2_graph, QaoaParams(gamma=(0.3,), beta=(0.2,))))
+        with TaskService(store, backend=_NegativeCountsSampler()) as svc:
+            failed = svc.submit(qasm, shots=6, wait=True)
+        backend = _BlockingSampler()
+        with TaskService(store, backend=backend) as svc:
+            done = [svc.submit(qasm, shots=50, seed=s, name=f"job{s}") for s in range(3)]
+            assert backend.started.wait(30.0)
+            running, queued = done[0], done[1:]  # the first blocks in the backend
+            states = {i: rec.status for i, rec in self._assert_reader_agrees(store).items()}
+            assert states == {failed.id: "failed", running: "running",
+                              **dict.fromkeys(queued, "queued")}
+            backend.release.set()
+            svc.drain()
+        full = self._assert_reader_agrees(store)
+        assert [full[i].status for i in done] == ["completed"] * 3
+
+    def test_old_dict_lines_then_packed_lines(self, store):
+        store.write_text(_OLD_STORE)
+        with TaskService(store, backend=_CountingSampler()) as svc:
+            new = svc.submit(single_qubit_plus_qasm(), shots=4, wait=True).id
+        full = self._assert_reader_agrees(store, [*_OLD_IDS, new])
+        assert full[_OLD_IDS[0]].counts == {"0": 9, "1": 1}
+
+    @pytest.mark.parametrize("tail", ["torn", "unterminated", "blank lines"])
+    def test_tails_and_blank_lines(self, store, tail):
+        with TaskService(store, backend=_CountingSampler()) as svc:
+            ids = [svc.submit(single_qubit_plus_qasm(), shots=3, seed=s, wait=True).id
+                   for s in range(2)]
+        text = store.read_text()
+        last = text.splitlines()[-1]
+        # The torn copy of the last line holds its whole id key.
+        store.write_text({"torn": text + last[:-10],
+                          "unterminated": text[:-1],
+                          "blank lines": "\n \n" + text.replace("\n", "\n\n", 2) + "\t\n"}[tail])
+        self._assert_reader_agrees(store, ids)
+
+    def test_an_id_that_is_a_prefix_of_another(self, store):
+        ids = ["ab", "abc", "b", "ab" * 16]
+        queued = [json.dumps({**_VALID_RECORD, "id": i, "status": "queued", "counts": None})
+                  for i in ids]
+        later = [json.dumps({"id": i, "status": s, "created_at": 1.5e9, "updated_at": 1.6e9,
+                             **({"counts": f"0:{k},1:{10 - k}"} if s == "completed" else {})})
+                 for k, i in enumerate(ids) for s in ("running", "completed")[:k % 3]]
+        store.write_text("\n".join(queued[::-1] + later) + "\n")
+        full = self._assert_reader_agrees(store, ids)
+        assert [full[i].status for i in ids] == ["queued", "running", "completed", "queued"]
